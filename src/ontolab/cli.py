@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import re
 import sys
 from dataclasses import asdict, dataclass
@@ -61,7 +62,10 @@ def parse_time(text: str) -> float:
     if m:
         value = math.pi * float(m.group("num") or 1.0)
         if m.group("den"):
-            value /= float(m.group("den"))
+            den = float(m.group("den"))
+            if den == 0:
+                raise argparse.ArgumentTypeError(f"time {text!r} divides by zero")
+            value /= den
         return -value if m.group("sign") == "-" else value
     try:
         return float(s)
@@ -127,14 +131,20 @@ def _fmt9(x) -> str:
     if isinstance(x, bool):
         return "true" if x else "false"
     if isinstance(x, float):
-        return f"{x:.9g}"
+        # an undefined value (NaN, e.g. a correlator with no runs) is an empty field
+        return f"{x:.9g}" if math.isfinite(x) else ""
     return str(x)
 
 
 def _jsonable(obj):
-    """Full-precision JSON payload; numpy scalars become plain Python values."""
+    """Full-precision JSON payload; numpy scalars become plain Python values.
+
+    An undefined (non-finite) float becomes null, so the payload is strict JSON.
+    """
     if isinstance(obj, np.generic):
-        return obj.item()
+        obj = obj.item()
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None
     if isinstance(obj, dict):
         return {k: _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -149,7 +159,7 @@ def write_output(config: RunConfig, columns: list[str], rows: list[dict], result
             "results": _jsonable(results),
             "provenance": {"package": "ontolab", "version": __version__, "seed": config.seed},
         }
-        text = json.dumps(payload, indent=2) + "\n"
+        text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
     else:
         lines = []
         for key, value in asdict(config).items():
@@ -168,6 +178,13 @@ def write_output(config: RunConfig, columns: list[str], rows: list[dict], result
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise ValueError(message)
+
+
+def _require_writable(path: str) -> None:
+    """Reject an output file that cannot be written, before anything is computed."""
+    target = path if os.path.exists(path) else (os.path.dirname(path) or ".")
+    writable = not os.path.isdir(path) and os.access(target, os.W_OK)
+    _require(writable, f"cannot write output file {path!r}")
 
 
 def cmd_lg(config: RunConfig, workers: int) -> int:
@@ -393,6 +410,8 @@ def main(argv: list[str] | None = None) -> int:
             raise ValueError("--runs must be >= 1")
         if args.gamma < 0:
             raise ValueError("--gamma must be >= 0")
+        if args.out is not None:
+            _require_writable(args.out)
         config = RunConfig(
             command=args.command,
             model=args.model,

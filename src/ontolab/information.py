@@ -36,9 +36,6 @@ from .sphere import (
     tv_distance,
 )
 
-# per-run uniform slots for single-world sampling: 0-1 preparation, 2 measurement
-_SAMPLE_WIDTH = 3
-
 _BOOTSTRAP_RESAMPLES = 1000
 
 
@@ -53,9 +50,18 @@ def _require_single_world(model) -> OntologicalModel:
     return model
 
 
+# Per-run uniform slots of single-world sampling: 0-1 preparation,
+# 2 measurement.  A model draws only the slots in its SAMPLE_SLOTS.
+def _measured_states(model: OntologicalModel, u: dict[int, np.ndarray], direction: np.ndarray):
+    """Prepared ontic states and their images after a measurement with the outcome discarded."""
+    states = model.prepare_max_batch(_rng.slot_columns(u, range(model.PREP_SLOTS)))
+    _, post = model.measure_batch(states, direction, u.get(2))
+    return states, post
+
+
 def _accumulate_post_measurement(
     model: OntologicalModel,
-    direction: np.ndarray | None,
+    direction: np.ndarray,
     runs: int,
     seed: int,
     resolutions: tuple[tuple[int, int], ...],
@@ -64,14 +70,10 @@ def _accumulate_post_measurement(
     """Histograms of the ontic ensemble before and after a non-selective measurement."""
 
     def run_chunk(lo: int, n: int):
-        u = _rng.uniform_block(seed, lo, n, _SAMPLE_WIDTH)
-        states = model.prepare_max_batch(u[:, 0 : model.PREP_SLOTS])
+        u = _rng.uniforms_by_slot(seed, range(lo, lo + n), model.SAMPLE_SLOTS)
+        states, post = _measured_states(model, u, direction)
         before = model.embed_on_sphere(states)
-        if direction is None:
-            after = before
-        else:
-            _, post = model.measure_batch(states, direction, u[:, 2])
-            after = model.embed_on_sphere(post)
+        after = model.embed_on_sphere(post)
         pairs = []
         for nz, nphi in resolutions:
             pairs.append(
@@ -262,7 +264,7 @@ def branching_no_erasure_check(
         h1 = SphereHistogram(nz, nphi)
 
         def run_chunk(lo: int, n: int):
-            u = _rng.uniform_block(arm_seed, lo, n, 5)
+            u = _rng.uniform_block(arm_seed, range(lo, lo + n), model.JOINT_SLOTS)
             x0_pre, x1_pre = model.sample_ontic_batch(u[:, 0:4])
             res = model.run_experiment_batch(da, db, u)
             ok = np.array_equal(res.x0_post, x0_pre) and np.array_equal(res.x1_post, x1_pre)
@@ -328,12 +330,12 @@ def invariance_test(
     if start not in ("uniform", "cap"):
         raise InvalidArgumentError(f"start must be 'uniform' or 'cap', got {start!r}")
     bb = BeltramettiBugajski()
+    prep_slots = tuple(range(bb.PREP_SLOTS))
     durations = np.random.default_rng(_rng.substream_seed(seed, 7)).uniform(0.0, np.pi, rotations)
 
     def evolved_chunk(lo: int, n: int) -> SphereHistogram:
-        u = _rng.uniform_block(_rng.substream_seed(seed, 1), lo, n, 2)
+        u = _rng.uniform_block(_rng.substream_seed(seed, 1), range(lo, lo + n), prep_slots)
         if start == "cap":
-            u = u.copy()
             u[:, 0] = 0.75 + 0.25 * u[:, 0]  # z = 2u - 1 in [0.5, 1]
         states = sample_uniform_sphere(u)
         for dt in durations:
@@ -341,7 +343,7 @@ def invariance_test(
         return SphereHistogram.from_points(states, nz, nphi)
 
     def fresh_chunk(lo: int, n: int) -> SphereHistogram:
-        u = _rng.uniform_block(_rng.substream_seed(seed, 2), lo, n, 2)
+        u = _rng.uniform_block(_rng.substream_seed(seed, 2), range(lo, lo + n), prep_slots)
         return SphereHistogram.from_points(sample_uniform_sphere(u), nz, nphi)
 
     h_evolved = SphereHistogram(nz, nphi)

@@ -88,7 +88,8 @@ class CorrelationMatrix:
     """The four pair correlators, with standard errors and sample counts.
 
     stderr and counts are ordered like PAIRS; exact (analytic) correlators
-    carry stderr 0 and counts 0.
+    carry stderr 0 and counts 0.  A Monte Carlo correlator that no run
+    sampled is undefined: NaN, with stderr NaN and count 0.
     """
 
     c13: float
@@ -192,27 +193,30 @@ def max_violation_over_34(t1: float, t2: float) -> tuple[float, float, float]:
 # Per-run uniform slots (single-world models): 0 pair pick, 1-2 preparation,
 # 3 evolve to the first time, 4 first measurement, 5 evolve across the gap,
 # 6 second measurement.  Branching runs: 0 pair pick, 1-4 ontic pair,
-# 5 branch selection.  Unused slots are simply never read.
-_SW_WIDTH = 7
-_MW_WIDTH = 6
+# 5 branch selection.  A model draws only the slots in its LG_SLOTS.
+_PICK_SLOT = 0
 
 
-def _single_world_products(model: OntologicalModel, u: np.ndarray, pair: tuple[float, float]) -> np.ndarray:
+def _single_world_products(
+    model: OntologicalModel, u: dict[int, np.ndarray], pair: tuple[float, float]
+) -> np.ndarray:
     t_first, t_second = min(pair), max(pair)
-    states = model.prepare_max_batch(u[:, 1 : 1 + model.PREP_SLOTS])
-    states = model.evolve_batch(states, t_first, u[:, 3])
-    o1, states = model.measure_batch(states, _Z_DIRECTION, u[:, 4])
-    states = model.evolve_batch(states, t_second - t_first, u[:, 5])
-    o2, _ = model.measure_batch(states, _Z_DIRECTION, u[:, 6])
+    states = model.prepare_max_batch(_rng.slot_columns(u, range(1, 1 + model.PREP_SLOTS)))
+    states = model.evolve_batch(states, t_first, u.get(3))
+    o1, states = model.measure_batch(states, _Z_DIRECTION, u.get(4))
+    states = model.evolve_batch(states, t_second - t_first, u.get(5))
+    o2, _ = model.measure_batch(states, _Z_DIRECTION, u.get(6))
     return o1 * o2
 
 
-def _branching_products(model: BranchingModel, u: np.ndarray, pair: tuple[float, float]) -> np.ndarray:
+def _branching_products(
+    model: BranchingModel, u: dict[int, np.ndarray], pair: tuple[float, float]
+) -> np.ndarray:
     # static two-measurement model: times enter as Heisenberg directions
     t_first, t_second = min(pair), max(pair)
     a = heisenberg_direction(t_first)
     b = heisenberg_direction(t_second)
-    res = model.run_experiment_batch(a, b, u[:, 1:6])
+    res = model.run_experiment_batch(a, b, _rng.slot_columns(u, range(1, 6)))
     return res.alpha * res.beta
 
 
@@ -229,41 +233,40 @@ def empirical_correlations(
     mixed state at the ontological level, and measures twice through the
     model in chronological order.  Accumulation is integer-exact, so the
     result depends only on (scenario, runs, seed), never on the worker count.
-    Standard errors are binomial: sqrt((1 - C^2) / n).
+    Standard errors are binomial: sqrt((1 - C^2) / n).  A pair that no run
+    picked has no estimate: its correlator and stderr are NaN, and so are
+    lg_value and lg_stderr.
     """
     if runs < 1:
         raise InvalidArgumentError("runs must be >= 1")
-    branching = isinstance(model, BranchingModel)
-    width = _MW_WIDTH if branching else _SW_WIDTH
+    products = _branching_products if isinstance(model, BranchingModel) else _single_world_products
+    slots = model.LG_SLOTS
     pair_times = scenario.pair_times()
 
     def run_chunk(lo: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-        u = _rng.uniform_block(seed, lo, n, width)
-        pick = np.minimum((u[:, 0] * 4).astype(np.int64), 3)
+        u0 = _rng.uniform_block(seed, range(lo, lo + n), (_PICK_SLOT,))[:, 0]
+        pick = np.minimum((u0 * 4).astype(np.int64), 3)
         sums = np.zeros(4, dtype=np.int64)
         counts = np.zeros(4, dtype=np.int64)
         for p in range(4):
-            mask = pick == p
-            counts[p] = int(mask.sum())
+            # each pair draws its own slots for its own runs, so no row is gathered
+            runs_p = lo + np.flatnonzero(pick == p)
+            counts[p] = len(runs_p)
             if counts[p] == 0:
                 continue
-            up = u[mask]
-            if branching:
-                products = _branching_products(model, up, pair_times[p])
-            else:
-                products = _single_world_products(model, up, pair_times[p])
-            sums[p] = products.sum(dtype=np.int64)
+            u = _rng.uniforms_by_slot(seed, runs_p, slots)
+            sums[p] = products(model, u, pair_times[p]).sum(dtype=np.int64)
         return sums, counts
 
     partials = _rng.map_chunks(run_chunk, runs, workers)
     sums = np.sum([s for s, _ in partials], axis=0)
     counts = np.sum([c for _, c in partials], axis=0)
 
-    c = np.where(counts > 0, sums / np.maximum(counts, 1), 0.0)
+    c = np.where(counts > 0, sums / np.maximum(counts, 1), np.nan)
     stderr = np.where(
         counts > 0,
         np.sqrt(np.maximum(0.0, 1.0 - c * c) / np.maximum(counts, 1)),
-        np.inf,
+        np.nan,
     )
     return CorrelationMatrix(
         *(float(x) for x in c),

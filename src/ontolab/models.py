@@ -23,6 +23,11 @@ branching model does not fit that contract (its branch pairing happens only
 when the parties meet, after both measurements) and instead exposes a
 two-measurement experiment runner.
 
+Every model declares, per Monte Carlo path, the counter-mode slots it reads
+(``LG_SLOTS`` for the four-time inequality, ``SAMPLE_SLOTS`` for ensemble
+sampling, ``JOINT_SLOTS`` for two back-to-back measurements); only those
+slots are drawn.  The slot layout of each path sits next to the path.
+
 Sign convention everywhere: sign(0) := +1.  Ties occur on measure-zero sets,
 so any fixed rule leaves the statistics unchanged and keeps runs reproducible.
 """
@@ -55,14 +60,21 @@ class OntologicalModel(ABC):
 
     Vectorized methods operate on a batch of independent runs.  Each takes a
     dedicated column of per-run uniforms (drawn by the caller from the
-    counter-mode stream) and ignores it if unused, so the random-stream
-    layout is identical for every model.
+    counter-mode stream); a method that ignores its column accepts None
+    there, and one that needs it rejects None, so a column a model reads
+    but does not declare fails loudly.
     """
 
     name: str = "abstract"
 
     #: uniforms consumed by prepare_max_batch per run
     PREP_SLOTS: int = 2
+    #: slots read by the four-time inequality path (layout in leggett_garg)
+    LG_SLOTS: tuple[int, ...]
+    #: slots read by post-measurement ensemble sampling (layout in information)
+    SAMPLE_SLOTS: tuple[int, ...]
+    #: slots read by two back-to-back measurements (layout at _two_measurements)
+    JOINT_SLOTS: tuple[int, ...]
 
     @abstractmethod
     def prepare_max_batch(self, u: np.ndarray):
@@ -109,6 +121,9 @@ class BeltramettiBugajski(OntologicalModel):
 
     name = "bb"
     PREP_SLOTS = 2
+    LG_SLOTS = (1, 2, 4, 6)
+    SAMPLE_SLOTS = (0, 1, 2)
+    JOINT_SLOTS = (0, 1, 2, 3)
 
     def prepare_max_batch(self, u: np.ndarray) -> np.ndarray:
         return sample_uniform_sphere(u[:, :2])
@@ -125,6 +140,8 @@ class BeltramettiBugajski(OntologicalModel):
     def measure_batch(self, states: np.ndarray, direction, u: np.ndarray):
         if direction is None:
             raise InvalidArgumentError("Beltrametti-Bugajski measurement needs a direction")
+        if u is None:
+            raise InvalidArgumentError("Beltrametti-Bugajski measurement is stochastic and needs uniforms")
         direction = np.asarray(direction, dtype=float)
         p_plus = 0.5 * (1.0 + states @ direction)
         outcomes = np.where(np.asarray(u).reshape(-1) < p_plus, 1, -1).astype(np.int8)
@@ -152,6 +169,9 @@ class Telegraph(OntologicalModel):
 
     name = "telegraph"
     PREP_SLOTS = 1
+    LG_SLOTS = (1, 3, 5)
+    SAMPLE_SLOTS = (0,)
+    JOINT_SLOTS = (0,)
 
     def __init__(self, gamma: float = 1.0):
         if not np.isfinite(gamma) or gamma < 0:
@@ -223,8 +243,10 @@ class BranchingModel:
     """
 
     name = "mw"
-    ONTIC_SLOTS = 4
-    SELECT_SLOTS = 1
+    #: slots read by the four-time inequality path (layout in leggett_garg)
+    LG_SLOTS = (1, 2, 3, 4, 5)
+    #: slots read by two-measurement runs: 0-3 ontic pair, 4 branch selection
+    JOINT_SLOTS = (0, 1, 2, 3, 4)
 
     def __init__(self, setting_variant: str = "b", collapse_fault: bool = False):
         if setting_variant not in ("a", "b"):
@@ -313,13 +335,23 @@ class BranchingModel:
         b = as_direction(b)
 
         def run_chunk(lo: int, n: int) -> np.ndarray:
-            u = _rng.uniform_block(seed, lo, n, 5)
+            u = _rng.uniform_block(seed, range(lo, lo + n), self.JOINT_SLOTS)
             res = self.run_experiment_batch(a, b, u)
             ia, ib = (1 - res.alpha) // 2, (1 - res.beta) // 2
             return np.bincount((ia * 2 + ib).astype(np.int64), minlength=4)
 
         counts = sum(_rng.map_chunks(run_chunk, runs, workers))
         return counts.reshape(2, 2).astype(float) / runs
+
+
+# Per-run uniform slots of two back-to-back measurements: 0-1 preparation,
+# 2 first measurement, 3 second measurement.
+def _two_measurements(model: OntologicalModel, u: dict[int, np.ndarray], a, b):
+    """Outcomes of measuring a, then b, on the maximal-ignorance preparation."""
+    states = model.prepare_max_batch(_rng.slot_columns(u, range(model.PREP_SLOTS)))
+    o1, states = model.measure_batch(states, a, u.get(2))
+    o2, _ = model.measure_batch(states, b, u.get(3))
+    return o1, o2
 
 
 def single_world_joint_statistics(
@@ -337,10 +369,8 @@ def single_world_joint_statistics(
     b = as_direction(b)
 
     def run_chunk(lo: int, n: int) -> np.ndarray:
-        u = _rng.uniform_block(seed, lo, n, 4)
-        states = model.prepare_max_batch(u[:, 0 : model.PREP_SLOTS])
-        o1, states = model.measure_batch(states, a, u[:, 2])
-        o2, _ = model.measure_batch(states, b, u[:, 3])
+        u = _rng.uniforms_by_slot(seed, range(lo, lo + n), model.JOINT_SLOTS)
+        o1, o2 = _two_measurements(model, u, a, b)
         idx = ((1 - o1) // 2) * 2 + (1 - o2) // 2
         return np.bincount(idx.astype(np.int64), minlength=4)
 

@@ -9,6 +9,13 @@ splitmix64 finalizer applied twice with two Weyl increments:
     value(seed, run, slot)  = mix64(stream + (slot + 1) * GAMMA_SLOT)
     double in [0, 1)        = (value >> 11) * 2**-53
 
+A value depends on its own (seed, run, slot) only, so ``uniform_block``
+hashes exactly the runs and slots a caller asks for: any subset of run
+indices, in any order, and any subset of slots.  Each model declares the
+slots it reads on each path (``LG_SLOTS``, ``SAMPLE_SLOTS``, ``JOINT_SLOTS``)
+and nothing else is ever hashed, which leaves every value it does read,
+and so every result byte, unchanged.
+
 Engines accumulate per-chunk partial sums with a fixed chunk size and reduce
 them in chunk order, which keeps floating-point totals byte-identical for
 any worker count.
@@ -21,8 +28,9 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-GAMMA_RUN = np.uint64(0x9E3779B97F4A7C15)
-GAMMA_SLOT = np.uint64(0xD1B54A32D192ED03)
+_MASK64 = 0xFFFFFFFFFFFFFFFF
+GAMMA_RUN = 0x9E3779B97F4A7C15
+GAMMA_SLOT = 0xD1B54A32D192ED03
 
 _M1 = np.uint64(0xBF58476D1CE4E5B9)
 _M2 = np.uint64(0x94D049BB133111EB)
@@ -35,44 +43,71 @@ _TO_DOUBLE = 2.0 ** -53
 CHUNK_RUNS = 1 << 16
 
 
-def _u64(x: int) -> np.uint64:
-    # arbitrary Python ints (negative included) reduce modulo 2**64
-    return np.uint64(int(x) & 0xFFFFFFFFFFFFFFFF)
+def _mix64(x: np.ndarray, tmp: np.ndarray) -> None:
+    """splitmix64 finalizer on a uint64 array, in place; tmp is scratch of the same shape."""
+    np.right_shift(x, _S30, out=tmp)
+    np.bitwise_xor(x, tmp, out=x)
+    np.multiply(x, _M1, out=x)
+    np.right_shift(x, _S27, out=tmp)
+    np.bitwise_xor(x, tmp, out=x)
+    np.multiply(x, _M2, out=x)
+    np.right_shift(x, _S31, out=tmp)
+    np.bitwise_xor(x, tmp, out=x)
 
 
-def mix64(x: np.ndarray) -> np.ndarray:
-    """splitmix64 finalizer; modular uint64 arithmetic, vectorized."""
-    x = np.asarray(x, dtype=np.uint64)
-    x = (x ^ (x >> _S30)) * _M1
-    x = (x ^ (x >> _S27)) * _M2
-    return x ^ (x >> _S31)
+def uniform_block(seed: int, runs, slots: tuple[int, ...]) -> np.ndarray:
+    """Uniform doubles in [0, 1): element [i, j] is value(seed, runs[i], slots[j]).
 
-
-def uniform_block(seed: int, run_lo: int, n_runs: int, width: int) -> np.ndarray:
-    """Uniform doubles in [0, 1) for runs [run_lo, run_lo + n_runs), `width` slots each.
-
-    Element [i, j] depends only on (seed, run_lo + i, j).
+    `runs` holds absolute run indices (an integer array or a range); the
+    result has shape (len(runs), len(slots)) and its columns are contiguous.
     """
-    runs = np.arange(run_lo, run_lo + n_runs, dtype=np.uint64)
-    base = mix64(_u64(seed) + (runs + np.uint64(1)) * GAMMA_RUN)
-    slots = (np.arange(width, dtype=np.uint64) + np.uint64(1)) * GAMMA_SLOT
-    bits = mix64(base[:, None] + slots[None, :])
-    return (bits >> _S11).astype(np.float64) * _TO_DOUBLE
+    if isinstance(runs, range):
+        x = np.arange(runs.start, runs.stop, runs.step, dtype=np.uint64)
+    else:
+        x = np.asarray(runs).astype(np.uint64)  # a fresh buffer, hashed in place below
+    tmp = np.empty_like(x)
+    # offsets are reduced as Python ints: NumPy scalar arithmetic warns on the wrap
+    np.add(x, 1, out=x)
+    np.multiply(x, np.uint64(GAMMA_RUN), out=x)
+    np.add(x, np.uint64(int(seed) & _MASK64), out=x)
+    _mix64(x, tmp)
+    out = np.empty((len(slots), len(x)))
+    bits = np.empty_like(x)
+    for row, slot in zip(out, slots):
+        np.add(x, np.uint64(((int(slot) + 1) * GAMMA_SLOT) & _MASK64), out=bits)
+        _mix64(bits, tmp)
+        np.right_shift(bits, _S11, out=bits)
+        np.multiply(bits, _TO_DOUBLE, out=row)
+    return out.T
+
+
+def uniforms_by_slot(seed: int, runs, slots: tuple[int, ...]) -> dict[int, np.ndarray]:
+    """uniform_block as a mapping from each drawn slot to its column of uniforms.
+
+    Kernels read a slot with ``u[slot]`` when they always need it and with
+    ``u.get(slot)`` when the model may ignore it; an undrawn slot then reads
+    as a KeyError or as None, which a method that needs uniforms rejects.
+    """
+    return dict(zip(slots, uniform_block(seed, runs, slots).T))
+
+
+def slot_columns(u: dict[int, np.ndarray], slots) -> np.ndarray:
+    """(n, len(slots)) array of the uniforms drawn for `slots`; KeyError for an undrawn one."""
+    return np.column_stack([u[s] for s in slots])
 
 
 def _mix64_int(x: int) -> int:
     # same finalizer on plain Python ints (scalar path, no numpy overflow warnings)
-    mask = 0xFFFFFFFFFFFFFFFF
-    x &= mask
-    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & mask
-    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & mask
+    x &= _MASK64
+    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
     return x ^ (x >> 31)
 
 
 def substream_seed(seed: int, label: int) -> int:
     """Derived 64-bit seed for an independent named substream."""
-    inner = _mix64_int(int(label) + int(GAMMA_SLOT))
-    return _mix64_int((int(seed) & 0xFFFFFFFFFFFFFFFF) ^ inner)
+    inner = _mix64_int(int(label) + GAMMA_SLOT)
+    return _mix64_int((int(seed) & _MASK64) ^ inner)
 
 
 def resolve_workers(workers: int | None = None) -> int:

@@ -188,7 +188,7 @@ def test_c08_branching_equivalence():
         )
         # equal settings: every run perfectly correlated
         a = random_units(rng, 1)[0]
-        res = BranchingModel().run_experiment_batch(a, a, uniform_block(88, 0, runs, 5))
+        res = BranchingModel().run_experiment_batch(a, a, uniform_block(88, range(runs), (0, 1, 2, 3, 4)))
         assert np.array_equal(res.alpha, res.beta)
         # system pair bit-identical before and after in every run
         rep = branching_no_erasure_check(Z, random_units(rng, 1)[0], runs, seed=89)

@@ -1,5 +1,6 @@
 """End-to-end command tests: parsing, schemas, exit codes, determinism."""
 
+import argparse
 import json
 import math
 
@@ -37,6 +38,13 @@ class TestParsers:
     def test_bad_time_rejected(self):
         with pytest.raises(Exception):
             parse_time("eight")
+
+    def test_zero_denominator_rejected(self):
+        with pytest.raises(argparse.ArgumentTypeError):
+            parse_time("pi/0")
+        with pytest.raises(SystemExit) as exc:
+            main(["lg", "--times", "0,pi/0,pi/4,3pi/8"])
+        assert exc.value.code == 2
 
     def test_bins(self):
         assert parse_bins("32x32") == ((32, 32),)
@@ -95,6 +103,38 @@ class TestLGCommand:
 
     def test_missing_times_rejected(self):
         assert main(["lg"]) == 2
+
+    def test_unwritable_output_rejected_before_computing(self, tmp_path, monkeypatch, capsys):
+        def never(*args, **kwargs):
+            raise AssertionError("computed before the output path was checked")
+
+        monkeypatch.setattr("ontolab.cli.empirical_correlations", never)
+        for out in (tmp_path / "missing" / "x.csv", tmp_path):
+            args = ["lg", "--model", "bb", "--times", "0,pi/8,pi/4,3pi/8", "--out", str(out)]
+            assert main(args) == 2
+        assert "cannot write output file" in capsys.readouterr().err
+
+    def test_zero_count_correlators_are_null(self, tmp_path):
+        out = tmp_path / "lg.json"
+        args = ["lg", "--model", "bb", "--times", "0,pi/8,pi/4,3pi/8", "--runs", "1"]
+        assert main([*args, "--format", "json", "--out", str(out)]) == 0
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        res = json.loads(out.read_text(), parse_constant=reject)["results"]
+        sampled = [c for c in res["correlators"].values() if c["n"] == 1]
+        empty = [c for c in res["correlators"].values() if c["n"] == 0]
+        assert len(sampled) == 1 and len(empty) == 3
+        assert all(c["value"] is None and c["stderr"] is None for c in empty)
+        assert res["lg_value"] is None and res["lg_stderr"] is None
+
+        csv_out = tmp_path / "lg.csv"
+        assert main([*args, "--out", str(csv_out)]) == 0
+        lines = [l.split(",") for l in csv_out.read_text().splitlines() if not l.startswith("#")]
+        rows = {l[0]: l[1:] for l in lines}
+        assert rows["lg_value"] == ["", "", "1"]
+        assert sum(r == ["", "", "0"] for r in rows.values()) == 3
 
     def test_bad_schedule_rejected(self):
         assert main(["lg", "--times", "0,pi/8,pi/16,3pi/8"]) == 2

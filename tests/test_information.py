@@ -38,7 +38,7 @@ X = np.array([1.0, 0.0, 0.0])
 
 
 def uniform_points(seed, n):
-    return sample_uniform_sphere(uniform_block(seed, 0, n, 2))
+    return sample_uniform_sphere(uniform_block(seed, range(n), (0, 1)))
 
 
 class TestSphereHistogram:

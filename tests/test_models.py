@@ -52,7 +52,7 @@ class TestSign:
 class TestBeltramettiBugajski:
     def test_prepare_uniform_mean_and_chisquare(self):
         bb = BeltramettiBugajski()
-        states = bb.prepare_max_batch(uniform_block(1, 0, 1_000_000, 2))
+        states = bb.prepare_max_batch(uniform_block(1, range(1_000_000), (0, 1)))
         assert np.linalg.norm(states.mean(axis=0)) <= 0.005
         assert uniformity_pvalue(states) > 0.001
 
@@ -73,7 +73,7 @@ class TestBeltramettiBugajski:
         bb = BeltramettiBugajski()
         n = 40_000
         states = np.tile(X, (n, 1))
-        outcomes, post = bb.measure_batch(states, Z, uniform_block(2, 0, n, 1)[:, 0])
+        outcomes, post = bb.measure_batch(states, Z, uniform_block(2, range(n), (0,))[:, 0])
         assert abs(outcomes.astype(float).mean()) <= 5 / math.sqrt(n)
         # post-measurement support is exactly {+z, -z}
         assert np.array_equal(post, outcomes[:, None] * Z[None, :])
@@ -81,7 +81,7 @@ class TestBeltramettiBugajski:
     def test_measure_uniform_ensemble_unbiased(self):
         bb = BeltramettiBugajski()
         runs = 100_000
-        u = uniform_block(3, 0, runs, 3)
+        u = uniform_block(3, range(runs), (0, 1, 2))
         states = bb.prepare_max_batch(u[:, :2])
         direction = random_unit(np.random.default_rng(5))[0]
         outcomes, _ = bb.measure_batch(states, direction, u[:, 2])
@@ -100,7 +100,7 @@ class TestBeltramettiBugajski:
 
     def test_evolve_preserves_uniformity(self):
         bb = BeltramettiBugajski()
-        states = bb.prepare_max_batch(uniform_block(7, 0, 400_000, 2))
+        states = bb.prepare_max_batch(uniform_block(7, range(400_000), (0, 1)))
         evolved = bb.evolve_batch(states, 1.2345)
         assert uniformity_pvalue(evolved) > 0.001
 
@@ -139,7 +139,7 @@ class TestTelegraph:
     def test_frozen_state_at_zero_rate(self):
         tg = Telegraph(gamma=0.0)
         runs = 10_000
-        u = uniform_block(10, 0, runs, 2)
+        u = uniform_block(10, range(runs), (0, 1))
         s = tg.prepare_max_batch(u)
         s2 = tg.evolve_batch(s, 5.0, u[:, 1])
         assert np.array_equal(s, s2)
@@ -147,7 +147,7 @@ class TestTelegraph:
     def test_autocorrelation_matches_markov_kernel(self):
         gamma, dt, runs = 1.0, 0.5, 1_000_000
         tg = Telegraph(gamma)
-        u = uniform_block(11, 0, runs, 2)
+        u = uniform_block(11, range(runs), (0, 1))
         s = tg.prepare_max_batch(u)
         s2 = tg.evolve_batch(s, dt, u[:, 1])
         corr = (s.astype(float) * s2).mean()
@@ -163,7 +163,7 @@ class TestTelegraph:
 
     def test_preparation_unbiased(self):
         tg = Telegraph(1.0)
-        s = tg.prepare_max_batch(uniform_block(12, 0, 100_000, 1))
+        s = tg.prepare_max_batch(uniform_block(12, range(100_000), (0,)))
         assert abs(s.astype(float).mean()) <= 5 / math.sqrt(100_000)
 
     def test_pole_embedding(self):
@@ -175,7 +175,7 @@ class TestTelegraph:
 class TestBranchingModel:
     def test_sample_ontic_independent_and_uniform(self):
         mw = BranchingModel()
-        u = uniform_block(20, 0, 1_000_000, 4)
+        u = uniform_block(20, range(1_000_000), (0, 1, 2, 3))
         x0, x1 = mw.sample_ontic_batch(u)
         dot = (x0 * x1).sum(axis=1)
         assert abs(dot.mean()) <= 0.005
@@ -203,7 +203,7 @@ class TestBranchingModel:
 
     def test_first_party_outcome_unbiased(self):
         mw = BranchingModel()
-        u = uniform_block(21, 0, 100_000, 4)
+        u = uniform_block(21, range(100_000), (0, 1, 2, 3))
         x0, x1 = mw.sample_ontic_batch(u)
         s, _ = mw.alice_batch(Z, x0, x1)
         assert abs(s.astype(float).mean()) <= 5 / math.sqrt(100_000)
@@ -244,20 +244,20 @@ class TestBranchingModel:
         rng = np.random.default_rng(7)
         for seed in range(5):
             a = random_unit(rng)[0]
-            u = uniform_block(seed, 0, 50_000, 5)
+            u = uniform_block(seed, range(50_000), (0, 1, 2, 3, 4))
             res = mw.run_experiment_batch(a, a, u)
             assert np.array_equal(res.alpha, res.beta)
 
     def test_opposite_directions_perfectly_anticorrelated(self):
         mw = BranchingModel()
         a = random_unit(np.random.default_rng(8))[0]
-        u = uniform_block(30, 0, 50_000, 5)
+        u = uniform_block(30, range(50_000), (0, 1, 2, 3, 4))
         res = mw.run_experiment_batch(a, -a, u)
         assert np.array_equal(res.alpha, -res.beta)
 
     def test_system_vectors_immutable(self):
         mw = BranchingModel()
-        u = uniform_block(31, 0, 10_000, 5)
+        u = uniform_block(31, range(10_000), (0, 1, 2, 3, 4))
         x0, x1 = mw.sample_ontic_batch(u[:, 0:4])
         res = mw.run_experiment_batch(Z, X, u)
         assert np.array_equal(res.x0_post, x0)
@@ -265,7 +265,7 @@ class TestBranchingModel:
 
     def test_collapse_fault_variant_modifies_x0(self):
         mw = BranchingModel(collapse_fault=True)
-        u = uniform_block(31, 0, 1_000, 5)
+        u = uniform_block(31, range(1_000), (0, 1, 2, 3, 4))
         x0, _ = mw.sample_ontic_batch(u[:, 0:4])
         res = mw.run_experiment_batch(Z, X, u)
         assert not np.array_equal(res.x0_post, x0)
@@ -316,12 +316,12 @@ class TestCausalityStructure:
     @pytest.mark.parametrize("model_name", ["bb", "telegraph"])
     def test_pre_measurement_ensemble_setting_independent(self, model_name):
         model = make_model(model_name)
-        u = uniform_block(50, 0, 50_000, 3)
+        u = uniform_block(50, range(50_000), (0, 1, 2))
         states_for_z = model.prepare_max_batch(u[:, 0 : model.PREP_SLOTS])
         states_for_x = model.prepare_max_batch(u[:, 0 : model.PREP_SLOTS])
         assert np.array_equal(states_for_z, states_for_x)
         # and with independent seeds the distributions agree within noise
-        other = model.prepare_max_batch(uniform_block(51, 0, 50_000, 3)[:, 0 : model.PREP_SLOTS])
+        other = model.prepare_max_batch(uniform_block(51, range(50_000), (0, 1, 2))[:, 0 : model.PREP_SLOTS])
         h1 = SphereHistogram.from_points(model.embed_on_sphere(states_for_z), 8, 8)
         h2 = SphereHistogram.from_points(model.embed_on_sphere(other), 8, 8)
         from ontolab.sphere import multinomial_noise_threshold, tv_distance
