@@ -23,6 +23,7 @@ from ontolab import (
     Telegraph,
     branching_no_erasure_check,
     joint_expectation,
+    joint_statistics,
     noflow_test,
     sequential_joint,
 )
@@ -51,7 +52,7 @@ def main():
     b = np.array([0.0, np.sin(np.pi / 4), np.cos(np.pi / 4)])
     exact = sequential_joint(MAXIMALLY_MIXED, [a, b])
     for variant in ("b", "a"):
-        probs = BranchingModel(setting_variant=variant).joint_statistics(a, b, RUNS, seed=44)
+        probs = joint_statistics(BranchingModel(setting_variant=variant), a, b, RUNS, seed=44)
         dev = np.abs(probs - exact).max()
         print(
             f"  second-device bookkeeping '{variant}':"

@@ -41,11 +41,10 @@ from .leggett_garg import (
 from .models import (
     BeltramettiBugajski,
     BranchingModel,
-    BranchOntic,
     OntologicalModel,
     Telegraph,
+    joint_statistics,
     make_model,
-    single_world_joint_statistics,
 )
 from .qubit import (
     MAXIMALLY_MIXED,
@@ -65,7 +64,6 @@ from .sphere import SphereHistogram, entropy_estimate, sample_uniform_sphere, tv
 
 __all__ = [
     "BeltramettiBugajski",
-    "BranchOntic",
     "BranchingModel",
     "BranchingNoErasureReport",
     "CLASSICAL_BOUND",
@@ -96,6 +94,7 @@ __all__ = [
     "invariance_test",
     "joint_expectation",
     "joint_marginals",
+    "joint_statistics",
     "lg_stderr",
     "lg_value",
     "make_model",
@@ -105,7 +104,6 @@ __all__ = [
     "quantum_correlations",
     "sample_uniform_sphere",
     "sequential_joint",
-    "single_world_joint_statistics",
     "tv_distance",
     "unitary",
     "von_neumann_entropy",

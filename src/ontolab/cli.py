@@ -12,8 +12,9 @@ mwcheck  branching model vs the exact oracle, immutability, and the
 Outputs are CSV (config in leading '#' comment lines, 9-significant-digit
 floats) or JSON ({config, results, provenance}); identical configurations
 and seeds produce byte-identical files for any worker count.  The exit code
-is 0 on success, 2 for configuration errors, 3 for numerical failures.
-ONTOLAB_THREADS overrides the worker count.
+is 0 on success, 2 for configuration errors, 3 for numerical failures.  A
+flag that the command or the chosen model would ignore is a configuration
+error.  ONTOLAB_THREADS overrides the worker count.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from .leggett_garg import (
     max_violation_over_34,
     quantum_correlations,
 )
-from .models import MODEL_NAMES, BranchingModel, make_model
+from .models import MODEL_NAMES, BranchingModel, joint_statistics, make_model
 from .qubit import as_direction, joint_expectation, MAXIMALLY_MIXED, sequential_joint
 from .rng import resolve_workers
 
@@ -92,8 +93,12 @@ def parse_dirs(text: str) -> tuple[np.ndarray, ...]:
     return tuple(dirs)
 
 
+#: largest grid: 2**20 cells is 8 MiB per int64 histogram
+MAX_BIN_CELLS = 1 << 20
+
+
 def parse_bins(text: str) -> tuple[tuple[int, int], ...]:
-    """Comma-separated grid resolutions 'NZxNPHI[,NZxNPHI...]'."""
+    """Comma-separated grid resolutions 'NZxNPHI[,NZxNPHI...]', each of at most MAX_BIN_CELLS cells."""
     out = []
     for part in text.split(","):
         m = re.match(r"^(\d+)x(\d+)$", part.strip().lower())
@@ -102,6 +107,8 @@ def parse_bins(text: str) -> tuple[tuple[int, int], ...]:
         nz, nphi = int(m.group(1)), int(m.group(2))
         if nz < 1 or nphi < 1:
             raise argparse.ArgumentTypeError("bins must be >= 1 in both axes")
+        if nz * nphi > MAX_BIN_CELLS:
+            raise argparse.ArgumentTypeError(f"bins {part!r} exceed {MAX_BIN_CELLS} cells")
         out.append((nz, nphi))
     return tuple(out)
 
@@ -309,9 +316,7 @@ def cmd_mwcheck(config: RunConfig, workers: int) -> int:
     n = config.runs
 
     def compare(variant: str):
-        probs = BranchingModel(setting_variant=variant).joint_statistics(
-            a, b, n, config.seed, workers
-        )
+        probs = joint_statistics(BranchingModel(setting_variant=variant), a, b, n, config.seed, workers)
         dev = np.abs(probs - exact)
         tol = 5.0 * np.sqrt(exact * (1.0 - exact) / n)
         return probs, float(dev.max()), bool((dev <= tol).all())
@@ -363,6 +368,28 @@ _COMMANDS = {
     "mwcheck": cmd_mwcheck,
 }
 
+# The flags each command reads besides --seed, --out and --format; the parser
+# rejects any other.  Defaults are applied after parsing, so that a flag the
+# chosen model would ignore can be told apart from one left unset.
+_COMMAND_FLAGS = {
+    "lg": ("model", "runs", "gamma", "times"),
+    "scan": ("times",),
+    "erasure": ("model", "runs", "gamma", "bins", "dirs"),
+    "noflow": ("model", "runs", "gamma", "bins", "dirs"),
+    "mwcheck": ("runs", "dirs"),
+}
+
+_FLAG_SPECS = {
+    "model": dict(choices=MODEL_NAMES),
+    "runs": dict(type=int, help="Monte Carlo runs (default 1e6)"),
+    "gamma": dict(type=float, help="telegraph flip rate per radian"),
+    "bins": dict(type=parse_bins, metavar="NZxNPHI[,..]"),
+    "times": dict(type=parse_times, metavar="T1,T2[,..]",
+                  help="times in radians; pi-fractions like pi/8 accepted"),
+    "dirs": dict(type=parse_dirs, metavar="AX,AY,AZ[;BX,BY,BZ]",
+                 help="Bloch directions, ';'-separated, normalized"),
+}
+
 _DEFAULT_BINS = {
     "lg": ((16, 16),),
     "scan": ((16, 16),),
@@ -388,42 +415,50 @@ def build_parser() -> argparse.ArgumentParser:
     }
     for name, help_text in specs.items():
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--model", choices=MODEL_NAMES, default="quantum" if name in ("lg", "scan") else "bb")
-        p.add_argument("--runs", type=int, default=1_000_000, help="Monte Carlo runs (default 1e6)")
+        for flag in _COMMAND_FLAGS[name]:
+            p.add_argument(f"--{flag}", **_FLAG_SPECS[flag])
         p.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
-        p.add_argument("--gamma", type=float, default=1.0, help="telegraph flip rate per radian")
-        p.add_argument("--bins", type=parse_bins, default=None, metavar="NZxNPHI[,..]")
-        p.add_argument("--times", type=parse_times, default=None, metavar="T1,T2[,..]",
-                       help="times in radians; pi-fractions like pi/8 accepted")
-        p.add_argument("--dirs", type=parse_dirs, default=None, metavar="AX,AY,AZ[;BX,BY,BZ]",
-                       help="Bloch directions, ';'-separated, normalized")
         p.add_argument("--out", default=None, help="output file (default: stdout)")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
     return parser
+
+
+def _resolve_config(args) -> RunConfig:
+    """Validate the parsed flags, reject any the model would ignore, and fill in defaults."""
+    flags = {flag: getattr(args, flag) for flag in _COMMAND_FLAGS[args.command]}
+    model = flags.get("model") or ("quantum" if args.command in ("lg", "scan") else "bb")
+    _require(flags.get("gamma") is None or model == "telegraph", "--gamma applies to the telegraph model only")
+    _require(model != "quantum" or flags.get("runs") is None, "--runs does not apply to the exact quantum model")
+    if args.command == "noflow":
+        _require(args.bins is None or len(args.bins) == 1, "noflow takes a single --bins grid")
+    if args.command == "erasure":
+        _require(args.dirs is None or len(args.dirs) == 1, "erasure takes a single --dirs direction")
+    runs = 1_000_000 if flags.get("runs") is None else flags["runs"]
+    gamma = 1.0 if flags.get("gamma") is None else flags["gamma"]
+    _require(runs >= 1, "--runs must be >= 1")
+    _require(gamma >= 0, "--gamma must be >= 0")
+    if args.out is not None:
+        _require_writable(args.out)
+    dirs = flags.get("dirs")
+    return RunConfig(
+        command=args.command,
+        model=model,
+        runs=runs,
+        seed=args.seed,
+        gamma=gamma,
+        bins=flags.get("bins") or _DEFAULT_BINS[args.command],
+        times=flags.get("times"),
+        dirs=tuple(tuple(float(x) for x in d) for d in dirs) if dirs else None,
+        out=args.out,
+        format=args.format,
+    )
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         workers = resolve_workers(None)
-        if args.runs < 1:
-            raise ValueError("--runs must be >= 1")
-        if args.gamma < 0:
-            raise ValueError("--gamma must be >= 0")
-        if args.out is not None:
-            _require_writable(args.out)
-        config = RunConfig(
-            command=args.command,
-            model=args.model,
-            runs=args.runs,
-            seed=args.seed,
-            gamma=args.gamma,
-            bins=args.bins if args.bins is not None else _DEFAULT_BINS[args.command],
-            times=args.times,
-            dirs=tuple(tuple(float(x) for x in d) for d in args.dirs) if args.dirs else None,
-            out=args.out,
-            format=args.format,
-        )
+        config = _resolve_config(args)
         return _COMMANDS[args.command](config, workers)
     except NumericalFailureError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

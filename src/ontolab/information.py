@@ -50,15 +50,6 @@ def _require_single_world(model) -> OntologicalModel:
     return model
 
 
-# Per-run uniform slots of single-world sampling: 0-1 preparation,
-# 2 measurement.  A model draws only the slots in its SAMPLE_SLOTS.
-def _measured_states(model: OntologicalModel, u: dict[int, np.ndarray], direction: np.ndarray):
-    """Prepared ontic states and their images after a measurement with the outcome discarded."""
-    states = model.prepare_max_batch(_rng.slot_columns(u, range(model.PREP_SLOTS)))
-    _, post = model.measure_batch(states, direction, u.get(2))
-    return states, post
-
-
 def _accumulate_post_measurement(
     model: OntologicalModel,
     direction: np.ndarray,
@@ -70,8 +61,9 @@ def _accumulate_post_measurement(
     """Histograms of the ontic ensemble before and after a non-selective measurement."""
 
     def run_chunk(lo: int, n: int):
-        u = _rng.uniforms_by_slot(seed, range(lo, lo + n), model.SAMPLE_SLOTS)
-        states, post = _measured_states(model, u, direction)
+        # the model's measured_states reads its SAMPLE_SLOTS (layout in models.py)
+        u = _rng.Uniforms(seed, range(lo, lo + n), model.SAMPLE_SLOTS)
+        states, post = model.measured_states(u, direction)
         before = model.embed_on_sphere(states)
         after = model.embed_on_sphere(post)
         pairs = []
@@ -331,7 +323,7 @@ def invariance_test(
         raise InvalidArgumentError(f"start must be 'uniform' or 'cap', got {start!r}")
     bb = BeltramettiBugajski()
     prep_slots = tuple(range(bb.PREP_SLOTS))
-    durations = np.random.default_rng(_rng.substream_seed(seed, 7)).uniform(0.0, np.pi, rotations)
+    durations = np.pi * _rng.uniform_block(_rng.substream_seed(seed, 7), range(rotations), (0,))[:, 0]
 
     def evolved_chunk(lo: int, n: int) -> SphereHistogram:
         u = _rng.uniform_block(_rng.substream_seed(seed, 1), range(lo, lo + n), prep_slots)

@@ -27,8 +27,6 @@ import numpy as np
 
 from . import rng as _rng
 from .errors import InvalidArgumentError, NumericalFailureError
-from .models import BranchingModel, OntologicalModel
-from .qubit import heisenberg_direction
 
 CLASSICAL_BOUND = 2.0
 TSIRELSON_BOUND = 2.0 * math.sqrt(2.0)
@@ -36,8 +34,6 @@ TSIRELSON_BOUND = 2.0 * math.sqrt(2.0)
 #: (first-measurement index, second-measurement index) of the four correlators
 PAIRS = ((1, 3), (2, 3), (2, 4), (1, 4))
 PAIR_LABELS = tuple(f"C{k}{l}" for k, l in PAIRS)
-
-_Z_DIRECTION = np.array([0.0, 0.0, 1.0])
 
 
 @dataclass(frozen=True)
@@ -188,36 +184,10 @@ def max_violation_over_34(t1: float, t2: float) -> tuple[float, float, float]:
     return value, t3, t4
 
 
-# Monte Carlo estimation through an ontological model.
-#
-# Per-run uniform slots (single-world models): 0 pair pick, 1-2 preparation,
-# 3 evolve to the first time, 4 first measurement, 5 evolve across the gap,
-# 6 second measurement.  Branching runs: 0 pair pick, 1-4 ontic pair,
-# 5 branch selection.  A model draws only the slots in its LG_SLOTS.
+# Monte Carlo estimation through an ontological model.  Slot 0 picks the
+# pair; the model's lg_products reads the rest of its LG_SLOTS (layouts in
+# models.py, beside each declaration).
 _PICK_SLOT = 0
-
-
-def _single_world_products(
-    model: OntologicalModel, u: dict[int, np.ndarray], pair: tuple[float, float]
-) -> np.ndarray:
-    t_first, t_second = min(pair), max(pair)
-    states = model.prepare_max_batch(_rng.slot_columns(u, range(1, 1 + model.PREP_SLOTS)))
-    states = model.evolve_batch(states, t_first, u.get(3))
-    o1, states = model.measure_batch(states, _Z_DIRECTION, u.get(4))
-    states = model.evolve_batch(states, t_second - t_first, u.get(5))
-    o2, _ = model.measure_batch(states, _Z_DIRECTION, u.get(6))
-    return o1 * o2
-
-
-def _branching_products(
-    model: BranchingModel, u: dict[int, np.ndarray], pair: tuple[float, float]
-) -> np.ndarray:
-    # static two-measurement model: times enter as Heisenberg directions
-    t_first, t_second = min(pair), max(pair)
-    a = heisenberg_direction(t_first)
-    b = heisenberg_direction(t_second)
-    res = model.run_experiment_batch(a, b, _rng.slot_columns(u, range(1, 6)))
-    return res.alpha * res.beta
 
 
 def empirical_correlations(
@@ -231,15 +201,14 @@ def empirical_correlations(
 
     Each run picks one of the four pairs uniformly, prepares the maximally
     mixed state at the ontological level, and measures twice through the
-    model in chronological order.  Accumulation is integer-exact, so the
-    result depends only on (scenario, runs, seed), never on the worker count.
-    Standard errors are binomial: sqrt((1 - C^2) / n).  A pair that no run
-    picked has no estimate: its correlator and stderr are NaN, and so are
-    lg_value and lg_stderr.
+    model's ``lg_products`` in chronological order.  Accumulation is
+    integer-exact, so the result depends only on (scenario, runs, seed),
+    never on the worker count.  Standard errors are binomial:
+    sqrt((1 - C^2) / n).  A pair that no run picked has no estimate: its
+    correlator and stderr are NaN, and so are lg_value and lg_stderr.
     """
     if runs < 1:
         raise InvalidArgumentError("runs must be >= 1")
-    products = _branching_products if isinstance(model, BranchingModel) else _single_world_products
     slots = model.LG_SLOTS
     pair_times = scenario.pair_times()
 
@@ -254,8 +223,8 @@ def empirical_correlations(
             counts[p] = len(runs_p)
             if counts[p] == 0:
                 continue
-            u = _rng.uniforms_by_slot(seed, runs_p, slots)
-            sums[p] = products(model, u, pair_times[p]).sum(dtype=np.int64)
+            u = _rng.Uniforms(seed, runs_p, slots)
+            sums[p] = model.lg_products(u, pair_times[p]).sum(dtype=np.int64)
         return sums, counts
 
     partials = _rng.map_chunks(run_chunk, runs, workers)

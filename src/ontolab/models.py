@@ -17,16 +17,25 @@ Three concrete models sit behind one contract:
   reproduces the quantum statistics exactly while the system state carries
   no record of which measurement happened.
 
-Single-world models (``OntologicalModel``) expose the sequential contract
-prepare/evolve/measure, both run-by-run and vectorized over runs; the
-branching model does not fit that contract (its branch pairing happens only
-when the parties meet, after both measurements) and instead exposes a
-two-measurement experiment runner.
+All three share one Monte Carlo contract.  Each model owns the kernels of the
+paths it runs, and declares next to each the counter-mode slots it reads;
+only those slots are drawn.  A kernel takes a ``rng.Uniforms`` view ``u`` of
+one chunk's runs:
 
-Every model declares, per Monte Carlo path, the counter-mode slots it reads
-(``LG_SLOTS`` for the four-time inequality, ``SAMPLE_SLOTS`` for ensemble
-sampling, ``JOINT_SLOTS`` for two back-to-back measurements); only those
-slots are drawn.  The slot layout of each path sits next to the path.
+* ``lg_products(u, pair)``: the product of the two outcomes of the
+  four-time inequality (``LG_SLOTS``), driven by
+  ``leggett_garg.empirical_correlations``;
+* ``joint_outcomes(u, a, b)``: the outcomes of measuring a, then b
+  (``JOINT_SLOTS``), counted by ``joint_statistics``;
+* ``measured_states(u, direction)``, single-world models only: the prepared
+  states and their images after a measurement with the outcome discarded
+  (``SAMPLE_SLOTS``), histogrammed by the ``information`` diagnostics.
+
+Single-world models (``OntologicalModel``) build these kernels from the
+sequential contract prepare/evolve/measure, vectorized over runs.  The
+branching model does not fit that contract (its branch pairing happens only
+when the parties meet, after both measurements) and builds them from one
+two-measurement experiment runner.
 
 Sign convention everywhere: sign(0) := +1.  Ties occur on measure-zero sets,
 so any fixed rule leaves the statistics unchanged and keeps runs reproducible.
@@ -35,14 +44,17 @@ so any fixed rule leaves the statistics unchanged and keeps runs reproducible.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import rng as _rng
 from .errors import InvalidArgumentError
-from .qubit import as_direction
+from .qubit import as_direction, heisenberg_direction
 from .sphere import sample_uniform_sphere
+
+
+_Z_DIRECTION = np.array([0.0, 0.0, 1.0])
 
 
 def sign_pm1(x: np.ndarray) -> np.ndarray:
@@ -69,11 +81,14 @@ class OntologicalModel(ABC):
 
     #: uniforms consumed by prepare_max_batch per run
     PREP_SLOTS: int = 2
-    #: slots read by the four-time inequality path (layout in leggett_garg)
+    #: four-time inequality: 0 pair pick (read by empirical_correlations),
+    #: 1-2 preparation, 3 evolve to the first time, 4 first measurement,
+    #: 5 evolve across the gap, 6 second measurement
     LG_SLOTS: tuple[int, ...]
-    #: slots read by post-measurement ensemble sampling (layout in information)
+    #: post-measurement sampling: 0-1 preparation, 2 measurement
     SAMPLE_SLOTS: tuple[int, ...]
-    #: slots read by two back-to-back measurements (layout at _two_measurements)
+    #: two back-to-back measurements: 0-1 preparation, 2 first measurement,
+    #: 3 second measurement
     JOINT_SLOTS: tuple[int, ...]
 
     @abstractmethod
@@ -92,22 +107,30 @@ class OntologicalModel(ABC):
     def embed_on_sphere(self, states) -> np.ndarray:
         """Represent states as (n, 3) unit vectors for the shared histogram tooling."""
 
-    # run-by-run API, built on the batch path
+    # Monte Carlo kernels, each reading the slots declared above
 
-    def prepare_max(self, rng: np.random.Generator):
-        return self.prepare_max_batch(rng.random((1, self.PREP_SLOTS)))[0]
+    def lg_products(self, u: _rng.Uniforms, pair: tuple[float, float]) -> np.ndarray:
+        """o1 * o2 of z measurements at both times of a pair, earlier time first."""
+        t_first, t_second = min(pair), max(pair)
+        states = self.prepare_max_batch(u.columns(range(1, 1 + self.PREP_SLOTS)))
+        states = self.evolve_batch(states, t_first, u.get(3))
+        o1, states = self.measure_batch(states, _Z_DIRECTION, u.get(4))
+        states = self.evolve_batch(states, t_second - t_first, u.get(5))
+        o2, _ = self.measure_batch(states, _Z_DIRECTION, u.get(6))
+        return o1 * o2
 
-    def evolve(self, lam, dt: float, rng: np.random.Generator | None = None):
-        u = None if rng is None else rng.random(1)
-        return self.evolve_batch(self._as_batch(lam), dt, u)[0]
+    def joint_outcomes(self, u: _rng.Uniforms, a: np.ndarray, b: np.ndarray):
+        """Outcomes of measuring a, then b, on the maximal-ignorance preparation."""
+        states = self.prepare_max_batch(u.columns(range(self.PREP_SLOTS)))
+        o1, states = self.measure_batch(states, a, u.get(2))
+        o2, _ = self.measure_batch(states, b, u.get(3))
+        return o1, o2
 
-    def measure(self, lam, setting, rng: np.random.Generator):
-        direction = None if setting is None else as_direction(setting)
-        outcomes, post = self.measure_batch(self._as_batch(lam), direction, rng.random(1))
-        return int(outcomes[0]), post[0]
-
-    def _as_batch(self, lam):
-        return np.asarray(lam)[None, ...]
+    def measured_states(self, u: _rng.Uniforms, direction: np.ndarray):
+        """Prepared ontic states and their images after a measurement with the outcome discarded."""
+        states = self.prepare_max_batch(u.columns(range(self.PREP_SLOTS)))
+        _, post = self.measure_batch(states, direction, u.get(2))
+        return states, post
 
 
 class BeltramettiBugajski(OntologicalModel):
@@ -200,18 +223,6 @@ class Telegraph(OntologicalModel):
 
 
 @dataclass
-class BranchOntic:
-    """Ontic state of one branching-model run: system pair plus device bits."""
-
-    x0: np.ndarray
-    x1: np.ndarray
-    s_a: int | None = None
-    n_a: int | None = None
-    s_b: int | None = None
-    n_b: int | None = None
-
-
-@dataclass
 class BranchRunResult:
     """Batch output of the two-measurement branching experiment."""
 
@@ -243,9 +254,10 @@ class BranchingModel:
     """
 
     name = "mw"
-    #: slots read by the four-time inequality path (layout in leggett_garg)
+    #: four-time inequality: 0 pair pick (read by empirical_correlations),
+    #: 1-4 ontic pair, 5 branch selection
     LG_SLOTS = (1, 2, 3, 4, 5)
-    #: slots read by two-measurement runs: 0-3 ontic pair, 4 branch selection
+    #: two-measurement runs: 0-3 ontic pair, 4 branch selection
     JOINT_SLOTS = (0, 1, 2, 3, 4)
 
     def __init__(self, setting_variant: str = "b", collapse_fault: bool = False):
@@ -259,10 +271,6 @@ class BranchingModel:
     def sample_ontic_batch(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Independent uniform pairs (x0, x1) from (n, 4) uniforms."""
         return sample_uniform_sphere(u[:, 0:2]), sample_uniform_sphere(u[:, 2:4])
-
-    def sample_ontic(self, rng: np.random.Generator) -> BranchOntic:
-        x0, x1 = self.sample_ontic_batch(rng.random((1, 4)))
-        return BranchOntic(x0=x0[0], x1=x1[0])
 
     # the two measurements
 
@@ -283,17 +291,6 @@ class BranchingModel:
         n_b = (sign_pm1(x_plus @ ref) * sign_pm1(x_minus @ ref)).astype(np.int8)
         return s_b, n_b
 
-    def alice(self, a, ontic: BranchOntic) -> tuple[int, int]:
-        s, n = self.alice_batch(as_direction(a), ontic.x0[None, :], ontic.x1[None, :])
-        ontic.s_a, ontic.n_a = int(s[0]), int(n[0])
-        return ontic.s_a, ontic.n_a
-
-    def bob(self, b, ontic: BranchOntic, a=None) -> tuple[int, int]:
-        a_dir = None if a is None else as_direction(a)
-        s, n = self.bob_batch(as_direction(b), ontic.x0[None, :], ontic.x1[None, :], a=a_dir)
-        ontic.s_b, ontic.n_b = int(s[0]), int(n[0])
-        return ontic.s_b, ontic.n_b
-
     # branch pairing at the meeting point
 
     def pair_and_select_batch(self, s_a, n_a, s_b, n_b, u: np.ndarray):
@@ -303,12 +300,6 @@ class BranchingModel:
         alpha = branch * s_a
         beta = np.where(crossed, -branch, branch) * s_b
         return alpha.astype(np.int8), beta.astype(np.int8)
-
-    def pair_and_select(self, s_a: int, n_a: int, s_b: int, n_b: int, rng: np.random.Generator):
-        alpha, beta = self.pair_and_select_batch(
-            np.int8(s_a), np.int8(n_a), np.int8(s_b), np.int8(n_b), rng.random(1)
-        )
-        return int(alpha[0]), int(beta[0])
 
     # whole experiment
 
@@ -323,45 +314,29 @@ class BranchingModel:
             x0_post = s_a[:, None].astype(float) * np.asarray(a, dtype=float)[None, :]
         return BranchRunResult(alpha=alpha, beta=beta, x0_post=x0_post, x1_post=x1_post)
 
-    def joint_statistics(self, a, b, runs: int, seed: int, workers: int | None = None) -> np.ndarray:
-        """Monte Carlo joint distribution of (alpha, beta) as a (2, 2) array.
+    # Monte Carlo kernels, each reading the slots declared above
 
-        Index order matches qubit.OUTCOMES: [0] = +1, [1] = -1.  Counting is
-        integer-exact, so the result is independent of worker count.
-        """
-        if runs < 1:
-            raise InvalidArgumentError("runs must be >= 1")
-        a = as_direction(a)
-        b = as_direction(b)
+    def lg_products(self, u: _rng.Uniforms, pair: tuple[float, float]) -> np.ndarray:
+        """alpha * beta of one pair; times enter this static model as Heisenberg directions."""
+        t_first, t_second = min(pair), max(pair)
+        a = heisenberg_direction(t_first)
+        b = heisenberg_direction(t_second)
+        res = self.run_experiment_batch(a, b, u.columns(self.LG_SLOTS))
+        return res.alpha * res.beta
 
-        def run_chunk(lo: int, n: int) -> np.ndarray:
-            u = _rng.uniform_block(seed, range(lo, lo + n), self.JOINT_SLOTS)
-            res = self.run_experiment_batch(a, b, u)
-            ia, ib = (1 - res.alpha) // 2, (1 - res.beta) // 2
-            return np.bincount((ia * 2 + ib).astype(np.int64), minlength=4)
-
-        counts = sum(_rng.map_chunks(run_chunk, runs, workers))
-        return counts.reshape(2, 2).astype(float) / runs
+    def joint_outcomes(self, u: _rng.Uniforms, a: np.ndarray, b: np.ndarray):
+        """The kept branch's outcomes (alpha, beta) of measuring a, then b."""
+        res = self.run_experiment_batch(a, b, u.columns(self.JOINT_SLOTS))
+        return res.alpha, res.beta
 
 
-# Per-run uniform slots of two back-to-back measurements: 0-1 preparation,
-# 2 first measurement, 3 second measurement.
-def _two_measurements(model: OntologicalModel, u: dict[int, np.ndarray], a, b):
-    """Outcomes of measuring a, then b, on the maximal-ignorance preparation."""
-    states = model.prepare_max_batch(_rng.slot_columns(u, range(model.PREP_SLOTS)))
-    o1, states = model.measure_batch(states, a, u.get(2))
-    o2, _ = model.measure_batch(states, b, u.get(3))
-    return o1, o2
+def joint_statistics(model, a, b, runs: int, seed: int, workers: int | None = None) -> np.ndarray:
+    """Monte Carlo joint distribution of two back-to-back measurements, as a (2, 2) array.
 
-
-def single_world_joint_statistics(
-    model: OntologicalModel, a, b, runs: int, seed: int, workers: int | None = None
-) -> np.ndarray:
-    """Monte Carlo joint for two back-to-back measurements through a sequential model.
-
-    Prepares the maximal-ignorance state, measures direction a, then direction
-    b on the outgoing ontic state.  Returns the (2, 2) joint in OUTCOMES index
-    order, integer-counted and therefore worker-count independent.
+    Each run prepares the maximal-ignorance state and measures direction a,
+    then direction b, through the model's ``joint_outcomes``.  Index order
+    matches qubit.OUTCOMES: [0] = +1, [1] = -1.  Counting is integer-exact,
+    so the result is independent of worker count.
     """
     if runs < 1:
         raise InvalidArgumentError("runs must be >= 1")
@@ -369,8 +344,8 @@ def single_world_joint_statistics(
     b = as_direction(b)
 
     def run_chunk(lo: int, n: int) -> np.ndarray:
-        u = _rng.uniforms_by_slot(seed, range(lo, lo + n), model.JOINT_SLOTS)
-        o1, o2 = _two_measurements(model, u, a, b)
+        u = _rng.Uniforms(seed, range(lo, lo + n), model.JOINT_SLOTS)
+        o1, o2 = model.joint_outcomes(u, a, b)
         idx = ((1 - o1) // 2) * 2 + (1 - o2) // 2
         return np.bincount(idx.astype(np.int64), minlength=4)
 

@@ -14,11 +14,17 @@ hashes exactly the runs and slots a caller asks for: any subset of run
 indices, in any order, and any subset of slots.  Each model declares the
 slots it reads on each path (``LG_SLOTS``, ``SAMPLE_SLOTS``, ``JOINT_SLOTS``)
 and nothing else is ever hashed, which leaves every value it does read,
-and so every result byte, unchanged.
+and so every result byte, unchanged.  Model kernels read the drawn block
+through ``Uniforms``, a slot-addressed view.
 
-Engines accumulate per-chunk partial sums with a fixed chunk size and reduce
-them in chunk order, which keeps floating-point totals byte-identical for
-any worker count.
+This stream is the only source of randomness in the simulations.  The one
+``np.random.Generator`` left in the package draws the multinomial bootstrap
+resamples of ``information.noflow_test``, which reads simulated histograms
+and simulates no run.
+
+``map_chunks`` is the one Monte Carlo engine: callers accumulate per-chunk
+partial sums with a fixed chunk size and reduce them in chunk order, which
+keeps floating-point totals byte-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -81,19 +87,33 @@ def uniform_block(seed: int, runs, slots: tuple[int, ...]) -> np.ndarray:
     return out.T
 
 
-def uniforms_by_slot(seed: int, runs, slots: tuple[int, ...]) -> dict[int, np.ndarray]:
-    """uniform_block as a mapping from each drawn slot to its column of uniforms.
+class Uniforms:
+    """Slot-addressed view of one ``uniform_block(seed, runs, slots)``.
 
-    Kernels read a slot with ``u[slot]`` when they always need it and with
-    ``u.get(slot)`` when the model may ignore it; an undrawn slot then reads
-    as a KeyError or as None, which a method that needs uniforms rejects.
+    ``u[slot]`` is the column of a drawn slot and ``u.get(slot)`` is that
+    column or None for an undrawn one, which a method that needs uniforms
+    rejects.  ``u.columns(slots)`` is the (n, len(slots)) view of slots drawn
+    side by side.  Every read is a view of the one block, never a copy.
     """
-    return dict(zip(slots, uniform_block(seed, runs, slots).T))
 
+    def __init__(self, seed: int, runs, slots: tuple[int, ...]):
+        self.slots = tuple(slots)
+        self.block = uniform_block(seed, runs, self.slots)
+        self._index = {slot: j for j, slot in enumerate(self.slots)}
 
-def slot_columns(u: dict[int, np.ndarray], slots) -> np.ndarray:
-    """(n, len(slots)) array of the uniforms drawn for `slots`; KeyError for an undrawn one."""
-    return np.column_stack([u[s] for s in slots])
+    def __getitem__(self, slot: int) -> np.ndarray:
+        return self.block[:, self._index[slot]]
+
+    def get(self, slot: int) -> np.ndarray | None:
+        j = self._index.get(slot)
+        return None if j is None else self.block[:, j]
+
+    def columns(self, slots) -> np.ndarray:
+        slots = tuple(slots)
+        j = self._index[slots[0]]
+        if self.slots[j : j + len(slots)] != slots:
+            raise KeyError(f"slots {slots} were not drawn side by side in {self.slots}")
+        return self.block[:, j : j + len(slots)]
 
 
 def _mix64_int(x: int) -> int:

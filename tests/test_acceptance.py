@@ -26,13 +26,13 @@ from ontolab import (
     erasure_report,
     invariance_test,
     joint_expectation,
+    joint_statistics,
     lg_stderr,
     lg_value,
     max_violation_over_34,
     noflow_test,
     quantum_correlations,
     sequential_joint,
-    single_world_joint_statistics,
 )
 from ontolab.cli import main
 from ontolab.leggett_garg import PAIRS
@@ -131,7 +131,7 @@ def test_c05_bb_born_equivalence():
         runs = 100_000
         for i in range(50):
             a, b = random_units(rng, 2)
-            probs = single_world_joint_statistics(BeltramettiBugajski(), a, b, runs, seed=500 + i)
+            probs = joint_statistics(BeltramettiBugajski(), a, b, runs, seed=500 + i)
             exact = sequential_joint(MAXIMALLY_MIXED, [a, b])
             tol = 5 * np.sqrt(exact * (1 - exact) / runs) + 1e-12
             assert (np.abs(probs - exact) <= tol).all()
@@ -172,10 +172,10 @@ def test_c08_branching_equivalence():
             a, b = random_units(rng, 2)
             exact = sequential_joint(MAXIMALLY_MIXED, [a, b])
             tol = 5 * np.sqrt(exact * (1 - exact) / runs) + 1e-12
-            probs = BranchingModel().joint_statistics(a, b, runs, seed=800 + i)
+            probs = joint_statistics(BranchingModel(), a, b, runs, seed=800 + i)
             assert (np.abs(probs - exact) <= tol).all()
             dev_a = np.abs(
-                BranchingModel(setting_variant="a").joint_statistics(a, b, runs, seed=800 + i)
+                joint_statistics(BranchingModel(setting_variant="a"), a, b, runs, seed=800 + i)
                 - exact
             )
             if (dev_a > tol).any():

@@ -52,6 +52,14 @@ class TestParsers:
         with pytest.raises(Exception):
             parse_bins("32by32")
 
+    def test_bins_capped(self):
+        assert parse_bins("1024x1024") == ((1024, 1024),)
+        with pytest.raises(argparse.ArgumentTypeError):
+            parse_bins("1025x1024")
+        with pytest.raises(SystemExit) as exc:
+            main(["erasure", "--bins", "1025x1024", "--runs", "10"])
+        assert exc.value.code == 2
+
     def test_dirs_normalized(self):
         (d,) = parse_dirs("0,0,2")
         assert np.allclose(d, [0, 0, 1])
@@ -59,6 +67,56 @@ class TestParsers:
         assert np.allclose(a, [1 / math.sqrt(2), 1 / math.sqrt(2), 0])
         with pytest.raises(Exception):
             parse_dirs("0,0,0")
+
+
+LG_TIMES = ["--times", "0,pi/8,pi/4,3pi/8"]
+TWO_DIRS = ["--dirs", "0,0,1;1,0,0"]
+
+
+class TestIgnoredFlags:
+    """A flag the command or model would ignore exits 2 and names the flag."""
+
+    @pytest.mark.parametrize(
+        "argv,flag",
+        [
+            (["scan", "--times", "0,pi/4", "--model", "bb"], "--model"),
+            (["scan", "--times", "0,pi/4", "--runs", "10"], "--runs"),
+            (["scan", "--times", "0,pi/4", "--gamma", "2"], "--gamma"),
+            (["scan", "--times", "0,pi/4", "--bins", "8x8"], "--bins"),
+            (["scan", "--times", "0,pi/4", "--dirs", "0,0,1"], "--dirs"),
+            (["lg", *LG_TIMES, "--model", "bb", "--runs", "10", "--bins", "8x8"], "--bins"),
+            (["lg", *LG_TIMES, "--model", "bb", "--runs", "10", "--dirs", "0,0,1"], "--dirs"),
+            (["lg", *LG_TIMES, "--model", "quantum", "--runs", "10"], "--runs"),
+            (["lg", *LG_TIMES, "--runs", "10"], "--runs"),
+            (["lg", *LG_TIMES, "--model", "quantum", "--gamma", "2"], "--gamma"),
+            (["lg", *LG_TIMES, "--model", "bb", "--runs", "10", "--gamma", "2"], "--gamma"),
+            (["lg", *LG_TIMES, "--model", "mw", "--runs", "10", "--gamma", "1"], "--gamma"),
+            (["erasure", "--model", "bb", "--runs", "10", "--gamma", "2"], "--gamma"),
+            (["noflow", "--model", "bb", *TWO_DIRS, "--runs", "10", "--gamma", "2"], "--gamma"),
+            (["mwcheck", *TWO_DIRS, "--runs", "10", "--model", "telegraph"], "--model"),
+            (["mwcheck", *TWO_DIRS, "--runs", "10", "--gamma", "2"], "--gamma"),
+            (["mwcheck", *TWO_DIRS, "--runs", "10", "--bins", "8x8"], "--bins"),
+            (["erasure", "--model", "bb", "--runs", "10", "--times", "0,1"], "--times"),
+            (["noflow", "--model", "bb", *TWO_DIRS, "--runs", "10", "--times", "0,1"], "--times"),
+            (["noflow", "--model", "bb", *TWO_DIRS, "--runs", "10", "--bins", "8x8,16x16"], "--bins"),
+            (["erasure", "--model", "bb", "--runs", "10", *TWO_DIRS], "--dirs"),
+        ],
+    )
+    def test_rejected(self, argv, flag, tmp_path, capsys):
+        out = tmp_path / "never.json"
+        try:
+            code = main([*argv, "--out", str(out)])
+        except SystemExit as exc:
+            code = exc.code
+        assert code == 2
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_telegraph_takes_gamma(self, tmp_path):
+        out = tmp_path / "lg.json"
+        args = ["lg", *LG_TIMES, "--model", "telegraph", "--gamma", "0.5", "--runs", "1000"]
+        assert main([*args, "--format", "json", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["config"]["gamma"] == 0.5
 
 
 class TestLGCommand:

@@ -21,10 +21,10 @@ from ontolab import (
     density_to_bloch,
     evolve,
     joint_expectation,
+    joint_statistics,
     make_model,
     measure,
     sequential_joint,
-    single_world_joint_statistics,
 )
 from ontolab.models import sign_pm1
 from ontolab.rng import uniform_block
@@ -58,16 +58,17 @@ class TestBeltramettiBugajski:
 
     def test_prepare_reproducible_under_seed(self):
         bb = BeltramettiBugajski()
-        first = bb.prepare_max(np.random.default_rng(123))
-        second = bb.prepare_max(np.random.default_rng(123))
+        first = bb.prepare_max_batch(uniform_block(123, range(100), (0, 1)))
+        second = bb.prepare_max_batch(uniform_block(123, range(100), (0, 1)))
         assert np.array_equal(first, second)
-        assert abs(np.linalg.norm(first) - 1.0) <= 1e-12
+        assert np.abs(np.linalg.norm(first, axis=1) - 1.0).max() <= 1e-12
 
     def test_measure_eigenstate_certain(self):
         bb = BeltramettiBugajski()
-        outcome, post = bb.measure(Z.copy(), Z, np.random.default_rng(0))
-        assert outcome == 1
-        assert_allclose(post, Z)
+        n = 1000
+        outcomes, post = bb.measure_batch(np.tile(Z, (n, 1)), Z, uniform_block(0, range(n), (0,))[:, 0])
+        assert (outcomes == 1).all()
+        assert_allclose(post, np.tile(Z, (n, 1)))
 
     def test_measure_equator_half_half_and_collapse_support(self):
         bb = BeltramettiBugajski()
@@ -89,14 +90,15 @@ class TestBeltramettiBugajski:
 
     def test_evolve_matches_quantum_oracle_on_pure_state(self):
         bb = BeltramettiBugajski()
-        assert_allclose(bb.evolve(Z.copy(), 0.0), Z, atol=1e-12)
-        assert_allclose(bb.evolve(Z.copy(), np.pi / 4), [0, -1, 0], atol=1e-12)
+        assert_allclose(bb.evolve_batch(Z[None, :], 0.0)[0], Z, atol=1e-12)
+        assert_allclose(bb.evolve_batch(Z[None, :], np.pi / 4)[0], [0, -1, 0], atol=1e-12)
         rng = np.random.default_rng(6)
         for lam in random_unit(rng, 20):
             dt = rng.uniform(-3, 3)
             expected = density_to_bloch(evolve(bloch_to_density(lam), dt))
-            assert_allclose(bb.evolve(lam, dt), expected, atol=1e-12)
-            assert abs(np.linalg.norm(bb.evolve(lam, dt)) - 1.0) <= 1e-12
+            evolved = bb.evolve_batch(lam[None, :], dt)[0]
+            assert_allclose(evolved, expected, atol=1e-12)
+            assert abs(np.linalg.norm(evolved) - 1.0) <= 1e-12
 
     def test_evolve_preserves_uniformity(self):
         bb = BeltramettiBugajski()
@@ -109,9 +111,7 @@ class TestBeltramettiBugajski:
         runs = 50_000
         for seed in range(10):
             a, b = random_unit(rng), random_unit(rng)
-            probs = single_world_joint_statistics(
-                BeltramettiBugajski(), a[0], b[0], runs, seed=seed
-            )
+            probs = joint_statistics(BeltramettiBugajski(), a[0], b[0], runs, seed=seed)
             exact = sequential_joint(MAXIMALLY_MIXED, [a[0], b[0]])
             stderr = np.sqrt(exact * (1 - exact) / runs)
             assert (np.abs(probs - exact) <= 5 * stderr + 1e-12).all()
@@ -122,8 +122,9 @@ class TestBeltramettiBugajski:
         lam = random_unit(rng)[0]
         direction = random_unit(rng)[0]
         p_plus, _ = measure(bloch_to_density(lam), direction, 1)
-        outcomes = [bb.measure(lam, direction, np.random.default_rng(k))[0] for k in range(4000)]
-        freq = np.mean([o == 1 for o in outcomes])
+        u = uniform_block(9, range(4000), (0,))[:, 0]
+        outcomes, _ = bb.measure_batch(np.tile(lam, (4000, 1)), direction, u)
+        freq = np.mean(outcomes == 1)
         assert abs(freq - p_plus) <= 5 * math.sqrt(p_plus * (1 - p_plus) / 4000)
 
 
@@ -184,22 +185,19 @@ class TestBranchingModel:
 
     def test_sample_ontic_reproducible(self):
         mw = BranchingModel()
-        a = mw.sample_ontic(np.random.default_rng(3))
-        b = mw.sample_ontic(np.random.default_rng(3))
-        assert np.array_equal(a.x0, b.x0) and np.array_equal(a.x1, b.x1)
+        a = mw.sample_ontic_batch(uniform_block(3, range(100), (0, 1, 2, 3)))
+        b = mw.sample_ontic_batch(uniform_block(3, range(100), (0, 1, 2, 3)))
+        assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
     def test_first_party_sign_cases(self):
         mw = BranchingModel()
-        rng = np.random.default_rng(4)
-        x0 = random_unit(rng)[0]
-        ontic = mw.sample_ontic(rng)
-        ontic.x0 = x0
-        s, n = mw.alice(x0, ontic)
-        assert s == 1
+        x0 = random_unit(np.random.default_rng(4))[0]
+        _, x1 = mw.sample_ontic_batch(uniform_block(4, range(1), (0, 1, 2, 3)))
+        s, n = mw.alice_batch(x0, x0[None, :], x1)
+        assert s[0] == 1
         # opposite-hemisphere second vector flips the device bit
-        ontic.x1 = -x0
-        _, n = mw.alice(x0, ontic)
-        assert n == -1
+        _, n = mw.alice_batch(x0, x0[None, :], -x0[None, :])
+        assert n[0] == -1
 
     def test_first_party_outcome_unbiased(self):
         mw = BranchingModel()
@@ -210,20 +208,18 @@ class TestBranchingModel:
 
     def test_second_party_sum_direction_certain(self):
         mw = BranchingModel()
-        ontic = mw.sample_ontic(np.random.default_rng(5))
-        x_plus = ontic.x0 + ontic.x1
+        x0, x1 = mw.sample_ontic_batch(uniform_block(5, range(1), (0, 1, 2, 3)))
+        x_plus = (x0 + x1)[0]
         b = x_plus / np.linalg.norm(x_plus)
-        s, _ = mw.bob(b, ontic)
-        assert s == 1
+        s, _ = mw.bob_batch(b, x0, x1)
+        assert s[0] == 1
 
     def test_second_party_tie_rule(self):
         # b orthogonal to x0 - x1: the difference factor is sign(0) = +1
         mw = BranchingModel()
-        ontic = mw.sample_ontic(np.random.default_rng(6))
-        ontic.x0, ontic.x1 = Z.copy(), X.copy()
         b = (Z + X) / math.sqrt(2)
-        s, n = mw.bob(b, ontic)
-        assert s == 1 and n == 1
+        s, n = mw.bob_batch(b, Z[None, :], X[None, :])
+        assert s[0] == 1 and n[0] == 1
 
     def test_pairing_rule_cases(self):
         mw = BranchingModel()
@@ -276,7 +272,7 @@ class TestBranchingModel:
         runs = 50_000
         for seed in range(10):
             a, b = random_unit(rng)[0], random_unit(rng)[0]
-            probs = BranchingModel().joint_statistics(a, b, runs, seed=seed)
+            probs = joint_statistics(BranchingModel(), a, b, runs, seed=seed)
             exact = sequential_joint(MAXIMALLY_MIXED, [a, b])
             stderr = np.sqrt(exact * (1 - exact) / runs)
             assert (np.abs(probs - exact) <= 5 * stderr + 1e-12).all()
@@ -287,13 +283,13 @@ class TestBranchingModel:
         a = Z
         b = np.array([0.0, math.sin(np.pi / 4), math.cos(np.pi / 4)])
         runs = 200_000
-        probs = BranchingModel(setting_variant="a").joint_statistics(a, b, runs, seed=10)
+        probs = joint_statistics(BranchingModel(setting_variant="a"), a, b, runs, seed=10)
         exact = sequential_joint(MAXIMALLY_MIXED, [a, b])
         stderr = np.sqrt(exact * (1 - exact) / runs)
         deviation = np.abs(probs - exact)
         assert (deviation > 5 * stderr).any()
         # the working variant passes on the same pair and seed
-        probs_b = BranchingModel().joint_statistics(a, b, runs, seed=10)
+        probs_b = joint_statistics(BranchingModel(), a, b, runs, seed=10)
         assert (np.abs(probs_b - exact) <= 5 * stderr).all()
 
     def test_variant_validation(self):
@@ -305,7 +301,7 @@ class TestBranchingModel:
     def test_expectation_reproduces_dot_product(self):
         rng = np.random.default_rng(11)
         a, b = random_unit(rng)[0], random_unit(rng)[0]
-        probs = BranchingModel().joint_statistics(a, b, 400_000, seed=12)
+        probs = joint_statistics(BranchingModel(), a, b, 400_000, seed=12)
         assert abs(joint_expectation(probs) - float(a @ b)) <= 0.008
 
 

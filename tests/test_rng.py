@@ -1,4 +1,4 @@
-"""Counter-mode stream: uniform_block against the scalar formula, and declared slots."""
+"""Counter-mode stream: uniform_block against the scalar formula, the slot view, and declared slots."""
 
 import numpy as np
 import pytest
@@ -7,10 +7,7 @@ from hypothesis import strategies as st
 
 from ontolab import BeltramettiBugajski, BranchingModel, Telegraph
 from ontolab.errors import InvalidArgumentError
-from ontolab.information import _measured_states
-from ontolab.leggett_garg import _branching_products, _single_world_products
-from ontolab.models import _two_measurements
-from ontolab.rng import GAMMA_RUN, GAMMA_SLOT, _mix64_int, uniform_block, uniforms_by_slot
+from ontolab.rng import GAMMA_RUN, GAMMA_SLOT, Uniforms, _mix64_int, uniform_block
 
 Z = np.array([0.0, 0.0, 1.0])
 X = np.array([1.0, 0.0, 0.0])
@@ -70,22 +67,51 @@ class TestUniformBlock:
         assert u.min() >= 0.0 and u.max() < 1.0
 
 
+class TestUniforms:
+    def test_slots_read_the_block(self):
+        u = Uniforms(5, range(100, 300), (2, 4, 5, 6))
+        assert np.array_equal(u.block, uniform_block(5, range(100, 300), (2, 4, 5, 6)))
+        assert np.array_equal(u[5], u.block[:, 2])
+        assert np.array_equal(u.get(6), u.block[:, 3])
+        assert u.get(3) is None
+        with pytest.raises(KeyError):
+            u[3]
+
+    def test_columns_are_views_of_adjacent_slots(self):
+        u = Uniforms(5, range(1000), (1, 2, 3, 4, 5))
+        cols = u.columns(range(2, 5))
+        assert np.shares_memory(cols, u.block)
+        assert np.array_equal(cols, u.block[:, 1:4])
+        assert all(np.shares_memory(u[s], u.block) for s in u.slots)
+
+    def test_columns_reject_slots_not_drawn_side_by_side(self):
+        u = Uniforms(5, range(10), (1, 2, 4, 6))
+        with pytest.raises(KeyError):
+            u.columns((0, 1))
+        with pytest.raises(KeyError):
+            u.columns((2, 3))
+        with pytest.raises(KeyError):
+            u.columns((4, 5))
+
+
 # (label, model, declared slots, the path's full layout, kernel)
 PATHS = [
     ("bb-lg", BeltramettiBugajski(), "LG_SLOTS", range(7),
-     lambda m, u: _single_world_products(m, u, (0.3, 1.1))),
+     lambda m, u: m.lg_products(u, (0.3, 1.1))),
     ("telegraph-lg", Telegraph(gamma=1.3), "LG_SLOTS", range(7),
-     lambda m, u: _single_world_products(m, u, (0.3, 1.1))),
+     lambda m, u: m.lg_products(u, (0.3, 1.1))),
     ("mw-lg", BranchingModel(), "LG_SLOTS", range(7),
-     lambda m, u: _branching_products(m, u, (0.3, 1.1))),
+     lambda m, u: m.lg_products(u, (0.3, 1.1))),
     ("bb-sample", BeltramettiBugajski(), "SAMPLE_SLOTS", range(3),
-     lambda m, u: _measured_states(m, u, X)),
+     lambda m, u: m.measured_states(u, X)),
     ("telegraph-sample", Telegraph(), "SAMPLE_SLOTS", range(3),
-     lambda m, u: _measured_states(m, u, X)),
+     lambda m, u: m.measured_states(u, X)),
     ("bb-joint", BeltramettiBugajski(), "JOINT_SLOTS", range(4),
-     lambda m, u: _two_measurements(m, u, Z, X)),
+     lambda m, u: m.joint_outcomes(u, Z, X)),
     ("telegraph-joint", Telegraph(), "JOINT_SLOTS", range(4),
-     lambda m, u: _two_measurements(m, u, Z, X)),
+     lambda m, u: m.joint_outcomes(u, Z, X)),
+    ("mw-joint", BranchingModel(), "JOINT_SLOTS", range(5),
+     lambda m, u: m.joint_outcomes(u, Z, X)),
 ]
 PATH_IDS = [p[0] for p in PATHS]
 
@@ -103,12 +129,12 @@ class TestDeclaredSlots:
         declared = getattr(model, attr)
         assert set(declared) <= set(layout)
         runs = range(2_000)
-        expected = kernel(model, uniforms_by_slot(9, runs, declared))
-        full = uniforms_by_slot(9, runs, tuple(layout))
-        noise = uniforms_by_slot(10, runs, tuple(layout))
+        expected = kernel(model, Uniforms(9, runs, declared))
+        full = Uniforms(9, runs, tuple(layout))
+        noise = Uniforms(10, runs, tuple(layout))
         for slot in layout:
             if slot not in declared:
-                full[slot] = np.full(len(runs), np.nan) if fill == "nan" else noise[slot]
+                full[slot][:] = np.nan if fill == "nan" else noise[slot]
         for got, want in zip(_outputs(kernel(model, full)), _outputs(expected)):
             assert np.array_equal(got, want)
 
@@ -116,14 +142,6 @@ class TestDeclaredSlots:
     def test_missing_declared_slot_fails_loudly(self, label, model, attr, layout, kernel):
         declared = getattr(model, attr)
         for slot in declared:
-            u = uniforms_by_slot(9, range(100), tuple(s for s in declared if s != slot))
+            u = Uniforms(9, range(100), tuple(s for s in declared if s != slot))
             with pytest.raises((KeyError, InvalidArgumentError)):
                 kernel(model, u)
-
-    def test_branching_joint_slots_feed_the_whole_run(self):
-        mw = BranchingModel()
-        assert mw.JOINT_SLOTS == (0, 1, 2, 3, 4)
-        for slot in mw.JOINT_SLOTS:
-            u = uniform_block(9, range(100), tuple(s for s in mw.JOINT_SLOTS if s != slot))
-            with pytest.raises(IndexError):
-                mw.run_experiment_batch(Z, X, u)
