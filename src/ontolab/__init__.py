@@ -60,7 +60,7 @@ from .qubit import (
     unitary,
     von_neumann_entropy,
 )
-from .sphere import SphereHistogram, entropy_estimate, sample_uniform_sphere, tv_distance
+from .sphere import SphereHistogram, sample_uniform_sphere, tv_distance
 
 __all__ = [
     "BeltramettiBugajski",
@@ -87,7 +87,6 @@ __all__ = [
     "density_to_bloch",
     "dephase",
     "empirical_correlations",
-    "entropy_estimate",
     "erasure_report",
     "evolve",
     "heisenberg_direction",

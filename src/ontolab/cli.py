@@ -14,7 +14,7 @@ floats) or JSON ({config, results, provenance}); identical configurations
 and seeds produce byte-identical files for any worker count.  The exit code
 is 0 on success, 2 for configuration errors, 3 for numerical failures.  A
 flag that the command or the chosen model would ignore is a configuration
-error.  ONTOLAB_THREADS overrides the worker count.
+error.  ONTOLAB_THREADS sets the worker count (default: the CPU count).
 """
 
 from __future__ import annotations
@@ -194,14 +194,14 @@ def _require_writable(path: str) -> None:
     _require(writable, f"cannot write output file {path!r}")
 
 
-def cmd_lg(config: RunConfig, workers: int) -> int:
+def cmd_lg(config: RunConfig) -> int:
     _require(config.times is not None and len(config.times) == 4, "lg needs --times T1,T2,T3,T4")
     scenario = LGScenario.from_times(*config.times)
     if config.model == "quantum":
         corr = quantum_correlations(scenario)
     else:
         model = make_model(config.model, gamma=config.gamma)
-        corr = empirical_correlations(model, scenario, config.runs, config.seed, workers)
+        corr = empirical_correlations(model, scenario, config.runs, config.seed)
     value = lg_value(corr)
     rows = [
         {"quantity": label, "value": c, "stderr": se, "n": n}
@@ -224,7 +224,7 @@ def cmd_lg(config: RunConfig, workers: int) -> int:
     return EXIT_OK
 
 
-def cmd_scan(config: RunConfig, workers: int) -> int:
+def cmd_scan(config: RunConfig) -> int:
     _require(config.times is not None and len(config.times) == 2, "scan needs --times T1,T2")
     t1, t2 = config.times
     value, t3, t4 = max_violation_over_34(t1, t2)
@@ -248,7 +248,7 @@ def cmd_scan(config: RunConfig, workers: int) -> int:
     return EXIT_OK
 
 
-def cmd_erasure(config: RunConfig, workers: int) -> int:
+def cmd_erasure(config: RunConfig) -> int:
     _require(
         config.model in ("bb", "telegraph"),
         "erasure applies to single-world models (bb, telegraph); "
@@ -256,9 +256,7 @@ def cmd_erasure(config: RunConfig, workers: int) -> int:
     )
     setting = config.dirs[0] if config.dirs else (0.0, 0.0, 1.0)
     model = make_model(config.model, gamma=config.gamma)
-    report = erasure_report(
-        model, setting, config.runs, config.bins, seed=config.seed, workers=workers
-    )
+    report = erasure_report(model, setting, config.runs, config.bins, seed=config.seed)
     rows = [
         {"nz": nz, "nphi": nphi, "entropy_before": b, "entropy_after": a, "gap": g}
         for (nz, nphi), b, a, g in zip(
@@ -275,7 +273,7 @@ def cmd_erasure(config: RunConfig, workers: int) -> int:
     return EXIT_OK
 
 
-def cmd_noflow(config: RunConfig, workers: int) -> int:
+def cmd_noflow(config: RunConfig) -> int:
     _require(
         config.model in ("bb", "telegraph"),
         "noflow applies to single-world models (bb, telegraph)",
@@ -291,7 +289,6 @@ def cmd_noflow(config: RunConfig, workers: int) -> int:
         nz=nz,
         nphi=nphi,
         seed=config.seed,
-        workers=workers,
     )
     results = {
         "setting1": list(report.setting1),
@@ -309,21 +306,21 @@ def cmd_noflow(config: RunConfig, workers: int) -> int:
     return EXIT_OK
 
 
-def cmd_mwcheck(config: RunConfig, workers: int) -> int:
+def cmd_mwcheck(config: RunConfig) -> int:
     _require(config.dirs is not None and len(config.dirs) == 2, "mwcheck needs --dirs a;b")
     a, b = (as_direction(d) for d in config.dirs)
     exact = sequential_joint(MAXIMALLY_MIXED, [a, b])
     n = config.runs
 
     def compare(variant: str):
-        probs = joint_statistics(BranchingModel(setting_variant=variant), a, b, n, config.seed, workers)
+        probs = joint_statistics(BranchingModel(setting_variant=variant), a, b, n, config.seed)
         dev = np.abs(probs - exact)
         tol = 5.0 * np.sqrt(exact * (1.0 - exact) / n)
         return probs, float(dev.max()), bool((dev <= tol).all())
 
     probs_b, dev_b, ok_b = compare("b")
     probs_a, dev_a, ok_a = compare("a")
-    immut = branching_no_erasure_check(a, b, min(n, 10**5), seed=config.seed, workers=workers)
+    immut = branching_no_erasure_check(a, b, min(n, 10**5), seed=config.seed)
 
     results = {
         "a": list(map(float, a)),
@@ -457,9 +454,9 @@ def _resolve_config(args) -> RunConfig:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        workers = resolve_workers(None)
+        resolve_workers()  # a bad ONTOLAB_THREADS exits 2 before any work
         config = _resolve_config(args)
-        return _COMMANDS[args.command](config, workers)
+        return _COMMANDS[args.command](config)
     except NumericalFailureError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

@@ -20,6 +20,7 @@ Entropies are differential, in nats.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,39 +51,23 @@ def _require_single_world(model) -> OntologicalModel:
     return model
 
 
-def _accumulate_post_measurement(
-    model: OntologicalModel,
-    direction: np.ndarray,
-    runs: int,
-    seed: int,
-    resolutions: tuple[tuple[int, int], ...],
-    workers: int | None,
-) -> tuple[list[SphereHistogram], list[SphereHistogram]]:
-    """Histograms of the ontic ensemble before and after a non-selective measurement."""
+def _histograms(points, runs: int, seed: int, slots, grids) -> list[list[SphereHistogram]]:
+    """Histograms over runs [0, runs) of each point set `points(u)` returns, at each grid.
+
+    `points` maps a chunk's ``Uniforms`` over `slots` to a tuple of (n, 3)
+    unit-vector arrays; result[k][g] bins the k-th of them at grids[g].
+    Chunks fold in chunk order.
+    """
 
     def run_chunk(lo: int, n: int):
-        # the model's measured_states reads its SAMPLE_SLOTS (layout in models.py)
-        u = _rng.Uniforms(seed, range(lo, lo + n), model.SAMPLE_SLOTS)
-        states, post = model.measured_states(u, direction)
-        before = model.embed_on_sphere(states)
-        after = model.embed_on_sphere(post)
-        pairs = []
-        for nz, nphi in resolutions:
-            pairs.append(
-                (
-                    SphereHistogram.from_points(before, nz, nphi),
-                    SphereHistogram.from_points(after, nz, nphi),
-                )
-            )
-        return pairs
+        u = _rng.Uniforms(seed, range(lo, lo + n), slots)
+        return [[SphereHistogram.from_points(p, nz, nphi) for nz, nphi in grids] for p in points(u)]
 
-    partials = _rng.map_chunks(run_chunk, runs, workers)
-    merged = partials[0]
-    for chunk_pairs in partials[1:]:
-        for (b, a), (cb, ca) in zip(merged, chunk_pairs):
-            b.merge(cb)
-            a.merge(ca)
-    return [b for b, _ in merged], [a for _, a in merged]
+    chunks = _rng.map_chunks(run_chunk, runs)
+    return [
+        [functools.reduce(SphereHistogram.merge, per_chunk) for per_chunk in zip(*per_grid)]
+        for per_grid in zip(*chunks)
+    ]
 
 
 @dataclass(frozen=True)
@@ -108,7 +93,6 @@ def erasure_report(
     runs: int,
     resolutions=((8, 8), (16, 16), (32, 32)),
     seed: int = 0,
-    workers: int | None = None,
 ) -> ErasureReport:
     """Measure the entropy drop caused by one non-selective measurement.
 
@@ -121,7 +105,13 @@ def erasure_report(
         raise InvalidArgumentError("runs must be >= 1")
     resolutions = tuple((int(nz), int(nphi)) for nz, nphi in resolutions)
     direction = as_direction(setting)
-    before, after = _accumulate_post_measurement(model, direction, runs, seed, resolutions, workers)
+
+    def before_and_after(u):
+        # the model's measured_states reads its SAMPLE_SLOTS (layout in models.py)
+        states, post = model.measured_states(u, direction)
+        return model.embed_on_sphere(states), model.embed_on_sphere(post)
+
+    before, after = _histograms(before_and_after, runs, seed, model.SAMPLE_SLOTS, resolutions)
     return ErasureReport(
         model=model.name,
         setting=tuple(direction),
@@ -173,7 +163,6 @@ def noflow_test(
     nz: int = 16,
     nphi: int = 16,
     seed: int = 0,
-    workers: int | None = None,
 ) -> NoFlowReport:
     """Compare post-measurement ontic distributions across two settings.
 
@@ -185,13 +174,17 @@ def noflow_test(
     if runs < 1:
         raise InvalidArgumentError("runs must be >= 1")
     d1, d2 = as_direction(setting1), as_direction(setting2)
-    res = ((int(nz), int(nphi)),)
-    _, (h1,) = _accumulate_post_measurement(
-        model, d1, runs, _rng.substream_seed(seed, 1), res, workers
-    )
-    _, (h2,) = _accumulate_post_measurement(
-        model, d2, runs, _rng.substream_seed(seed, 2), res, workers
-    )
+    grid = ((int(nz), int(nphi)),)
+
+    def post_measurement(direction, arm_seed) -> SphereHistogram:
+        def points(u):
+            return (model.embed_on_sphere(model.measured_states(u, direction)[1]),)
+
+        [[h]] = _histograms(points, runs, arm_seed, model.SAMPLE_SLOTS, grid)
+        return h
+
+    h1 = post_measurement(d1, _rng.substream_seed(seed, 1))
+    h2 = post_measurement(d2, _rng.substream_seed(seed, 2))
     ci_low, ci_high = _bootstrap_tv_ci(h1, h2, _rng.substream_seed(seed, 3))
     return NoFlowReport(
         model=model.name,
@@ -232,7 +225,6 @@ def branching_no_erasure_check(
     model: BranchingModel | None = None,
     nz: int = 16,
     nphi: int = 16,
-    workers: int | None = None,
 ) -> BranchingNoErasureReport:
     """Check that branching measurements neither modify nor imprint on (x0, x1).
 
@@ -240,7 +232,9 @@ def branching_no_erasure_check(
     the sampled ones in every run, and the histograms of the post-run system
     vectors are independent of the measured directions (compared against a
     reference arm measuring z and x, at the multinomial noise threshold).
-    A model with an injected collapse fault fails the first condition.
+    The reference for the first condition is a second, independent sample of
+    (x0, x1) from the same uniforms, so a model that writes into the very
+    arrays it sampled fails it too.
     """
     if runs < 1:
         raise InvalidArgumentError("runs must be >= 1")
@@ -249,29 +243,20 @@ def branching_no_erasure_check(
     ref_a = np.array([0.0, 0.0, 1.0])
     ref_b = np.array([1.0, 0.0, 0.0])
 
-    def run_arm(directions, arm_seed):
-        da, db = directions
-        immutable_flags = []
-        h0 = SphereHistogram(nz, nphi)
-        h1 = SphereHistogram(nz, nphi)
-
+    def run_arm(da, db, arm_seed):
         def run_chunk(lo: int, n: int):
             u = _rng.uniform_block(arm_seed, range(lo, lo + n), model.JOINT_SLOTS)
             x0_pre, x1_pre = model.sample_ontic_batch(u[:, 0:4])
             res = model.run_experiment_batch(da, db, u)
             ok = np.array_equal(res.x0_post, x0_pre) and np.array_equal(res.x1_post, x1_pre)
-            return ok, SphereHistogram.from_points(res.x0_post, nz, nphi), SphereHistogram.from_points(
-                res.x1_post, nz, nphi
-            )
+            return ok, *(SphereHistogram.from_points(x, nz, nphi) for x in (res.x0_post, res.x1_post))
 
-        for ok, c0, c1 in _rng.map_chunks(run_chunk, runs, workers):
-            immutable_flags.append(ok)
-            h0.merge(c0)
-            h1.merge(c1)
-        return all(immutable_flags), h0, h1
+        flags, *hists = zip(*_rng.map_chunks(run_chunk, runs))
+        folded = [functools.reduce(SphereHistogram.merge, h, SphereHistogram(nz, nphi)) for h in hists]
+        return all(flags), *folded
 
-    ok_main, h0_main, h1_main = run_arm((a, b), _rng.substream_seed(seed, 1))
-    ok_ref, h0_ref, h1_ref = run_arm((ref_a, ref_b), _rng.substream_seed(seed, 2))
+    ok_main, h0_main, h1_main = run_arm(a, b, _rng.substream_seed(seed, 1))
+    ok_ref, h0_ref, h1_ref = run_arm(ref_a, ref_b, _rng.substream_seed(seed, 2))
     threshold = max(
         multinomial_noise_threshold(h0_main, h0_ref),
         multinomial_noise_threshold(h1_main, h1_ref),
@@ -304,7 +289,6 @@ def invariance_test(
     nphi: int = 16,
     seed: int = 0,
     start: str = "uniform",
-    workers: int | None = None,
 ) -> InvarianceReport:
     """Check that the uniform ontic distribution is invariant under the dynamics.
 
@@ -323,27 +307,23 @@ def invariance_test(
         raise InvalidArgumentError(f"start must be 'uniform' or 'cap', got {start!r}")
     bb = BeltramettiBugajski()
     prep_slots = tuple(range(bb.PREP_SLOTS))
+    grid = ((int(nz), int(nphi)),)
     durations = np.pi * _rng.uniform_block(_rng.substream_seed(seed, 7), range(rotations), (0,))[:, 0]
 
-    def evolved_chunk(lo: int, n: int) -> SphereHistogram:
-        u = _rng.uniform_block(_rng.substream_seed(seed, 1), range(lo, lo + n), prep_slots)
+    def evolved(u):
+        prep = u.columns(prep_slots)
         if start == "cap":
-            u[:, 0] = 0.75 + 0.25 * u[:, 0]  # z = 2u - 1 in [0.5, 1]
-        states = sample_uniform_sphere(u)
+            prep[:, 0] = 0.75 + 0.25 * prep[:, 0]  # z = 2u - 1 in [0.5, 1]
+        states = sample_uniform_sphere(prep)
         for dt in durations:
             states = bb.evolve_batch(states, float(dt))
-        return SphereHistogram.from_points(states, nz, nphi)
+        return (states,)
 
-    def fresh_chunk(lo: int, n: int) -> SphereHistogram:
-        u = _rng.uniform_block(_rng.substream_seed(seed, 2), range(lo, lo + n), prep_slots)
-        return SphereHistogram.from_points(sample_uniform_sphere(u), nz, nphi)
+    def fresh(u):
+        return (sample_uniform_sphere(u.columns(prep_slots)),)
 
-    h_evolved = SphereHistogram(nz, nphi)
-    for h in _rng.map_chunks(evolved_chunk, runs, workers):
-        h_evolved.merge(h)
-    h_fresh = SphereHistogram(nz, nphi)
-    for h in _rng.map_chunks(fresh_chunk, runs, workers):
-        h_fresh.merge(h)
+    [[h_evolved]] = _histograms(evolved, runs, _rng.substream_seed(seed, 1), prep_slots, grid)
+    [[h_fresh]] = _histograms(fresh, runs, _rng.substream_seed(seed, 2), prep_slots, grid)
 
     return InvarianceReport(
         start=start,

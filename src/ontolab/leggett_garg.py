@@ -195,7 +195,6 @@ def empirical_correlations(
     scenario: LGScenario,
     runs: int,
     seed: int,
-    workers: int | None = None,
 ) -> CorrelationMatrix:
     """Monte Carlo correlators through an ontological model.
 
@@ -212,24 +211,19 @@ def empirical_correlations(
     slots = model.LG_SLOTS
     pair_times = scenario.pair_times()
 
-    def run_chunk(lo: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    def run_chunk(lo: int, n: int) -> np.ndarray:
+        """Per pair, the sum of its products (row 0) and its run count (row 1)."""
         u0 = _rng.uniform_block(seed, range(lo, lo + n), (_PICK_SLOT,))[:, 0]
         pick = np.minimum((u0 * 4).astype(np.int64), 3)
-        sums = np.zeros(4, dtype=np.int64)
-        counts = np.zeros(4, dtype=np.int64)
-        for p in range(4):
+        totals = np.zeros((2, 4), dtype=np.int64)
+        totals[1] = np.bincount(pick, minlength=4)
+        for p in np.flatnonzero(totals[1]):
             # each pair draws its own slots for its own runs, so no row is gathered
-            runs_p = lo + np.flatnonzero(pick == p)
-            counts[p] = len(runs_p)
-            if counts[p] == 0:
-                continue
-            u = _rng.Uniforms(seed, runs_p, slots)
-            sums[p] = model.lg_products(u, pair_times[p]).sum(dtype=np.int64)
-        return sums, counts
+            u = _rng.Uniforms(seed, lo + np.flatnonzero(pick == p), slots)
+            totals[0, p] = model.lg_products(u, pair_times[p]).sum(dtype=np.int64)
+        return totals
 
-    partials = _rng.map_chunks(run_chunk, runs, workers)
-    sums = np.sum([s for s, _ in partials], axis=0)
-    counts = np.sum([c for _, c in partials], axis=0)
+    sums, counts = sum(_rng.map_chunks(run_chunk, runs))
 
     c = np.where(counts > 0, sums / np.maximum(counts, 1), np.nan)
     stderr = np.where(

@@ -248,9 +248,6 @@ class BranchingModel:
     ``setting_variant="a"`` computes n_B from the *first* party's direction
     (the bookkeeping slip this flag exists to expose); it provably breaks the
     quantum equivalence and is kept only as a diagnostic.
-    ``collapse_fault=True`` deliberately resets x0 onto the first measurement
-    axis, as a single-world collapse would; the no-erasure checker must
-    flag it.
     """
 
     name = "mw"
@@ -260,11 +257,10 @@ class BranchingModel:
     #: two-measurement runs: 0-3 ontic pair, 4 branch selection
     JOINT_SLOTS = (0, 1, 2, 3, 4)
 
-    def __init__(self, setting_variant: str = "b", collapse_fault: bool = False):
+    def __init__(self, setting_variant: str = "b"):
         if setting_variant not in ("a", "b"):
             raise InvalidArgumentError(f"setting_variant must be 'a' or 'b', got {setting_variant!r}")
         self.setting_variant = setting_variant
-        self.collapse_fault = bool(collapse_fault)
 
     # sampling
 
@@ -309,10 +305,7 @@ class BranchingModel:
         s_a, n_a = self.alice_batch(a, x0, x1)
         s_b, n_b = self.bob_batch(b, x0, x1, a=a)
         alpha, beta = self.pair_and_select_batch(s_a, n_a, s_b, n_b, u[:, 4])
-        x0_post, x1_post = x0, x1
-        if self.collapse_fault:
-            x0_post = s_a[:, None].astype(float) * np.asarray(a, dtype=float)[None, :]
-        return BranchRunResult(alpha=alpha, beta=beta, x0_post=x0_post, x1_post=x1_post)
+        return BranchRunResult(alpha=alpha, beta=beta, x0_post=x0, x1_post=x1)
 
     # Monte Carlo kernels, each reading the slots declared above
 
@@ -330,7 +323,7 @@ class BranchingModel:
         return res.alpha, res.beta
 
 
-def joint_statistics(model, a, b, runs: int, seed: int, workers: int | None = None) -> np.ndarray:
+def joint_statistics(model, a, b, runs: int, seed: int) -> np.ndarray:
     """Monte Carlo joint distribution of two back-to-back measurements, as a (2, 2) array.
 
     Each run prepares the maximal-ignorance state and measures direction a,
@@ -349,7 +342,7 @@ def joint_statistics(model, a, b, runs: int, seed: int, workers: int | None = No
         idx = ((1 - o1) // 2) * 2 + (1 - o2) // 2
         return np.bincount(idx.astype(np.int64), minlength=4)
 
-    counts = sum(_rng.map_chunks(run_chunk, runs, workers))
+    counts = sum(_rng.map_chunks(run_chunk, runs))
     return counts.reshape(2, 2).astype(float) / runs
 
 

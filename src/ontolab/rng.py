@@ -23,8 +23,10 @@ resamples of ``information.noflow_test``, which reads simulated histograms
 and simulates no run.
 
 ``map_chunks`` is the one Monte Carlo engine: callers accumulate per-chunk
-partial sums with a fixed chunk size and reduce them in chunk order, which
-keeps floating-point totals byte-identical for any worker count.
+partial sums over fixed ``CHUNK_RUNS``-run chunks and reduce them in chunk
+order, which keeps floating-point totals byte-identical for any worker
+count.  The ONTOLAB_THREADS environment variable is the only worker
+setting (``resolve_workers``); no function takes a worker count.
 """
 
 from __future__ import annotations
@@ -130,28 +132,25 @@ def substream_seed(seed: int, label: int) -> int:
     return _mix64_int((int(seed) & _MASK64) ^ inner)
 
 
-def resolve_workers(workers: int | None = None) -> int:
-    """Worker count: explicit argument, else ONTOLAB_THREADS, else CPU count."""
-    if workers is not None:
-        return max(1, int(workers))
+def resolve_workers() -> int:
+    """Worker count: ONTOLAB_THREADS, else the CPU count."""
     env = os.environ.get("ONTOLAB_THREADS")
-    if env is not None:
-        try:
-            n = int(env)
-        except ValueError as exc:
-            raise ValueError(f"ONTOLAB_THREADS must be an integer, got {env!r}") from exc
-        return max(1, n)
-    return os.cpu_count() or 1
+    if env is None:
+        return os.cpu_count() or 1
+    try:
+        return max(1, int(env))
+    except ValueError as exc:
+        raise ValueError(f"ONTOLAB_THREADS must be an integer, got {env!r}") from exc
 
 
-def map_chunks(fn, n_runs: int, workers: int | None = None, chunk: int = CHUNK_RUNS) -> list:
-    """Apply fn(run_lo, n) over fixed-size chunks, results in chunk order.
+def map_chunks(fn, n_runs: int) -> list:
+    """Apply fn(run_lo, n) over CHUNK_RUNS-run chunks, results in chunk order.
 
     The chunk grid depends only on n_runs, never on the worker count, so a
     fold over the returned list is reproducible for any parallelism.
     """
-    spans = [(lo, min(chunk, n_runs - lo)) for lo in range(0, n_runs, chunk)]
-    nw = resolve_workers(workers)
+    spans = [(lo, min(CHUNK_RUNS, n_runs - lo)) for lo in range(0, n_runs, CHUNK_RUNS)]
+    nw = resolve_workers()
     if nw <= 1 or len(spans) <= 1:
         return [fn(lo, n) for lo, n in spans]
     with ThreadPoolExecutor(max_workers=nw) as pool:

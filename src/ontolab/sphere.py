@@ -47,19 +47,12 @@ class SphereHistogram:
 
     nz: int
     nphi: int
-    counts: np.ndarray = field(default=None)  # type: ignore[assignment]
+    counts: np.ndarray = field(init=False)
 
     def __post_init__(self):
         if self.nz < 1 or self.nphi < 1:
             raise InvalidArgumentError("nz and nphi must be >= 1")
-        if self.counts is None:
-            self.counts = np.zeros((self.nz, self.nphi), dtype=np.int64)
-        else:
-            self.counts = np.asarray(self.counts, dtype=np.int64)
-            if self.counts.shape != (self.nz, self.nphi):
-                raise InvalidArgumentError(
-                    f"counts shape {self.counts.shape} != ({self.nz}, {self.nphi})"
-                )
+        self.counts = np.zeros((self.nz, self.nphi), dtype=np.int64)
 
     @property
     def total(self) -> int:
@@ -102,21 +95,13 @@ class SphereHistogram:
         return cls(nz, nphi).add(points)
 
 
-def entropy_estimate(samples: np.ndarray, nz: int, nphi: int) -> float:
-    """Plug-in differential entropy (nats) of a sample of unit vectors.
+def histogram_entropy(hist: SphereHistogram) -> float:
+    """Plug-in differential entropy (nats) of an accumulated histogram.
 
     -sum(p ln p) over occupied cells plus ln(cell area); converges to
     -integral rho ln rho for a density rho on the sphere.  The uniform
     density scores ln(4*pi) ~ 2.5310.
     """
-    samples = np.asarray(samples, dtype=float)
-    if samples.size == 0:
-        raise InvalidArgumentError("need at least one sample")
-    return histogram_entropy(SphereHistogram.from_points(samples, nz, nphi))
-
-
-def histogram_entropy(hist: SphereHistogram) -> float:
-    """Plug-in entropy (nats) of an accumulated histogram."""
     p = hist.probabilities()
     occupied = p[p > 0]
     return float(-(occupied * np.log(occupied)).sum() + np.log(hist.cell_area))

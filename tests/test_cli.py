@@ -298,6 +298,17 @@ class TestDeterminism:
         assert main(args) == 0
         assert out.read_bytes() == first
 
+    @pytest.mark.parametrize(
+        "argv", [["lg", "--model", "quantum"], ["lg", "--model", "bb", "--runs", "10"]], ids=["quantum", "bb"]
+    )
+    def test_bad_thread_count_exits_2_before_any_work(self, argv, tmp_path, monkeypatch, capsys):
+        # the exact quantum model starts no chunk, so only cli.main can reject the value
+        monkeypatch.setenv("ONTOLAB_THREADS", "abc")
+        out = tmp_path / "lg.csv"
+        assert main([*argv, *LG_TIMES, "--out", str(out)]) == 2
+        assert "ONTOLAB_THREADS" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_stdout_when_no_out(self, capsys):
         assert main(["lg", "--times", "0,pi/8,pi/4,3pi/8"]) == 0
         captured = capsys.readouterr()

@@ -5,6 +5,7 @@ distribution over k equal bins has plug-in entropy ln(k) + ln(cell area);
 a polar-cap start must stay far from uniform under the x-axis rotations.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -19,12 +20,12 @@ from ontolab import (
     SphereHistogram,
     Telegraph,
     branching_no_erasure_check,
-    entropy_estimate,
     erasure_report,
     invariance_test,
     noflow_test,
     tv_distance,
 )
+from ontolab.models import sign_pm1
 from ontolab.rng import uniform_block
 from ontolab.sphere import (
     histogram_entropy,
@@ -39,6 +40,10 @@ X = np.array([1.0, 0.0, 0.0])
 
 def uniform_points(seed, n):
     return sample_uniform_sphere(uniform_block(seed, range(n), (0, 1)))
+
+
+def entropy_of(points, nz, nphi):
+    return histogram_entropy(SphereHistogram.from_points(points, nz, nphi))
 
 
 class TestSphereHistogram:
@@ -63,26 +68,26 @@ class TestSphereHistogram:
 
 class TestEntropyEstimate:
     def test_uniform_converges_to_ln_4pi(self):
-        assert abs(entropy_estimate(uniform_points(2, 1_000_000), 32, 32) - LN_4PI) <= 0.01
+        assert abs(entropy_of(uniform_points(2, 1_000_000), 32, 32) - LN_4PI) <= 0.01
 
     def test_single_bin_degenerate(self):
         pts = np.tile(Z, (500, 1))
-        assert entropy_estimate(pts, 8, 8) == pytest.approx(math.log(4 * math.pi / 64), abs=1e-12)
+        assert entropy_of(pts, 8, 8) == pytest.approx(math.log(4 * math.pi / 64), abs=1e-12)
 
     def test_two_antipodal_atoms(self):
         pts = np.vstack([np.tile(Z, (500, 1)), np.tile(-Z, (500, 1))])
         expected = math.log(2) + math.log(4 * math.pi / 64)
-        assert entropy_estimate(pts, 8, 8) == pytest.approx(expected, abs=1e-12)
+        assert entropy_of(pts, 8, 8) == pytest.approx(expected, abs=1e-12)
 
     def test_empty_sample_rejected(self):
-        with pytest.raises(InvalidArgumentError):
-            entropy_estimate(np.empty((0, 3)), 8, 8)
+        with pytest.raises(InvalidArgumentError, match="histogram is empty"):
+            entropy_of(np.empty((0, 3)), 8, 8)
 
     def test_error_shrinks_with_sample_size(self):
         # plug-in bias scales like bins/(2n); check monotone |error| at 3 seeds
         for seed in (3, 4, 5):
             errors = [
-                abs(entropy_estimate(uniform_points(seed, n), 16, 16) - LN_4PI)
+                abs(entropy_of(uniform_points(seed, n), 16, 16) - LN_4PI)
                 for n in (10_000, 100_000, 1_000_000)
             ]
             assert errors[0] > errors[1] > errors[2]
@@ -175,6 +180,24 @@ class TestNoFlow:
             noflow_test(BranchingModel(), Z, X, 100, seed=0)
 
 
+class CollapsingModel(BranchingModel):
+    """A faulty branching model: x0 leaves on the first axis, as a single-world collapse would."""
+
+    def run_experiment_batch(self, a, b, u):
+        res = super().run_experiment_batch(a, b, u)
+        collapsed = sign_pm1(res.x0_post @ a)[:, None] * np.asarray(a, dtype=float)
+        return dataclasses.replace(res, x0_post=collapsed)
+
+
+class InPlaceCollapsingModel(BranchingModel):
+    """The same fault written into the sampled x0 array itself."""
+
+    def run_experiment_batch(self, a, b, u):
+        res = super().run_experiment_batch(a, b, u)
+        res.x0_post[:] = sign_pm1(res.x0_post @ a)[:, None] * np.asarray(a, dtype=float)
+        return res
+
+
 class TestBranchingNoErasure:
     def test_standard_model_passes(self):
         rep = branching_no_erasure_check(Z, np.array([0.0, 1.0, 0.0]), 100_000, seed=17)
@@ -187,9 +210,14 @@ class TestBranchingNoErasure:
         assert rep.passed
 
     def test_collapse_fault_detected(self):
-        rep = branching_no_erasure_check(
-            Z, X, 50_000, seed=19, model=BranchingModel(collapse_fault=True)
-        )
+        rep = branching_no_erasure_check(Z, X, 50_000, seed=19, model=CollapsingModel())
+        assert not rep.immutable
+        assert not rep.passed
+
+    def test_in_place_mutation_detected(self):
+        # the check's reference is an independent second sample of (x0, x1);
+        # comparing against the model's own arrays would miss this fault
+        rep = branching_no_erasure_check(Z, X, 50_000, seed=19, model=InPlaceCollapsingModel())
         assert not rep.immutable
         assert not rep.passed
 
@@ -224,5 +252,6 @@ class TestNoiseThreshold:
 
     def test_histogram_entropy_agrees_with_estimate(self):
         pts = uniform_points(25, 50_000)
-        h = SphereHistogram.from_points(pts, 16, 16)
-        assert histogram_entropy(h) == pytest.approx(entropy_estimate(pts, 16, 16), abs=1e-12)
+        # a histogram folded from two halves scores what the whole sample scores
+        h = SphereHistogram.from_points(pts[:20_000], 16, 16).merge(SphereHistogram.from_points(pts[20_000:], 16, 16))
+        assert histogram_entropy(h) == pytest.approx(entropy_of(pts, 16, 16), abs=1e-12)

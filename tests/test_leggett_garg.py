@@ -172,9 +172,11 @@ class TestEmpiricalCorrelations:
         b = empirical_correlations(BeltramettiBugajski(), self.SCENARIO, 30_000, seed=42)
         assert a == b
 
-    def test_worker_count_does_not_change_results(self):
-        a = empirical_correlations(BranchingModel(), self.SCENARIO, 150_000, seed=48, workers=1)
-        b = empirical_correlations(BranchingModel(), self.SCENARIO, 150_000, seed=48, workers=4)
+    def test_worker_count_does_not_change_results(self, monkeypatch):
+        monkeypatch.setenv("ONTOLAB_THREADS", "1")
+        a = empirical_correlations(BranchingModel(), self.SCENARIO, 150_000, seed=48)
+        monkeypatch.setenv("ONTOLAB_THREADS", "4")
+        b = empirical_correlations(BranchingModel(), self.SCENARIO, 150_000, seed=48)
         assert a == b
 
     def test_runs_must_be_positive(self):

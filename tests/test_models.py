@@ -259,14 +259,6 @@ class TestBranchingModel:
         assert np.array_equal(res.x0_post, x0)
         assert np.array_equal(res.x1_post, x1)
 
-    def test_collapse_fault_variant_modifies_x0(self):
-        mw = BranchingModel(collapse_fault=True)
-        u = uniform_block(31, range(1_000), (0, 1, 2, 3, 4))
-        x0, _ = mw.sample_ontic_batch(u[:, 0:4])
-        res = mw.run_experiment_batch(Z, X, u)
-        assert not np.array_equal(res.x0_post, x0)
-        assert set(np.unique(res.x0_post[:, 2])) == {-1.0, 1.0}
-
     def test_joint_statistics_match_oracle(self):
         rng = np.random.default_rng(9)
         runs = 50_000
