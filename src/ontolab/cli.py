@@ -336,6 +336,7 @@ def cmd_mwcheck(config: RunConfig) -> int:
         "variant_b_oracle_equivalent": ok_b,
         "variant_a_max_abs_dev": dev_a,
         "variant_a_oracle_equivalent": ok_a,
+        "immutability_runs": immut.runs,
         "immutable": immut.immutable,
         "tv_x0": immut.tv_x0,
         "tv_x1": immut.tv_x1,

@@ -272,6 +272,15 @@ class TestMwCheckCommand:
         assert res["variant_a_max_abs_dev"] > res["variant_b_max_abs_dev"]
         assert res["variant_a_oracle_equivalent"] is False
 
+    @pytest.mark.parametrize("runs,checked", [(200_000, 100_000), (5_000, 5_000)])
+    def test_reports_immutability_runs(self, runs, checked, tmp_path):
+        out = tmp_path / "mw.json"
+        argv = ["mwcheck", "--dirs", "0,0,1;1,0,0", "--runs", str(runs), "--format", "json", "--out", str(out)]
+        assert main(argv) == 0
+        res = json.loads(out.read_text())["results"]
+        assert res["runs"] == runs
+        assert res["immutability_runs"] == checked
+
     def test_needs_dirs(self):
         assert main(["mwcheck", "--runs", "100"]) == 2
 
