@@ -56,7 +56,6 @@ def _histograms(points, runs: int, seed: int, slots, grids) -> list[list[SphereH
 
     `points` maps a chunk's ``Uniforms`` over `slots` to a tuple of (n, 3)
     unit-vector arrays; result[k][g] bins the k-th of them at grids[g].
-    Chunks fold in chunk order.
     """
 
     def run_chunk(lo: int, n: int):
