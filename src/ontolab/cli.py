@@ -10,11 +10,14 @@ mwcheck  branching model vs the exact oracle, immutability, and the
          bookkeeping-variant diagnostic
 
 Outputs are CSV (config in leading '#' comment lines, 9-significant-digit
-floats) or JSON ({config, results, provenance}); identical configurations
-and seeds produce byte-identical files for any worker count.  The exit code
-is 0 on success, 2 for configuration errors, 3 for numerical failures.  A
-flag that the command or the chosen model would ignore is a configuration
-error.  ONTOLAB_THREADS sets the worker count (default: the CPU count).
+floats) or JSON ({config, results, provenance}).  The config records the
+command, the seed and exactly the flags that the command and its model read,
+defaults filled in; not --out or --format, so `--out FILE` gets the bytes
+stdout would.  Output bytes do not depend on the worker count.  The exit
+code is 0 on success, 2 for configuration errors, 3 for numerical failures.
+A flag that the command or the chosen model would ignore is a configuration
+error, as is a scan time with |t| >= 2**19.  ONTOLAB_THREADS sets the worker
+count (default: the CPU count).
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import math
 import os
 import re
 import sys
-from dataclasses import asdict, dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -78,7 +81,7 @@ def parse_times(text: str) -> tuple[float, ...]:
     return tuple(parse_time(tok) for tok in text.split(","))
 
 
-def parse_dirs(text: str) -> tuple[np.ndarray, ...]:
+def parse_dirs(text: str) -> tuple[tuple[float, float, float], ...]:
     """Semicolon-separated Bloch directions 'ax,ay,az;bx,by,bz', normalized."""
     dirs = []
     for part in text.split(";"):
@@ -89,7 +92,7 @@ def parse_dirs(text: str) -> tuple[np.ndarray, ...]:
         norm = np.linalg.norm(v)
         if norm == 0 or not np.isfinite(norm):
             raise argparse.ArgumentTypeError(f"direction {part!r} has no direction")
-        dirs.append(v / norm)
+        dirs.append(tuple(float(x) for x in v / norm))
     return tuple(dirs)
 
 
@@ -111,27 +114,6 @@ def parse_bins(text: str) -> tuple[tuple[int, int], ...]:
             raise argparse.ArgumentTypeError(f"bins {part!r} exceed {MAX_BIN_CELLS} cells")
         out.append((nz, nphi))
     return tuple(out)
-
-
-@dataclass
-class RunConfig:
-    """Resolved experiment configuration, embedded verbatim in every output.
-
-    The worker count is deliberately not part of it: results are
-    worker-count independent, so parallelism is no part of an experiment's
-    identity.
-    """
-
-    command: str
-    model: str
-    runs: int
-    seed: int
-    gamma: float
-    bins: tuple[tuple[int, int], ...]
-    times: tuple[float, ...] | None
-    dirs: tuple[tuple[float, ...], ...] | None
-    out: str | None
-    format: str
 
 
 def _fmt9(x) -> str:
@@ -159,24 +141,36 @@ def _jsonable(obj):
     return obj
 
 
-def write_output(config: RunConfig, columns: list[str], rows: list[dict], results: dict) -> None:
-    if config.format == "json":
+class Output(NamedTuple):
+    """What a command reports: its results and their CSV table."""
+
+    results: dict
+    columns: tuple[str, ...] = ("quantity", "value")
+    # None: one (quantity, value) row per scalar result
+    rows: list[dict] | None = None
+    # a numerical failure, reported (exit 3) after the output is written
+    failure: str | None = None
+
+
+def write_output(config: dict, output: Output, fmt: str, out: str | None) -> None:
+    """Write the config and output as CSV or JSON to `out`, else stdout; same bytes either way."""
+    if fmt == "json":
         payload = {
-            "config": _jsonable(asdict(config)),
-            "results": _jsonable(results),
-            "provenance": {"package": "ontolab", "version": __version__, "seed": config.seed},
+            "config": _jsonable(config),
+            "results": _jsonable(output.results),
+            "provenance": {"package": "ontolab", "version": __version__, "seed": config["seed"]},
         }
         text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
     else:
-        lines = []
-        for key, value in asdict(config).items():
-            lines.append(f"# {key}={value}")
-        lines.append(",".join(columns))
-        for row in rows:
-            lines.append(",".join(_fmt9(row.get(c, "")) for c in columns))
+        rows = output.rows
+        if rows is None:
+            rows = [{"quantity": k, "value": v} for k, v in output.results.items() if not isinstance(v, list)]
+        lines = [f"# {key}={value}" for key, value in config.items()]
+        lines.append(",".join(output.columns))
+        lines += [",".join(_fmt9(row.get(c, "")) for c in output.columns) for row in rows]
         text = "\n".join(lines) + "\n"
-    if config.out:
-        with open(config.out, "w", newline="\n") as fh:
+    if out:
+        with open(out, "w", newline="\n") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -194,14 +188,20 @@ def _require_writable(path: str) -> None:
     _require(writable, f"cannot write output file {path!r}")
 
 
-def cmd_lg(config: RunConfig) -> int:
-    _require(config.times is not None and len(config.times) == 4, "lg needs --times T1,T2,T3,T4")
-    scenario = LGScenario.from_times(*config.times)
-    if config.model == "quantum":
+def _make_model(config: dict):
+    # only the telegraph model reads (and so records) gamma
+    if "gamma" in config:
+        return make_model(config["model"], gamma=config["gamma"])
+    return make_model(config["model"])
+
+
+def cmd_lg(config: dict) -> Output:
+    _require(len(config["times"]) == 4, "lg needs --times T1,T2,T3,T4")
+    scenario = LGScenario.from_times(*config["times"])
+    if config["model"] == "quantum":
         corr = quantum_correlations(scenario)
     else:
-        model = make_model(config.model, gamma=config.gamma)
-        corr = empirical_correlations(model, scenario, config.runs, config.seed)
+        corr = empirical_correlations(_make_model(config), scenario, config["runs"], config["seed"])
     value = lg_value(corr)
     rows = [
         {"quantity": label, "value": c, "stderr": se, "n": n}
@@ -220,13 +220,12 @@ def cmd_lg(config: RunConfig) -> int:
         "classical_bound": CLASSICAL_BOUND,
         "tsirelson_bound": TSIRELSON_BOUND,
     }
-    write_output(config, ["quantity", "value", "stderr", "n"], rows, results)
-    return EXIT_OK
+    return Output(results, ("quantity", "value", "stderr", "n"), rows)
 
 
-def cmd_scan(config: RunConfig) -> int:
-    _require(config.times is not None and len(config.times) == 2, "scan needs --times T1,T2")
-    t1, t2 = config.times
+def cmd_scan(config: dict) -> Output:
+    _require(len(config["times"]) == 2, "scan needs --times T1,T2")
+    t1, t2 = config["times"]
     value, t3, t4 = max_violation_over_34(t1, t2)
     delta = t2 - t1
     closed = 2.0 * (abs(math.cos(delta)) + abs(math.sin(delta)))
@@ -240,23 +239,19 @@ def cmd_scan(config: RunConfig) -> int:
         "value_closed_form": closed,
         "abs_difference": diff,
     }
-    rows = [{"quantity": k, "value": v} for k, v in results.items()]
-    write_output(config, ["quantity", "value"], rows, results)
-    if diff > 1e-8:
-        print(f"scan value differs from closed form by {diff}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    return EXIT_OK
+    failure = f"scan value differs from closed form by {diff}" if diff > 1e-8 else None
+    return Output(results, failure=failure)
 
 
-def cmd_erasure(config: RunConfig) -> int:
+def cmd_erasure(config: dict) -> Output:
     _require(
-        config.model in ("bb", "telegraph"),
+        config["model"] in ("bb", "telegraph"),
         "erasure applies to single-world models (bb, telegraph); "
         "for the branching model use mwcheck, which verifies that nothing is erased",
     )
-    setting = config.dirs[0] if config.dirs else (0.0, 0.0, 1.0)
-    model = make_model(config.model, gamma=config.gamma)
-    report = erasure_report(model, setting, config.runs, config.bins, seed=config.seed)
+    _require(len(config["dirs"]) == 1, "erasure takes a single --dirs direction")
+    model = _make_model(config)
+    report = erasure_report(model, config["dirs"][0], config["runs"], config["bins"], seed=config["seed"])
     rows = [
         {"nz": nz, "nphi": nphi, "entropy_before": b, "entropy_after": a, "gap": g}
         for (nz, nphi), b, a, g in zip(
@@ -269,26 +264,24 @@ def cmd_erasure(config: RunConfig) -> int:
         "rows": rows,
         "units": "nats",
     }
-    write_output(config, ["nz", "nphi", "entropy_before", "entropy_after", "gap"], rows, results)
-    return EXIT_OK
+    return Output(results, ("nz", "nphi", "entropy_before", "entropy_after", "gap"), rows)
 
 
-def cmd_noflow(config: RunConfig) -> int:
+def cmd_noflow(config: dict) -> Output:
     _require(
-        config.model in ("bb", "telegraph"),
+        config["model"] in ("bb", "telegraph"),
         "noflow applies to single-world models (bb, telegraph)",
     )
-    _require(config.dirs is not None and len(config.dirs) == 2, "noflow needs --dirs a;b")
-    nz, nphi = config.bins[0]
-    model = make_model(config.model, gamma=config.gamma)
+    _require(len(config["dirs"]) == 2, "noflow needs --dirs a;b")
+    _require(len(config["bins"]) == 1, "noflow takes a single --bins grid")
+    ((nz, nphi),) = config["bins"]
     report = noflow_test(
-        model,
-        config.dirs[0],
-        config.dirs[1],
-        config.runs,
+        _make_model(config),
+        *config["dirs"],
+        config["runs"],
         nz=nz,
         nphi=nphi,
-        seed=config.seed,
+        seed=config["seed"],
     )
     results = {
         "setting1": list(report.setting1),
@@ -301,26 +294,24 @@ def cmd_noflow(config: RunConfig) -> int:
         "noise_threshold": report.noise_threshold,
         "flow_detected": report.flow_detected,
     }
-    rows = [{"quantity": k, "value": v} for k, v in results.items() if not isinstance(v, list)]
-    write_output(config, ["quantity", "value"], rows, results)
-    return EXIT_OK
+    return Output(results)
 
 
-def cmd_mwcheck(config: RunConfig) -> int:
-    _require(config.dirs is not None and len(config.dirs) == 2, "mwcheck needs --dirs a;b")
-    a, b = (as_direction(d) for d in config.dirs)
+def cmd_mwcheck(config: dict) -> Output:
+    _require(len(config["dirs"]) == 2, "mwcheck needs --dirs a;b")
+    a, b = (as_direction(d) for d in config["dirs"])
     exact = sequential_joint(MAXIMALLY_MIXED, [a, b])
-    n = config.runs
+    n = config["runs"]
 
     def compare(variant: str):
-        probs = joint_statistics(BranchingModel(setting_variant=variant), a, b, n, config.seed)
+        probs = joint_statistics(BranchingModel(setting_variant=variant), a, b, n, config["seed"])
         dev = np.abs(probs - exact)
         tol = 5.0 * np.sqrt(exact * (1.0 - exact) / n)
         return probs, float(dev.max()), bool((dev <= tol).all())
 
     probs_b, dev_b, ok_b = compare("b")
     probs_a, dev_a, ok_a = compare("a")
-    immut = branching_no_erasure_check(a, b, min(n, 10**5), seed=config.seed)
+    immut = branching_no_erasure_check(a, b, min(n, 10**5), seed=config["seed"])
 
     results = {
         "a": list(map(float, a)),
@@ -343,57 +334,63 @@ def cmd_mwcheck(config: RunConfig) -> int:
         "noise_threshold": immut.noise_threshold,
         "no_erasure": immut.passed,
     }
-    rows = [
-        {"quantity": k, "value": v}
-        for k, v in results.items()
-        if not isinstance(v, list)
-    ]
-    write_output(config, ["quantity", "value"], rows, results)
-    if not ok_b:
-        print(
-            f"branching model deviates from the oracle by up to {dev_b} (runs={n})",
-            file=sys.stderr,
-        )
-        return EXIT_NUMERICAL
-    return EXIT_OK
+    failure = None if ok_b else f"branching model deviates from the oracle by up to {dev_b} (runs={n})"
+    return Output(results, failure=failure)
 
 
-_COMMANDS = {
-    "lg": cmd_lg,
-    "scan": cmd_scan,
-    "erasure": cmd_erasure,
-    "noflow": cmd_noflow,
-    "mwcheck": cmd_mwcheck,
-}
-
-# The flags each command reads besides --seed, --out and --format; the parser
-# rejects any other.  Defaults are applied after parsing, so that a flag the
-# chosen model would ignore can be told apart from one left unset.
-_COMMAND_FLAGS = {
-    "lg": ("model", "runs", "gamma", "times"),
-    "scan": ("times",),
-    "erasure": ("model", "runs", "gamma", "bins", "dirs"),
-    "noflow": ("model", "runs", "gamma", "bins", "dirs"),
-    "mwcheck": ("runs", "dirs"),
-}
-
+# How to parse each flag a command may read, and what it means.
 _FLAG_SPECS = {
-    "model": dict(choices=MODEL_NAMES),
-    "runs": dict(type=int, help="Monte Carlo runs (default 1e6)"),
+    "model": dict(type=str, choices=MODEL_NAMES, help="model"),
+    "runs": dict(type=int, help="Monte Carlo runs"),
+    "seed": dict(type=int, help="master seed"),
     "gamma": dict(type=float, help="telegraph flip rate per radian"),
-    "bins": dict(type=parse_bins, metavar="NZxNPHI[,..]"),
+    "bins": dict(type=parse_bins, metavar="NZxNPHI[,..]", help="sphere grid resolutions"),
     "times": dict(type=parse_times, metavar="T1,T2[,..]",
                   help="times in radians; pi-fractions like pi/8 accepted"),
     "dirs": dict(type=parse_dirs, metavar="AX,AY,AZ[;BX,BY,BZ]",
                  help="Bloch directions, ';'-separated, normalized"),
 }
 
-_DEFAULT_BINS = {
-    "lg": ((16, 16),),
-    "scan": ((16, 16),),
-    "noflow": ((16, 16),),
-    "mwcheck": ((16, 16),),
-    "erasure": ((8, 8), (16, 16), (32, 32)),
+# Flags that only some models read; a command reads its other flags whatever
+# its model, and a command without --model reads them all.
+_MODELS_READING = {"runs": ("bb", "mw", "telegraph"), "gamma": ("telegraph",)}
+
+
+class Command(NamedTuple):
+    run: Callable[[dict], Output]
+    help: str
+    # every flag the command reads besides --out and --format, in the order the
+    # config records them, with its default as command-line text (None: required)
+    flags: dict[str, str | None]
+
+
+_COMMANDS = {
+    "lg": Command(
+        cmd_lg,
+        "inequality value for a four-time schedule (--times T1,T2,T3,T4)",
+        {"model": "quantum", "runs": "1000000", "seed": "0", "gamma": "1.0", "times": None},
+    ),
+    "scan": Command(
+        cmd_scan,
+        "max inequality value over the later times (--times T1,T2, |t| < 2**19)",
+        {"seed": "0", "times": None},
+    ),
+    "erasure": Command(
+        cmd_erasure,
+        "entropy before/after a discarded-outcome measurement",
+        {"model": "bb", "runs": "1000000", "seed": "0", "gamma": "1.0",
+         "bins": "8x8,16x16,32x32", "dirs": "0,0,1"},
+    ),
+    "noflow": Command(
+        cmd_noflow,
+        "setting dependence of the post-measurement distribution (--dirs a;b)",
+        {"model": "bb", "runs": "1000000", "seed": "0", "gamma": "1.0", "bins": "16x16", "dirs": None},
+    ),
+    "mwcheck": Command(
+        cmd_mwcheck,
+        "branching model vs exact oracle and no-erasure verdict (--dirs a;b)",
+        {"runs": "1000000", "seed": "0", "dirs": None},
+    ),
 }
 
 
@@ -404,52 +401,39 @@ def build_parser() -> argparse.ArgumentParser:
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    specs = {
-        "lg": "inequality value for a four-time schedule (--times T1,T2,T3,T4)",
-        "scan": "max inequality value over the later times (--times T1,T2)",
-        "erasure": "entropy before/after a discarded-outcome measurement",
-        "noflow": "setting dependence of the post-measurement distribution (--dirs a;b)",
-        "mwcheck": "branching model vs exact oracle and no-erasure verdict (--dirs a;b)",
-    }
-    for name, help_text in specs.items():
-        p = sub.add_parser(name, help=help_text)
-        for flag in _COMMAND_FLAGS[name]:
-            p.add_argument(f"--{flag}", **_FLAG_SPECS[flag])
-        p.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
+    for name, command in _COMMANDS.items():
+        # an unset flag stays absent, so that one the chosen model would
+        # ignore can be told apart from one left at its default
+        p = sub.add_parser(name, help=command.help, argument_default=argparse.SUPPRESS)
+        for flag, default in command.flags.items():
+            spec = _FLAG_SPECS[flag]
+            note = "required" if default is None else f"default {default}"
+            p.add_argument(f"--{flag}", **{**spec, "help": f"{spec['help']} ({note})"})
         p.add_argument("--out", default=None, help="output file (default: stdout)")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
     return parser
 
 
-def _resolve_config(args) -> RunConfig:
-    """Validate the parsed flags, reject any the model would ignore, and fill in defaults."""
-    flags = {flag: getattr(args, flag) for flag in _COMMAND_FLAGS[args.command]}
-    model = flags.get("model") or ("quantum" if args.command in ("lg", "scan") else "bb")
-    _require(flags.get("gamma") is None or model == "telegraph", "--gamma applies to the telegraph model only")
-    _require(model != "quantum" or flags.get("runs") is None, "--runs does not apply to the exact quantum model")
-    if args.command == "noflow":
-        _require(args.bins is None or len(args.bins) == 1, "noflow takes a single --bins grid")
-    if args.command == "erasure":
-        _require(args.dirs is None or len(args.dirs) == 1, "erasure takes a single --dirs direction")
-    runs = 1_000_000 if flags.get("runs") is None else flags["runs"]
-    gamma = 1.0 if flags.get("gamma") is None else flags["gamma"]
-    _require(runs >= 1, "--runs must be >= 1")
-    _require(gamma >= 0, "--gamma must be >= 0")
-    if args.out is not None:
-        _require_writable(args.out)
-    dirs = flags.get("dirs")
-    return RunConfig(
-        command=args.command,
-        model=model,
-        runs=runs,
-        seed=args.seed,
-        gamma=gamma,
-        bins=flags.get("bins") or _DEFAULT_BINS[args.command],
-        times=flags.get("times"),
-        dirs=tuple(tuple(float(x) for x in d) for d in dirs) if dirs else None,
-        out=args.out,
-        format=args.format,
-    )
+def _resolve_config(args) -> dict:
+    """The recorded config: the command, then each flag that it and its model read, given or defaulted.
+
+    A given flag that the chosen model would ignore is a configuration error.
+    """
+    given = vars(args)
+    flags = _COMMANDS[args.command].flags
+    model = given.get("model", flags.get("model"))
+    config = {"command": args.command}
+    for flag, default in flags.items():
+        if model is not None and model not in _MODELS_READING.get(flag, MODEL_NAMES):
+            _require(flag not in given, f"--{flag} does not apply to the {model} model")
+        elif flag in given:
+            config[flag] = given[flag]
+        else:
+            _require(default is not None, f"{args.command} needs --{flag}")
+            config[flag] = _FLAG_SPECS[flag]["type"](default)
+    _require(config.get("runs", 1) >= 1, "--runs must be >= 1")
+    _require(config.get("gamma", 0.0) >= 0, "--gamma must be >= 0")
+    return config
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -457,13 +441,20 @@ def main(argv: list[str] | None = None) -> int:
     try:
         resolve_workers()  # a bad ONTOLAB_THREADS exits 2 before any work
         config = _resolve_config(args)
-        return _COMMANDS[args.command](config)
+        if args.out is not None:
+            _require_writable(args.out)
+        output = _COMMANDS[args.command].run(config)
+        write_output(config, output, args.format, args.out)
     except NumericalFailureError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (ValueError, TypeError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    if output.failure:
+        print(output.failure, file=sys.stderr)
+        return EXIT_NUMERICAL
+    return EXIT_OK
 
 
 if __name__ == "__main__":

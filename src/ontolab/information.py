@@ -212,9 +212,6 @@ class BranchingNoErasureReport:
     def passed(self) -> bool:
         return self.immutable and self.tv_x0 <= self.noise_threshold and self.tv_x1 <= self.noise_threshold
 
-    def __bool__(self) -> bool:
-        return self.passed
-
 
 def branching_no_erasure_check(
     a,

@@ -124,6 +124,8 @@ def _golden_section_max(f, lo: float, hi: float, tol: float = 1e-10) -> tuple[fl
     # plain golden-section (no parabolic steps): safe on flat objectives,
     # which occur at t2 - t1 = m*pi/2 where one axis of the scan degenerates
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    # the bracket cannot shrink below its float spacing, which passes 1e-10 at 2**19
+    tol = max(tol, math.ulp(max(abs(lo), abs(hi))))
     a, b = lo, hi
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
@@ -158,10 +160,14 @@ def max_violation_over_34(t1: float, t2: float) -> tuple[float, float, float]:
     golden section to 1e-10.  The value always equals
     2 (|cos(t2 - t1)| + |sin(t2 - t1)|), which exceeds 2 except at
     t2 = t1 + m*pi/2; a disagreement beyond 1e-9 signals a broken optimizer
-    and raises NumericalFailureError.
+    and raises NumericalFailureError.  Times need |t| < 2**19; others raise
+    InvalidArgumentError.
     """
     if not (math.isfinite(t1) and math.isfinite(t2)):
         raise InvalidArgumentError("t1 and t2 must be finite")
+    if max(abs(t1), abs(t2)) >= 2.0**19:
+        # from there on the float spacing (2**-33) exceeds the 1e-10 tolerance
+        raise InvalidArgumentError("scan times need |t| < 2**19, where floats resolve the 1e-10 tolerance")
 
     def g(t3):
         return np.cos(2.0 * (t3 - t1)) + np.cos(2.0 * (t3 - t2))

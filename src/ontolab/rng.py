@@ -92,19 +92,16 @@ def uniform_block(seed: int, runs, slots: tuple[int, ...]) -> np.ndarray:
 class Uniforms:
     """Slot-addressed view of one ``uniform_block(seed, runs, slots)``.
 
-    ``u[slot]`` is the column of a drawn slot and ``u.get(slot)`` is that
-    column or None for an undrawn one, which a method that needs uniforms
-    rejects.  ``u.columns(slots)`` is the (n, len(slots)) view of slots drawn
-    side by side.  Every read is a view of the one block, never a copy.
+    ``u.get(slot)`` is the column of a drawn slot, or None for an undrawn
+    one, which a method that needs uniforms rejects.  ``u.columns(slots)``
+    is the (n, len(slots)) view of slots drawn side by side.  Every read is
+    a view of the one block, never a copy.
     """
 
     def __init__(self, seed: int, runs, slots: tuple[int, ...]):
         self.slots = tuple(slots)
         self.block = uniform_block(seed, runs, self.slots)
         self._index = {slot: j for j, slot in enumerate(self.slots)}
-
-    def __getitem__(self, slot: int) -> np.ndarray:
-        return self.block[:, self._index[slot]]
 
     def get(self, slot: int) -> np.ndarray | None:
         j = self._index.get(slot)

@@ -41,7 +41,7 @@ def bin_index(points: np.ndarray, nz: int, nphi: int) -> np.ndarray:
     return iz * nphi + iphi
 
 
-@dataclass
+@dataclass(eq=False)  # identity comparison: a field-wise == of counts arrays has no truth value
 class SphereHistogram:
     """Counts over the nz x nphi equal-area grid."""
 

@@ -3,11 +3,17 @@
 import argparse
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from ontolab.cli import main, parse_bins, parse_dirs, parse_time
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run_cli(args, monkeypatch=None, threads=None):
@@ -220,6 +226,18 @@ class TestScanCommand:
 
     def test_needs_two_times(self):
         assert main(["scan", "--times", "0,1,2"]) == 2
+
+    @pytest.mark.parametrize("times", ["524288,524288.3", "0,1e7"])
+    def test_times_beyond_the_limit_exit_2_quickly(self, times):
+        # a subprocess, so that a scan that never ends fails at the timeout
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "ontolab.cli", "scan", "--times", times],
+            env=env, capture_output=True, text=True, timeout=10,
+        )
+        assert proc.returncode == 2
+        assert "2**19" in proc.stderr and not proc.stdout
 
 
 class TestErasureCommand:

@@ -10,9 +10,14 @@ the commands it changes (all of them when none is named) with
     PYTHONPATH=src python tests/test_golden.py [NAME ...]
 
 and says why in its change notes.
+
+Two checks ride on the same command lines at 5000 runs: each output's config
+holds exactly the keys its command and model read (CONFIG_KEYS), and `--out
+FILE` writes the bytes that stdout gets.
 """
 
 import io
+import json
 import sys
 from contextlib import redirect_stdout
 from pathlib import Path
@@ -72,6 +77,51 @@ def test_output_matches_golden(name, seed, fmt, workers, monkeypatch):
     code, out = _run(_argv(name, seed, fmt))
     assert code == 0
     assert out == _golden_path(name, seed, fmt).read_bytes()
+
+
+# The recorded config: the command, the seed and exactly the flags that the
+# command and its model read, in this order.
+CONFIG_KEYS = {
+    "lg_quantum": ["command", "model", "seed", "times"],
+    "lg_bb": ["command", "model", "runs", "seed", "times"],
+    "lg_mw": ["command", "model", "runs", "seed", "times"],
+    "lg_telegraph": ["command", "model", "runs", "seed", "gamma", "times"],
+    "scan": ["command", "seed", "times"],
+    "erasure_bb": ["command", "model", "runs", "seed", "bins", "dirs"],
+    "erasure_telegraph": ["command", "model", "runs", "seed", "gamma", "bins", "dirs"],
+    "noflow_bb": ["command", "model", "runs", "seed", "bins", "dirs"],
+    "noflow_telegraph": ["command", "model", "runs", "seed", "gamma", "bins", "dirs"],
+    "mwcheck": ["command", "runs", "seed", "dirs"],
+}
+
+
+def _quick(name: str, fmt: str) -> list[str]:
+    """The golden command line at 5000 runs."""
+    return [("5000" if a == RUNS else a) for a in _argv(name, CSV_SEED, fmt)]
+
+
+@pytest.mark.parametrize("name", COMMANDS)
+def test_config_records_what_runs(name):
+    code, out = _run(_quick(name, "json"))
+    assert code == 0
+    config = json.loads(out)["config"]
+    assert list(config) == CONFIG_KEYS[name]
+    if name.startswith("erasure"):
+        assert config["dirs"] == [[0, 0, 1]]
+    code, out = _run(_quick(name, "csv"))
+    assert code == 0
+    comments = [line for line in out.decode().splitlines() if line.startswith("# ")]
+    assert [line[2:].partition("=")[0] for line in comments] == CONFIG_KEYS[name]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("name", COMMANDS)
+def test_out_file_holds_the_stdout_bytes(name, fmt, tmp_path):
+    code, stdout = _run(_quick(name, fmt))
+    out = tmp_path / f"{name}.{fmt}"
+    assert code == 0
+    assert main([*_quick(name, fmt), "--out", str(out)]) == 0
+    assert out.read_bytes() == stdout
 
 
 if __name__ == "__main__":

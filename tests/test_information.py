@@ -65,6 +65,15 @@ class TestSphereHistogram:
         with pytest.raises(InvalidArgumentError):
             SphereHistogram(0, 8)
 
+    def test_comparison_is_a_bool(self):
+        # field-wise == would compare the counts arrays and have no truth value
+        h, same_shape = SphereHistogram(2, 2), SphereHistogram(2, 2)
+        assert (h == h) is True
+        assert (h == same_shape) is False
+        assert (h != same_shape) is True
+        assert h in [same_shape, h]
+        assert h not in [same_shape]
+
 
 class TestEntropyEstimate:
     def test_uniform_converges_to_ln_4pi(self):
@@ -201,7 +210,7 @@ class InPlaceCollapsingModel(BranchingModel):
 class TestBranchingNoErasure:
     def test_standard_model_passes(self):
         rep = branching_no_erasure_check(Z, np.array([0.0, 1.0, 0.0]), 100_000, seed=17)
-        assert rep.passed and bool(rep)
+        assert rep.passed
         assert rep.immutable
         assert rep.tv_x0 <= rep.noise_threshold and rep.tv_x1 <= rep.noise_threshold
 

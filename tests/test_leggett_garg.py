@@ -127,6 +127,24 @@ class TestMaxViolation:
             achieved = lg_value(quantum_correlations(LGScenario(t1, t2, t3, t4)))
             assert abs(achieved - value) <= 1e-8
 
+    @pytest.mark.parametrize("t1,t2", [(2.0**19, 2.0**19 + 0.3), (-(2.0**19), 0.0), (0.0, 1e7)])
+    def test_times_beyond_the_limit_rejected(self, t1, t2):
+        with pytest.raises(InvalidArgumentError, match=r"2\*\*19"):
+            max_violation_over_34(t1, t2)
+
+    def test_pairs_just_below_the_limit(self):
+        # the refined bracket may reach past 2**19, where the float spacing
+        # (1.16e-10) exceeds the 1e-10 tolerance; the search must still end
+        rng = np.random.default_rng(80)
+        below = np.nextafter(2.0**19, 0.0)
+        for _ in range(200):
+            t1 = rng.uniform(2.0**19 - 4.0, below)
+            t2 = min(t1 + rng.uniform(-4.0, 4.0), below)
+            sign = rng.choice([-1.0, 1.0])
+            value, _, _ = max_violation_over_34(sign * t1, sign * t2)
+            closed = 2 * (abs(math.cos(t2 - t1)) + abs(math.sin(t2 - t1)))
+            assert abs(value - closed) <= 1e-8
+
 
 class TestEmpiricalCorrelations:
     SCENARIO = LGScenario.from_times(0.0, np.pi / 8, np.pi / 4, 3 * np.pi / 8)
