@@ -15,9 +15,10 @@ command, the seed and exactly the flags that the command and its model read,
 defaults filled in; not --out or --format, so `--out FILE` gets the bytes
 stdout would.  Output bytes do not depend on the worker count.  The exit
 code is 0 on success, 2 for configuration errors, 3 for numerical failures.
-A flag that the command or the chosen model would ignore is a configuration
-error, as is a scan time with |t| >= 2**19.  ONTOLAB_THREADS sets the worker
-count (default: the CPU count).
+A model the command does not take, or a flag that the command or the chosen
+model would ignore, is a configuration error, as are --runs above MAX_RUNS
+and a scan time with |t| >= 2**19.  ONTOLAB_THREADS sets the worker count
+(default: the CPU count).
 """
 
 from __future__ import annotations
@@ -89,15 +90,20 @@ def parse_dirs(text: str) -> tuple[tuple[float, float, float], ...]:
         if len(comps) != 3:
             raise argparse.ArgumentTypeError(f"direction {part!r} must have 3 components")
         v = np.asarray(comps, dtype=float)
-        norm = np.linalg.norm(v)
-        if norm == 0 or not np.isfinite(norm):
+        if not np.isfinite(v).all() or not v.any():
             raise argparse.ArgumentTypeError(f"direction {part!r} has no direction")
-        dirs.append(tuple(float(x) for x in v / norm))
+        # scale by a power of two so the squares neither overflow nor underflow;
+        # exact, so a direction whose norm was representable keeps its bits
+        v = np.ldexp(v, -np.frexp(np.abs(v).max())[1])
+        dirs.append(tuple(float(x) for x in v / np.linalg.norm(v)))
     return tuple(dirs)
 
 
 #: largest grid: 2**20 cells is 8 MiB per int64 histogram
 MAX_BIN_CELLS = 1 << 20
+
+#: most Monte Carlo runs: about 150,000 chunks, with run indices far below 2**64
+MAX_RUNS = 10**10
 
 
 def parse_bins(text: str) -> tuple[tuple[int, int], ...]:
@@ -244,11 +250,6 @@ def cmd_scan(config: dict) -> Output:
 
 
 def cmd_erasure(config: dict) -> Output:
-    _require(
-        config["model"] in ("bb", "telegraph"),
-        "erasure applies to single-world models (bb, telegraph); "
-        "for the branching model use mwcheck, which verifies that nothing is erased",
-    )
     _require(len(config["dirs"]) == 1, "erasure takes a single --dirs direction")
     model = _make_model(config)
     report = erasure_report(model, config["dirs"][0], config["runs"], config["bins"], seed=config["seed"])
@@ -268,10 +269,6 @@ def cmd_erasure(config: dict) -> Output:
 
 
 def cmd_noflow(config: dict) -> Output:
-    _require(
-        config["model"] in ("bb", "telegraph"),
-        "noflow applies to single-world models (bb, telegraph)",
-    )
     _require(len(config["dirs"]) == 2, "noflow needs --dirs a;b")
     _require(len(config["bins"]) == 1, "noflow takes a single --bins grid")
     ((nz, nphi),) = config["bins"]
@@ -303,14 +300,16 @@ def cmd_mwcheck(config: dict) -> Output:
     exact = sequential_joint(MAXIMALLY_MIXED, [a, b])
     n = config["runs"]
 
-    def compare(variant: str):
-        probs = joint_statistics(BranchingModel(setting_variant=variant), a, b, n, config["seed"])
+    def compare(probs):
         dev = np.abs(probs - exact)
         tol = 5.0 * np.sqrt(exact * (1.0 - exact) / n)
-        return probs, float(dev.max()), bool((dev <= tol).all())
+        return float(dev.max()), bool((dev <= tol).all())
 
-    probs_b, dev_b, ok_b = compare("b")
-    probs_a, dev_a, ok_a = compare("a")
+    # variant b keeps the second device's bookkeeping along b, as the protocol
+    # does, variant a along a; both count the same draw
+    probs_b, probs_a = joint_statistics(BranchingModel(), a, b, n, config["seed"], references=(b, a))
+    dev_b, ok_b = compare(probs_b)
+    dev_a, ok_a = compare(probs_a)
     immut = branching_no_erasure_check(a, b, min(n, 10**5), seed=config["seed"])
 
     results = {
@@ -362,6 +361,8 @@ class Command(NamedTuple):
     # every flag the command reads besides --out and --format, in the order the
     # config records them, with its default as command-line text (None: required)
     flags: dict[str, str | None]
+    # the models a command with --model takes
+    models: tuple[str, ...] = MODEL_NAMES
 
 
 _COMMANDS = {
@@ -380,11 +381,13 @@ _COMMANDS = {
         "entropy before/after a discarded-outcome measurement",
         {"model": "bb", "runs": "1000000", "seed": "0", "gamma": "1.0",
          "bins": "8x8,16x16,32x32", "dirs": "0,0,1"},
+        ("bb", "telegraph"),
     ),
     "noflow": Command(
         cmd_noflow,
         "setting dependence of the post-measurement distribution (--dirs a;b)",
         {"model": "bb", "runs": "1000000", "seed": "0", "gamma": "1.0", "bins": "16x16", "dirs": None},
+        ("bb", "telegraph"),
     ),
     "mwcheck": Command(
         cmd_mwcheck,
@@ -417,11 +420,17 @@ def build_parser() -> argparse.ArgumentParser:
 def _resolve_config(args) -> dict:
     """The recorded config: the command, then each flag that it and its model read, given or defaulted.
 
-    A given flag that the chosen model would ignore is a configuration error.
+    A model the command does not take, and a given flag that the chosen model
+    would ignore, are configuration errors.
     """
     given = vars(args)
-    flags = _COMMANDS[args.command].flags
+    command = _COMMANDS[args.command]
+    flags = command.flags
     model = given.get("model", flags.get("model"))
+    _require(
+        model is None or model in command.models,
+        f"{args.command} does not take the {model} model; it takes {', '.join(command.models)}",
+    )
     config = {"command": args.command}
     for flag, default in flags.items():
         if model is not None and model not in _MODELS_READING.get(flag, MODEL_NAMES):
@@ -431,7 +440,7 @@ def _resolve_config(args) -> dict:
         else:
             _require(default is not None, f"{args.command} needs --{flag}")
             config[flag] = _FLAG_SPECS[flag]["type"](default)
-    _require(config.get("runs", 1) >= 1, "--runs must be >= 1")
+    _require(1 <= config.get("runs", 1) <= MAX_RUNS, f"--runs must be from 1 to MAX_RUNS = {MAX_RUNS}")
     _require(config.get("gamma", 0.0) >= 0, "--gamma must be >= 0")
     return config
 

@@ -25,8 +25,9 @@ one chunk's runs:
 * ``lg_products(u, pair)``: the product of the two outcomes of the
   four-time inequality (``LG_SLOTS``), driven by
   ``leggett_garg.empirical_correlations``;
-* ``joint_outcomes(u, a, b)``: the outcomes of measuring a, then b
-  (``JOINT_SLOTS``), counted by ``joint_statistics``;
+* ``joint_outcomes(u, a, b, references)``: the outcomes of measuring a,
+  then b (``JOINT_SLOTS``), one pair per bookkeeping reference (see
+  ``BranchingModel``), counted by ``joint_statistics``;
 * ``measured_states(u, direction)``, single-world models only: the prepared
   states and their images after a measurement with the outcome discarded
   (``SAMPLE_SLOTS``), histogrammed by the ``information`` diagnostics.
@@ -119,12 +120,16 @@ class OntologicalModel(ABC):
         o2, _ = self.measure_batch(states, _Z_DIRECTION, u.get(6))
         return o1 * o2
 
-    def joint_outcomes(self, u: _rng.Uniforms, a: np.ndarray, b: np.ndarray):
-        """Outcomes of measuring a, then b, on the maximal-ignorance preparation."""
+    def joint_outcomes(self, u: _rng.Uniforms, a: np.ndarray, b: np.ndarray, references):
+        """Outcomes (o1, o2) of measuring a, then b, on the maximal-ignorance preparation.
+
+        A single-world model keeps no bookkeeping, so every reference gets
+        the same pair.
+        """
         states = self.prepare_max_batch(u.columns(range(self.PREP_SLOTS)))
         o1, states = self.measure_batch(states, a, u.get(2))
         o2, _ = self.measure_batch(states, b, u.get(3))
-        return o1, o2
+        return ((o1, o2),) * len(references)
 
     def measured_states(self, u: _rng.Uniforms, direction: np.ndarray):
         """Prepared ontic states and their images after a measurement with the outcome discarded."""
@@ -245,9 +250,12 @@ class BranchingModel:
     they cross; one merged branch is then selected at random.  The system
     vectors are never modified, yet <alpha beta> = a.b exactly.
 
-    ``setting_variant="a"`` computes n_B from the *first* party's direction
-    (the bookkeeping slip this flag exists to expose); it provably breaks the
-    quantum equivalence and is kept only as a diagnostic.
+    The direction that n_B is taken along is the bookkeeping reference, an
+    argument of ``bob_batch`` and of ``joint_outcomes``: the protocol's own
+    is b.  Taking it along the *first* party's direction a is the bookkeeping
+    slip ``mwcheck`` exposes; it provably breaks the quantum equivalence.
+    ``joint_outcomes`` pairs the branches once per reference from one
+    sample of (x0, x1), so the slip costs no second draw.
     """
 
     name = "mw"
@@ -256,11 +264,6 @@ class BranchingModel:
     LG_SLOTS = (1, 2, 3, 4, 5)
     #: two-measurement runs: 0-3 ontic pair, 4 branch selection
     JOINT_SLOTS = (0, 1, 2, 3, 4)
-
-    def __init__(self, setting_variant: str = "b"):
-        if setting_variant not in ("a", "b"):
-            raise InvalidArgumentError(f"setting_variant must be 'a' or 'b', got {setting_variant!r}")
-        self.setting_variant = setting_variant
 
     # sampling
 
@@ -275,17 +278,12 @@ class BranchingModel:
         s0, s1 = sign_pm1(x0 @ a), sign_pm1(x1 @ a)
         return s0, (s0 * s1).astype(np.int8)
 
-    def bob_batch(self, b: np.ndarray, x0: np.ndarray, x1: np.ndarray, a: np.ndarray | None = None):
+    def bob_batch(self, b: np.ndarray, x0: np.ndarray, x1: np.ndarray, references):
+        """s_B = sign(b.(x0+x1)), and n_B = sign(r.(x0+x1)) sign(r.(x0-x1)) for each reference r."""
         x_plus, x_minus = x0 + x1, x0 - x1
         s_b = sign_pm1(x_plus @ np.asarray(b, dtype=float))
-        if self.setting_variant == "a":
-            if a is None:
-                raise InvalidArgumentError("the 'a' diagnostic variant needs the first direction")
-            ref = np.asarray(a, dtype=float)
-        else:
-            ref = np.asarray(b, dtype=float)
-        n_b = (sign_pm1(x_plus @ ref) * sign_pm1(x_minus @ ref)).astype(np.int8)
-        return s_b, n_b
+        n_bs = [sign_pm1(x_plus @ r) * sign_pm1(x_minus @ r) for r in map(np.asarray, references)]
+        return s_b, n_bs
 
     # branch pairing at the meeting point
 
@@ -299,12 +297,16 @@ class BranchingModel:
 
     # whole experiment
 
+    def _branch_outcomes(self, a, b, references, x0, x1, u_select):
+        """The kept branch's (alpha, beta) for each bookkeeping reference, from one (x0, x1)."""
+        s_a, n_a = self.alice_batch(a, x0, x1)
+        s_b, n_bs = self.bob_batch(b, x0, x1, references)
+        return tuple(self.pair_and_select_batch(s_a, n_a, s_b, n_b, u_select) for n_b in n_bs)
+
     def run_experiment_batch(self, a: np.ndarray, b: np.ndarray, u: np.ndarray) -> BranchRunResult:
         """One batch of complete runs; u is (n, 5): four ontic slots + selection."""
         x0, x1 = self.sample_ontic_batch(u[:, 0:4])
-        s_a, n_a = self.alice_batch(a, x0, x1)
-        s_b, n_b = self.bob_batch(b, x0, x1, a=a)
-        alpha, beta = self.pair_and_select_batch(s_a, n_a, s_b, n_b, u[:, 4])
+        ((alpha, beta),) = self._branch_outcomes(a, b, (b,), x0, x1, u[:, 4])
         return BranchRunResult(alpha=alpha, beta=beta, x0_post=x0, x1_post=x1)
 
     # Monte Carlo kernels, each reading the slots declared above
@@ -317,33 +319,41 @@ class BranchingModel:
         res = self.run_experiment_batch(a, b, u.columns(self.LG_SLOTS))
         return res.alpha * res.beta
 
-    def joint_outcomes(self, u: _rng.Uniforms, a: np.ndarray, b: np.ndarray):
-        """The kept branch's outcomes (alpha, beta) of measuring a, then b."""
-        res = self.run_experiment_batch(a, b, u.columns(self.JOINT_SLOTS))
-        return res.alpha, res.beta
+    def joint_outcomes(self, u: _rng.Uniforms, a: np.ndarray, b: np.ndarray, references):
+        """The kept branch's outcomes (alpha, beta) of measuring a, then b, per bookkeeping reference."""
+        u = u.columns(self.JOINT_SLOTS)
+        x0, x1 = self.sample_ontic_batch(u[:, 0:4])
+        return self._branch_outcomes(a, b, references, x0, x1, u[:, 4])
 
 
-def joint_statistics(model, a, b, runs: int, seed: int) -> np.ndarray:
+def joint_statistics(model, a, b, runs: int, seed: int, references=None) -> np.ndarray:
     """Monte Carlo joint distribution of two back-to-back measurements, as a (2, 2) array.
 
     Each run prepares the maximal-ignorance state and measures direction a,
     then direction b, through the model's ``joint_outcomes``.  Index order
     matches qubit.OUTCOMES: [0] = +1, [1] = -1.  Counting is integer-exact,
     so the result is independent of worker count.
+
+    ``references`` lists the directions the branching model's second device
+    keeps its bookkeeping along; the runs are drawn once and counted once per
+    reference into a (len(references), 2, 2) array.  None counts the
+    protocol's own reference, b, into one (2, 2) table.
     """
     if runs < 1:
         raise InvalidArgumentError("runs must be >= 1")
     a = as_direction(a)
     b = as_direction(b)
+    refs = (b,) if references is None else tuple(as_direction(r) for r in references)
 
     def run_chunk(lo: int, n: int) -> np.ndarray:
         u = _rng.Uniforms(seed, range(lo, lo + n), model.JOINT_SLOTS)
-        o1, o2 = model.joint_outcomes(u, a, b)
-        idx = ((1 - o1) // 2) * 2 + (1 - o2) // 2
-        return np.bincount(idx.astype(np.int64), minlength=4)
+        return np.stack([
+            np.bincount((((1 - o1) // 2) * 2 + (1 - o2) // 2).astype(np.int64), minlength=4)
+            for o1, o2 in model.joint_outcomes(u, a, b, refs)
+        ])
 
-    counts = sum(_rng.map_chunks(run_chunk, runs))
-    return counts.reshape(2, 2).astype(float) / runs
+    probs = sum(_rng.map_chunks(run_chunk, runs)).reshape(-1, 2, 2).astype(float) / runs
+    return probs[0] if references is None else probs
 
 
 MODEL_NAMES = ("quantum", "bb", "mw", "telegraph")

@@ -10,8 +10,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from ontolab.cli import main, parse_bins, parse_dirs, parse_time
+from ontolab import rng
+from ontolab.cli import MAX_RUNS, main, parse_bins, parse_dirs, parse_time
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -73,6 +75,41 @@ class TestParsers:
         assert np.allclose(a, [1 / math.sqrt(2), 1 / math.sqrt(2), 0])
         with pytest.raises(Exception):
             parse_dirs("0,0,0")
+
+    # components whose squares and their sum stay normal doubles
+    IN_RANGE = st.one_of(
+        st.just(0.0),
+        st.floats(min_value=1e-150, max_value=1e150),
+        st.floats(min_value=-1e150, max_value=-1e-150),
+    )
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(IN_RANGE, min_size=3, max_size=3).filter(any))
+    def test_dirs_in_range_keep_their_bits(self, comps):
+        (d,) = parse_dirs(",".join(map(repr, comps)))
+        v = np.array(comps)
+        assert np.array(d).tobytes() == (v / np.linalg.norm(v)).tobytes()
+
+    @pytest.mark.parametrize("text", ["1e200,1e200,0", "1e-200,1e-200,0"])
+    def test_dirs_beyond_the_square_range_accepted(self, text, capsys):
+        (d,) = parse_dirs(text)
+        assert d == pytest.approx((math.sqrt(0.5), math.sqrt(0.5), 0.0), abs=1e-15)
+        assert main(["noflow", "--dirs", f"{text};0,0,1", "--runs", "100"]) == 0
+
+    def test_runs_capped_before_any_work(self, monkeypatch, capsys):
+        class Reached(Exception):
+            pass
+
+        def reached(*args, **kwargs):
+            raise Reached
+
+        monkeypatch.setattr("ontolab.cli.empirical_correlations", reached)
+        args = ["lg", "--model", "bb", "--times", "0,pi/8,pi/4,3pi/8", "--runs"]
+        assert main([*args, "99999999999999999999"]) == 2
+        assert main([*args, str(MAX_RUNS + 1)]) == 2
+        assert f"MAX_RUNS = {MAX_RUNS}" in capsys.readouterr().err
+        with pytest.raises(Reached):
+            main([*args, str(MAX_RUNS)])
 
 
 LG_TIMES = ["--times", "0,pi/8,pi/4,3pi/8"]
@@ -255,8 +292,10 @@ class TestErasureCommand:
     def test_branching_model_redirected(self):
         assert main(["erasure", "--model", "mw", "--runs", "10"]) == 2
 
-    def test_quantum_model_rejected(self):
+    def test_quantum_model_rejected(self, capsys):
         assert main(["erasure", "--model", "quantum", "--runs", "10"]) == 2
+        err = capsys.readouterr().err
+        assert "quantum model" in err and "--runs" not in err
 
 
 class TestNoFlowCommand:
@@ -272,6 +311,11 @@ class TestNoFlowCommand:
 
     def test_needs_two_dirs(self):
         assert main(["noflow", "--model", "bb", "--dirs", "0,0,1", "--runs", "100"]) == 2
+
+    def test_quantum_model_rejected(self, capsys):
+        assert main(["noflow", "--model", "quantum", "--runs", "10", *TWO_DIRS]) == 2
+        err = capsys.readouterr().err
+        assert "quantum model" in err and "--runs" not in err
 
 
 class TestMwCheckCommand:
@@ -301,6 +345,22 @@ class TestMwCheckCommand:
 
     def test_needs_dirs(self):
         assert main(["mwcheck", "--runs", "100"]) == 2
+
+    def test_one_draw_per_joint_run(self, monkeypatch, capsys):
+        # both bookkeeping variants count the same draw; the immutability
+        # check draws from its own substreams, not from the command's seed
+        hashed = []
+        uniform_block = rng.uniform_block
+
+        def counting(seed, runs, slots):
+            block = uniform_block(seed, runs, slots)
+            if seed == 3:
+                hashed.append(len(block))
+            return block
+
+        monkeypatch.setattr(rng, "uniform_block", counting)
+        assert main(["mwcheck", *TWO_DIRS, "--runs", "150000", "--seed", "3"]) == 0
+        assert sum(hashed) == 150_000
 
 
 class TestDeterminism:

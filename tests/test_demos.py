@@ -1,4 +1,8 @@
-"""Every demo script runs to completion."""
+"""Every demo script runs to completion; a demo with a golden printout prints exactly it.
+
+A golden printout is `tests/golden/demo_<script stem>.txt`, the demo's stdout
+with ONTOLAB_THREADS=2.
+"""
 
 import os
 import subprocess
@@ -9,6 +13,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+GOLDEN_DIR = ROOT / "tests" / "golden"
 
 
 @pytest.mark.parametrize("script", DEMOS, ids=[p.stem for p in DEMOS])
@@ -24,3 +29,6 @@ def test_demo_exits_zero(script):
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+    golden = GOLDEN_DIR / f"demo_{script.stem}.txt"
+    if golden.exists():
+        assert proc.stdout == golden.read_text()

@@ -211,14 +211,14 @@ class TestBranchingModel:
         x0, x1 = mw.sample_ontic_batch(uniform_block(5, range(1), (0, 1, 2, 3)))
         x_plus = (x0 + x1)[0]
         b = x_plus / np.linalg.norm(x_plus)
-        s, _ = mw.bob_batch(b, x0, x1)
+        s, _ = mw.bob_batch(b, x0, x1, (b,))
         assert s[0] == 1
 
     def test_second_party_tie_rule(self):
         # b orthogonal to x0 - x1: the difference factor is sign(0) = +1
         mw = BranchingModel()
         b = (Z + X) / math.sqrt(2)
-        s, n = mw.bob_batch(b, Z[None, :], X[None, :])
+        s, (n,) = mw.bob_batch(b, Z[None, :], X[None, :], (b,))
         assert s[0] == 1 and n[0] == 1
 
     def test_pairing_rule_cases(self):
@@ -275,20 +275,28 @@ class TestBranchingModel:
         a = Z
         b = np.array([0.0, math.sin(np.pi / 4), math.cos(np.pi / 4)])
         runs = 200_000
-        probs = joint_statistics(BranchingModel(setting_variant="a"), a, b, runs, seed=10)
+        # bookkeeping along the first party's direction a, then along b
+        probs, probs_b = joint_statistics(BranchingModel(), a, b, runs, seed=10, references=(a, b))
         exact = sequential_joint(MAXIMALLY_MIXED, [a, b])
         stderr = np.sqrt(exact * (1 - exact) / runs)
         deviation = np.abs(probs - exact)
         assert (deviation > 5 * stderr).any()
         # the working variant passes on the same pair and seed
-        probs_b = joint_statistics(BranchingModel(), a, b, runs, seed=10)
         assert (np.abs(probs_b - exact) <= 5 * stderr).all()
 
-    def test_variant_validation(self):
-        with pytest.raises(InvalidArgumentError):
-            BranchingModel(setting_variant="c")
-        with pytest.raises(InvalidArgumentError):
-            BranchingModel(setting_variant="a").bob_batch(Z, Z[None, :], X[None, :])
+    # a single-world model keeps no bookkeeping: every reference gets the same table
+    @pytest.mark.parametrize(
+        "model,same", [(BranchingModel(), False), (BeltramettiBugajski(), True)], ids=["mw", "bb"]
+    )
+    def test_references_counted_from_one_draw(self, model, same):
+        a = Z
+        b = np.array([0.0, math.sin(np.pi / 4), math.cos(np.pi / 4)])
+        both = joint_statistics(model, a, b, 70_000, seed=13, references=(b, a))
+        assert both.shape == (2, 2, 2)
+        # each reference's table is the one it gets counted alone, and b's is the default
+        assert np.array_equal(both[0], joint_statistics(model, a, b, 70_000, seed=13))
+        assert np.array_equal(both[1], joint_statistics(model, a, b, 70_000, seed=13, references=(a,))[0])
+        assert np.array_equal(both[0], both[1]) == same
 
     def test_expectation_reproduces_dot_product(self):
         rng = np.random.default_rng(11)

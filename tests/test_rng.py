@@ -105,11 +105,11 @@ PATHS = [
     ("telegraph-sample", Telegraph(), "SAMPLE_SLOTS", range(3),
      lambda m, u: m.measured_states(u, X)),
     ("bb-joint", BeltramettiBugajski(), "JOINT_SLOTS", range(4),
-     lambda m, u: m.joint_outcomes(u, Z, X)),
+     lambda m, u: sum(m.joint_outcomes(u, Z, X, (X, Z)), ())),
     ("telegraph-joint", Telegraph(), "JOINT_SLOTS", range(4),
-     lambda m, u: m.joint_outcomes(u, Z, X)),
+     lambda m, u: sum(m.joint_outcomes(u, Z, X, (X, Z)), ())),
     ("mw-joint", BranchingModel(), "JOINT_SLOTS", range(5),
-     lambda m, u: m.joint_outcomes(u, Z, X)),
+     lambda m, u: sum(m.joint_outcomes(u, Z, X, (X, Z)), ())),
 ]
 PATH_IDS = [p[0] for p in PATHS]
 
