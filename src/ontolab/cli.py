@@ -16,9 +16,10 @@ defaults filled in; not --out or --format, so `--out FILE` gets the bytes
 stdout would.  Output bytes do not depend on the worker count.  The exit
 code is 0 on success, 2 for configuration errors, 3 for numerical failures.
 A model the command does not take, or a flag that the command or the chosen
-model would ignore, is a configuration error, as are --runs above MAX_RUNS
-and a scan time with |t| >= 2**19.  ONTOLAB_THREADS sets the worker count
-(default: the CPU count).
+model would ignore, is a configuration error, as are --runs above MAX_RUNS,
+a scan time with |t| >= 2**19 and an lg time or paired gap beyond
+leggett_garg.MAX_TIME.  ONTOLAB_THREADS sets the worker count (default: the
+CPU count).
 """
 
 from __future__ import annotations

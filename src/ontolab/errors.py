@@ -9,12 +9,8 @@ class InvalidArgumentError(ValueError):
     """An argument is outside its documented domain."""
 
 
-class UndefinedConditionalStateError(ValueError):
-    """A post-measurement state was requested for a zero-probability outcome."""
-
-
 class ContractMismatchError(TypeError):
-    """An operation requires the single-world sequential model contract."""
+    """An operation was given a model whose contract it does not take."""
 
 
 class NumericalFailureError(RuntimeError):

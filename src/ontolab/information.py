@@ -27,15 +27,9 @@ import numpy as np
 
 from . import rng as _rng
 from .errors import ContractMismatchError, InvalidArgumentError
-from .models import BeltramettiBugajski, BranchingModel, OntologicalModel
+from .models import BranchingModel, OntologicalModel
 from .qubit import as_direction
-from .sphere import (
-    SphereHistogram,
-    histogram_entropy,
-    multinomial_noise_threshold,
-    sample_uniform_sphere,
-    tv_distance,
-)
+from .sphere import SphereHistogram, histogram_entropy, multinomial_noise_threshold, tv_distance
 
 _BOOTSTRAP_RESAMPLES = 1000
 
@@ -263,69 +257,4 @@ def branching_no_erasure_check(
         tv_x1=tv_distance(h1_main, h1_ref),
         noise_threshold=threshold,
         runs=runs,
-    )
-
-
-@dataclass(frozen=True)
-class InvarianceReport:
-    """Distance of an evolved ensemble from a fresh uniform one."""
-
-    start: str
-    rotations: int
-    runs: int
-    bins: tuple[int, int]
-    tv: float
-    noise_threshold: float
-
-
-def invariance_test(
-    runs: int,
-    rotations: int,
-    nz: int = 16,
-    nphi: int = 16,
-    seed: int = 0,
-    start: str = "uniform",
-) -> InvarianceReport:
-    """Check that the uniform ontic distribution is invariant under the dynamics.
-
-    Applies `rotations` random-duration evolution steps to a sampled ensemble
-    and compares it with an independent fresh uniform sample.  start="cap"
-    begins from a polar cap (z >= 0.5) instead, a negative control that must
-    stay far from uniform no matter how it is rotated about the x axis
-    (the cap keeps a fixed fraction of its mass in any z-slab family only if
-    untouched; rotation cannot make it uniform).
-    """
-    if runs < 1:
-        raise InvalidArgumentError("runs must be >= 1")
-    if rotations < 0:
-        raise InvalidArgumentError("rotations must be >= 0")
-    if start not in ("uniform", "cap"):
-        raise InvalidArgumentError(f"start must be 'uniform' or 'cap', got {start!r}")
-    bb = BeltramettiBugajski()
-    prep_slots = tuple(range(bb.PREP_SLOTS))
-    grid = ((int(nz), int(nphi)),)
-    durations = np.pi * _rng.uniform_block(_rng.substream_seed(seed, 7), range(rotations), (0,))[:, 0]
-
-    def evolved(u):
-        prep = u.columns(prep_slots)
-        if start == "cap":
-            prep[:, 0] = 0.75 + 0.25 * prep[:, 0]  # z = 2u - 1 in [0.5, 1]
-        states = sample_uniform_sphere(prep)
-        for dt in durations:
-            states = bb.evolve_batch(states, float(dt))
-        return (states,)
-
-    def fresh(u):
-        return (sample_uniform_sphere(u.columns(prep_slots)),)
-
-    [[h_evolved]] = _histograms(evolved, runs, _rng.substream_seed(seed, 1), prep_slots, grid)
-    [[h_fresh]] = _histograms(fresh, runs, _rng.substream_seed(seed, 2), prep_slots, grid)
-
-    return InvarianceReport(
-        start=start,
-        rotations=rotations,
-        runs=runs,
-        bins=(int(nz), int(nphi)),
-        tv=tv_distance(h_evolved, h_fresh),
-        noise_threshold=multinomial_noise_threshold(h_evolved, h_fresh),
     )

@@ -21,6 +21,7 @@ while the subtracted pair sits at 3*pi/8).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +31,10 @@ from .errors import InvalidArgumentError, NumericalFailureError
 
 CLASSICAL_BOUND = 2.0
 TSIRELSON_BOUND = 2.0 * math.sqrt(2.0)
+
+#: largest |t| and |t_k - t_l| of a schedule: the dynamics rotates by twice
+#: each, and twice anything larger overflows to infinity
+MAX_TIME = sys.float_info.max / 2
 
 #: (first-measurement index, second-measurement index) of the four correlators
 PAIRS = ((1, 3), (2, 3), (2, 4), (1, 4))
@@ -51,9 +56,16 @@ class LGScenario:
     t4: float
 
     def __post_init__(self):
-        for name in ("t1", "t2", "t3", "t4"):
-            if not math.isfinite(getattr(self, name)):
-                raise InvalidArgumentError(f"{name} must be finite")
+        times = [float(getattr(self, name)) for name in ("t1", "t2", "t3", "t4")]
+        for k, t in enumerate(times, 1):
+            if not math.isfinite(t):
+                raise InvalidArgumentError(f"t{k} must be finite")
+        gaps = [times[l - 1] - times[k - 1] for k, l in PAIRS]
+        if not all(math.isfinite(2.0 * x) for x in times + gaps):
+            raise InvalidArgumentError(
+                f"times and the gaps between paired times need magnitude <= MAX_TIME = {MAX_TIME:.9g}, "
+                "so that the rotation angles 2*t and 2*(t_k - t_l) are finite"
+            )
 
     @classmethod
     def from_times(cls, u1: float, u2: float, u3: float, u4: float) -> "LGScenario":

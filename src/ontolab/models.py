@@ -25,14 +25,15 @@ one chunk's runs:
 * ``lg_products(u, pair)``: the product of the two outcomes of the
   four-time inequality (``LG_SLOTS``), driven by
   ``leggett_garg.empirical_correlations``;
-* ``joint_outcomes(u, a, b, references)``: the outcomes of measuring a,
-  then b (``JOINT_SLOTS``), one pair per bookkeeping reference (see
-  ``BranchingModel``), counted by ``joint_statistics``;
 * ``measured_states(u, direction)``, single-world models only: the prepared
   states and their images after a measurement with the outcome discarded
-  (``SAMPLE_SLOTS``), histogrammed by the ``information`` diagnostics.
+  (``SAMPLE_SLOTS``), histogrammed by the ``information`` diagnostics;
+* ``joint_outcomes(u, a, b, references)``, branching model only: the
+  outcomes of measuring a, then b (``JOINT_SLOTS``), one pair per
+  bookkeeping reference (see ``BranchingModel``), counted by
+  ``joint_statistics``.
 
-Single-world models (``OntologicalModel``) build these kernels from the
+Single-world models (``OntologicalModel``) build their kernels from the
 sequential contract prepare/evolve/measure, vectorized over runs.  The
 branching model does not fit that contract (its branch pairing happens only
 when the parties meet, after both measurements) and builds them from one
@@ -50,7 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng as _rng
-from .errors import InvalidArgumentError
+from .errors import ContractMismatchError, InvalidArgumentError
 from .qubit import as_direction, heisenberg_direction
 from .sphere import sample_uniform_sphere
 
@@ -88,9 +89,6 @@ class OntologicalModel(ABC):
     LG_SLOTS: tuple[int, ...]
     #: post-measurement sampling: 0-1 preparation, 2 measurement
     SAMPLE_SLOTS: tuple[int, ...]
-    #: two back-to-back measurements: 0-1 preparation, 2 first measurement,
-    #: 3 second measurement
-    JOINT_SLOTS: tuple[int, ...]
 
     @abstractmethod
     def prepare_max_batch(self, u: np.ndarray):
@@ -120,17 +118,6 @@ class OntologicalModel(ABC):
         o2, _ = self.measure_batch(states, _Z_DIRECTION, u.get(6))
         return o1 * o2
 
-    def joint_outcomes(self, u: _rng.Uniforms, a: np.ndarray, b: np.ndarray, references):
-        """Outcomes (o1, o2) of measuring a, then b, on the maximal-ignorance preparation.
-
-        A single-world model keeps no bookkeeping, so every reference gets
-        the same pair.
-        """
-        states = self.prepare_max_batch(u.columns(range(self.PREP_SLOTS)))
-        o1, states = self.measure_batch(states, a, u.get(2))
-        o2, _ = self.measure_batch(states, b, u.get(3))
-        return ((o1, o2),) * len(references)
-
     def measured_states(self, u: _rng.Uniforms, direction: np.ndarray):
         """Prepared ontic states and their images after a measurement with the outcome discarded."""
         states = self.prepare_max_batch(u.columns(range(self.PREP_SLOTS)))
@@ -151,7 +138,6 @@ class BeltramettiBugajski(OntologicalModel):
     PREP_SLOTS = 2
     LG_SLOTS = (1, 2, 4, 6)
     SAMPLE_SLOTS = (0, 1, 2)
-    JOINT_SLOTS = (0, 1, 2, 3)
 
     def prepare_max_batch(self, u: np.ndarray) -> np.ndarray:
         return sample_uniform_sphere(u[:, :2])
@@ -199,7 +185,6 @@ class Telegraph(OntologicalModel):
     PREP_SLOTS = 1
     LG_SLOTS = (1, 3, 5)
     SAMPLE_SLOTS = (0,)
-    JOINT_SLOTS = (0,)
 
     def __init__(self, gamma: float = 1.0):
         if not np.isfinite(gamma) or gamma < 0:
@@ -329,16 +314,23 @@ class BranchingModel:
 def joint_statistics(model, a, b, runs: int, seed: int, references=None) -> np.ndarray:
     """Monte Carlo joint distribution of two back-to-back measurements, as a (2, 2) array.
 
-    Each run prepares the maximal-ignorance state and measures direction a,
-    then direction b, through the model's ``joint_outcomes``.  Index order
-    matches qubit.OUTCOMES: [0] = +1, [1] = -1.  Counting is integer-exact,
-    so the result is independent of worker count.
+    Each run samples the branching model's maximal-ignorance pair and
+    measures direction a, then direction b, through its ``joint_outcomes``.
+    Index order matches qubit.OUTCOMES: [0] = +1, [1] = -1.  Counting is
+    integer-exact, so the result is independent of worker count.  A
+    single-world model raises ContractMismatchError: its exact joint is
+    ``qubit.sequential_joint``.
 
-    ``references`` lists the directions the branching model's second device
-    keeps its bookkeeping along; the runs are drawn once and counted once per
+    ``references`` lists the directions the second device keeps its
+    bookkeeping along; the runs are drawn once and counted once per
     reference into a (len(references), 2, 2) array.  None counts the
     protocol's own reference, b, into one (2, 2) table.
     """
+    if not isinstance(model, BranchingModel):
+        raise ContractMismatchError(
+            f"joint_statistics runs the branching model, not {type(model).__name__}; "
+            "the single-world oracle is qubit.sequential_joint"
+        )
     if runs < 1:
         raise InvalidArgumentError("runs must be >= 1")
     a = as_direction(a)

@@ -1,4 +1,4 @@
-"""Exact single-qubit oracle: Bloch algebra, hopping dynamics, projective measurements.
+"""Exact single-qubit oracle: Bloch algebra, dephasing, sequential projective measurements.
 
 Everything downstream (the inequality scans and the hidden-variable models)
 is validated against the closed forms here.  Conventions, fixed once:
@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-from .errors import InvalidArgumentError, InvalidStateError, UndefinedConditionalStateError
+from .errors import InvalidArgumentError, InvalidStateError
 
 ATOL = 1e-12
 
@@ -30,8 +30,6 @@ SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 PAULIS = (SIGMA_X, SIGMA_Y, SIGMA_Z)
-
-HAMILTONIAN = SIGMA_X
 
 #: Outcome labels in index order: P[0] is outcome +1, P[1] is outcome -1.
 OUTCOMES = (1, -1)
@@ -99,45 +97,12 @@ def as_direction(setting) -> np.ndarray:
     return unit_vector(setting)
 
 
-def unitary(dt: float) -> np.ndarray:
-    """Evolution operator U(dt) = I cos(dt) - i H sin(dt) = exp(-i H dt)."""
-    dt = float(dt)
-    if not math.isfinite(dt):
-        raise InvalidArgumentError("dt must be finite")
-    return IDENTITY * math.cos(dt) - 1j * HAMILTONIAN * math.sin(dt)
-
-
-def evolve(rho: np.ndarray, dt: float) -> np.ndarray:
-    """Conjugate rho by U(dt); spectrum is preserved."""
-    rho = check_density(rho)
-    u = unitary(dt)
-    return u @ rho @ u.conj().T
-
-
 def projector(n, outcome: int) -> np.ndarray:
     """Rank-1 projector onto the +-1 eigenstate of n . sigma."""
     n = unit_vector(n)
     if outcome not in (1, -1):
         raise InvalidArgumentError(f"outcome must be +1 or -1, got {outcome}")
     return (IDENTITY + outcome * (n[0] * SIGMA_X + n[1] * SIGMA_Y + n[2] * SIGMA_Z)) / 2
-
-
-def measure(rho: np.ndarray, n, outcome: int) -> tuple[float, np.ndarray]:
-    """Born probability and collapsed state for a projective measurement along n.
-
-    probability = (1 + outcome * n.v) / 2 with v the Bloch vector of rho; the
-    conditional post state is the pure eigenstate outcome * n.  Requesting the
-    post state of a (numerically) impossible outcome raises
-    UndefinedConditionalStateError.
-    """
-    n = unit_vector(n)
-    v = density_to_bloch(rho)
-    p = (1.0 + outcome * float(n @ v)) / 2.0
-    if p < 1e-15:
-        raise UndefinedConditionalStateError(
-            f"outcome {outcome:+d} along {n} has probability {p}; conditional state undefined"
-        )
-    return p, bloch_to_density(outcome * n)
 
 
 def dephase(rho: np.ndarray, n) -> np.ndarray:
@@ -166,6 +131,10 @@ def sequential_joint(rho0: np.ndarray, settings) -> np.ndarray:
     resolve through heisenberg_direction).  Returns a (2, 2) array P with
     P[i, j] = Prob(first = OUTCOMES[i], second = OUTCOMES[j])
             = tr(Pi_b Pi_a rho0 Pi_a).
+
+    Rounding can leave a cell that is exactly 0 or 1 a few ulps outside
+    [0, 1], which would make its binomial variance negative; cells are
+    clipped into [0, 1].
     """
     rho0 = check_density(rho0)
     if len(settings) != 2:
@@ -177,16 +146,10 @@ def sequential_joint(rho0: np.ndarray, settings) -> np.ndarray:
         collapsed = pa @ rho0 @ pa
         for j, b in enumerate(OUTCOMES):
             probs[i, j] = np.trace(projector(nb, b) @ collapsed).real
-    return probs
+    return np.clip(probs, 0.0, 1.0, out=probs)
 
 
 def joint_expectation(probs: np.ndarray) -> float:
     """<alpha * beta> of a (2, 2) joint distribution in OUTCOMES index order."""
     a = np.array(OUTCOMES, dtype=float)
     return float(a @ probs @ a)
-
-
-def joint_marginals(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(first, second) marginal distributions, each ordered like OUTCOMES."""
-    probs = np.asarray(probs, dtype=float)
-    return probs.sum(axis=1), probs.sum(axis=0)

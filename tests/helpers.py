@@ -1,0 +1,120 @@
+"""Reference computations the tests compare ontolab against.
+
+The library answers its questions without these; the tests use them as
+independent routes to the same numbers:
+
+* the Schroedinger-picture qubit operations (``unitary``, ``evolve``,
+  ``measure``, ``joint_marginals``), checked against ``scipy.linalg.expm``
+  and projector algebra, which the collapse model's kernels are checked
+  against in turn;
+* ``bb_joint_statistics``: two back-to-back measurements through the
+  collapse model's own prepare and measure kernels, the Born-rule check
+  against ``qubit.sequential_joint``;
+* ``invariance_tv``: whether the collapse model's dynamics leaves the
+  uniform ontic distribution invariant, over the ``information`` histogram
+  fold.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from ontolab import BeltramettiBugajski
+from ontolab.errors import InvalidArgumentError
+from ontolab.information import _histograms
+from ontolab.qubit import IDENTITY, SIGMA_X, bloch_to_density, check_density, density_to_bloch, unit_vector
+from ontolab.rng import substream_seed, uniform_block
+from ontolab.sphere import multinomial_noise_threshold, tv_distance
+
+HAMILTONIAN = SIGMA_X
+
+
+class UndefinedConditionalStateError(ValueError):
+    """A post-measurement state was requested for a zero-probability outcome."""
+
+
+def unitary(dt: float) -> np.ndarray:
+    """Evolution operator U(dt) = I cos(dt) - i H sin(dt) = exp(-i H dt)."""
+    dt = float(dt)
+    if not math.isfinite(dt):
+        raise InvalidArgumentError("dt must be finite")
+    return IDENTITY * math.cos(dt) - 1j * HAMILTONIAN * math.sin(dt)
+
+
+def evolve(rho: np.ndarray, dt: float) -> np.ndarray:
+    """Conjugate rho by U(dt); spectrum is preserved."""
+    rho = check_density(rho)
+    u = unitary(dt)
+    return u @ rho @ u.conj().T
+
+
+def measure(rho: np.ndarray, n, outcome: int) -> tuple[float, np.ndarray]:
+    """Born probability and collapsed state for a projective measurement along n.
+
+    probability = (1 + outcome * n.v) / 2 with v the Bloch vector of rho; the
+    conditional post state is the pure eigenstate outcome * n.  Requesting the
+    post state of a (numerically) impossible outcome raises
+    UndefinedConditionalStateError.
+    """
+    n = unit_vector(n)
+    v = density_to_bloch(rho)
+    p = (1.0 + outcome * float(n @ v)) / 2.0
+    if p < 1e-15:
+        raise UndefinedConditionalStateError(
+            f"outcome {outcome:+d} along {n} has probability {p}; conditional state undefined"
+        )
+    return p, bloch_to_density(outcome * n)
+
+
+def joint_marginals(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(first, second) marginal distributions, each ordered like OUTCOMES."""
+    probs = np.asarray(probs, dtype=float)
+    return probs.sum(axis=1), probs.sum(axis=0)
+
+
+def bb_joint_statistics(a, b, runs: int, seed: int) -> np.ndarray:
+    """(2, 2) joint of measuring a, then b, on the collapse model's uniform preparation.
+
+    Slots 0-1 prepare, slot 2 drives the first measurement and slot 3 the
+    second; index order matches qubit.OUTCOMES.
+    """
+    bb = BeltramettiBugajski()
+    u = uniform_block(seed, range(runs), (0, 1, 2, 3))
+    states = bb.prepare_max_batch(u[:, :2])
+    o1, states = bb.measure_batch(states, np.asarray(a, dtype=float), u[:, 2])
+    o2, _ = bb.measure_batch(states, np.asarray(b, dtype=float), u[:, 3])
+    cells = ((1 - o1) // 2) * 2 + (1 - o2) // 2
+    return np.bincount(cells.astype(np.int64), minlength=4).reshape(2, 2) / runs
+
+
+def invariance_tv(runs: int, rotations: int, seed: int, cap: bool = False, nz: int = 16, nphi: int = 16):
+    """(TV distance, noise threshold) of an evolved ensemble against a fresh uniform one.
+
+    Applies `rotations` collapse-model evolutions of random duration in
+    [0, pi) to a uniform ensemble and compares it with an independent fresh
+    uniform sample on the nz x nphi grid.  cap=True starts from the polar
+    cap z >= 0.5 instead, a negative control: rotation about the x axis
+    cannot make it uniform.
+    """
+    bb = BeltramettiBugajski()
+    prep_slots = tuple(range(bb.PREP_SLOTS))
+    grid = ((nz, nphi),)
+    durations = np.pi * uniform_block(substream_seed(seed, 7), range(rotations), (0,))[:, 0]
+
+    def evolved(u):
+        prep = u.columns(prep_slots)
+        if cap:
+            prep[:, 0] = 0.75 + 0.25 * prep[:, 0]  # z = 2u - 1 in [0.5, 1]
+        states = bb.prepare_max_batch(prep)
+        for dt in durations:
+            states = bb.evolve_batch(states, float(dt))
+        return (states,)
+
+    def fresh(u):
+        return (bb.prepare_max_batch(u.columns(prep_slots)),)
+
+    [[h_evolved]] = _histograms(evolved, runs, substream_seed(seed, 1), prep_slots, grid)
+    [[h_fresh]] = _histograms(fresh, runs, substream_seed(seed, 2), prep_slots, grid)
+    return tv_distance(h_evolved, h_fresh), multinomial_noise_threshold(h_evolved, h_fresh)

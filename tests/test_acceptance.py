@@ -24,7 +24,6 @@ from ontolab import (
     branching_no_erasure_check,
     empirical_correlations,
     erasure_report,
-    invariance_test,
     joint_expectation,
     joint_statistics,
     lg_stderr,
@@ -37,6 +36,8 @@ from ontolab import (
 from ontolab.cli import main
 from ontolab.leggett_garg import PAIRS
 from ontolab.rng import uniform_block
+
+from helpers import bb_joint_statistics, invariance_tv
 
 Z = np.array([0.0, 0.0, 1.0])
 X = np.array([1.0, 0.0, 0.0])
@@ -131,7 +132,7 @@ def test_c05_bb_born_equivalence():
         runs = 100_000
         for i in range(50):
             a, b = random_units(rng, 2)
-            probs = joint_statistics(BeltramettiBugajski(), a, b, runs, seed=500 + i)
+            probs = bb_joint_statistics(a, b, runs, seed=500 + i)
             exact = sequential_joint(MAXIMALLY_MIXED, [a, b])
             tol = 5 * np.sqrt(exact * (1 - exact) / runs) + 1e-12
             assert (np.abs(probs - exact) <= tol).all()
@@ -202,10 +203,10 @@ def test_c09_branching_lg_closure():
 
 def test_c10_unitary_invariance():
     with _Criterion(10, "uniform ensemble invariant under 10 random evolutions; cap control exceeds 0.1", 30.0):
-        rep = invariance_test(1_000_000, 10, seed=10)
-        assert rep.tv <= rep.noise_threshold
-        control = invariance_test(1_000_000, 10, seed=10, start="cap")
-        assert control.tv > 0.1
+        tv, noise_threshold = invariance_tv(1_000_000, 10, seed=10)
+        assert tv <= noise_threshold
+        control_tv, _ = invariance_tv(1_000_000, 10, seed=10, cap=True)
+        assert control_tv > 0.1
 
 
 def test_c11_determinism(tmp_path, monkeypatch):

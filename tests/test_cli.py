@@ -1,6 +1,8 @@
 """End-to-end command tests: parsing, schemas, exit codes, determinism."""
 
 import argparse
+import contextlib
+import io
 import json
 import math
 import os
@@ -10,10 +12,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ontolab import rng
-from ontolab.cli import MAX_RUNS, main, parse_bins, parse_dirs, parse_time
+from ontolab.cli import _COMMANDS, MAX_RUNS, main, parse_bins, parse_dirs, parse_time
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -240,6 +242,13 @@ class TestLGCommand:
     def test_bad_schedule_rejected(self):
         assert main(["lg", "--times", "0,pi/8,pi/16,3pi/8"]) == 2
 
+    @pytest.mark.parametrize("model", ["bb", "quantum"])
+    def test_overflowing_times_rejected(self, model, capsys):
+        runs = [] if model == "quantum" else ["--runs", "1000"]
+        assert main(["lg", "--model", model, "--times", "0,1e308,1e308,1e308", *runs]) == 2
+        captured = capsys.readouterr()
+        assert "MAX_TIME = 8.98846567e+307" in captured.err and not captured.out
+
 
 class TestScanCommand:
     def test_quarter_gap(self, tmp_path):
@@ -346,6 +355,15 @@ class TestMwCheckCommand:
     def test_needs_dirs(self):
         assert main(["mwcheck", "--runs", "100"]) == 2
 
+    @pytest.mark.parametrize("dirs", ["1,2,3;1,2,3", "1,2,3;-1,-2,-3"], ids=["equal", "opposite"])
+    def test_parallel_directions_oracle_equivalent(self, dirs, capsys):
+        # the exact joint's zero cells round to a few ulps below 0 unless clipped,
+        # and a negative binomial variance made the verdict NaN, so false
+        assert main(["mwcheck", "--dirs", dirs, "--runs", "1000", "--format", "json"]) == 0
+        results = json.loads(capsys.readouterr().out)["results"]
+        assert results["variant_b_oracle_equivalent"]
+        assert min(min(row) for row in results["joint_exact"]) == 0.0
+
     def test_one_draw_per_joint_run(self, monkeypatch, capsys):
         # both bookkeeping variants count the same draw; the immutability
         # check draws from its own substreams, not from the command's seed
@@ -400,3 +418,58 @@ class TestDeterminism:
         assert main(["lg", "--times", "0,pi/8,pi/4,3pi/8"]) == 0
         captured = capsys.readouterr()
         assert "lg_value,2.82842712" in captured.out
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-finite constant {name} in JSON output")
+
+
+@st.composite
+def fuzzed_argv(draw):
+    """A command with every flag it reads, at tiny --runs; the numbers are any floats, non-finite too."""
+    any_float = st.floats(allow_nan=True, allow_infinity=True)
+
+    def numbers(n, chronological=False):
+        xs = draw(st.lists(any_float, min_size=n, max_size=n))
+        # chronological schedules get past from_times to the kernels
+        return ",".join(map(repr, sorted(xs) if chronological else xs))
+
+    name = draw(st.sampled_from(sorted(_COMMANDS)))
+    command = _COMMANDS[name]
+    model = draw(st.sampled_from(command.models)) if "model" in command.flags else None
+    values = {
+        "model": model,
+        "runs": None if model == "quantum" else str(draw(st.integers(0, 40))),
+        "seed": draw(st.one_of(st.integers(-(2**70), 2**70).map(str), any_float.map(repr))),
+        "gamma": draw(any_float.map(repr)) if model == "telegraph" else None,
+        "bins": ",".join(
+            f"{draw(st.integers(1, 8))}x{draw(st.integers(1, 8))}" for _ in range(2 if name == "erasure" else 1)
+        ),
+        "times": numbers(4 if name == "lg" else 2, chronological=draw(st.booleans())),
+        "dirs": ";".join(numbers(3) for _ in range(1 if name == "erasure" else 2)),
+    }
+    return [name, *(f"--{flag}={values[flag]}" for flag in command.flags if values[flag] is not None)]
+
+
+class TestArgvFuzz:
+    """Every argv keeps the documented contract: exit 0, 2 or 3, no traceback, strict JSON."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(fuzzed_argv())
+    @example(["lg", "--model", "bb", "--times", "pi/8,-1e308,2,7", "--runs", "3"])
+    @example(["mwcheck", "--dirs", "1,2,3;1,2,3", "--runs", "3"])
+    def test_exit_code_and_strict_json(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main([*argv, "--format", "json"])
+            except SystemExit as exc:  # argparse rejects unparsable values itself
+                code = exc.code
+        out, err = out.getvalue(), err.getvalue()
+        assert code in (0, 2, 3), err
+        assert "Traceback" not in err
+        # a configuration error writes nothing; a success always writes its result
+        if code != 3:
+            assert bool(out) == (code == 0)
+        if out:
+            json.loads(out, parse_constant=_reject_constant)

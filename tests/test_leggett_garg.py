@@ -27,7 +27,7 @@ from ontolab import (
     max_violation_over_34,
     quantum_correlations,
 )
-from ontolab.leggett_garg import PAIRS
+from ontolab.leggett_garg import MAX_TIME, PAIRS
 
 SQ2 = math.sqrt(2.0)
 
@@ -62,6 +62,24 @@ class TestLGScenario:
     def test_nonfinite_rejected(self):
         with pytest.raises(InvalidArgumentError):
             LGScenario(0.0, float("inf"), 1.0, 2.0)
+
+    @pytest.mark.parametrize(
+        "times", [(0.0, 1e308, 1e308, 1e308), (-8e307, 0.0, 8e307, 8e307)], ids=["time", "gap"]
+    )
+    def test_overflowing_rotation_angle_rejected(self, times):
+        # the dynamics rotates by 2*t and 2*(t_k - t_l); here one of them is infinite
+        with pytest.raises(InvalidArgumentError, match="MAX_TIME = 8.98846567e[+]307"):
+            LGScenario.from_times(*times)
+
+    @pytest.mark.parametrize(
+        "model", [BeltramettiBugajski(), BranchingModel(), Telegraph(1.3)], ids=["bb", "mw", "telegraph"]
+    )
+    def test_schedule_at_the_limit_runs(self, model):
+        # every angle stays finite, so no kernel overflows (RuntimeWarnings are errors here)
+        scenario = LGScenario.from_times(0.0, MAX_TIME / 2, MAX_TIME / 2, MAX_TIME)
+        assert all(math.isfinite(c) for c in quantum_correlations(scenario).values())
+        corr = empirical_correlations(model, scenario, 2_000, seed=1)
+        assert sum(corr.counts) == 2_000 and all(abs(c) <= 1 for c in corr.values())
 
 
 class TestLGValue:

@@ -1,7 +1,8 @@
 """Contract and statistics tests for the three ontological models.
 
-The quantum oracle (sequential_joint / measure) supplies the expected
-distributions; uniformity claims use chi-square on the equal-area grid.
+The quantum oracle (sequential_joint, and measure / evolve from the test
+helpers) supplies the expected distributions; uniformity claims use
+chi-square on the equal-area grid.
 """
 
 import math
@@ -15,20 +16,21 @@ from ontolab import (
     MAXIMALLY_MIXED,
     BeltramettiBugajski,
     BranchingModel,
+    ContractMismatchError,
     InvalidArgumentError,
     Telegraph,
     bloch_to_density,
     density_to_bloch,
-    evolve,
     joint_expectation,
     joint_statistics,
     make_model,
-    measure,
     sequential_joint,
 )
 from ontolab.models import sign_pm1
 from ontolab.rng import uniform_block
 from ontolab.sphere import SphereHistogram
+
+from helpers import bb_joint_statistics, evolve, measure
 
 Z = np.array([0.0, 0.0, 1.0])
 X = np.array([1.0, 0.0, 0.0])
@@ -111,7 +113,7 @@ class TestBeltramettiBugajski:
         runs = 50_000
         for seed in range(10):
             a, b = random_unit(rng), random_unit(rng)
-            probs = joint_statistics(BeltramettiBugajski(), a[0], b[0], runs, seed=seed)
+            probs = bb_joint_statistics(a[0], b[0], runs, seed=seed)
             exact = sequential_joint(MAXIMALLY_MIXED, [a[0], b[0]])
             stderr = np.sqrt(exact * (1 - exact) / runs)
             assert (np.abs(probs - exact) <= 5 * stderr + 1e-12).all()
@@ -284,11 +286,8 @@ class TestBranchingModel:
         # the working variant passes on the same pair and seed
         assert (np.abs(probs_b - exact) <= 5 * stderr).all()
 
-    # a single-world model keeps no bookkeeping: every reference gets the same table
-    @pytest.mark.parametrize(
-        "model,same", [(BranchingModel(), False), (BeltramettiBugajski(), True)], ids=["mw", "bb"]
-    )
-    def test_references_counted_from_one_draw(self, model, same):
+    @pytest.mark.parametrize("model", [BranchingModel()], ids=["mw"])
+    def test_references_counted_from_one_draw(self, model):
         a = Z
         b = np.array([0.0, math.sin(np.pi / 4), math.cos(np.pi / 4)])
         both = joint_statistics(model, a, b, 70_000, seed=13, references=(b, a))
@@ -296,7 +295,13 @@ class TestBranchingModel:
         # each reference's table is the one it gets counted alone, and b's is the default
         assert np.array_equal(both[0], joint_statistics(model, a, b, 70_000, seed=13))
         assert np.array_equal(both[1], joint_statistics(model, a, b, 70_000, seed=13, references=(a,))[0])
-        assert np.array_equal(both[0], both[1]) == same
+        assert not np.array_equal(both[0], both[1])
+
+    @pytest.mark.parametrize("model", [BeltramettiBugajski(), Telegraph()], ids=["bb", "telegraph"])
+    def test_single_world_model_rejected(self, model):
+        # a single-world model has no joint path; its exact joint is the oracle's
+        with pytest.raises(ContractMismatchError, match="qubit.sequential_joint"):
+            joint_statistics(model, Z, X, 100, seed=0)
 
     def test_expectation_reproduces_dot_product(self):
         rng = np.random.default_rng(11)

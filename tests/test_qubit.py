@@ -3,6 +3,9 @@
 Closed-form operations are cross-checked against independent routes:
 scipy.linalg.expm for the unitary, explicit projector algebra for
 measurement statistics, and eigenvalue entropy for the dephasing bound.
+The Schroedinger-picture operations (unitary, evolve, measure) are the test
+helpers' reference implementations, checked here before other tests lean on
+them.
 """
 
 import numpy as np
@@ -15,20 +18,17 @@ from ontolab import (
     MAXIMALLY_MIXED,
     InvalidArgumentError,
     InvalidStateError,
-    UndefinedConditionalStateError,
     bloch_to_density,
     density_to_bloch,
     dephase,
-    evolve,
     heisenberg_direction,
     joint_expectation,
-    joint_marginals,
-    measure,
     sequential_joint,
-    unitary,
     von_neumann_entropy,
 )
-from ontolab.qubit import ATOL, HAMILTONIAN, IDENTITY, SIGMA_Z, as_direction, check_density
+from ontolab.qubit import ATOL, IDENTITY, SIGMA_Z, as_direction, check_density
+
+from helpers import HAMILTONIAN, UndefinedConditionalStateError, evolve, joint_marginals, measure, unitary
 
 Z = np.array([0.0, 0.0, 1.0])
 X = np.array([1.0, 0.0, 0.0])

@@ -104,10 +104,6 @@ PATHS = [
      lambda m, u: m.measured_states(u, X)),
     ("telegraph-sample", Telegraph(), "SAMPLE_SLOTS", range(3),
      lambda m, u: m.measured_states(u, X)),
-    ("bb-joint", BeltramettiBugajski(), "JOINT_SLOTS", range(4),
-     lambda m, u: sum(m.joint_outcomes(u, Z, X, (X, Z)), ())),
-    ("telegraph-joint", Telegraph(), "JOINT_SLOTS", range(4),
-     lambda m, u: sum(m.joint_outcomes(u, Z, X, (X, Z)), ())),
     ("mw-joint", BranchingModel(), "JOINT_SLOTS", range(5),
      lambda m, u: sum(m.joint_outcomes(u, Z, X, (X, Z)), ())),
 ]
