@@ -25,6 +25,7 @@ CPU count).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -398,7 +399,9 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="ontolab",
         description=__doc__,

@@ -39,8 +39,14 @@ branching model does not fit that contract (its branch pairing happens only
 when the parties meet, after both measurements) and builds them from one
 two-measurement experiment runner.
 
-Sign convention everywhere: sign(0) := +1.  Ties occur on measure-zero sets,
-so any fixed rule leaves the statistics unchanged and keeps runs reproducible.
+Sign convention everywhere: sign(0) := +1, and sign(-0.0) := +1 too.  Ties
+occur on measure-zero sets, so any fixed rule leaves the statistics unchanged
+and keeps runs reproducible.  The same rule sets every random outcome: a
+uniform u gives +1 exactly when u < p(+1), so u == p(+1) gives -1.
+
+Kernels build their +-1 outcomes without branches or int64 temporaries: a
+comparison viewed as int8 is 0 or 1, and ``1 - 2 * m`` or ``2 * m - 1`` maps
+it onto +-1 in int8.
 """
 
 from __future__ import annotations
@@ -60,8 +66,8 @@ _Z_DIRECTION = np.array([0.0, 0.0, 1.0])
 
 
 def sign_pm1(x: np.ndarray) -> np.ndarray:
-    """Elementwise sign with sign(0) := +1, as int8 in {-1, +1}."""
-    return np.where(np.asarray(x) < 0, -1, 1).astype(np.int8)
+    """Elementwise sign with sign(0) := +1 (also for -0.0 and NaN), as int8 in {-1, +1}."""
+    return 1 - 2 * (np.asarray(x) < 0).view(np.int8)
 
 
 class OntologicalModel(ABC):
@@ -158,8 +164,10 @@ class BeltramettiBugajski(OntologicalModel):
             raise InvalidArgumentError("Beltrametti-Bugajski measurement is stochastic and needs uniforms")
         direction = np.asarray(direction, dtype=float)
         p_plus = 0.5 * (1.0 + states @ direction)
-        outcomes = np.where(np.asarray(u).reshape(-1) < p_plus, 1, -1).astype(np.int8)
-        post = outcomes[:, None].astype(float) * direction[None, :]
+        outcomes = 2 * (np.asarray(u).reshape(-1) < p_plus).view(np.int8) - 1
+        post = np.empty((len(outcomes), 3))
+        for j, component in enumerate(direction):  # one pass per column: a length-3 inner loop is slow
+            np.multiply(outcomes, component, out=post[:, j])
         return outcomes, post
 
     def embed_on_sphere(self, states: np.ndarray) -> np.ndarray:
@@ -192,15 +200,21 @@ class Telegraph(OntologicalModel):
         self.gamma = float(gamma)
 
     def prepare_max_batch(self, u: np.ndarray) -> np.ndarray:
-        return np.where(u[:, 0] < 0.5, 1, -1).astype(np.int8)
+        return 2 * (u[:, 0] < 0.5).view(np.int8) - 1
 
     def evolve_batch(self, states: np.ndarray, dt: float, u: np.ndarray) -> np.ndarray:
-        if dt < 0:
-            raise InvalidArgumentError(f"telegraph evolution needs dt >= 0, got {dt}")
+        """Flip each value with probability p_flip(|dt|).
+
+        The symmetric chain started from its stationary preparation (+-1
+        with probability 1/2 each) is reversible: its law over an interval
+        run backwards is its law over the forward one.  So a negative dt,
+        which ``lg_products`` passes for a schedule with a negative first
+        time, evolves by |dt|.
+        """
         if u is None:
             raise InvalidArgumentError("telegraph evolution is stochastic and needs uniforms")
-        p_flip = 0.5 * (1.0 - np.exp(-2.0 * self.gamma * dt))
-        return np.where(np.asarray(u).reshape(-1) < p_flip, -states, states).astype(np.int8)
+        p_flip = 0.5 * (1.0 - np.exp(-2.0 * self.gamma * abs(dt)))
+        return states * (1 - 2 * (np.asarray(u).reshape(-1) < p_flip).view(np.int8))
 
     def measure_batch(self, states: np.ndarray, direction=None, u=None):
         return states.astype(np.int8), states
@@ -261,7 +275,7 @@ class BranchingModel:
     def alice_batch(self, a: np.ndarray, x0: np.ndarray, x1: np.ndarray):
         a = np.asarray(a, dtype=float)
         s0, s1 = sign_pm1(x0 @ a), sign_pm1(x1 @ a)
-        return s0, (s0 * s1).astype(np.int8)
+        return s0, s0 * s1
 
     def bob_batch(self, b: np.ndarray, x0: np.ndarray, x1: np.ndarray, references):
         """s_B = sign(b.(x0+x1)), and n_B = sign(r.(x0+x1)) sign(r.(x0-x1)) for each reference r."""
@@ -274,11 +288,9 @@ class BranchingModel:
 
     def pair_and_select_batch(self, s_a, n_a, s_b, n_b, u: np.ndarray):
         """Pair branches, pick one merged branch uniformly, return its (alpha, beta)."""
-        branch = np.where(np.asarray(u).reshape(-1) < 0.5, 1, -1).astype(np.int8)
+        branch = 2 * (np.asarray(u).reshape(-1) < 0.5).view(np.int8) - 1
         crossed = (n_a == -1) & (n_b == -1)
-        alpha = branch * s_a
-        beta = np.where(crossed, -branch, branch) * s_b
-        return alpha.astype(np.int8), beta.astype(np.int8)
+        return branch * s_a, branch * (1 - 2 * crossed.view(np.int8)) * s_b
 
     # whole experiment
 
@@ -340,7 +352,7 @@ def joint_statistics(model, a, b, runs: int, seed: int, references=None) -> np.n
     def run_chunk(lo: int, n: int) -> np.ndarray:
         u = _rng.Uniforms(seed, range(lo, lo + n), model.JOINT_SLOTS)
         return np.stack([
-            np.bincount((((1 - o1) // 2) * 2 + (1 - o2) // 2).astype(np.int64), minlength=4)
+            np.bincount(2 * (o1 < 0).view(np.int8) + (o2 < 0).view(np.int8), minlength=4)
             for o1, o2 in model.joint_outcomes(u, a, b, refs)
         ])
 

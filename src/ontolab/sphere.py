@@ -5,6 +5,9 @@ azimuth sectors uniform in phi; the slab area element 2*pi*dz makes every
 cell cover exactly 4*pi / (nz * nphi) of solid angle.  This grid is the
 substrate for the histogram entropy estimator and the total-variation
 distribution tests.
+
+Zero keeps the sign convention of ``models`` (sign(0) := +1): an azimuth
+of -0.0 or +0.0 lies in sector 0, and phi = 2*pi*u1 covers [0, 2*pi).
 """
 
 from __future__ import annotations
@@ -19,26 +22,47 @@ FULL_SOLID_ANGLE = 4.0 * np.pi
 
 
 def sample_uniform_sphere(u: np.ndarray) -> np.ndarray:
-    """Map uniforms u of shape (n, 2) to points uniform on S^2.
+    """Map uniforms u of shape (n, 2) to points uniform on S^2, as a C-ordered (n, 3) array.
 
-    Equal-area construction: z = 2*u0 - 1, phi = 2*pi*u1.
+    Equal-area construction: z = 2*u0 - 1, phi = 2*pi*u1, and
+    (x, y) = r (cos phi, sin phi) with r = sqrt(max(0, 1 - z^2)).  Every
+    column is computed in place in the one output array.
     """
     u = np.asarray(u, dtype=float)
-    z = 2.0 * u[:, 0] - 1.0
-    phi = 2.0 * np.pi * u[:, 1]
-    r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
-    return np.column_stack((r * np.cos(phi), r * np.sin(phi), z))
+    out = np.empty((len(u), 3))
+    x, y, z = out[:, 0], out[:, 1], out[:, 2]
+    np.multiply(u[:, 0], 2.0, out=z)
+    z -= 1.0
+    r = np.multiply(z, z)
+    np.subtract(1.0, r, out=r)
+    np.maximum(r, 0.0, out=r)
+    np.sqrt(r, out=r)
+    phi = np.multiply(u[:, 1], 2.0 * np.pi)
+    np.cos(phi, out=x)
+    x *= r
+    np.sin(phi, out=y)
+    y *= r
+    return out
 
 
 def bin_index(points: np.ndarray, nz: int, nphi: int) -> np.ndarray:
     """Flat cell index in [0, nz*nphi) for unit vectors of shape (n, 3)."""
     points = np.asarray(points, dtype=float)
-    iz = np.minimum((0.5 * (points[:, 2] + 1.0) * nz).astype(np.int64), nz - 1)
-    iz = np.maximum(iz, 0)
+    slab = points[:, 2] + 1.0
+    slab *= 0.5
+    slab *= nz
+    flat = slab.astype(np.int64)
+    np.clip(flat, 0, nz - 1, out=flat)
+    flat *= nphi
     phi = np.arctan2(points[:, 1], points[:, 0])
-    phi = np.where(phi < 0, phi + 2.0 * np.pi, phi)
-    iphi = np.minimum((phi / (2.0 * np.pi) * nphi).astype(np.int64), nphi - 1)
-    return iz * nphi + iphi
+    # wraps into [0, 2*pi); only -0.0 turns into +0.0, which lands in the same cell
+    phi += 2.0 * np.pi * (phi < 0)
+    phi /= 2.0 * np.pi
+    phi *= nphi
+    sector = phi.astype(np.int64)
+    np.minimum(sector, nphi - 1, out=sector)
+    flat += sector
+    return flat
 
 
 @dataclass(eq=False)  # identity comparison: a field-wise == of counts arrays has no truth value

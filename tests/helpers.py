@@ -12,7 +12,10 @@ independent routes to the same numbers:
   against ``qubit.sequential_joint``;
 * ``invariance_tv``: whether the collapse model's dynamics leaves the
   uniform ontic distribution invariant, over the ``information`` histogram
-  fold.
+  fold;
+* the ``where_*`` and ``stacked_*`` kernels: the ``np.where``,
+  ``astype`` and ``np.column_stack`` formulas the branch-free int8 kernels
+  of ``models`` and ``sphere`` replaced, which those must match bit for bit.
 """
 
 from __future__ import annotations
@@ -118,3 +121,62 @@ def invariance_tv(runs: int, rotations: int, seed: int, cap: bool = False, nz: i
     [[h_evolved]] = _histograms(evolved, runs, substream_seed(seed, 1), prep_slots, grid)
     [[h_fresh]] = _histograms(fresh, runs, substream_seed(seed, 2), prep_slots, grid)
     return tv_distance(h_evolved, h_fresh), multinomial_noise_threshold(h_evolved, h_fresh)
+
+
+# Reference kernels: each is the former formula of the branch-free kernel it is named after.
+
+
+def where_sign_pm1(x) -> np.ndarray:
+    return np.where(np.asarray(x) < 0, -1, 1).astype(np.int8)
+
+
+def where_bb_measure(states: np.ndarray, direction: np.ndarray, u: np.ndarray):
+    direction = np.asarray(direction, dtype=float)
+    p_plus = 0.5 * (1.0 + states @ direction)
+    outcomes = np.where(np.asarray(u).reshape(-1) < p_plus, 1, -1).astype(np.int8)
+    return outcomes, outcomes[:, None].astype(float) * direction[None, :]
+
+
+def where_telegraph_prepare(u: np.ndarray) -> np.ndarray:
+    return np.where(u[:, 0] < 0.5, 1, -1).astype(np.int8)
+
+
+def where_telegraph_evolve(states: np.ndarray, gamma: float, dt: float, u: np.ndarray) -> np.ndarray:
+    p_flip = 0.5 * (1.0 - np.exp(-2.0 * gamma * dt))
+    return np.where(np.asarray(u).reshape(-1) < p_flip, -states, states).astype(np.int8)
+
+
+def where_alice(a, x0: np.ndarray, x1: np.ndarray):
+    a = np.asarray(a, dtype=float)
+    s0, s1 = where_sign_pm1(x0 @ a), where_sign_pm1(x1 @ a)
+    return s0, (s0 * s1).astype(np.int8)
+
+
+def where_pair_and_select(s_a, n_a, s_b, n_b, u: np.ndarray):
+    branch = np.where(np.asarray(u).reshape(-1) < 0.5, 1, -1).astype(np.int8)
+    crossed = (n_a == -1) & (n_b == -1)
+    alpha = branch * s_a
+    beta = np.where(crossed, -branch, branch) * s_b
+    return alpha.astype(np.int8), beta.astype(np.int8)
+
+
+def where_joint_cells(o1: np.ndarray, o2: np.ndarray) -> np.ndarray:
+    return (((1 - o1) // 2) * 2 + (1 - o2) // 2).astype(np.int64)
+
+
+def stacked_sample_uniform_sphere(u: np.ndarray) -> np.ndarray:
+    u = np.asarray(u, dtype=float)
+    z = 2.0 * u[:, 0] - 1.0
+    phi = 2.0 * np.pi * u[:, 1]
+    r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
+    return np.column_stack((r * np.cos(phi), r * np.sin(phi), z))
+
+
+def where_bin_index(points: np.ndarray, nz: int, nphi: int) -> np.ndarray:
+    points = np.asarray(points, dtype=float)
+    iz = np.minimum((0.5 * (points[:, 2] + 1.0) * nz).astype(np.int64), nz - 1)
+    iz = np.maximum(iz, 0)
+    phi = np.arctan2(points[:, 1], points[:, 0])
+    phi = np.where(phi < 0, phi + 2.0 * np.pi, phi)
+    iphi = np.minimum((phi / (2.0 * np.pi) * nphi).astype(np.int64), nphi - 1)
+    return iz * nphi + iphi

@@ -15,7 +15,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from ontolab import rng
-from ontolab.cli import _COMMANDS, MAX_RUNS, main, parse_bins, parse_dirs, parse_time
+from ontolab.cli import _COMMANDS, MAX_RUNS, build_parser, main, parse_bins, parse_dirs, parse_time
+from ontolab.leggett_garg import PAIR_LABELS, LGScenario
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -249,6 +250,18 @@ class TestLGCommand:
         captured = capsys.readouterr()
         assert "MAX_TIME = 8.98846567e+307" in captured.err and not captured.out
 
+    @pytest.mark.parametrize("runs", [1000, 100_000])
+    def test_telegraph_takes_negative_times(self, runs, capsys):
+        # bb and mw take this schedule; the stationary chain evolves by |dt| before a negative first time
+        gamma = 0.5
+        argv = ["lg", "--model", "telegraph", "--times=-1,0,1,2", "--gamma", str(gamma), "--runs", str(runs)]
+        assert main([*argv, "--format", "json"]) == 0
+        res = json.loads(capsys.readouterr().out)["results"]["correlators"]
+        scenario = LGScenario.from_times(-1.0, 0.0, 1.0, 2.0)
+        for label, (t_k, t_l) in zip(PAIR_LABELS, scenario.pair_times()):
+            expected = math.exp(-2.0 * gamma * abs(t_l - t_k))
+            assert abs(res[label]["value"] - expected) <= 5 * res[label]["stderr"]
+
 
 class TestScanCommand:
     def test_quarter_gap(self, tmp_path):
@@ -418,6 +431,17 @@ class TestDeterminism:
         assert main(["lg", "--times", "0,pi/8,pi/4,3pi/8"]) == 0
         captured = capsys.readouterr()
         assert "lg_value,2.82842712" in captured.out
+
+    def test_parser_built_once_and_reused(self, capsys):
+        assert build_parser() is build_parser()
+        # neither a rejected call nor a call's flags carry over to the next one
+        with pytest.raises(SystemExit):
+            main(["lg", "--times", "0,1,2,3", "--bogus"])
+        assert main(["scan", "--times", "0,pi/8", "--seed", "5"]) == 0
+        capsys.readouterr()
+        assert main(["scan", "--times", "0,pi/4", "--format", "json"]) == 0
+        config = json.loads(capsys.readouterr().out)["config"]
+        assert config == {"command": "scan", "seed": 0, "times": [0.0, math.pi / 4]}
 
 
 def _reject_constant(name):

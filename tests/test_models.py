@@ -135,9 +135,12 @@ class TestTelegraph:
         with pytest.raises(InvalidArgumentError):
             Telegraph(gamma=-0.1)
 
-    def test_negative_interval_rejected(self):
-        with pytest.raises(InvalidArgumentError):
-            Telegraph(1.0).evolve_batch(np.array([1], dtype=np.int8), -0.5, np.array([0.3]))
+    def test_negative_interval_evolves_by_its_length(self):
+        # the stationary symmetric chain is reversible, so a backward interval flips like a forward one
+        tg = Telegraph(1.0)
+        u = uniform_block(9, range(1000), (0, 1))
+        s = tg.prepare_max_batch(u)
+        assert np.array_equal(tg.evolve_batch(s, -0.5, u[:, 1]), tg.evolve_batch(s, 0.5, u[:, 1]))
 
     def test_frozen_state_at_zero_rate(self):
         tg = Telegraph(gamma=0.0)
