@@ -37,7 +37,7 @@ import numpy as np
 
 from . import __version__
 from .errors import NumericalFailureError
-from .information import branching_no_erasure_check, erasure_report, noflow_test
+from .information import ALPHA, branching_no_erasure_check, chi_square_test, erasure_report, noflow_test
 from .leggett_garg import (
     CLASSICAL_BOUND,
     TSIRELSON_BOUND,
@@ -288,9 +288,10 @@ def cmd_noflow(config: dict) -> Output:
         "runs": report.runs,
         "bins": list(report.bins),
         "tv": report.tv,
-        "ci_low": report.ci_low,
-        "ci_high": report.ci_high,
-        "noise_threshold": report.noise_threshold,
+        "chi2": report.chi2,
+        "df": report.df,
+        "p_value": report.p_value,
+        "alpha": ALPHA,
         "flow_detected": report.flow_detected,
     }
     return Output(results)
@@ -301,17 +302,12 @@ def cmd_mwcheck(config: dict) -> Output:
     a, b = (as_direction(d) for d in config["dirs"])
     exact = sequential_joint(MAXIMALLY_MIXED, [a, b])
     n = config["runs"]
-
-    def compare(probs):
-        dev = np.abs(probs - exact)
-        tol = 5.0 * np.sqrt(exact * (1.0 - exact) / n)
-        return float(dev.max()), bool((dev <= tol).all())
-
     # variant b keeps the second device's bookkeeping along b, as the protocol
     # does, variant a along a; both count the same draw
     probs_b, probs_a = joint_statistics(BranchingModel(), a, b, n, config["seed"], references=(b, a))
-    dev_b, ok_b = compare(probs_b)
-    dev_a, ok_a = compare(probs_a)
+    # each variant's four counts, tested for goodness of fit against the oracle's
+    p_b, p_a = (chi_square_test(n * probs.ravel(), n * exact.ravel())[2] for probs in (probs_b, probs_a))
+    dev_b, dev_a = (float(np.abs(probs - exact).max()) for probs in (probs_b, probs_a))
     immut = branching_no_erasure_check(a, b, min(n, 10**5), seed=config["seed"])
 
     results = {
@@ -325,17 +321,16 @@ def cmd_mwcheck(config: dict) -> Output:
         "joint_variant_b": [[float(x) for x in row] for row in probs_b],
         "joint_variant_a": [[float(x) for x in row] for row in probs_a],
         "variant_b_max_abs_dev": dev_b,
-        "variant_b_oracle_equivalent": ok_b,
+        "variant_b_p_value": p_b,
+        "variant_b_oracle_equivalent": p_b >= ALPHA,
         "variant_a_max_abs_dev": dev_a,
-        "variant_a_oracle_equivalent": ok_a,
+        "variant_a_p_value": p_a,
+        "variant_a_oracle_equivalent": p_a >= ALPHA,
+        "alpha": ALPHA,
         "immutability_runs": immut.runs,
-        "immutable": immut.immutable,
-        "tv_x0": immut.tv_x0,
-        "tv_x1": immut.tv_x1,
-        "noise_threshold": immut.noise_threshold,
-        "no_erasure": immut.passed,
+        "no_erasure": immut.immutable,
     }
-    failure = None if ok_b else f"branching model deviates from the oracle by up to {dev_b} (runs={n})"
+    failure = None if p_b >= ALPHA else f"branching model fails the oracle test: p_value {p_b} < alpha (runs={n})"
     return Output(results, failure=failure)
 
 

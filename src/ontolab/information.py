@@ -9,18 +9,19 @@ equal-area sphere grid:
   two atoms, so the plug-in entropy falls by ln 4 for every doubling of the
   grid resolution in each axis.  The telegraph control shows no drop.
 * does the post-measurement distribution *depend on which* measurement was
-  executed (information flow)?  Total-variation distance between the two
-  conditioned histograms, with a bootstrap confidence interval, against a
-  multinomial noise threshold.
+  executed (information flow)?  A chi-square homogeneity test of the two
+  conditioned histograms, with their total-variation distance as effect size.
 * does the branching model really leave the system untouched?  Bit-exact
-  immutability of (x0, x1) plus setting-independence of their histograms.
+  immutability of (x0, x1) in every run.
 
-Entropies are differential, in nats.
+Every statistical verdict is ``chi_square_test`` (Pearson's X^2) rejecting at
+``ALPHA``, the two-sided 5-sigma tail.  Entropies are differential, in nats.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,9 +30,63 @@ from . import rng as _rng
 from .errors import ContractMismatchError, InvalidArgumentError
 from .models import BranchingModel, OntologicalModel
 from .qubit import as_direction
-from .sphere import SphereHistogram, histogram_entropy, multinomial_noise_threshold, tv_distance
+from .sphere import SphereHistogram, histogram_entropy, tv_distance
 
-_BOOTSTRAP_RESAMPLES = 1000
+#: false-positive rate of every verdict: the two-sided 5-sigma normal tail, ~5.73e-7
+ALPHA = math.erfc(5.0 / math.sqrt(2.0))
+
+#: cells whose pooled expected count is below this merge into one before the test
+MIN_POOLED = 10
+
+
+def chi2_sf(x: float, df: int) -> float:
+    """P(X >= x) for X ~ chi-square(df), integer df >= 0: 1 at df = 0 or x <= 0, 0 at x = inf.
+
+    erfc(sqrt(lam)) for odd df, plus e^-lam lam^n / Gamma(n + 1) summed over n = h, h + 1, ..., h +
+    df//2 - 1, with lam = x/2 and h = (df mod 2)/2; each term is taken in log space, with math.lgamma.
+    """
+    lam, h = 0.5 * x, 0.5 * (df % 2)
+    if df == 0 or not lam > 0:
+        return 1.0
+    if lam == math.inf:
+        return 0.0
+    log_lam = math.log(lam)
+    log_terms = np.array([(h + k) * log_lam - lam - math.lgamma(h + k + 1.0) for k in range(df // 2)])
+    top = log_terms.max(initial=-math.inf)
+    total = math.exp(top + math.log(np.exp(log_terms - top).sum())) if top > -math.inf else 0.0
+    return total + (math.erfc(math.sqrt(lam)) if h else 0.0)
+
+
+def chi_square_test(observed, expected) -> tuple[float, int, float]:
+    """Pearson's X^2 of a count table against its expected counts: (chi2, df, p_value).
+
+    Rows are samples, columns categories (a 1-D input is one row).  One row is
+    a goodness-of-fit test, df = columns - 1; r rows whose expected counts
+    come from the table's margins are a homogeneity test, df = (r - 1) x
+    (columns - 1).  Columns whose pooled expected count is below MIN_POOLED
+    first merge into one column, which also takes in the smallest other
+    column if it would still expect fewer than MIN_POOLED counts, and is
+    dropped when nothing is expected or observed in it.  With df = 0 left
+    there is nothing to test and p_value = 1; a count observed where none
+    is expected gives p_value = 0.
+    """
+    observed, expected = (np.atleast_2d(np.asarray(t, dtype=float)) for t in (observed, expected))
+    pooled = expected.sum(axis=0)
+    rare = pooled < MIN_POOLED
+    if 0 < pooled[rare].sum() < MIN_POOLED:
+        rare[np.argmin(np.where(rare, np.inf, pooled))] = True  # too small alone: join the smallest column
+    obs, exp = (np.column_stack([t[:, ~rare], t[:, rare].sum(axis=1)]) for t in (observed, expected))
+    columns = int((obs.any(axis=0) | exp.any(axis=0)).sum())  # without an empty merged column
+    df = max(columns - 1, 0) * max(obs.shape[0] - 1, 1)
+    with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 adds nothing, k/0 makes chi2 inf
+        chi2 = float(np.nansum((obs - exp) ** 2 / exp))
+    return chi2, df, chi2_sf(chi2, df)
+
+
+def _homogeneity_test(h1: SphereHistogram, h2: SphereHistogram) -> tuple[float, int, float]:
+    """chi_square_test of the 2 x K table of two histograms, expected counts from its margins."""
+    table = np.stack([h1.counts.ravel(), h2.counts.ravel()]).astype(float)
+    return chi_square_test(table, np.outer(table.sum(axis=1), table.sum(axis=0)) / table.sum())
 
 
 def _require_single_world(model) -> OntologicalModel:
@@ -125,27 +180,14 @@ class NoFlowReport:
     runs: int
     bins: tuple[int, int]
     tv: float
-    ci_low: float
-    ci_high: float
-    noise_threshold: float
+    chi2: float
+    df: int
+    p_value: float
 
     @property
     def flow_detected(self) -> bool:
-        """True when the bootstrap interval lies entirely above the noise threshold."""
-        return self.ci_low > self.noise_threshold
-
-
-def _bootstrap_tv_ci(
-    h1: SphereHistogram, h2: SphereHistogram, seed: int
-) -> tuple[float, float]:
-    rng = np.random.default_rng(seed)
-    n1, n2 = h1.total, h2.total
-    p1, p2 = h1.probabilities().ravel(), h2.probabilities().ravel()
-    r1 = rng.multinomial(n1, p1, size=_BOOTSTRAP_RESAMPLES) / n1
-    r2 = rng.multinomial(n2, p2, size=_BOOTSTRAP_RESAMPLES) / n2
-    tvs = 0.5 * np.abs(r1 - r2).sum(axis=1)
-    lo, hi = np.percentile(tvs, [2.5, 97.5])
-    return float(lo), float(hi)
+        """True when the homogeneity test rejects at ALPHA."""
+        return self.p_value < ALPHA
 
 
 def noflow_test(
@@ -161,7 +203,8 @@ def noflow_test(
 
     Each arm prepares, measures its own setting (outcome discarded), and
     histograms the outgoing states; the arms use independent substreams so
-    the identical-settings case shows honest multinomial noise.
+    the identical-settings case shows honest multinomial noise.  The verdict
+    is ``_homogeneity_test``; ``tv`` is the effect size.
     """
     model = _require_single_world(model)
     if runs < 1:
@@ -178,7 +221,7 @@ def noflow_test(
 
     h1 = post_measurement(d1, _rng.substream_seed(seed, 1))
     h2 = post_measurement(d2, _rng.substream_seed(seed, 2))
-    ci_low, ci_high = _bootstrap_tv_ci(h1, h2, _rng.substream_seed(seed, 3))
+    chi2, df, p_value = _homogeneity_test(h1, h2)
     return NoFlowReport(
         model=model.name,
         setting1=tuple(d1),
@@ -186,9 +229,9 @@ def noflow_test(
         runs=runs,
         bins=(int(nz), int(nphi)),
         tv=tv_distance(h1, h2),
-        ci_low=ci_low,
-        ci_high=ci_high,
-        noise_threshold=multinomial_noise_threshold(h1, h2),
+        chi2=chi2,
+        df=df,
+        p_value=p_value,
     )
 
 
@@ -197,14 +240,7 @@ class BranchingNoErasureReport:
     """Verdict on the branching model's claim to leave the system untouched."""
 
     immutable: bool
-    tv_x0: float
-    tv_x1: float
-    noise_threshold: float
     runs: int
-
-    @property
-    def passed(self) -> bool:
-        return self.immutable and self.tv_x0 <= self.noise_threshold and self.tv_x1 <= self.noise_threshold
 
 
 def branching_no_erasure_check(
@@ -213,48 +249,25 @@ def branching_no_erasure_check(
     runs: int,
     seed: int = 0,
     model: BranchingModel | None = None,
-    nz: int = 16,
-    nphi: int = 16,
 ) -> BranchingNoErasureReport:
-    """Check that branching measurements neither modify nor imprint on (x0, x1).
+    """Check that branching measurements leave (x0, x1) bit-identical in every run.
 
-    Two conditions: the system vectors after a full run are bit-identical to
-    the sampled ones in every run, and the histograms of the post-run system
-    vectors are independent of the measured directions (compared against a
-    reference arm measuring z and x, at the multinomial noise threshold).
-    The reference for the first condition is a second, independent sample of
-    (x0, x1) from the same uniforms, so a model that writes into the very
-    arrays it sampled fails it too.
+    The reference is a second, independent sample of (x0, x1) from the same
+    uniforms, so a model that writes into the very arrays it sampled fails
+    too.  The check is exact: while it holds, the post-run pairs *are* the
+    sample, which depends on the seed alone and not on (a, b), so no
+    distribution test of them could add anything.
     """
     if runs < 1:
         raise InvalidArgumentError("runs must be >= 1")
     model = model if model is not None else BranchingModel()
     a, b = as_direction(a), as_direction(b)
-    ref_a = np.array([0.0, 0.0, 1.0])
-    ref_b = np.array([1.0, 0.0, 0.0])
+    arm_seed = _rng.substream_seed(seed, 1)
 
-    def run_arm(da, db, arm_seed):
-        def run_chunk(lo: int, n: int):
-            u = _rng.uniform_block(arm_seed, range(lo, lo + n), model.JOINT_SLOTS)
-            x0_pre, x1_pre = model.sample_ontic_batch(u[:, 0:4])
-            res = model.run_experiment_batch(da, db, u)
-            ok = np.array_equal(res.x0_post, x0_pre) and np.array_equal(res.x1_post, x1_pre)
-            return ok, *(SphereHistogram.from_points(x, nz, nphi) for x in (res.x0_post, res.x1_post))
+    def run_chunk(lo: int, n: int) -> bool:
+        u = _rng.uniform_block(arm_seed, range(lo, lo + n), model.JOINT_SLOTS)
+        x0, x1 = model.sample_ontic_batch(u[:, 0:4])
+        res = model.run_experiment_batch(a, b, u)
+        return np.array_equal(res.x0_post, x0) and np.array_equal(res.x1_post, x1)
 
-        flags, *hists = zip(*_rng.map_chunks(run_chunk, runs))
-        folded = [functools.reduce(SphereHistogram.merge, h, SphereHistogram(nz, nphi)) for h in hists]
-        return all(flags), *folded
-
-    ok_main, h0_main, h1_main = run_arm(a, b, _rng.substream_seed(seed, 1))
-    ok_ref, h0_ref, h1_ref = run_arm(ref_a, ref_b, _rng.substream_seed(seed, 2))
-    threshold = max(
-        multinomial_noise_threshold(h0_main, h0_ref),
-        multinomial_noise_threshold(h1_main, h1_ref),
-    )
-    return BranchingNoErasureReport(
-        immutable=ok_main and ok_ref,
-        tv_x0=tv_distance(h0_main, h0_ref),
-        tv_x1=tv_distance(h1_main, h1_ref),
-        noise_threshold=threshold,
-        runs=runs,
-    )
+    return BranchingNoErasureReport(immutable=all(_rng.map_chunks(run_chunk, runs)), runs=runs)

@@ -17,10 +17,9 @@ and nothing else is ever hashed, which leaves every value it does read,
 and so every result byte, unchanged.  Model kernels read the drawn block
 through ``Uniforms``, a slot-addressed view.
 
-This stream is the only source of randomness in the simulations.  The one
-``np.random.Generator`` left in the package draws the multinomial bootstrap
-resamples of ``information.noflow_test``, which reads simulated histograms
-and simulates no run.
+This stream is the only source of randomness in the package: no module
+holds a generator of its own, and every statistical verdict is a
+deterministic test of the counts drawn from it.
 
 ``map_chunks`` is the one Monte Carlo engine: callers accumulate per-chunk
 partial sums over fixed ``CHUNK_RUNS``-run chunks and reduce them in chunk

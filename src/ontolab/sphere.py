@@ -3,7 +3,7 @@
 Cells are the product of nz slabs uniform in z = cos(theta) with nphi
 azimuth sectors uniform in phi; the slab area element 2*pi*dz makes every
 cell cover exactly 4*pi / (nz * nphi) of solid angle.  This grid is the
-substrate for the histogram entropy estimator and the total-variation
+substrate for the histogram entropy estimator and the chi-square
 distribution tests.
 
 Zero keeps the sign convention of ``models`` (sign(0) := +1): an azimuth
@@ -135,17 +135,3 @@ def tv_distance(h1: SphereHistogram, h2: SphereHistogram) -> float:
     """Total-variation distance (1/2) sum |p - q| between binned distributions."""
     h1._check_same_binning(h2)
     return float(0.5 * np.abs(h1.probabilities() - h2.probabilities()).sum())
-
-
-def multinomial_noise_threshold(h1: SphereHistogram, h2: SphereHistogram) -> float:
-    """Conservative TV threshold for equal-process histograms.
-
-    3 x sum_i sqrt(p_i (1 - p_i) / n) with p pooled from both histograms and
-    n the smaller sample count; an upper envelope on the expected TV of two
-    independent multinomial draws from one distribution.
-    """
-    h1._check_same_binning(h2)
-    n = min(h1.total, h2.total)
-    pooled = (h1.counts + h2.counts).astype(float)
-    pooled /= pooled.sum()
-    return float(3.0 * np.sqrt(pooled * (1.0 - pooled) / n).sum())

@@ -12,7 +12,7 @@ independent routes to the same numbers:
   against ``qubit.sequential_joint``;
 * ``invariance_tv``: whether the collapse model's dynamics leaves the
   uniform ontic distribution invariant, over the ``information`` histogram
-  fold;
+  fold, judged by the chi-square homogeneity test ``noflow_test`` runs;
 * the ``where_*`` and ``stacked_*`` kernels: the ``np.where``,
   ``astype`` and ``np.column_stack`` formulas the branch-free int8 kernels
   of ``models`` and ``sphere`` replaced, which those must match bit for bit.
@@ -26,10 +26,10 @@ import numpy as np
 
 from ontolab import BeltramettiBugajski
 from ontolab.errors import InvalidArgumentError
-from ontolab.information import _histograms
+from ontolab.information import _histograms, _homogeneity_test
 from ontolab.qubit import IDENTITY, SIGMA_X, bloch_to_density, check_density, density_to_bloch, unit_vector
 from ontolab.rng import substream_seed, uniform_block
-from ontolab.sphere import multinomial_noise_threshold, tv_distance
+from ontolab.sphere import tv_distance
 
 HAMILTONIAN = SIGMA_X
 
@@ -93,7 +93,7 @@ def bb_joint_statistics(a, b, runs: int, seed: int) -> np.ndarray:
 
 
 def invariance_tv(runs: int, rotations: int, seed: int, cap: bool = False, nz: int = 16, nphi: int = 16):
-    """(TV distance, noise threshold) of an evolved ensemble against a fresh uniform one.
+    """(TV distance, homogeneity p-value) of an evolved ensemble against a fresh uniform one.
 
     Applies `rotations` collapse-model evolutions of random duration in
     [0, pi) to a uniform ensemble and compares it with an independent fresh
@@ -120,7 +120,7 @@ def invariance_tv(runs: int, rotations: int, seed: int, cap: bool = False, nz: i
 
     [[h_evolved]] = _histograms(evolved, runs, substream_seed(seed, 1), prep_slots, grid)
     [[h_fresh]] = _histograms(fresh, runs, substream_seed(seed, 2), prep_slots, grid)
-    return tv_distance(h_evolved, h_fresh), multinomial_noise_threshold(h_evolved, h_fresh)
+    return tv_distance(h_evolved, h_fresh), _homogeneity_test(h_evolved, h_fresh)[2]
 
 
 # Reference kernels: each is the former formula of the branch-free kernel it is named after.

@@ -328,9 +328,9 @@ class TestCausalityStructure:
         other = model.prepare_max_batch(uniform_block(51, range(50_000), (0, 1, 2))[:, 0 : model.PREP_SLOTS])
         h1 = SphereHistogram.from_points(model.embed_on_sphere(states_for_z), 8, 8)
         h2 = SphereHistogram.from_points(model.embed_on_sphere(other), 8, 8)
-        from ontolab.sphere import multinomial_noise_threshold, tv_distance
+        from ontolab.information import ALPHA, _homogeneity_test
 
-        assert tv_distance(h1, h2) <= multinomial_noise_threshold(h1, h2)
+        assert _homogeneity_test(h1, h2)[2] >= ALPHA
 
 
 class TestFactory:
