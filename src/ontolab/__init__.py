@@ -3,9 +3,10 @@ hidden-variable models that try to keep up with them.
 
 The exact quantum oracle lives in :mod:`ontolab.qubit`; the four-time
 inequality machinery in :mod:`ontolab.leggett_garg`; the ontological models
-and the branching model's joint statistics in :mod:`ontolab.models`;
-histogram/entropy tooling in :mod:`ontolab.sphere`; and the erasure, no-flow
-and branching no-erasure diagnostics in :mod:`ontolab.information`.
+and their kernels in :mod:`ontolab.models`; histogram/entropy tooling in
+:mod:`ontolab.sphere`; and the erasure and no-flow diagnostics and the
+branching pass (joint statistics and no-erasure verdict) in
+:mod:`ontolab.information`.
 """
 
 __version__ = "0.1.0"
@@ -40,7 +41,6 @@ from .models import (
     BranchingModel,
     OntologicalModel,
     Telegraph,
-    joint_statistics,
     make_model,
 )
 from .qubit import (
@@ -81,7 +81,6 @@ __all__ = [
     "erasure_report",
     "heisenberg_direction",
     "joint_expectation",
-    "joint_statistics",
     "lg_stderr",
     "lg_value",
     "make_model",

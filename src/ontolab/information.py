@@ -11,8 +11,9 @@ equal-area sphere grid:
 * does the post-measurement distribution *depend on which* measurement was
   executed (information flow)?  A chi-square homogeneity test of the two
   conditioned histograms, with their total-variation distance as effect size.
-* does the branching model really leave the system untouched?  Bit-exact
-  immutability of (x0, x1) in every run.
+* does the branching model really leave the system untouched?  One pass
+  of the branching model counts its joint statistics and compares (x0, x1)
+  bit for bit with a stored copy in every run it counts.
 
 Every statistical verdict is ``chi_square_test`` (Pearson's X^2) rejecting at
 ``ALPHA``, the two-sided 5-sigma tail.  Entropies are differential, in nats.
@@ -235,12 +236,18 @@ def noflow_test(
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BranchingNoErasureReport:
-    """Verdict on the branching model's claim to leave the system untouched."""
+    """The branching pass: its joint statistics and its verdict on leaving the system untouched.
+
+    ``joint[k]`` is the (2, 2) joint distribution of measuring a, then b, with
+    the second device's bookkeeping along the k-th reference; index order
+    matches qubit.OUTCOMES: [0] = +1, [1] = -1.
+    """
 
     immutable: bool
     runs: int
+    joint: np.ndarray
 
 
 def branching_no_erasure_check(
@@ -248,26 +255,42 @@ def branching_no_erasure_check(
     b,
     runs: int,
     seed: int = 0,
+    references=None,
     model: BranchingModel | None = None,
 ) -> BranchingNoErasureReport:
-    """Check that branching measurements leave (x0, x1) bit-identical in every run.
+    """Joint statistics of the branching model, and whether it left (x0, x1) bit-identical in every run.
 
-    The reference is a second, independent sample of (x0, x1) from the same
-    uniforms, so a model that writes into the very arrays it sampled fails
-    too.  The check is exact: while it holds, the post-run pairs *are* the
-    sample, which depends on the seed alone and not on (a, b), so no
-    distribution test of them could add anything.
+    Each chunk samples the ontic pairs, stores a copy, measures a, then b,
+    through ``branch_outcomes`` with the second device's bookkeeping along
+    each of ``references`` (default: the protocol's own, b), counts the
+    outcomes, and compares the pairs with the copy bit for bit, so a model
+    that writes into the arrays it was handed fails.  The check is exact: while it holds,
+    the post-run pairs *are* the sample, which depends on the seed alone and
+    not on (a, b), so no distribution test of them could add anything.
+    Counting is integer-exact, so the result is independent of worker count.
     """
     if runs < 1:
         raise InvalidArgumentError("runs must be >= 1")
     model = model if model is not None else BranchingModel()
     a, b = as_direction(a), as_direction(b)
-    arm_seed = _rng.substream_seed(seed, 1)
+    refs = (b,) if references is None else tuple(as_direction(r) for r in references)
 
-    def run_chunk(lo: int, n: int) -> bool:
-        u = _rng.uniform_block(arm_seed, range(lo, lo + n), model.JOINT_SLOTS)
+    def run_chunk(lo: int, n: int) -> tuple[np.ndarray, bool]:
+        # JOINT_SLOTS layout in models.py: 0-3 ontic pair, 4 branch selection
+        u = _rng.uniform_block(seed, range(lo, lo + n), model.JOINT_SLOTS)
         x0, x1 = model.sample_ontic_batch(u[:, 0:4])
-        res = model.run_experiment_batch(a, b, u)
-        return np.array_equal(res.x0_post, x0) and np.array_equal(res.x1_post, x1)
+        stored = x0.copy(), x1.copy()
+        counts = np.stack([
+            np.bincount(2 * (o1 < 0).view(np.int8) + (o2 < 0).view(np.int8), minlength=4)
+            for o1, o2 in model.branch_outcomes(a, b, refs, x0, x1, u[:, 4])
+        ])
+        # compared as integers, so that a write that keeps the value (-0.0 for 0.0) is caught too
+        same = all(np.array_equal(x.view(np.uint64), s.view(np.uint64)) for x, s in zip((x0, x1), stored))
+        return counts, same
 
-    return BranchingNoErasureReport(immutable=all(_rng.map_chunks(run_chunk, runs)), runs=runs)
+    counts, untouched = zip(*_rng.map_chunks(run_chunk, runs))
+    return BranchingNoErasureReport(
+        immutable=all(untouched),
+        runs=runs,
+        joint=sum(counts).reshape(-1, 2, 2).astype(float) / runs,
+    )

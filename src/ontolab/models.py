@@ -28,16 +28,19 @@ one chunk's runs:
 * ``measured_states(u, direction)``, single-world models only: the prepared
   states and their images after a measurement with the outcome discarded
   (``SAMPLE_SLOTS``), histogrammed by the ``information`` diagnostics;
-* ``joint_outcomes(u, a, b, references)``, branching model only: the
-  outcomes of measuring a, then b (``JOINT_SLOTS``), one pair per
-  bookkeeping reference (see ``BranchingModel``), counted by
-  ``joint_statistics``.
+* branching model only, the two halves of one measurement of a, then b
+  (``JOINT_SLOTS``): ``sample_ontic_batch`` draws the ontic pair (x0, x1)
+  and ``branch_outcomes`` returns the kept branch's outcomes, one pair per
+  bookkeeping reference (see ``BranchingModel``).  They are two kernels
+  because ``information.branching_no_erasure_check`` holds a copy of the
+  pair between them, counts the outcomes and compares the pair with the
+  copy afterwards.
 
 Single-world models (``OntologicalModel``) build their kernels from the
 sequential contract prepare/evolve/measure, vectorized over runs.  The
 branching model does not fit that contract (its branch pairing happens only
-when the parties meet, after both measurements) and builds them from one
-two-measurement experiment runner.
+when the parties meet, after both measurements) and builds them from its
+two devices and the pairing rule.
 
 Sign convention everywhere: sign(0) := +1, and sign(-0.0) := +1 too.  Ties
 occur on measure-zero sets, so any fixed rule leaves the statistics unchanged
@@ -52,13 +55,12 @@ it onto +-1 in int8.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import rng as _rng
-from .errors import ContractMismatchError, InvalidArgumentError
-from .qubit import as_direction, heisenberg_direction
+from .errors import InvalidArgumentError
+from .qubit import heisenberg_direction
 from .sphere import sample_uniform_sphere
 
 
@@ -226,16 +228,6 @@ class Telegraph(OntologicalModel):
         return out
 
 
-@dataclass
-class BranchRunResult:
-    """Batch output of the two-measurement branching experiment."""
-
-    alpha: np.ndarray
-    beta: np.ndarray
-    x0_post: np.ndarray
-    x1_post: np.ndarray
-
-
 class BranchingModel:
     """Erasure-free branching model of two projective measurements.
 
@@ -250,10 +242,10 @@ class BranchingModel:
     vectors are never modified, yet <alpha beta> = a.b exactly.
 
     The direction that n_B is taken along is the bookkeeping reference, an
-    argument of ``bob_batch`` and of ``joint_outcomes``: the protocol's own
+    argument of ``bob_batch`` and of ``branch_outcomes``: the protocol's own
     is b.  Taking it along the *first* party's direction a is the bookkeeping
     slip ``mwcheck`` exposes; it provably breaks the quantum equivalence.
-    ``joint_outcomes`` pairs the branches once per reference from one
+    ``branch_outcomes`` pairs the branches once per reference from one
     sample of (x0, x1), so the slip costs no second draw.
     """
 
@@ -279,9 +271,12 @@ class BranchingModel:
 
     def bob_batch(self, b: np.ndarray, x0: np.ndarray, x1: np.ndarray, references):
         """s_B = sign(b.(x0+x1)), and n_B = sign(r.(x0+x1)) sign(r.(x0-x1)) for each reference r."""
-        x_plus, x_minus = x0 + x1, x0 - x1
-        s_b = sign_pm1(x_plus @ np.asarray(b, dtype=float))
-        n_bs = [sign_pm1(x_plus @ r) * sign_pm1(x_minus @ r) for r in map(np.asarray, references)]
+        references = [np.asarray(r) for r in references]
+        x = np.add(x0, x1)  # one scratch array: x0 + x1, then x0 - x1
+        s_b = sign_pm1(x @ np.asarray(b, dtype=float))
+        plus = [x @ r for r in references]
+        np.subtract(x0, x1, out=x)
+        n_bs = [sign_pm1(p) * sign_pm1(x @ r) for p, r in zip(plus, references)]
         return s_b, n_bs
 
     # branch pairing at the meeting point
@@ -294,17 +289,17 @@ class BranchingModel:
 
     # whole experiment
 
-    def _branch_outcomes(self, a, b, references, x0, x1, u_select):
+    def branch_outcomes(self, a, b, references, x0, x1, u_select):
         """The kept branch's (alpha, beta) for each bookkeeping reference, from one (x0, x1)."""
         s_a, n_a = self.alice_batch(a, x0, x1)
         s_b, n_bs = self.bob_batch(b, x0, x1, references)
         return tuple(self.pair_and_select_batch(s_a, n_a, s_b, n_b, u_select) for n_b in n_bs)
 
-    def run_experiment_batch(self, a: np.ndarray, b: np.ndarray, u: np.ndarray) -> BranchRunResult:
-        """One batch of complete runs; u is (n, 5): four ontic slots + selection."""
+    def run_experiment_batch(self, a: np.ndarray, b: np.ndarray, u: np.ndarray):
+        """(alpha, beta) of one batch of complete runs; u is (n, 5): four ontic slots + selection."""
         x0, x1 = self.sample_ontic_batch(u[:, 0:4])
-        ((alpha, beta),) = self._branch_outcomes(a, b, (b,), x0, x1, u[:, 4])
-        return BranchRunResult(alpha=alpha, beta=beta, x0_post=x0, x1_post=x1)
+        ((alpha, beta),) = self.branch_outcomes(a, b, (b,), x0, x1, u[:, 4])
+        return alpha, beta
 
     # Monte Carlo kernels, each reading the slots declared above
 
@@ -313,51 +308,8 @@ class BranchingModel:
         t_first, t_second = min(pair), max(pair)
         a = heisenberg_direction(t_first)
         b = heisenberg_direction(t_second)
-        res = self.run_experiment_batch(a, b, u.columns(self.LG_SLOTS))
-        return res.alpha * res.beta
-
-    def joint_outcomes(self, u: _rng.Uniforms, a: np.ndarray, b: np.ndarray, references):
-        """The kept branch's outcomes (alpha, beta) of measuring a, then b, per bookkeeping reference."""
-        u = u.columns(self.JOINT_SLOTS)
-        x0, x1 = self.sample_ontic_batch(u[:, 0:4])
-        return self._branch_outcomes(a, b, references, x0, x1, u[:, 4])
-
-
-def joint_statistics(model, a, b, runs: int, seed: int, references=None) -> np.ndarray:
-    """Monte Carlo joint distribution of two back-to-back measurements, as a (2, 2) array.
-
-    Each run samples the branching model's maximal-ignorance pair and
-    measures direction a, then direction b, through its ``joint_outcomes``.
-    Index order matches qubit.OUTCOMES: [0] = +1, [1] = -1.  Counting is
-    integer-exact, so the result is independent of worker count.  A
-    single-world model raises ContractMismatchError: its exact joint is
-    ``qubit.sequential_joint``.
-
-    ``references`` lists the directions the second device keeps its
-    bookkeeping along; the runs are drawn once and counted once per
-    reference into a (len(references), 2, 2) array.  None counts the
-    protocol's own reference, b, into one (2, 2) table.
-    """
-    if not isinstance(model, BranchingModel):
-        raise ContractMismatchError(
-            f"joint_statistics runs the branching model, not {type(model).__name__}; "
-            "the single-world oracle is qubit.sequential_joint"
-        )
-    if runs < 1:
-        raise InvalidArgumentError("runs must be >= 1")
-    a = as_direction(a)
-    b = as_direction(b)
-    refs = (b,) if references is None else tuple(as_direction(r) for r in references)
-
-    def run_chunk(lo: int, n: int) -> np.ndarray:
-        u = _rng.Uniforms(seed, range(lo, lo + n), model.JOINT_SLOTS)
-        return np.stack([
-            np.bincount(2 * (o1 < 0).view(np.int8) + (o2 < 0).view(np.int8), minlength=4)
-            for o1, o2 in model.joint_outcomes(u, a, b, refs)
-        ])
-
-    probs = sum(_rng.map_chunks(run_chunk, runs)).reshape(-1, 2, 2).astype(float) / runs
-    return probs[0] if references is None else probs
+        alpha, beta = self.run_experiment_batch(a, b, u.columns(self.LG_SLOTS))
+        return alpha * beta
 
 
 MODEL_NAMES = ("quantum", "bb", "mw", "telegraph")

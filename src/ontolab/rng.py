@@ -129,14 +129,21 @@ def substream_seed(seed: int, label: int) -> int:
 
 
 def resolve_workers() -> int:
-    """Worker count: ONTOLAB_THREADS, else the CPU count."""
+    """Worker count: ONTOLAB_THREADS, at most the CPU count, else the CPU count.
+
+    A value that is not an integer, or is below 1, raises ValueError.
+    """
+    cpus = os.cpu_count() or 1
     env = os.environ.get("ONTOLAB_THREADS")
     if env is None:
-        return os.cpu_count() or 1
+        return cpus
     try:
-        return max(1, int(env))
+        workers = int(env)
     except ValueError as exc:
         raise ValueError(f"ONTOLAB_THREADS must be an integer, got {env!r}") from exc
+    if workers < 1:
+        raise ValueError(f"ONTOLAB_THREADS must be at least 1, got {env!r}")
+    return min(workers, cpus)
 
 
 def map_chunks(fn, n_runs: int) -> list:

@@ -14,8 +14,9 @@ independent routes to the same numbers:
   uniform ontic distribution invariant, over the ``information`` histogram
   fold, judged by the chi-square homogeneity test ``noflow_test`` runs;
 * the ``where_*`` and ``stacked_*`` kernels: the ``np.where``,
-  ``astype`` and ``np.column_stack`` formulas the branch-free int8 kernels
-  of ``models`` and ``sphere`` replaced, which those must match bit for bit.
+  ``astype``, ``np.column_stack`` and two-temporary formulas the branch-free
+  int8 and scratch-array kernels of ``models`` and ``sphere`` replaced,
+  which those must match bit for bit.
 """
 
 from __future__ import annotations
@@ -150,6 +151,13 @@ def where_alice(a, x0: np.ndarray, x1: np.ndarray):
     a = np.asarray(a, dtype=float)
     s0, s1 = where_sign_pm1(x0 @ a), where_sign_pm1(x1 @ a)
     return s0, (s0 * s1).astype(np.int8)
+
+
+def where_bob(b, x0: np.ndarray, x1: np.ndarray, references):
+    # x0 + x1 and x0 - x1 as two temporaries; bob_batch reuses one scratch array
+    x_plus, x_minus = x0 + x1, x0 - x1
+    s_b = where_sign_pm1(x_plus @ np.asarray(b, dtype=float))
+    return s_b, [(where_sign_pm1(x_plus @ r) * where_sign_pm1(x_minus @ r)).astype(np.int8) for r in references]
 
 
 def where_pair_and_select(s_a, n_a, s_b, n_b, u: np.ndarray):

@@ -25,7 +25,6 @@ from ontolab import (
     empirical_correlations,
     erasure_report,
     joint_expectation,
-    joint_statistics,
     lg_stderr,
     lg_value,
     max_violation_over_34,
@@ -173,8 +172,11 @@ def test_c08_branching_equivalence():
         for i in range(50):
             a, b = random_units(rng, 2)
             exact = sequential_joint(MAXIMALLY_MIXED, [a, b])
-            # bookkeeping along b (the protocol's) and along a, from one draw
-            probs, probs_a = joint_statistics(BranchingModel(), a, b, runs, seed=800 + i, references=(b, a))
+            # bookkeeping along b (the protocol's) and along a, from one draw,
+            # with the system pair bit-identical before and after in every run
+            check = branching_no_erasure_check(a, b, runs, seed=800 + i, references=(b, a))
+            assert check.immutable
+            probs, probs_a = check.joint
             # goodness of fit of the four counts, as mwcheck tests them
             assert chi_square_test(runs * probs.ravel(), runs * exact.ravel())[2] >= ALPHA
             if chi_square_test(runs * probs_a.ravel(), runs * exact.ravel())[2] < ALPHA:
@@ -187,11 +189,8 @@ def test_c08_branching_equivalence():
         )
         # equal settings: every run perfectly correlated
         a = random_units(rng, 1)[0]
-        res = BranchingModel().run_experiment_batch(a, a, uniform_block(88, range(runs), (0, 1, 2, 3, 4)))
-        assert np.array_equal(res.alpha, res.beta)
-        # system pair bit-identical before and after in every run
-        rep = branching_no_erasure_check(Z, random_units(rng, 1)[0], runs, seed=89)
-        assert rep.immutable
+        alpha, beta = BranchingModel().run_experiment_batch(a, a, uniform_block(88, range(runs), (0, 1, 2, 3, 4)))
+        assert np.array_equal(alpha, beta)
 
 
 def test_c09_branching_lg_closure():

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from ontolab import rng
+from ontolab import BranchingModel, rng
 from ontolab.cli import _COMMANDS, MAX_RUNS, build_parser, main, parse_bins, parse_dirs, parse_time
 from ontolab.leggett_garg import PAIR_LABELS, LGScenario
 
@@ -373,14 +373,22 @@ class TestMwCheckCommand:
         assert res["variant_a_max_abs_dev"] > res["variant_b_max_abs_dev"]
         assert res["variant_a_oracle_equivalent"] is False and res["variant_a_p_value"] < res["alpha"]
 
-    @pytest.mark.parametrize("runs,checked", [(200_000, 100_000), (5_000, 5_000)])
-    def test_reports_immutability_runs(self, runs, checked, tmp_path):
-        out = tmp_path / "mw.json"
-        argv = ["mwcheck", "--dirs", "0,0,1;1,0,0", "--runs", str(runs), "--format", "json", "--out", str(out)]
-        assert main(argv) == 0
-        res = json.loads(out.read_text())["results"]
-        assert res["runs"] == runs
-        assert res["immutability_runs"] == checked
+    def test_write_in_last_chunk_detected(self, monkeypatch, capsys):
+        # 150,000 runs are chunks of 65,536, 65,536 and 18,928 runs; a model
+        # that writes into x0 in the last chunk only must fail the verdict
+        branch_outcomes = BranchingModel.branch_outcomes
+
+        def faulty(self, a, b, references, x0, x1, u_select):
+            outcomes = branch_outcomes(self, a, b, references, x0, x1, u_select)
+            if len(x0) == 18_928:
+                x0[-1] = -x0[-1]
+            return outcomes
+
+        monkeypatch.setattr(BranchingModel, "branch_outcomes", faulty)
+        assert main(["mwcheck", *TWO_DIRS, "--runs", "150000", "--format", "json"]) == 0
+        results = json.loads(capsys.readouterr().out)["results"]
+        assert results["no_erasure"] is False
+        assert "immutability_runs" not in results
 
     def test_needs_dirs(self):
         assert main(["mwcheck", "--runs", "100"]) == 2
@@ -395,20 +403,20 @@ class TestMwCheckCommand:
         assert min(min(row) for row in results["joint_exact"]) == 0.0
 
     def test_one_draw_per_joint_run(self, monkeypatch, capsys):
-        # both bookkeeping variants count the same draw; the immutability
-        # check draws from its own substreams, not from the command's seed
+        # both bookkeeping variants and the no-erasure verdict read one draw
+        # from the command's seed; nothing else is hashed, from any seed
         hashed = []
         uniform_block = rng.uniform_block
 
         def counting(seed, runs, slots):
             block = uniform_block(seed, runs, slots)
-            if seed == 3:
-                hashed.append(len(block))
+            hashed.append((seed, len(block)))
             return block
 
         monkeypatch.setattr(rng, "uniform_block", counting)
         assert main(["mwcheck", *TWO_DIRS, "--runs", "150000", "--seed", "3"]) == 0
-        assert sum(hashed) == 150_000
+        assert {seed for seed, _ in hashed} == {3}
+        assert sum(rows for _, rows in hashed) == 150_000
 
 
 class TestDeterminism:
@@ -443,6 +451,29 @@ class TestDeterminism:
         assert main([*argv, *LG_TIMES, "--out", str(out)]) == 2
         assert "ONTOLAB_THREADS" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_thread_count_below_one_exits_2(self, value, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("ONTOLAB_THREADS", value)
+        with pytest.raises(ValueError, match="at least 1"):
+            rng.resolve_workers()
+        out = tmp_path / "scan.csv"
+        assert main(["scan", "--times", "0,pi/8", "--out", str(out)]) == 2
+        assert "ONTOLAB_THREADS" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_thread_count_capped_at_cpu_count(self, monkeypatch, capsys):
+        # a pool of 10**9 threads is never asked for: the value is capped
+        # before map_chunks sizes its pool, here for a three-chunk call
+        monkeypatch.setenv("ONTOLAB_THREADS", str(10**9))
+        assert rng.resolve_workers() == (os.cpu_count() or 1)
+        assert main(["mwcheck", *TWO_DIRS, "--runs", "140000"]) == 0
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert rng.resolve_workers() == 3
+        monkeypatch.setenv("ONTOLAB_THREADS", "2")
+        assert rng.resolve_workers() == 2
+        monkeypatch.delenv("ONTOLAB_THREADS")
+        assert rng.resolve_workers() == 3
 
     def test_stdout_when_no_out(self, capsys):
         assert main(["lg", "--times", "0,pi/8,pi/4,3pi/8"]) == 0

@@ -8,7 +8,6 @@ false-positive rate (over 2000 fixed seeds, within 4 binomial sd of the
 nominal 0.05) and power are measured on the product paths.
 """
 
-import dataclasses
 import math
 
 import numpy as np
@@ -196,21 +195,43 @@ class TestNoFlow:
 
 
 class CollapsingModel(BranchingModel):
-    """A faulty branching model: x0 leaves on the first axis, as a single-world collapse would."""
+    """A faulty branching model: the first device collapses x0 onto +-a in place, as a single-world measurement would."""
 
-    def run_experiment_batch(self, a, b, u):
-        res = super().run_experiment_batch(a, b, u)
-        collapsed = sign_pm1(res.x0_post @ a)[:, None] * np.asarray(a, dtype=float)
-        return dataclasses.replace(res, x0_post=collapsed)
+    def alice_batch(self, a, x0, x1):
+        outcomes = super().alice_batch(a, x0, x1)
+        x0[:] = sign_pm1(x0 @ a)[:, None] * np.asarray(a, dtype=float)
+        return outcomes
 
 
 class InPlaceCollapsingModel(BranchingModel):
-    """The same fault written into the sampled x0 array itself."""
+    """The same fault written into the sampled x0 array after the whole measurement."""
 
-    def run_experiment_batch(self, a, b, u):
-        res = super().run_experiment_batch(a, b, u)
-        res.x0_post[:] = sign_pm1(res.x0_post @ a)[:, None] * np.asarray(a, dtype=float)
-        return res
+    def branch_outcomes(self, a, b, references, x0, x1, u_select):
+        outcomes = super().branch_outcomes(a, b, references, x0, x1, u_select)
+        x0[:] = sign_pm1(x0 @ a)[:, None] * np.asarray(a, dtype=float)
+        return outcomes
+
+
+class SecondDeviceWritingModel(BranchingModel):
+    """A faulty branching model whose second device writes its record into x1."""
+
+    def bob_batch(self, b, x0, x1, references):
+        outcomes = super().bob_batch(b, x0, x1, references)
+        x1 += 1e-3 * np.asarray(b, dtype=float)
+        return outcomes
+
+
+class SignedZeroWritingModel(BranchingModel):
+    """A faulty branching model that rewrites a zero component of x0 as -0.0: same value, other bits."""
+
+    def sample_ontic_batch(self, u):
+        x0, x1 = super().sample_ontic_batch(u)
+        x0[:, 0] = 0.0
+        return x0, x1
+
+    def branch_outcomes(self, a, b, references, x0, x1, u_select):
+        x0[:, 0] = -0.0
+        return super().branch_outcomes(a, b, references, x0, x1, u_select)
 
 
 class TestBranchingNoErasure:
@@ -228,10 +249,24 @@ class TestBranchingNoErasure:
         assert not rep.immutable
 
     def test_in_place_mutation_detected(self):
-        # the check's reference is an independent second sample of (x0, x1);
-        # comparing against the model's own arrays would miss this fault
+        # the check's reference is a copy stored before the measurement;
+        # comparing the model's arrays with themselves would miss this fault
         rep = branching_no_erasure_check(Z, X, 50_000, seed=19, model=InPlaceCollapsingModel())
         assert not rep.immutable
+
+    def test_second_device_write_detected(self):
+        rep = branching_no_erasure_check(Z, X, 50_000, seed=19, model=SecondDeviceWritingModel())
+        assert not rep.immutable
+
+    def test_write_keeping_the_value_detected(self):
+        # -0.0 == 0.0, so only a bit-for-bit comparison sees this write
+        rep = branching_no_erasure_check(Z, X, 1_000, seed=19, model=SignedZeroWritingModel())
+        assert not rep.immutable
+
+    def test_report_compares_by_identity(self):
+        # the report holds an array, so field-wise == would be ambiguous
+        rep = branching_no_erasure_check(Z, X, 100, seed=20)
+        assert rep == rep and rep != branching_no_erasure_check(Z, X, 100, seed=20)
 
 
 class TestInvariance:

@@ -11,7 +11,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from ontolab import BeltramettiBugajski, BranchingModel, Telegraph, joint_statistics
+from ontolab import BeltramettiBugajski, BranchingModel, Telegraph, branching_no_erasure_check
 from ontolab.models import sign_pm1
 from ontolab.rng import Uniforms
 from ontolab.sphere import bin_index, sample_uniform_sphere
@@ -20,6 +20,7 @@ from helpers import (
     stacked_sample_uniform_sphere,
     where_alice,
     where_bb_measure,
+    where_bob,
     where_bin_index,
     where_joint_cells,
     where_pair_and_select,
@@ -108,6 +109,21 @@ class TestBranching:
             assert same_bits(new, ref)
 
     @settings(max_examples=200, deadline=None)
+    @given(st.data(), SIZES, st.integers(1, 3))
+    def test_bob_matches_two_temporaries(self, data, n, n_refs):
+        b = data.draw(arrays(np.float64, 3, elements=COMPONENTS))
+        refs = [data.draw(arrays(np.float64, 3, elements=COMPONENTS)) for _ in range(n_refs)]
+        x0 = data.draw(arrays(np.float64, (n, 3), elements=COMPONENTS))
+        x1 = data.draw(arrays(np.float64, (n, 3), elements=COMPONENTS))
+        stored = x0.copy(), x1.copy()
+        s_b, n_bs = BranchingModel().bob_batch(b, x0, x1, refs)
+        ref_s_b, ref_n_bs = where_bob(b, x0, x1, refs)
+        assert same_bits(s_b, ref_s_b)
+        assert len(n_bs) == n_refs and all(same_bits(new, ref) for new, ref in zip(n_bs, ref_n_bs))
+        # the scratch array is its own, never one of the inputs
+        assert same_bits(x0, stored[0]) and same_bits(x1, stored[1])
+
+    @settings(max_examples=200, deadline=None)
     @given(st.data(), SIZES)
     def test_pair_and_select_matches_where(self, data, n):
         s_a, n_a, s_b, n_b = (data.draw(pm1(n)) for _ in range(4))
@@ -123,11 +139,12 @@ class TestBranching:
         a, b = np.array([0.0, 0.0, 1.0]), np.array([0.6, 0.0, 0.8])
         refs = (b, a)
         u = Uniforms(seed, range(runs), mw.JOINT_SLOTS)
+        x0, x1 = mw.sample_ontic_batch(u.columns(range(4)))
         expected = np.stack([
             np.bincount(where_joint_cells(o1, o2), minlength=4)
-            for o1, o2 in mw.joint_outcomes(u, a, b, refs)
+            for o1, o2 in mw.branch_outcomes(a, b, refs, x0, x1, u.get(4))
         ]).reshape(-1, 2, 2) / runs
-        assert np.array_equal(joint_statistics(mw, a, b, runs, seed, references=refs), expected)
+        assert np.array_equal(branching_no_erasure_check(a, b, runs, seed, references=refs).joint, expected)
 
 
 class TestSphere:

@@ -16,13 +16,12 @@ from ontolab import (
     MAXIMALLY_MIXED,
     BeltramettiBugajski,
     BranchingModel,
-    ContractMismatchError,
     InvalidArgumentError,
     Telegraph,
     bloch_to_density,
+    branching_no_erasure_check,
     density_to_bloch,
     joint_expectation,
-    joint_statistics,
     make_model,
     sequential_joint,
 )
@@ -246,30 +245,31 @@ class TestBranchingModel:
         for seed in range(5):
             a = random_unit(rng)[0]
             u = uniform_block(seed, range(50_000), (0, 1, 2, 3, 4))
-            res = mw.run_experiment_batch(a, a, u)
-            assert np.array_equal(res.alpha, res.beta)
+            alpha, beta = mw.run_experiment_batch(a, a, u)
+            assert np.array_equal(alpha, beta)
 
     def test_opposite_directions_perfectly_anticorrelated(self):
         mw = BranchingModel()
         a = random_unit(np.random.default_rng(8))[0]
         u = uniform_block(30, range(50_000), (0, 1, 2, 3, 4))
-        res = mw.run_experiment_batch(a, -a, u)
-        assert np.array_equal(res.alpha, -res.beta)
+        alpha, beta = mw.run_experiment_batch(a, -a, u)
+        assert np.array_equal(alpha, -beta)
 
     def test_system_vectors_immutable(self):
         mw = BranchingModel()
         u = uniform_block(31, range(10_000), (0, 1, 2, 3, 4))
         x0, x1 = mw.sample_ontic_batch(u[:, 0:4])
-        res = mw.run_experiment_batch(Z, X, u)
-        assert np.array_equal(res.x0_post, x0)
-        assert np.array_equal(res.x1_post, x1)
+        stored = x0.copy(), x1.copy()
+        mw.branch_outcomes(Z, X, (X, Z), x0, x1, u[:, 4])
+        assert np.array_equal(x0, stored[0])
+        assert np.array_equal(x1, stored[1])
 
     def test_joint_statistics_match_oracle(self):
         rng = np.random.default_rng(9)
         runs = 50_000
         for seed in range(10):
             a, b = random_unit(rng)[0], random_unit(rng)[0]
-            probs = joint_statistics(BranchingModel(), a, b, runs, seed=seed)
+            (probs,) = branching_no_erasure_check(a, b, runs, seed=seed).joint
             exact = sequential_joint(MAXIMALLY_MIXED, [a, b])
             stderr = np.sqrt(exact * (1 - exact) / runs)
             assert (np.abs(probs - exact) <= 5 * stderr + 1e-12).all()
@@ -281,7 +281,7 @@ class TestBranchingModel:
         b = np.array([0.0, math.sin(np.pi / 4), math.cos(np.pi / 4)])
         runs = 200_000
         # bookkeeping along the first party's direction a, then along b
-        probs, probs_b = joint_statistics(BranchingModel(), a, b, runs, seed=10, references=(a, b))
+        probs, probs_b = branching_no_erasure_check(a, b, runs, seed=10, references=(a, b)).joint
         exact = sequential_joint(MAXIMALLY_MIXED, [a, b])
         stderr = np.sqrt(exact * (1 - exact) / runs)
         deviation = np.abs(probs - exact)
@@ -293,23 +293,25 @@ class TestBranchingModel:
     def test_references_counted_from_one_draw(self, model):
         a = Z
         b = np.array([0.0, math.sin(np.pi / 4), math.cos(np.pi / 4)])
-        both = joint_statistics(model, a, b, 70_000, seed=13, references=(b, a))
+        both = branching_no_erasure_check(a, b, 70_000, seed=13, references=(b, a), model=model).joint
         assert both.shape == (2, 2, 2)
         # each reference's table is the one it gets counted alone, and b's is the default
-        assert np.array_equal(both[0], joint_statistics(model, a, b, 70_000, seed=13))
-        assert np.array_equal(both[1], joint_statistics(model, a, b, 70_000, seed=13, references=(a,))[0])
+        assert np.array_equal(both[0], branching_no_erasure_check(a, b, 70_000, seed=13, model=model).joint[0])
+        alone = branching_no_erasure_check(a, b, 70_000, seed=13, references=(a,), model=model).joint
+        assert np.array_equal(both[1], alone[0])
         assert not np.array_equal(both[0], both[1])
 
-    @pytest.mark.parametrize("model", [BeltramettiBugajski(), Telegraph()], ids=["bb", "telegraph"])
-    def test_single_world_model_rejected(self, model):
-        # a single-world model has no joint path; its exact joint is the oracle's
-        with pytest.raises(ContractMismatchError, match="qubit.sequential_joint"):
-            joint_statistics(model, Z, X, 100, seed=0)
+    def test_joint_shape_same_with_and_without_references(self):
+        a, b = Z, X
+        default = branching_no_erasure_check(a, b, 1_000, seed=14).joint
+        assert default.shape == (1, 2, 2)
+        assert np.array_equal(branching_no_erasure_check(a, b, 1_000, seed=14, references=(b,)).joint, default)
+        assert branching_no_erasure_check(a, b, 1_000, seed=14, references=(b, a, X)).joint.shape == (3, 2, 2)
 
     def test_expectation_reproduces_dot_product(self):
         rng = np.random.default_rng(11)
         a, b = random_unit(rng)[0], random_unit(rng)[0]
-        probs = joint_statistics(BranchingModel(), a, b, 400_000, seed=12)
+        (probs,) = branching_no_erasure_check(a, b, 400_000, seed=12).joint
         assert abs(joint_expectation(probs) - float(a @ b)) <= 0.008
 
 

@@ -92,6 +92,12 @@ class TestUniforms:
             u.columns((4, 5))
 
 
+def _branching_pass(model, u):
+    # the kernels of information.branching_no_erasure_check, in its order
+    x0, x1 = model.sample_ontic_batch(u[:, 0:4])
+    return sum(model.branch_outcomes(Z, X, (X, Z), x0, x1, u[:, 4]), ())
+
+
 # (label, model, declared slots, the path's full layout, kernel)
 PATHS = [
     ("bb-lg", BeltramettiBugajski(), "LG_SLOTS", range(7),
@@ -105,7 +111,7 @@ PATHS = [
     ("telegraph-sample", Telegraph(), "SAMPLE_SLOTS", range(3),
      lambda m, u: m.measured_states(u, X)),
     ("mw-joint", BranchingModel(), "JOINT_SLOTS", range(5),
-     lambda m, u: sum(m.joint_outcomes(u, Z, X, (X, Z)), ())),
+     lambda m, u: _branching_pass(m, u.columns(m.JOINT_SLOTS))),
 ]
 PATH_IDS = [p[0] for p in PATHS]
 
