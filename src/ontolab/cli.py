@@ -14,7 +14,9 @@ floats) or JSON ({config, results, provenance}).  The config records the
 command, the seed and exactly the flags that the command and its model read,
 defaults filled in; not --out or --format, so `--out FILE` gets the bytes
 stdout would.  Output bytes do not depend on the worker count.  The exit
-code is 0 on success, 2 for configuration errors, 3 for numerical failures.
+code is 0 on success, 2 for configuration errors, 3 for numerical failures;
+mwcheck also exits 3, after writing its output, when variant b fails the
+oracle test or no_erasure is false.
 A model the command does not take, or a flag that the command or the chosen
 model would ignore, is a configuration error, as are --runs above MAX_RUNS,
 a scan time with |t| >= 2**19 and an lg time or paired gap beyond
@@ -329,8 +331,12 @@ def cmd_mwcheck(config: dict) -> Output:
         "alpha": ALPHA,
         "no_erasure": check.immutable,
     }
-    failure = None if p_b >= ALPHA else f"branching model fails the oracle test: p_value {p_b} < alpha (runs={n})"
-    return Output(results, failure=failure)
+    failures = []
+    if p_b < ALPHA:
+        failures.append(f"branching model fails the oracle test: p_value {p_b} < alpha (runs={n})")
+    if not check.immutable:
+        failures.append(f"branching model altered the system pair (x0, x1): no_erasure is false (runs={n})")
+    return Output(results, failure="; ".join(failures) or None)
 
 
 # How to parse each flag a command may read, and what it means.

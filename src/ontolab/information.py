@@ -17,6 +17,18 @@ equal-area sphere grid:
 
 Every statistical verdict is ``chi_square_test`` (Pearson's X^2) rejecting at
 ``ALPHA``, the two-sided 5-sigma tail.  Entropies are differential, in nats.
+
+The histograms are folded from exact cells, never from binned points.  Every
+state they count is of one of two kinds:
+
+* an atom: a post-measurement state is the atom of its outcome (the
+  collapse model's +-d, the telegraph's poles +-z), and the telegraph's
+  prepared values are the same poles.  The two atoms' cells are found once
+  per call, with ``sphere.bin_index`` on ``model.embed_on_sphere(model.atoms(d))``,
+  and each chunk adds its counts of +1 and -1 to them;
+* the collapse model's uniform preparation, whose cell is
+  ``sphere.uniform_cell`` of its two preparation uniforms, with no
+  trigonometry (the edge rule is in ``sphere``).
 """
 
 from __future__ import annotations
@@ -31,7 +43,7 @@ from . import rng as _rng
 from .errors import ContractMismatchError, InvalidArgumentError
 from .models import BranchingModel, OntologicalModel
 from .qubit import as_direction
-from .sphere import SphereHistogram, histogram_entropy, tv_distance
+from .sphere import SphereHistogram, bin_index, histogram_entropy, tv_distance, uniform_cell
 
 #: false-positive rate of every verdict: the two-sided 5-sigma normal tail, ~5.73e-7
 ALPHA = math.erfc(5.0 / math.sqrt(2.0))
@@ -101,22 +113,39 @@ def _require_single_world(model) -> OntologicalModel:
     return model
 
 
-def _histograms(points, runs: int, seed: int, slots, grids) -> list[list[SphereHistogram]]:
-    """Histograms over runs [0, runs) of each point set `points(u)` returns, at each grid.
+def _histograms(cells, runs: int, seed: int, slots, grids) -> list[list[SphereHistogram]]:
+    """Histograms over runs [0, runs), at each grid, of each cell set `cells(u)` returns.
 
-    `points` maps a chunk's ``Uniforms`` over `slots` to a tuple of (n, 3)
-    unit-vector arrays; result[k][g] bins the k-th of them at grids[g].
+    `cells` maps a chunk's ``Uniforms`` over `slots` to one list per
+    histogram, holding for each of `grids` the (flat cells, counts or None)
+    that ``SphereHistogram.add`` takes; result[k][g] folds the k-th
+    histogram at grids[g].
     """
 
     def run_chunk(lo: int, n: int):
         u = _rng.Uniforms(seed, range(lo, lo + n), slots)
-        return [[SphereHistogram.from_points(p, nz, nphi) for nz, nphi in grids] for p in points(u)]
+        return [
+            [SphereHistogram(nz, nphi).add(*c) for (nz, nphi), c in zip(grids, per_grid)]
+            for per_grid in cells(u)
+        ]
 
     chunks = _rng.map_chunks(run_chunk, runs)
     return [
         [functools.reduce(SphereHistogram.merge, per_chunk) for per_chunk in zip(*per_grid)]
         for per_grid in zip(*chunks)
     ]
+
+
+def _atom_cells(model: OntologicalModel, direction, grids) -> list[np.ndarray]:
+    """Per grid, the flat cells of the model's two atoms for `direction`, outcome +1 first."""
+    points = model.embed_on_sphere(model.atoms(direction))
+    return [bin_index(points, nz, nphi) for nz, nphi in grids]
+
+
+def _outcome_counts(values: np.ndarray) -> np.ndarray:
+    """[number of +1, number of -1] among +-1 values: the counts of the two atoms."""
+    minus = np.count_nonzero(values < 0)
+    return np.array([len(values) - minus, minus])
 
 
 @dataclass(frozen=True)
@@ -154,11 +183,17 @@ def erasure_report(
         raise InvalidArgumentError("runs must be >= 1")
     resolutions = tuple((int(nz), int(nphi)) for nz, nphi in resolutions)
     direction = as_direction(setting)
+    atoms = _atom_cells(model, direction, resolutions)
 
     def before_and_after(u):
         # the model's measured_states reads its SAMPLE_SLOTS (layout in models.py)
-        states, post = model.measured_states(u, direction)
-        return model.embed_on_sphere(states), model.embed_on_sphere(post)
+        states, outcomes = model.measured_states(u, direction)
+        if model.UNIFORM_PREPARATION:
+            prep = u.columns(range(model.PREP_SLOTS))
+            before = [(uniform_cell(prep, nz, nphi), None) for nz, nphi in resolutions]
+        else:
+            before = [(cells, _outcome_counts(states)) for cells in atoms]
+        return before, [(cells, _outcome_counts(outcomes)) for cells in atoms]
 
     before, after = _histograms(before_and_after, runs, seed, model.SAMPLE_SLOTS, resolutions)
     return ErasureReport(
@@ -214,10 +249,12 @@ def noflow_test(
     grid = ((int(nz), int(nphi)),)
 
     def post_measurement(direction, arm_seed) -> SphereHistogram:
-        def points(u):
-            return (model.embed_on_sphere(model.measured_states(u, direction)[1]),)
+        [atoms] = _atom_cells(model, direction, grid)
 
-        [[h]] = _histograms(points, runs, arm_seed, model.SAMPLE_SLOTS, grid)
+        def cells(u):
+            return ([(atoms, _outcome_counts(model.measured_states(u, direction)[1]))],)
+
+        [[h]] = _histograms(cells, runs, arm_seed, model.SAMPLE_SLOTS, grid)
         return h
 
     h1 = post_measurement(d1, _rng.substream_seed(seed, 1))

@@ -26,8 +26,10 @@ one chunk's runs:
   four-time inequality (``LG_SLOTS``), driven by
   ``leggett_garg.empirical_correlations``;
 * ``measured_states(u, direction)``, single-world models only: the prepared
-  states and their images after a measurement with the outcome discarded
-  (``SAMPLE_SLOTS``), histogrammed by the ``information`` diagnostics;
+  states and the outcomes of measuring them (``SAMPLE_SLOTS``), which the
+  ``information`` diagnostics histogram.  A post-measurement state is one
+  of two atoms, the state ``atoms(direction)`` lists for its outcome, so
+  the outcomes are all a post-measurement histogram needs;
 * branching model only, the two halves of one measurement of a, then b
   (``JOINT_SLOTS``): ``sample_ontic_batch`` draws the ontic pair (x0, x1)
   and ``branch_outcomes`` returns the kept branch's outcomes, one pair per
@@ -60,11 +62,13 @@ import numpy as np
 
 from . import rng as _rng
 from .errors import InvalidArgumentError
-from .qubit import heisenberg_direction
+from .qubit import OUTCOMES, heisenberg_direction
 from .sphere import sample_uniform_sphere
 
 
 _Z_DIRECTION = np.array([0.0, 0.0, 1.0])
+#: the outcomes +1 and -1, in the order of ``atoms``
+_OUTCOMES = np.array(OUTCOMES, dtype=np.int8)
 
 
 def sign_pm1(x: np.ndarray) -> np.ndarray:
@@ -97,6 +101,10 @@ class OntologicalModel(ABC):
     LG_SLOTS: tuple[int, ...]
     #: post-measurement sampling: 0-1 preparation, 2 measurement
     SAMPLE_SLOTS: tuple[int, ...]
+    #: True when prepare_max_batch is sample_uniform_sphere of the PREP_SLOTS,
+    #: so that a prepared state's cell is sphere.uniform_cell of them; False
+    #: when prepared states are +-1 values, which index ``atoms`` like outcomes
+    UNIFORM_PREPARATION: bool = False
 
     @abstractmethod
     def prepare_max_batch(self, u: np.ndarray):
@@ -109,6 +117,14 @@ class OntologicalModel(ABC):
     @abstractmethod
     def measure_batch(self, states, direction: np.ndarray | None, u: np.ndarray | None):
         """Measure all runs; returns (outcomes in {-1,+1} int8, post states)."""
+
+    def measure_outcomes(self, states, direction: np.ndarray | None, u: np.ndarray | None) -> np.ndarray:
+        """The outcomes of measure_batch alone, for a caller that reads post states through ``atoms``."""
+        return self.measure_batch(states, direction, u)[0]
+
+    @abstractmethod
+    def atoms(self, direction: np.ndarray | None):
+        """The post states of outcomes +1 and -1, in that order, built as measure_batch builds them."""
 
     @abstractmethod
     def embed_on_sphere(self, states) -> np.ndarray:
@@ -127,10 +143,9 @@ class OntologicalModel(ABC):
         return o1 * o2
 
     def measured_states(self, u: _rng.Uniforms, direction: np.ndarray):
-        """Prepared ontic states and their images after a measurement with the outcome discarded."""
+        """Prepared ontic states and the outcomes of measuring them; each run's post state is its outcome's atom."""
         states = self.prepare_max_batch(u.columns(range(self.PREP_SLOTS)))
-        _, post = self.measure_batch(states, direction, u.get(2))
-        return states, post
+        return states, self.measure_outcomes(states, direction, u.get(2))
 
 
 class BeltramettiBugajski(OntologicalModel):
@@ -146,6 +161,7 @@ class BeltramettiBugajski(OntologicalModel):
     PREP_SLOTS = 2
     LG_SLOTS = (1, 2, 4, 6)
     SAMPLE_SLOTS = (0, 1, 2)
+    UNIFORM_PREPARATION = True
 
     def prepare_max_batch(self, u: np.ndarray) -> np.ndarray:
         return sample_uniform_sphere(u[:, :2])
@@ -159,18 +175,30 @@ class BeltramettiBugajski(OntologicalModel):
         out[:, 2] = s * states[:, 1] + c * states[:, 2]
         return out
 
-    def measure_batch(self, states: np.ndarray, direction, u: np.ndarray):
+    def measure_outcomes(self, states: np.ndarray, direction, u: np.ndarray) -> np.ndarray:
         if direction is None:
             raise InvalidArgumentError("Beltrametti-Bugajski measurement needs a direction")
         if u is None:
             raise InvalidArgumentError("Beltrametti-Bugajski measurement is stochastic and needs uniforms")
-        direction = np.asarray(direction, dtype=float)
-        p_plus = 0.5 * (1.0 + states @ direction)
-        outcomes = 2 * (np.asarray(u).reshape(-1) < p_plus).view(np.int8) - 1
+        p_plus = 0.5 * (1.0 + states @ np.asarray(direction, dtype=float))
+        return 2 * (np.asarray(u).reshape(-1) < p_plus).view(np.int8) - 1
+
+    def measure_batch(self, states: np.ndarray, direction, u: np.ndarray):
+        outcomes = self.measure_outcomes(states, direction, u)
+        return outcomes, self._collapse(outcomes, direction)
+
+    def atoms(self, direction) -> np.ndarray:
+        # -1 * 0.0 is -0.0 here as in every post state, so -z is (-0.0, -0.0, -1)
+        return self._collapse(_OUTCOMES, direction)
+
+    @staticmethod
+    def _collapse(outcomes: np.ndarray, direction) -> np.ndarray:
+        """outcome * direction per run, as an (n, 3) array."""
         post = np.empty((len(outcomes), 3))
-        for j, component in enumerate(direction):  # one pass per column: a length-3 inner loop is slow
+        # one pass per column: a length-3 inner loop is slow
+        for j, component in enumerate(np.asarray(direction, dtype=float)):
             np.multiply(outcomes, component, out=post[:, j])
-        return outcomes, post
+        return post
 
     def embed_on_sphere(self, states: np.ndarray) -> np.ndarray:
         return states
@@ -220,6 +248,10 @@ class Telegraph(OntologicalModel):
 
     def measure_batch(self, states: np.ndarray, direction=None, u=None):
         return states.astype(np.int8), states
+
+    def atoms(self, direction=None) -> np.ndarray:
+        # the readout leaves the value, so the post state of each outcome is that value
+        return _OUTCOMES.copy()
 
     def embed_on_sphere(self, states: np.ndarray) -> np.ndarray:
         # definite values sit at the sphere poles so one estimator serves all models

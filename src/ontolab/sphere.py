@@ -6,8 +6,22 @@ cell cover exactly 4*pi / (nz * nphi) of solid angle.  This grid is the
 substrate for the histogram entropy estimator and the chi-square
 distribution tests.
 
-Zero keeps the sign convention of ``models`` (sign(0) := +1): an azimuth
-of -0.0 or +0.0 lies in sector 0, and phi = 2*pi*u1 covers [0, 2*pi).
+A cell is found one of two ways:
+
+* ``bin_index`` bins arbitrary unit vectors: slab floor((z + 1)/2 * nz) and
+  sector floor(phi/(2*pi) * nphi), phi = arctan2(y, x) wrapped into
+  [0, 2*pi), each clipped to the last cell.  An azimuth of -0.0 lies in
+  sector 0.  At a pole the sector follows the signs of the zeros: (+0.0,
+  +0.0, z) lies in sector 0 and (-0.0, -0.0, z) in sector nphi/2, which is
+  where ``models``' -z atom of the collapse model lands.
+* ``uniform_cell`` gives the cell of ``sample_uniform_sphere(u)`` from the
+  uniforms alone, with no trigonometry: slab floor(u0 * nz), which is
+  bin_index's own slab, and sector floor(u1 * nphi), the cell of the
+  azimuth 2*pi*u1.  The two agree except within a few rounding errors of a
+  sector edge (u1 * nphi next to an integer), where the arctan2 round trip
+  can land one sector off, and at the pole u0 == 0, where x and y are
+  signed zeros.  There the uniforms' cell is the defined one, by the
+  rounding rule ``uniform_cell`` states.
 """
 
 from __future__ import annotations
@@ -43,6 +57,25 @@ def sample_uniform_sphere(u: np.ndarray) -> np.ndarray:
     np.sin(phi, out=y)
     y *= r
     return out
+
+
+def uniform_cell(u: np.ndarray, nz: int, nphi: int) -> np.ndarray:
+    """Flat cell index in [0, nz*nphi) of sample_uniform_sphere(u) for uniforms u in [0, 1) of shape (n, 2).
+
+    Slab floor(u0 * nz) and sector floor(u1 * nphi), each product rounded
+    to a double.  For u0 on the 2**-53 grid of ``rng``, ((2*u0 - 1) + 1) *
+    0.5 == u0 exactly, so the slab is the one bin_index finds.  The sector
+    is the cell of the exact azimuth 2*pi*u1, except where u1 * nphi rounds
+    up onto a sector edge, which puts the point in the sector above.  No
+    clip is needed: for u < 1 the exact product u*n lies at least n*2**-53
+    below n, which is more than half the spacing of the doubles just below
+    n unless it lands on one of them, so floor(u*n) <= n - 1.
+    """
+    u = np.asarray(u, dtype=float)
+    flat = np.multiply(u[:, 0], nz).astype(np.int64)
+    flat *= nphi
+    flat += np.multiply(u[:, 1], nphi).astype(np.int64)
+    return flat
 
 
 def bin_index(points: np.ndarray, nz: int, nphi: int) -> np.ndarray:
@@ -90,10 +123,14 @@ class SphereHistogram:
     def cell_area(self) -> float:
         return FULL_SOLID_ANGLE / self.n_bins
 
-    def add(self, points: np.ndarray) -> "SphereHistogram":
-        """Accumulate unit vectors of shape (n, 3); returns self."""
-        flat = bin_index(points, self.nz, self.nphi)
-        self.counts += np.bincount(flat, minlength=self.n_bins).reshape(self.nz, self.nphi)
+    def add(self, cells: np.ndarray, counts: np.ndarray | None = None) -> "SphereHistogram":
+        """Accumulate flat cell indices, each counted `counts` times (default once); returns self.
+
+        One bincount, so a cell listed twice gets both counts: two atoms may
+        share a cell.  Counts are summed as doubles, exact below 2**53.
+        """
+        added = np.bincount(cells, counts, self.n_bins)
+        self.counts += added.astype(np.int64, copy=False).reshape(self.nz, self.nphi)
         return self
 
     def merge(self, other: "SphereHistogram") -> "SphereHistogram":
@@ -113,10 +150,6 @@ class SphereHistogram:
             raise InvalidArgumentError(
                 f"binning mismatch: {(self.nz, self.nphi)} vs {(other.nz, other.nphi)}"
             )
-
-    @classmethod
-    def from_points(cls, points: np.ndarray, nz: int, nphi: int) -> "SphereHistogram":
-        return cls(nz, nphi).add(points)
 
 
 def histogram_entropy(hist: SphereHistogram) -> float:

@@ -10,6 +10,9 @@ independent routes to the same numbers:
 * ``bb_joint_statistics``: two back-to-back measurements through the
   collapse model's own prepare and measure kernels, the Born-rule check
   against ``qubit.sequential_joint``;
+* ``from_points``: the point path the ``information`` histograms replaced,
+  ``sphere.bin_index`` on (n, 3) unit vectors with one count each, which
+  their exact cells must match count for count;
 * ``invariance_tv``: whether the collapse model's dynamics leaves the
   uniform ontic distribution invariant, over the ``information`` histogram
   fold, judged by the chi-square homogeneity test ``noflow_test`` runs;
@@ -30,7 +33,7 @@ from ontolab.errors import InvalidArgumentError
 from ontolab.information import _histograms, _homogeneity_test
 from ontolab.qubit import IDENTITY, SIGMA_X, bloch_to_density, check_density, density_to_bloch, unit_vector
 from ontolab.rng import substream_seed, uniform_block
-from ontolab.sphere import tv_distance
+from ontolab.sphere import SphereHistogram, bin_index, tv_distance
 
 HAMILTONIAN = SIGMA_X
 
@@ -93,6 +96,11 @@ def bb_joint_statistics(a, b, runs: int, seed: int) -> np.ndarray:
     return np.bincount(cells.astype(np.int64), minlength=4).reshape(2, 2) / runs
 
 
+def from_points(points: np.ndarray, nz: int, nphi: int) -> SphereHistogram:
+    """Histogram of unit vectors of shape (n, 3), each binned by sphere.bin_index."""
+    return SphereHistogram(nz, nphi).add(bin_index(points, nz, nphi))
+
+
 def invariance_tv(runs: int, rotations: int, seed: int, cap: bool = False, nz: int = 16, nphi: int = 16):
     """(TV distance, homogeneity p-value) of an evolved ensemble against a fresh uniform one.
 
@@ -114,10 +122,10 @@ def invariance_tv(runs: int, rotations: int, seed: int, cap: bool = False, nz: i
         states = bb.prepare_max_batch(prep)
         for dt in durations:
             states = bb.evolve_batch(states, float(dt))
-        return (states,)
+        return ([(bin_index(states, nz, nphi), None)],)
 
     def fresh(u):
-        return (bb.prepare_max_batch(u.columns(prep_slots)),)
+        return ([(bin_index(bb.prepare_max_batch(u.columns(prep_slots)), nz, nphi), None)],)
 
     [[h_evolved]] = _histograms(evolved, runs, substream_seed(seed, 1), prep_slots, grid)
     [[h_fresh]] = _histograms(fresh, runs, substream_seed(seed, 2), prep_slots, grid)

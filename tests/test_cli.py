@@ -385,7 +385,7 @@ class TestMwCheckCommand:
             return outcomes
 
         monkeypatch.setattr(BranchingModel, "branch_outcomes", faulty)
-        assert main(["mwcheck", *TWO_DIRS, "--runs", "150000", "--format", "json"]) == 0
+        assert main(["mwcheck", *TWO_DIRS, "--runs", "150000", "--format", "json"]) == 3
         results = json.loads(capsys.readouterr().out)["results"]
         assert results["no_erasure"] is False
         assert "immutability_runs" not in results

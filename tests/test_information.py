@@ -5,7 +5,9 @@ distribution over k equal bins has plug-in entropy ln(k) + ln(cell area);
 a polar-cap start must stay far from uniform under the x-axis rotations.
 The chi-square p-values are checked against scipy, and every verdict's
 false-positive rate (over 2000 fixed seeds, within 4 binomial sd of the
-nominal 0.05) and power are measured on the product paths.
+nominal 0.05) and power are measured on the product paths.  The erasure
+and noflow histograms, folded from exact cells, match the point path
+(``helpers.from_points``) count for count.
 """
 
 import math
@@ -27,13 +29,15 @@ from ontolab import (
     noflow_test,
     tv_distance,
 )
+from ontolab import information
 from ontolab.cli import cmd_mwcheck
 from ontolab.information import ALPHA, MIN_POOLED, _homogeneity_test, chi2_sf, chi_square_test
 from ontolab.models import sign_pm1
-from ontolab.rng import uniform_block
+from ontolab.qubit import as_direction
+from ontolab.rng import CHUNK_RUNS, Uniforms, substream_seed, uniform_block
 from ontolab.sphere import histogram_entropy, sample_uniform_sphere
 
-from helpers import invariance_tv
+from helpers import from_points, invariance_tv
 
 LN_4PI = math.log(4 * math.pi)
 Z = np.array([0.0, 0.0, 1.0])
@@ -45,12 +49,12 @@ def uniform_points(seed, n):
 
 
 def entropy_of(points, nz, nphi):
-    return histogram_entropy(SphereHistogram.from_points(points, nz, nphi))
+    return histogram_entropy(from_points(points, nz, nphi))
 
 
 class TestSphereHistogram:
     def test_counts_partition_total(self):
-        h = SphereHistogram.from_points(uniform_points(1, 10_000), 4, 8)
+        h = from_points(uniform_points(1, 10_000), 4, 8)
         assert h.total == 10_000
         assert h.counts.shape == (4, 8)
 
@@ -60,7 +64,7 @@ class TestSphereHistogram:
 
     def test_poles_and_equator_bins_distinct(self):
         pts = np.array([Z, -Z, X, -X])
-        h = SphereHistogram.from_points(pts, 16, 16)
+        h = from_points(pts, 16, 16)
         assert (h.counts == 1).sum() == 4
 
     def test_invalid_bins(self):
@@ -97,7 +101,7 @@ class TestEntropyEstimate:
     def test_histogram_entropy_agrees_with_estimate(self):
         pts = uniform_points(25, 50_000)
         # a histogram folded from two halves scores what the whole sample scores
-        h = SphereHistogram.from_points(pts[:20_000], 16, 16).merge(SphereHistogram.from_points(pts[20_000:], 16, 16))
+        h = from_points(pts[:20_000], 16, 16).merge(from_points(pts[20_000:], 16, 16))
         assert histogram_entropy(h) == pytest.approx(entropy_of(pts, 16, 16), abs=1e-12)
 
     def test_error_shrinks_with_sample_size(self):
@@ -112,17 +116,17 @@ class TestEntropyEstimate:
 
 class TestTVDistance:
     def test_self_distance_zero(self):
-        h = SphereHistogram.from_points(uniform_points(6, 1000), 8, 8)
+        h = from_points(uniform_points(6, 1000), 8, 8)
         assert tv_distance(h, h) == 0.0
 
     def test_disjoint_atoms_distance_one(self):
-        hz = SphereHistogram.from_points(np.vstack([np.tile(Z, (50, 1)), np.tile(-Z, (50, 1))]), 16, 16)
-        hx = SphereHistogram.from_points(np.vstack([np.tile(X, (50, 1)), np.tile(-X, (50, 1))]), 16, 16)
+        hz = from_points(np.vstack([np.tile(Z, (50, 1)), np.tile(-Z, (50, 1))]), 16, 16)
+        hx = from_points(np.vstack([np.tile(X, (50, 1)), np.tile(-X, (50, 1))]), 16, 16)
         assert tv_distance(hz, hx) == 1.0
 
     def test_independent_uniform_ensembles_close(self):
-        h1 = SphereHistogram.from_points(uniform_points(7, 1_000_000), 16, 16)
-        h2 = SphereHistogram.from_points(uniform_points(8, 1_000_000), 16, 16)
+        h1 = from_points(uniform_points(7, 1_000_000), 16, 16)
+        h2 = from_points(uniform_points(8, 1_000_000), 16, 16)
         assert tv_distance(h1, h2) <= 0.02
 
     def test_binning_mismatch_rejected(self):
@@ -134,8 +138,8 @@ class TestTVDistance:
     @given(st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1))
     @settings(max_examples=25, deadline=None)
     def test_symmetry_and_bounds(self, s1, s2):
-        h1 = SphereHistogram.from_points(uniform_points(s1, 200), 4, 4)
-        h2 = SphereHistogram.from_points(uniform_points(s2, 200), 4, 4)
+        h1 = from_points(uniform_points(s1, 200), 4, 4)
+        h2 = from_points(uniform_points(s2, 200), 4, 4)
         d = tv_distance(h1, h2)
         assert d == tv_distance(h2, h1)
         assert 0.0 <= d <= 1.0
@@ -192,6 +196,58 @@ class TestNoFlow:
     def test_branching_model_rejected(self):
         with pytest.raises(ContractMismatchError):
             noflow_test(BranchingModel(), Z, X, 100, seed=0)
+
+
+def _point_path(model, direction, runs: int, seed: int, grids):
+    """The prepared and post-measurement histograms the point path gave: each state embedded and binned."""
+    u = Uniforms(seed, range(runs), model.SAMPLE_SLOTS)
+    states = model.prepare_max_batch(u.columns(range(model.PREP_SLOTS)))
+    _, post = model.measure_batch(states, direction, u.get(2))
+    return [[from_points(model.embed_on_sphere(x), nz, nphi) for nz, nphi in grids] for x in (states, post)]
+
+
+class TestExactCells:
+    """Every erasure and noflow histogram equals the point path's, count for count, over several chunks."""
+
+    RUNS = 2 * CHUNK_RUNS + 1234
+    GRIDS = ((1, 8), (4, 1), (8, 8), (64, 64))
+    MODELS = [BeltramettiBugajski(), Telegraph(0.7)]
+
+    @pytest.fixture
+    def folded(self, monkeypatch):
+        """Every result of information._histograms during the test, in call order."""
+        recorded = []
+        fold = information._histograms
+
+        def recording(*args):
+            recorded.append(fold(*args))
+            return recorded[-1]
+
+        monkeypatch.setattr(information, "_histograms", recording)
+        return recorded
+
+    @staticmethod
+    def _counts(histograms):
+        return [[h.counts.tolist() for h in per_grid] for per_grid in histograms]
+
+    @pytest.mark.parametrize("seed", [0, 7, 20231])
+    @pytest.mark.parametrize("model", MODELS, ids=["bb", "telegraph"])
+    def test_erasure(self, folded, model, seed):
+        d = as_direction((0.0, 0.6, 0.8))
+        erasure_report(model, d, self.RUNS, self.GRIDS, seed=seed)
+        [histograms] = folded
+        assert self._counts(histograms) == self._counts(_point_path(model, d, self.RUNS, seed, self.GRIDS))
+
+    @pytest.mark.parametrize("seed", [0, 7, 20231])
+    @pytest.mark.parametrize("model", MODELS, ids=["bb", "telegraph"])
+    def test_noflow(self, folded, model, seed):
+        for grid in self.GRIDS:
+            folded.clear()
+            noflow_test(model, Z, X, self.RUNS, *grid, seed=seed)
+            assert len(folded) == 2
+            for arm, (d, [[h]]) in enumerate(zip((Z, X), folded), start=1):
+                [_, [ref]] = _point_path(model, d, self.RUNS, substream_seed(seed, arm), (grid,))
+                assert h.counts.tolist() == ref.counts.tolist()
 
 
 class CollapsingModel(BranchingModel):
@@ -295,8 +351,8 @@ class TestChiSquareTest:
         assert p_value == pytest.approx(ref.pvalue, rel=1e-9)
 
     def test_homogeneity_matches_scipy(self):
-        h1 = SphereHistogram.from_points(uniform_points(30, 5_000), 4, 4)
-        h2 = SphereHistogram.from_points(uniform_points(31, 5_000), 4, 4)
+        h1 = from_points(uniform_points(30, 5_000), 4, 4)
+        h2 = from_points(uniform_points(31, 5_000), 4, 4)
         chi2, df, p_value = _homogeneity_test(h1, h2)
         ref = stats.chi2_contingency(np.stack([h1.counts.ravel(), h2.counts.ravel()]), correction=False)
         assert df == ref.dof == 15
@@ -363,7 +419,7 @@ NEAR_PARALLEL_DIRS = ((0.0, 0.0, 1.0), (0.0, math.sqrt(1.0 - 0.99**2), 0.99))
 
 
 def _uniform_pair_p_value(runs: int, seed: int) -> float:
-    h1, h2 = (SphereHistogram.from_points(uniform_points(2 * seed + k, runs), 16, 16) for k in (0, 1))
+    h1, h2 = (from_points(uniform_points(2 * seed + k, runs), 16, 16) for k in (0, 1))
     return _homogeneity_test(h1, h2)[2]
 
 
@@ -390,21 +446,26 @@ class TestVerdictCalibration:
         assert (p_values >= ALPHA).all()
 
 
-class PartialCollapse(BeltramettiBugajski):
-    """A test-local fault: collapse with probability EPSILON, otherwise leave the state."""
+class PartialCollapse(Telegraph):
+    """A test-local fault: with probability EPSILON a readout along d collapses the value onto sign(d_z * value).
 
-    EPSILON = 0.02
-    SAMPLE_SLOTS = (0, 1, 2, 3)  # slot 3 decides whether the run collapses
+    Along z that is the value itself, so the z arm is the plain telegraph;
+    along x it is +1 (sign(0) := +1), so that arm's post-measurement poles
+    tilt from 1/2 each to (1 + EPSILON)/2 and (1 - EPSILON)/2.  Post states
+    stay atoms of their outcomes, as ``atoms`` requires.
+    """
 
-    def measured_states(self, u, direction):
-        states, post = super().measured_states(u, direction)
-        kept = u.get(3) >= self.EPSILON
-        post[kept] = states[kept]
-        return states, post
+    EPSILON = 0.1
+    SAMPLE_SLOTS = (0, 2)  # slot 2 decides whether the readout collapses
+
+    def measure_batch(self, states, direction, u):
+        collapsed = np.asarray(u) < self.EPSILON
+        post = np.where(collapsed, sign_pm1(direction[2] * states), states).astype(np.int8)
+        return post, post
 
 
 class TestVerdictPower:
     def test_partial_collapse_flow_detected(self):
-        # measured: 200/200 at epsilon 0.02 and 1e4 runs (0.01 gives 11/200 at 1e4, 166/200 at 2e4)
-        detected = [noflow_test(PartialCollapse(), Z, X, 10_000, seed=s).flow_detected for s in range(200)]
+        # measured: 200/200 at epsilon 0.1 and 2e4 runs (195/200 at 1e4; at 0.05, 97/200 at 2e4, 196/200 at 4e4)
+        detected = [noflow_test(PartialCollapse(), Z, X, 20_000, seed=s).flow_detected for s in range(200)]
         assert np.mean(detected) >= 0.99

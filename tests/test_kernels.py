@@ -5,16 +5,28 @@ comparison viewed as int8, or fills its output in place, must give the same
 dtype and the same bits as the ``np.where`` / ``column_stack`` reference of
 the same name in ``helpers``, ties included: u == p(+1), u == 0.5 and
 x == +-0.0 (sign(0) := +1 for both zeros).
+
+The exact cells the ``information`` histograms fold are checked against
+``sphere.bin_index`` on the points they stand for: ``uniform_cell`` against
+the binned uniform sample, away from sector edges, with its own rule pinned
+at the edges; and the atoms' cells against the binned ``measure_batch``
+post states, signed zeros included.
 """
 
+import math
+from fractions import Fraction
+
 import numpy as np
-from hypothesis import given, settings, strategies as st
+import pytest
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from ontolab import BeltramettiBugajski, BranchingModel, Telegraph, branching_no_erasure_check
+from ontolab.information import _atom_cells
 from ontolab.models import sign_pm1
-from ontolab.rng import Uniforms
-from ontolab.sphere import bin_index, sample_uniform_sphere
+from ontolab.qubit import as_direction
+from ontolab.rng import Uniforms, uniform_block
+from ontolab.sphere import bin_index, sample_uniform_sphere, uniform_cell
 
 from helpers import (
     stacked_sample_uniform_sphere,
@@ -33,6 +45,17 @@ SIZES = st.integers(0, 40)
 ZEROS = st.sampled_from([0.0, -0.0])
 COMPONENTS = st.floats(-1.0, 1.0) | ZEROS | st.sampled_from([0.5, -0.5, 1.0, -1.0])
 UNIFORMS = st.floats(0.0, 1.0, exclude_max=True) | st.sampled_from([0.0, 0.5, 0.25, 0.75])
+# counter-mode uniforms: k * 2**-53 for an integer k, as rng.uniform_block makes them
+GRID_UNIFORMS = st.integers(0, 2**53 - 1).map(lambda k: k * 2.0**-53)
+CELL_GRIDS = st.sampled_from([(7, 13), (3, 1000), (1024, 1024)]) | st.integers(1, 2048).flatmap(
+    lambda k: st.sampled_from([(1, k), (k, 1)])
+)
+# +-x, +-y, +-z as the command line parses them: zero components are +0.0
+AXES = {
+    f"{sign}{letter}": as_direction([float(f"{sign}1") if k == j else 0.0 for k in range(3)])
+    for j, letter in enumerate("xyz")
+    for sign in ("", "-")
+}
 
 
 def same_bits(new: np.ndarray, ref: np.ndarray) -> bool:
@@ -167,3 +190,85 @@ class TestSphere:
         points = np.array([[1.0, -0.0, 0.0], [1.0, 0.0, 0.0]])
         assert np.signbit(np.arctan2(points[0, 1], points[0, 0]))
         assert bin_index(points, 4, 8).tolist() == where_bin_index(points, 4, 8).tolist() == [16, 16]
+
+
+class TestUniformCell:
+    @settings(max_examples=300, deadline=None)
+    @given(arrays(np.float64, st.tuples(SIZES, st.just(2)), elements=GRID_UNIFORMS), CELL_GRIDS)
+    @example(np.array([[1.0 - 2.0**-53, 0.3], [2.0**-53, 1.0 - 2.0**-53]]), (1000, 1000))
+    @example(np.array([[1.0 - 2.0**-53, 0.3]]), (1000, 1))
+    def test_matches_bin_index_away_from_sector_edges(self, u, grid):
+        nz, nphi = grid
+        cells = uniform_cell(u, nz, nphi)
+        binned = bin_index(sample_uniform_sphere(u), nz, nphi)
+        assert cells.dtype == np.int64 and ((0 <= cells) & (cells < nz * nphi)).all()
+        # the slab is exact on every row, 1 - 2**-53 at nz = 1000 included
+        assert np.array_equal(cells // nphi, binned // nphi)
+        # the sector wherever the rounded point cannot straddle an edge: not
+        # within 1e-9 of a sector width of one, and not at the pole u0 == 0
+        product = u[:, 1] * nphi
+        away = (np.abs(product - np.round(product)) > 1e-9) & (u[:, 0] > 0.0)
+        assert np.array_equal(cells[away], binned[away])
+
+    @pytest.mark.parametrize("nphi", [1, 2, 3, 7, 8, 13, 64, 100, 1000, 1024])
+    def test_sector_edges_follow_the_rounded_product(self, nphi):
+        # u1 = k/nphi and its neighbours one ulp away; bin_index's arctan2
+        # round trip put 607 of these 6,741 inputs in a neighbouring sector
+        edges = np.arange(nphi + 1) / nphi
+        u1 = np.concatenate([np.nextafter(edges, 0.0), edges, np.nextafter(edges, 1.0)])
+        u1 = u1[(u1 >= 0.0) & (u1 < 1.0)]
+        sectors = uniform_cell(np.column_stack([np.full_like(u1, 0.3), u1]), 1, nphi)
+        exact = np.array([math.floor(Fraction(x) * nphi) for x in u1.tolist()])
+        product = u1 * nphi
+        # the exact azimuth's sector, or the one above where the product rounds up onto its edge
+        rounded_up = (product == np.floor(product)) & (exact < product)
+        assert np.array_equal(sectors, np.where(rounded_up, exact + 1, exact))
+        assert ((0 <= sectors) & (sectors < nphi)).all()
+
+
+def _measured_post(model, direction, runs=2000, seed=3):
+    """measure_batch's outcomes and post states on a uniform-z preparation (for telegraph, +-1 values)."""
+    u = uniform_block(seed, range(runs), (0, 1, 2))
+    states = model.prepare_max_batch(u[:, : model.PREP_SLOTS])
+    return model.measure_batch(states, direction, u[:, 2])
+
+
+class TestAtomCells:
+    GRIDS = ((8, 8), (1, 8), (4, 1), (7, 13), (64, 64))
+
+    @pytest.mark.parametrize("model", [BeltramettiBugajski(), Telegraph()], ids=["bb", "telegraph"])
+    @pytest.mark.parametrize("axis", sorted(AXES))
+    def test_atoms_bin_as_the_post_states(self, model, axis):
+        d = AXES[axis]
+        outcomes, post = _measured_post(model, d)
+        assert {-1, 1} <= set(outcomes.tolist())
+        atoms = model.atoms(d)
+        # each post state is its outcome's atom, bit for bit (-0.0 included)
+        assert same_bits(atoms[(1 - outcomes) // 2], post)
+        points = model.embed_on_sphere(post)
+        for cells, (nz, nphi) in zip(_atom_cells(model, d, self.GRIDS), self.GRIDS):
+            assert np.array_equal(cells[(1 - outcomes) // 2], bin_index(points, nz, nphi))
+
+    def test_negative_zeros_of_the_collapse_atoms(self):
+        bb = BeltramettiBugajski()
+        minus_z = bb.atoms(AXES["z"])[1]
+        assert minus_z.tolist() == [0.0, 0.0, -1.0] and np.signbit(minus_z).all()
+        # -z as (-0.0, -0.0, -1) lies in sector nphi/2, the telegraph's -z pole in sector 0
+        assert [c.tolist() for c in _atom_cells(bb, AXES["z"], [(8, 8)])] == [[56, 4]]
+        assert [c.tolist() for c in _atom_cells(Telegraph(), AXES["z"], [(8, 8)])] == [[56, 0]]
+
+    def test_pinned_cells(self):
+        bb = BeltramettiBugajski()
+        grids = ((8, 8), (1, 8), (4, 1))
+        expected = {
+            "x": [[32, 36], [0, 4], [2, 2]],
+            "-x": [[36, 32], [4, 0], [2, 2]],
+            "y": [[34, 38], [2, 6], [2, 2]],
+            "-y": [[38, 34], [6, 2], [2, 2]],
+            "z": [[56, 4], [0, 4], [3, 0]],
+            "-z": [[0, 60], [0, 4], [0, 3]],
+        }
+        for axis, cells in expected.items():
+            assert [c.tolist() for c in _atom_cells(bb, AXES[axis], grids)] == cells, axis
+        # the telegraph's poles share cell 0 on a 1xK grid; +-x share a cell on a Kx1 grid
+        assert [c.tolist() for c in _atom_cells(Telegraph(), AXES["x"], grids)] == [[56, 0], [0, 0], [3, 0]]

@@ -27,9 +27,8 @@ from ontolab import (
 )
 from ontolab.models import sign_pm1
 from ontolab.rng import uniform_block
-from ontolab.sphere import SphereHistogram
 
-from helpers import bb_joint_statistics, evolve, measure
+from helpers import bb_joint_statistics, evolve, from_points, measure
 
 Z = np.array([0.0, 0.0, 1.0])
 X = np.array([1.0, 0.0, 0.0])
@@ -41,7 +40,7 @@ def random_unit(rng, n=1):
 
 
 def uniformity_pvalue(points, nz=8, nphi=16):
-    counts = SphereHistogram.from_points(points, nz, nphi).counts.ravel()
+    counts = from_points(points, nz, nphi).counts.ravel()
     return chisquare(counts).pvalue
 
 
@@ -328,8 +327,8 @@ class TestCausalityStructure:
         assert np.array_equal(states_for_z, states_for_x)
         # and with independent seeds the distributions agree within noise
         other = model.prepare_max_batch(uniform_block(51, range(50_000), (0, 1, 2))[:, 0 : model.PREP_SLOTS])
-        h1 = SphereHistogram.from_points(model.embed_on_sphere(states_for_z), 8, 8)
-        h2 = SphereHistogram.from_points(model.embed_on_sphere(other), 8, 8)
+        h1 = from_points(model.embed_on_sphere(states_for_z), 8, 8)
+        h2 = from_points(model.embed_on_sphere(other), 8, 8)
         from ontolab.information import ALPHA, _homogeneity_test
 
         assert _homogeneity_test(h1, h2)[2] >= ALPHA

@@ -3,7 +3,9 @@
 ``perfbench/run.py`` wraps ontolab functions and methods by name in every
 ``--trace 1`` run; a renamed or deleted one is an AttributeError there.  This
 imports the harness as it is, installs its tracer on a fresh ``spans.Tracer``,
-and checks that uninstalling puts every original back.
+and checks that uninstalling puts every original back.  Traced erasure and
+noflow calls must reach every wrapped sphere and embedding function, bin
+only the two atoms per grid, and print the untraced bytes.
 """
 
 import json
@@ -13,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import ontolab
-from ontolab import cli, information, models, sphere
+from ontolab import cli, information, models, rng, sphere
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 WRAPPED_CLASSES = (models.BeltramettiBugajski, models.Telegraph, models.BranchingModel, sphere.SphereHistogram)
@@ -62,3 +64,37 @@ def test_install_wraps_and_uninstall_restores(harness, capsys):
         assert all(new[key] is value for key, value in old.items())
     assert ontolab.branching_no_erasure_check is check
     assert models.BranchingModel.sample_ontic_batch is sample
+
+
+def test_erasure_and_noflow_bin_only_the_atoms(harness, capsys):
+    run, spans = harness
+    runs = 2 * rng.CHUNK_RUNS + 1  # three chunks per histogram fold
+    argvs = [
+        ["erasure", "--model", "bb", "--bins", "8x8,1x8", "--runs", str(runs), "--format", "json"],
+        ["noflow", "--model", "telegraph", "--dirs", "0,0,1;1,0,0", "--runs", str(runs), "--format", "json"],
+    ]
+    untraced = []
+    for argv in argvs:
+        assert cli.main(argv) == 0
+        untraced.append(capsys.readouterr().out)
+    tracer = spans.Tracer()
+    traced = []
+    try:
+        run.install_tracer(tracer)
+        for argv in argvs:
+            assert cli.main(argv) == 0
+            traced.append(capsys.readouterr().out)
+    finally:
+        tracer.uninstall()
+    assert traced == untraced
+    names = {s.name for s in tracer.spans}
+    assert {
+        "sphere.bin_index",
+        "sphere.SphereHistogram.add",
+        "models.bb.embed_on_sphere",
+        "models.telegraph.embed_on_sphere",
+    } <= names
+    # erasure: 2 grids, noflow: 2 arms of 1 grid, each folded over 3 chunks; the
+    # atoms are binned once per grid and arm, not once per chunk, let alone per run
+    grids, chunks = 2 + 2, 3
+    assert tracer.counts["sphere.bin_index.points"] == 2 * grids <= 2 * grids * chunks
