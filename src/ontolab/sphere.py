@@ -6,22 +6,15 @@ cell cover exactly 4*pi / (nz * nphi) of solid angle.  This grid is the
 substrate for the histogram entropy estimator and the chi-square
 distribution tests.
 
-A cell is found one of two ways:
-
-* ``bin_index`` bins arbitrary unit vectors: slab floor((z + 1)/2 * nz) and
-  sector floor(phi/(2*pi) * nphi), phi = arctan2(y, x) wrapped into
-  [0, 2*pi), each clipped to the last cell.  An azimuth of -0.0 lies in
-  sector 0.  At a pole the sector follows the signs of the zeros: (+0.0,
-  +0.0, z) lies in sector 0 and (-0.0, -0.0, z) in sector nphi/2, which is
-  where ``models``' -z atom of the collapse model lands.
-* ``uniform_cell`` gives the cell of ``sample_uniform_sphere(u)`` from the
-  uniforms alone, with no trigonometry: slab floor(u0 * nz), which is
-  bin_index's own slab, and sector floor(u1 * nphi), the cell of the
-  azimuth 2*pi*u1.  The two agree except within a few rounding errors of a
-  sector edge (u1 * nphi next to an integer), where the arctan2 round trip
-  can land one sector off, and at the pole u0 == 0, where x and y are
-  signed zeros.  There the uniforms' cell is the defined one, by the
-  rounding rule ``uniform_cell`` states.
+A cell is found one of two ways.  ``bin_index`` bins arbitrary unit
+vectors through arctan2; an azimuth of -0.0 lies in sector 0, and at a pole
+the sector follows the signs of the zeros: (+0.0, +0.0, z) lies in sector 0
+and (-0.0, -0.0, z) in sector nphi/2.  ``uniform_cell`` gives the cell of
+``sample_uniform_sphere(u)`` from the uniforms alone, with no trigonometry.
+The two agree except within a few rounding errors of a sector edge, where
+the arctan2 round trip can land one sector off, and at the pole u0 == 0;
+there the uniforms' cell, by the rule ``uniform_cell`` states, is the
+defined one.
 """
 
 from __future__ import annotations

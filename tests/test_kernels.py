@@ -227,7 +227,7 @@ class TestUniformCell:
 
 
 def _measured_post(model, direction, runs=2000, seed=3):
-    """measure_batch's outcomes and post states on a uniform-z preparation (for telegraph, +-1 values)."""
+    """measure_batch's outcomes and post states on the model's maximally mixed preparation."""
     u = uniform_block(seed, range(runs), (0, 1, 2))
     states = model.prepare_max_batch(u[:, : model.PREP_SLOTS])
     return model.measure_batch(states, direction, u[:, 2])
