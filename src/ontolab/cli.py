@@ -3,7 +3,7 @@
 Commands
 --------
 lg       four-time inequality value, exact (model=quantum) or Monte Carlo
-scan     largest inequality value over the second-measurement times, vs closed form
+scan     largest inequality value over the later times, at the closed-form argmax
 erasure  entropy before/after a discarded-outcome measurement, per grid resolution
 noflow   setting dependence of the post-measurement ontic distribution
 mwcheck  branching model vs the exact oracle and the bookkeeping-variant
@@ -19,10 +19,11 @@ mwcheck also exits 3, after writing its output, when variant b fails the
 oracle test or no_erasure is false.
 A model the command does not take, or a flag that the command or the chosen
 model would ignore, is a configuration error, as are --runs above MAX_RUNS,
-a scan time with |t| >= 2**19 and an lg time or paired gap beyond
-leggett_garg.MAX_TIME.  ONTOLAB_THREADS sets the worker count, at most the
-CPU count (default: the CPU count); a value that is not an integer, or is
-below 1, is a configuration error.
+a scan time with |t| >= 2**8 (beyond it, rounding could move the value past
+its 1e-12 check) and an lg time or paired gap beyond leggett_garg.MAX_TIME.
+ONTOLAB_THREADS sets the worker count, at most the CPU count (default: the
+CPU count); a value that is not an integer, or is below 1, is a
+configuration error.
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ from .leggett_garg import (
     empirical_correlations,
     lg_stderr,
     lg_value,
+    max_violation_closed_form,
     max_violation_over_34,
     quantum_correlations,
 )
@@ -238,8 +240,7 @@ def cmd_scan(config: dict) -> Output:
     _require(len(config["times"]) == 2, "scan needs --times T1,T2")
     t1, t2 = config["times"]
     value, t3, t4 = max_violation_over_34(t1, t2)
-    delta = t2 - t1
-    closed = 2.0 * (abs(math.cos(delta)) + abs(math.sin(delta)))
+    closed = max_violation_closed_form(t1, t2)
     results = {
         "t1": t1,
         "t2": t2,
@@ -375,7 +376,7 @@ _COMMANDS = {
     ),
     "scan": Command(
         cmd_scan,
-        "max inequality value over the later times (--times T1,T2, |t| < 2**19)",
+        "max inequality value over the later times (--times T1,T2; |t| < 2**8 keeps rounding inside its 1e-12 check)",
         {"seed": "0", "times": None},
     ),
     "erasure": Command(

@@ -16,6 +16,9 @@ times are the two alternatives for the earlier measurement, the second and
 fourth for the later one.  That interleaving is what makes a pi/8-spaced
 schedule reach the maximum (every summed pair then sits at spacing pi/8
 while the subtracted pair sits at 3*pi/8).
+
+``max_violation_over_34`` maximizes over the second-measurement times at the
+closed-form argmax, checked to 1e-12, which needs |t| < 2**8 (see there).
 """
 
 from __future__ import annotations
@@ -132,73 +135,48 @@ def quantum_correlations(scenario: LGScenario) -> CorrelationMatrix:
     return CorrelationMatrix(*c)
 
 
-def _golden_section_max(f, lo: float, hi: float, tol: float = 1e-10) -> tuple[float, float]:
-    # plain golden-section (no parabolic steps): safe on flat objectives,
-    # which occur at t2 - t1 = m*pi/2 where one axis of the scan degenerates
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    # the bracket cannot shrink below its float spacing, which passes 1e-10 at 2**19
-    tol = max(tol, math.ulp(max(abs(lo), abs(hi))))
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    x = 0.5 * (a + b)
-    return x, f(x)
+def max_violation_closed_form(t1: float, t2: float) -> float:
+    """The scan's maximum 2 (|cos d| + |sin d|), d = t2 - t1: above 2 except at d = m*pi/2."""
+    delta = t2 - t1
+    return 2.0 * (abs(math.cos(delta)) + abs(math.sin(delta)))
 
 
-def _scan_axis_max(f, lo: float, period: float, grid_points: int = 721) -> tuple[float, float]:
-    xs = lo + np.arange(grid_points) * (period / grid_points)
-    values = f(xs)
-    best = int(np.argmax(values))
-    step = period / grid_points
-    return _golden_section_max(lambda x: float(f(np.asarray(x))), xs[best] - step, xs[best] + step)
+def _argmax_34(t1: float, t2: float) -> tuple[float, float]:
+    # a function of its own only so that a test can substitute a wrong one
+    delta, mid, base = t2 - t1, 0.5 * (t1 + t2), min(t1, t2)
+    t3 = mid + (0.5 * math.pi if math.cos(delta) < 0.0 else 0.0)
+    t4 = mid + math.copysign(0.25 * math.pi, math.sin(delta))
+    return base + (t3 - base) % math.pi, base + (t4 - base) % math.pi
 
 
 def max_violation_over_34(t1: float, t2: float) -> tuple[float, float, float]:
     """Largest LG value over the second-measurement times, with its argmax.
 
-    For fixed first-measurement times the scan separates: the summed pair of
-    correlators depends only on t3 and the difference pair only on t4.  Each
-    axis is maximized by a 721-point grid over one period (pi) and refined by
-    golden section to 1e-10.  The value always equals
-    2 (|cos(t2 - t1)| + |sin(t2 - t1)|), which exceeds 2 except at
-    t2 = t1 + m*pi/2; a disagreement beyond 1e-9 signals a broken optimizer
-    and raises NumericalFailureError.  Times need |t| < 2**19; others raise
-    InvalidArgumentError.
+    With d = t2 - t1, C13 + C23 = 2 cos d cos(2 t3 - t1 - t2) peaks at
+    2 t3 = t1 + t2 (+pi if cos d < 0) and C24 - C14 = 2 sin d sin(2 t4 - t1 - t2)
+    at 2 t4 = t1 + t2 + sign(sin d) pi/2, both folded into [min(t1, t2), +pi).
+    The exact LG value there must match ``max_violation_closed_form`` to 1e-12,
+    and no point of a 721-point grid over that period may beat either axis by
+    1e-12, else NumericalFailureError.  Times need |t| < 2**8, where rounding
+    the gaps t_k - t_l moves the value by at most 5.4e-13 (the bound grows
+    with |t|); others raise InvalidArgumentError.
     """
     if not (math.isfinite(t1) and math.isfinite(t2)):
         raise InvalidArgumentError("t1 and t2 must be finite")
-    if max(abs(t1), abs(t2)) >= 2.0**19:
-        # from there on the float spacing (2**-33) exceeds the 1e-10 tolerance
-        raise InvalidArgumentError("scan times need |t| < 2**19, where floats resolve the 1e-10 tolerance")
-
-    def g(t3):
-        return np.cos(2.0 * (t3 - t1)) + np.cos(2.0 * (t3 - t2))
-
-    def h(t4):
-        return np.cos(2.0 * (t4 - t2)) - np.cos(2.0 * (t4 - t1))
-
-    base = min(t1, t2)
-    t3, g_max = _scan_axis_max(g, base, math.pi)
-    t4, h_max = _scan_axis_max(h, base, math.pi)
-    value = g_max + h_max
-
-    delta = t2 - t1
-    closed_form = 2.0 * (abs(math.cos(delta)) + abs(math.sin(delta)))
-    if abs(value - closed_form) > 1e-9:
+    if max(abs(t1), abs(t2)) >= 2.0**8:
+        raise InvalidArgumentError("scan times need |t| < 2**8, where rounding keeps the value within 1e-12")
+    t3, t4 = _argmax_34(t1, t2)
+    corr = quantum_correlations(LGScenario(t1, t2, t3, t4))
+    value = lg_value(corr)
+    closed = max_violation_closed_form(t1, t2)
+    if abs(value - closed) > 1e-12:
         raise NumericalFailureError(
-            f"scan value {value!r} disagrees with closed form {closed_form!r} "
-            f"at t2 - t1 = {delta!r}"
+            f"scan value {value!r} at (t3, t4) = ({t3!r}, {t4!r}) disagrees with closed form {closed!r}"
         )
+    xs = min(t1, t2) + np.arange(721) * (math.pi / 721)
+    c1, c2 = np.cos(2.0 * (xs - t1)), np.cos(2.0 * (xs - t2))
+    if (c1 + c2).max() > corr.c13 + corr.c23 + 1e-12 or (c2 - c1).max() > corr.c24 - corr.c14 + 1e-12:
+        raise NumericalFailureError(f"a grid point beats the scan's argmax (t3, t4) = ({t3!r}, {t4!r})")
     return value, t3, t4
 
 

@@ -30,6 +30,7 @@ setting (``resolve_workers``); no function takes a worker count.
 
 from __future__ import annotations
 
+import functools
 import os
 from concurrent.futures import ThreadPoolExecutor
 
@@ -146,16 +147,29 @@ def resolve_workers() -> int:
     return min(workers, cpus)
 
 
+@functools.cache
+def _pool(workers: int) -> ThreadPoolExecutor:
+    # one pool per worker count, kept for the life of the process
+    return ThreadPoolExecutor(max_workers=workers)
+
+
 def map_chunks(fn, n_runs: int) -> list:
     """Apply fn(run_lo, n) over CHUNK_RUNS-run chunks, results in chunk order.
 
     The chunk grid depends only on n_runs, never on the worker count, so a
-    fold over the returned list is reproducible for any parallelism.
+    fold over the returned list is reproducible for any parallelism.  Chunks
+    run on a thread pool shared by every call with the same worker count, so
+    fn must not call map_chunks: a nested call could wait on itself.
     """
     spans = [(lo, min(CHUNK_RUNS, n_runs - lo)) for lo in range(0, n_runs, CHUNK_RUNS)]
     nw = resolve_workers()
     if nw <= 1 or len(spans) <= 1:
         return [fn(lo, n) for lo, n in spans]
-    with ThreadPoolExecutor(max_workers=nw) as pool:
-        futures = [pool.submit(fn, lo, n) for lo, n in spans]
+    futures = [_pool(nw).submit(fn, lo, n) for lo, n in spans]
+    try:
         return [f.result() for f in futures]
+    except BaseException:
+        # a failed call leaves none of its queued chunks to later calls
+        for f in futures:
+            f.cancel()
+        raise

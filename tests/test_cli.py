@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from ontolab import BranchingModel, rng
+from ontolab import BranchingModel, leggett_garg, rng
 from ontolab.cli import _COMMANDS, MAX_RUNS, build_parser, main, parse_bins, parse_dirs, parse_time
 from ontolab.leggett_garg import PAIR_LABELS, LGScenario
 
@@ -286,9 +286,9 @@ class TestScanCommand:
     def test_needs_two_times(self):
         assert main(["scan", "--times", "0,1,2"]) == 2
 
-    @pytest.mark.parametrize("times", ["524288,524288.3", "0,1e7"])
+    @pytest.mark.parametrize("times", ["256,256.3", "0,1e3", "524288,524288.3", "0,1e7"])
     def test_times_beyond_the_limit_exit_2_quickly(self, times):
-        # a subprocess, so that a scan that never ends fails at the timeout
+        # a subprocess, so that the exit code and both streams are those a shell sees
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
         proc = subprocess.run(
@@ -296,7 +296,19 @@ class TestScanCommand:
             env=env, capture_output=True, text=True, timeout=10,
         )
         assert proc.returncode == 2
-        assert "2**19" in proc.stderr and not proc.stdout
+        assert "2**8" in proc.stderr and not proc.stdout
+
+    def test_times_just_below_the_limit_exit_0(self, capsys):
+        below = repr(math.nextafter(256.0, 0.0))
+        assert main(["scan", f"--times=-{below},{below}", "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["results"]["abs_difference"] <= 1e-12
+
+    def test_wrong_argmax_exits_3_with_no_output(self, monkeypatch, capsys):
+        right = leggett_garg._argmax_34
+        monkeypatch.setattr(leggett_garg, "_argmax_34", lambda t1, t2: (right(t1, t2)[0] + 0.01, right(t1, t2)[1]))
+        assert main(["scan", "--times", "0,pi/8"]) == 3
+        captured = capsys.readouterr()
+        assert not captured.out and "closed form" in captured.err
 
 
 class TestErasureCommand:

@@ -20,6 +20,7 @@ from ontolab import (
     CorrelationMatrix,
     InvalidArgumentError,
     LGScenario,
+    NumericalFailureError,
     Telegraph,
     empirical_correlations,
     lg_stderr,
@@ -27,6 +28,7 @@ from ontolab import (
     max_violation_over_34,
     quantum_correlations,
 )
+from ontolab import leggett_garg
 from ontolab.leggett_garg import MAX_TIME, PAIRS
 
 SQ2 = math.sqrt(2.0)
@@ -141,27 +143,68 @@ class TestMaxViolation:
             t2 = t1 + rng.uniform(0, np.pi)
             value, t3, t4 = max_violation_over_34(t1, t2)
             closed = 2 * (abs(math.cos(t2 - t1)) + abs(math.sin(t2 - t1)))
-            assert abs(value - closed) <= 1e-8
-            achieved = lg_value(quantum_correlations(LGScenario(t1, t2, t3, t4)))
-            assert abs(achieved - value) <= 1e-8
+            assert abs(value - closed) <= 1e-12
+            assert lg_value(quantum_correlations(LGScenario(t1, t2, t3, t4))) == value
+            assert min(t1, t2) <= t3 < min(t1, t2) + math.pi
+            assert min(t1, t2) <= t4 < min(t1, t2) + math.pi
 
-    @pytest.mark.parametrize("t1,t2", [(2.0**19, 2.0**19 + 0.3), (-(2.0**19), 0.0), (0.0, 1e7)])
+    def test_no_later_times_beat_the_argmax(self):
+        # oracle: a dense grid over one period of t3 and t4, independent of the 721-point check
+        rng = np.random.default_rng(79)
+        grid = np.linspace(0.0, np.pi, 1001)
+        for _ in range(10):
+            t1, t2 = rng.uniform(-3.0, 3.0, 2)
+            value, _, _ = max_violation_over_34(t1, t2)
+            t3, t4 = np.meshgrid(t1 + grid, t1 + grid)
+            best = (np.cos(2 * (t3 - t1)) + np.cos(2 * (t3 - t2)) + np.cos(2 * (t4 - t2)) - np.cos(2 * (t4 - t1))).max()
+            assert best <= value + 1e-12
+            assert best >= value - 1e-4
+
+    def test_wrong_argmax_raises(self, monkeypatch):
+        right = leggett_garg._argmax_34
+        monkeypatch.setattr(leggett_garg, "_argmax_34", lambda t1, t2: (right(t1, t2)[0] + 0.01, right(t1, t2)[1]))
+        with pytest.raises(NumericalFailureError, match="closed form"):
+            max_violation_over_34(0.0, math.pi / 8)
+
+    def test_grid_catches_a_wrong_argmax_the_closed_form_agrees_with(self, monkeypatch):
+        # both the argmax and the closed form are wrong in the same way, so only the grid can tell
+        right = leggett_garg._argmax_34
+
+        def shifted(t1, t2):
+            t3, t4 = right(t1, t2)
+            return t3, t4 + 0.01
+
+        monkeypatch.setattr(leggett_garg, "_argmax_34", shifted)
+        monkeypatch.setattr(
+            leggett_garg,
+            "max_violation_closed_form",
+            lambda t1, t2: lg_value(quantum_correlations(LGScenario(t1, t2, *shifted(t1, t2)))),
+        )
+        with pytest.raises(NumericalFailureError, match="grid"):
+            max_violation_over_34(0.0, math.pi / 8)
+
+    # at the limit 2**8 and well beyond it
+    @pytest.mark.parametrize(
+        "t1,t2",
+        [(2.0**8, 2.0**8 + 0.3), (-(2.0**8), 0.0), (0.0, 1e3), (2.0**19, 2.0**19 + 0.3), (-(2.0**19), 0.0), (0.0, 1e7)],
+    )
     def test_times_beyond_the_limit_rejected(self, t1, t2):
-        with pytest.raises(InvalidArgumentError, match=r"2\*\*19"):
+        with pytest.raises(InvalidArgumentError, match=r"2\*\*8"):
             max_violation_over_34(t1, t2)
 
     def test_pairs_just_below_the_limit(self):
-        # the refined bracket may reach past 2**19, where the float spacing
-        # (1.16e-10) exceeds the 1e-10 tolerance; the search must still end
+        # the gaps t_k - t_l are longest, and so rounded most, when t1 and t2
+        # sit at opposite ends of the range; the check's 1e-12 must still hold
         rng = np.random.default_rng(80)
-        below = np.nextafter(2.0**19, 0.0)
+        below = np.nextafter(2.0**8, 0.0)
         for _ in range(200):
-            t1 = rng.uniform(2.0**19 - 4.0, below)
-            t2 = min(t1 + rng.uniform(-4.0, 4.0), below)
+            t1 = rng.uniform(2.0**8 - 4.0, below)
+            t2 = rng.choice([min(t1 + rng.uniform(-4.0, 4.0), below), -rng.uniform(2.0**8 - 4.0, below)])
             sign = rng.choice([-1.0, 1.0])
             value, _, _ = max_violation_over_34(sign * t1, sign * t2)
             closed = 2 * (abs(math.cos(t2 - t1)) + abs(math.sin(t2 - t1)))
-            assert abs(value - closed) <= 1e-8
+            assert abs(value - closed) <= 1e-12
+        max_violation_over_34(-below, below)
 
 
 class TestEmpiricalCorrelations:

@@ -1,4 +1,8 @@
-"""Counter-mode stream: uniform_block against the scalar formula, the slot view, and declared slots."""
+"""Counter-mode stream: uniform_block against the scalar formula, the slot view,
+declared slots, and the chunk engine's shared thread pool."""
+
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -7,7 +11,16 @@ from hypothesis import strategies as st
 
 from ontolab import BeltramettiBugajski, BranchingModel, Telegraph
 from ontolab.errors import InvalidArgumentError
-from ontolab.rng import GAMMA_RUN, GAMMA_SLOT, Uniforms, _mix64_int, uniform_block
+from ontolab.rng import (
+    CHUNK_RUNS,
+    GAMMA_RUN,
+    GAMMA_SLOT,
+    Uniforms,
+    _mix64_int,
+    map_chunks,
+    resolve_workers,
+    uniform_block,
+)
 
 Z = np.array([0.0, 0.0, 1.0])
 X = np.array([1.0, 0.0, 0.0])
@@ -145,3 +158,42 @@ class TestDeclaredSlots:
             u = Uniforms(9, range(100), tuple(s for s in declared if s != slot))
             with pytest.raises((KeyError, InvalidArgumentError)):
                 kernel(model, u)
+
+
+class TestMapChunks:
+    @pytest.fixture
+    def two_workers(self, monkeypatch):
+        monkeypatch.setenv("ONTOLAB_THREADS", "2")
+        if resolve_workers() < 2:
+            pytest.skip("needs 2 CPUs")
+
+    def test_calls_share_one_pool(self, two_workers):
+        threads = set()
+
+        def chunk(lo, n):
+            threads.add(threading.current_thread())
+            return lo, n
+
+        runs = 3 * CHUNK_RUNS + 5
+        spans = [(lo, min(CHUNK_RUNS, runs - lo)) for lo in range(0, runs, CHUNK_RUNS)]
+        active = []
+        for _ in range(5):
+            assert map_chunks(chunk, runs) == spans
+            active.append(threading.active_count())
+        assert len(threads) <= 2 and threading.main_thread() not in threads
+        assert max(active[1:]) <= active[0]
+
+    def test_a_failed_call_cancels_its_queued_chunks(self, two_workers):
+        ran = []
+
+        def chunk(lo, n):
+            if lo == 0:
+                raise ZeroDivisionError
+            ran.append(lo)
+            time.sleep(0.05)
+
+        with pytest.raises(ZeroDivisionError):
+            map_chunks(chunk, 50 * CHUNK_RUNS)
+        time.sleep(0.2)
+        assert len(ran) < 10
+        assert map_chunks(lambda lo, n: n, 2 * CHUNK_RUNS) == [CHUNK_RUNS, CHUNK_RUNS]
