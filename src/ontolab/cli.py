@@ -446,7 +446,8 @@ def _resolve_config(args) -> dict:
             _require(default is not None, f"{args.command} needs --{flag}")
             config[flag] = _FLAG_SPECS[flag]["type"](default)
     _require(1 <= config.get("runs", 1) <= MAX_RUNS, f"--runs must be from 1 to MAX_RUNS = {MAX_RUNS}")
-    _require(config.get("gamma", 0.0) >= 0, "--gamma must be >= 0")
+    gamma = config.get("gamma", 0.0)
+    _require(math.isfinite(gamma) and gamma >= 0, "--gamma must be finite and >= 0")
     return config
 
 

@@ -315,7 +315,7 @@ def branching_no_erasure_check(
     def run_chunk(lo: int, n: int) -> tuple[np.ndarray, bool]:
         # JOINT_SLOTS layout in models.py: 0-3 ontic pair, 4 branch selection
         u = _rng.uniform_block(seed, range(lo, lo + n), model.JOINT_SLOTS)
-        x0, x1 = model.sample_ontic_batch(u[:, 0:4])
+        x0, x1 = model.sample_ontic_batch(u[:, 0:4], (a, b, *refs))
         stored = x0.copy(), x1.copy()
         counts = np.stack([
             np.bincount(2 * (o1 < 0).view(np.int8) + (o2 < 0).view(np.int8), minlength=4)

@@ -52,6 +52,16 @@ uniform u gives +1 exactly when u < p(+1), so u == p(+1) gives -1.
 Kernels build their +-1 outcomes without branches or int64 temporaries: a
 comparison viewed as int8 is 0 or 1, and ``1 - 2 * m`` or ``2 * m - 1`` maps
 it onto +-1 in int8.
+
+Kernels sample sphere points only along the coordinates they read: each
+passes ``prepare_max_batch`` or ``sample_ontic_batch`` the directions it dots
+the points with, and ``sphere.sample_uniform_sphere`` leaves out a coordinate
+that all of them have a zero component for.  The paper's directions are axes
+or Heisenberg directions (0, sin 2t, cos 2t): the latter never read x, a z
+measurement computes z alone, and an x measurement no sine.  No outcome
+changes: the term left out of a dot product is an exact +-0, so the product
+keeps its bits or is a zero of the other sign, and Born's rule
+0.5 * (1 +- 0) and ``sign_pm1`` map both zeros alike.
 """
 
 from __future__ import annotations
@@ -107,8 +117,12 @@ class OntologicalModel(ABC):
     UNIFORM_PREPARATION: bool = False
 
     @abstractmethod
-    def prepare_max_batch(self, u: np.ndarray):
-        """Sample n ontic states for the maximally mixed preparation; u is (n, PREP_SLOTS)."""
+    def prepare_max_batch(self, u: np.ndarray, directions=None):
+        """Sample n ontic states for the maximally mixed preparation; u is (n, PREP_SLOTS).
+
+        Points on the sphere get only the coordinates that `directions`, the
+        directions the caller reads them along, read (``sphere.sample_uniform_sphere``).
+        """
 
     @abstractmethod
     def evolve_batch(self, states, dt: float, u: np.ndarray | None = None):
@@ -135,7 +149,9 @@ class OntologicalModel(ABC):
     def lg_products(self, u: _rng.Uniforms, pair: tuple[float, float]) -> np.ndarray:
         """o1 * o2 of z measurements at both times of a pair, earlier time first."""
         t_first, t_second = min(pair), max(pair)
-        states = self.prepare_max_batch(u.columns(range(1, 1 + self.PREP_SLOTS)))
+        # evolving to t_first, then measuring z, reads the prepared state along z's Heisenberg direction
+        prep = u.columns(range(1, 1 + self.PREP_SLOTS))
+        states = self.prepare_max_batch(prep, (heisenberg_direction(t_first),))
         states = self.evolve_batch(states, t_first, u.get(3))
         o1, states = self.measure_batch(states, _Z_DIRECTION, u.get(4))
         states = self.evolve_batch(states, t_second - t_first, u.get(5))
@@ -143,8 +159,12 @@ class OntologicalModel(ABC):
         return o1 * o2
 
     def measured_states(self, u: _rng.Uniforms, direction: np.ndarray):
-        """Prepared ontic states and the outcomes of measuring them; each run's post state is its outcome's atom."""
-        states = self.prepare_max_batch(u.columns(range(self.PREP_SLOTS)))
+        """Prepared ontic states and the outcomes of measuring them; each run's post state is its outcome's atom.
+
+        The states are sampled only along the coordinates `direction` reads (see
+        ``prepare_max_batch``), so they are not unit vectors and no caller may bin them.
+        """
+        states = self.prepare_max_batch(u.columns(range(self.PREP_SLOTS)), (direction,))
         return states, self.measure_outcomes(states, direction, u.get(2))
 
 
@@ -163,8 +183,8 @@ class BeltramettiBugajski(OntologicalModel):
     SAMPLE_SLOTS = (0, 1, 2)
     UNIFORM_PREPARATION = True
 
-    def prepare_max_batch(self, u: np.ndarray) -> np.ndarray:
-        return sample_uniform_sphere(u[:, :2])
+    def prepare_max_batch(self, u: np.ndarray, directions=None) -> np.ndarray:
+        return sample_uniform_sphere(u[:, :2], directions)
 
     def evolve_batch(self, states: np.ndarray, dt: float, u=None) -> np.ndarray:
         # deterministic volume-preserving image of U(dt): rotation about x by 2*dt
@@ -226,10 +246,10 @@ class Telegraph(OntologicalModel):
 
     def __init__(self, gamma: float = 1.0):
         if not np.isfinite(gamma) or gamma < 0:
-            raise InvalidArgumentError(f"flip rate gamma must be >= 0, got {gamma}")
+            raise InvalidArgumentError(f"flip rate gamma must be finite and >= 0, got {gamma}")
         self.gamma = float(gamma)
 
-    def prepare_max_batch(self, u: np.ndarray) -> np.ndarray:
+    def prepare_max_batch(self, u: np.ndarray, directions=None) -> np.ndarray:
         return 2 * (u[:, 0] < 0.5).view(np.int8) - 1
 
     def evolve_batch(self, states: np.ndarray, dt: float, u: np.ndarray) -> np.ndarray:
@@ -290,9 +310,14 @@ class BranchingModel:
 
     # sampling
 
-    def sample_ontic_batch(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Independent uniform pairs (x0, x1) from (n, 4) uniforms."""
-        return sample_uniform_sphere(u[:, 0:2]), sample_uniform_sphere(u[:, 2:4])
+    def sample_ontic_batch(self, u: np.ndarray, directions=None) -> tuple[np.ndarray, np.ndarray]:
+        """Independent uniform pairs (x0, x1) from (n, 4) uniforms.
+
+        Given `directions` (a, b and the bookkeeping references), only the coordinates
+        they read are computed (``sphere.sample_uniform_sphere``): the pairs are then not
+        unit vectors, and no caller may bin them.
+        """
+        return sample_uniform_sphere(u[:, 0:2], directions), sample_uniform_sphere(u[:, 2:4], directions)
 
     # the two measurements
 
@@ -329,7 +354,7 @@ class BranchingModel:
 
     def run_experiment_batch(self, a: np.ndarray, b: np.ndarray, u: np.ndarray):
         """(alpha, beta) of one batch of complete runs; u is (n, 5): four ontic slots + selection."""
-        x0, x1 = self.sample_ontic_batch(u[:, 0:4])
+        x0, x1 = self.sample_ontic_batch(u[:, 0:4], (a, b))
         ((alpha, beta),) = self.branch_outcomes(a, b, (b,), x0, x1, u[:, 4])
         return alpha, beta
 

@@ -15,6 +15,11 @@ The two agree except within a few rounding errors of a sector edge, where
 the arctan2 round trip can land one sector off, and at the pole u0 == 0;
 there the uniforms' cell, by the rule ``uniform_cell`` states, is the
 defined one.
+
+A sampler that only dots its points with known directions passes them to
+``sample_uniform_sphere``, which then computes only the coordinates they
+read.  Such points are not unit vectors; nothing bins them, since every
+histogram takes its cells from ``uniform_cell`` or from the atoms.
 """
 
 from __future__ import annotations
@@ -28,27 +33,42 @@ from .errors import InvalidArgumentError
 FULL_SOLID_ANGLE = 4.0 * np.pi
 
 
-def sample_uniform_sphere(u: np.ndarray) -> np.ndarray:
+def sample_uniform_sphere(u: np.ndarray, directions=None) -> np.ndarray:
     """Map uniforms u of shape (n, 2) to points uniform on S^2, as a C-ordered (n, 3) array.
 
     Equal-area construction: z = 2*u0 - 1, phi = 2*pi*u1, and
     (x, y) = r (cos phi, sin phi) with r = sqrt(max(0, 1 - z^2)).  Every
     column is computed in place in the one output array.
+
+    `directions`, when given, are the 3-vectors the caller dots the points
+    with.  Then x is computed only if some direction has a nonzero x
+    component, y likewise, and r only for x or y; z always is.  A coordinate
+    not computed is +0.0, so the points are not unit vectors and must not be
+    binned.  Their dot product with each given direction has the full
+    sample's bits, except that a zero may change sign: a skipped term is a
+    zero component times a coordinate, an exact +-0 either way.
     """
     u = np.asarray(u, dtype=float)
     out = np.empty((len(u), 3))
-    x, y, z = out[:, 0], out[:, 1], out[:, 2]
+    z = out[:, 2]
     np.multiply(u[:, 0], 2.0, out=z)
     z -= 1.0
-    r = np.multiply(z, z)
-    np.subtract(1.0, r, out=r)
-    np.maximum(r, 0.0, out=r)
-    np.sqrt(r, out=r)
-    phi = np.multiply(u[:, 1], 2.0 * np.pi)
-    np.cos(phi, out=x)
-    x *= r
-    np.sin(phi, out=y)
-    y *= r
+    if directions is None:
+        reads = (True, True)
+    else:  # a -0.0 component reads nothing either
+        reads = np.asarray(directions, dtype=float)[:, :2].any(axis=0)
+    if any(reads):
+        r = np.multiply(z, z)
+        np.subtract(1.0, r, out=r)
+        np.maximum(r, 0.0, out=r)
+        np.sqrt(r, out=r)
+        phi = np.multiply(u[:, 1], 2.0 * np.pi)
+    for column, trig, read in zip((out[:, 0], out[:, 1]), (np.cos, np.sin), reads):
+        if read:
+            trig(phi, out=column)
+            column *= r
+        else:
+            column.fill(0.0)
     return out
 
 

@@ -164,6 +164,12 @@ class TestIgnoredFlags:
         assert main([*args, "--format", "json", "--out", str(out)]) == 0
         assert json.loads(out.read_text())["config"]["gamma"] == 0.5
 
+    @pytest.mark.parametrize("gamma", ["inf", "nan", "-1"])
+    def test_gamma_must_be_finite_and_nonnegative(self, gamma, capsys):
+        args = ["lg", *LG_TIMES, "--model", "telegraph", f"--gamma={gamma}", "--runs", "10"]
+        assert main(args) == 2
+        assert "--gamma must be finite and >= 0" in capsys.readouterr().err
+
 
 class TestLGCommand:
     def test_quantum_exact_json(self, tmp_path):

@@ -280,8 +280,8 @@ class SecondDeviceWritingModel(BranchingModel):
 class SignedZeroWritingModel(BranchingModel):
     """A faulty branching model that rewrites a zero component of x0 as -0.0: same value, other bits."""
 
-    def sample_ontic_batch(self, u):
-        x0, x1 = super().sample_ontic_batch(u)
+    def sample_ontic_batch(self, u, directions=None):
+        x0, x1 = super().sample_ontic_batch(u, directions)
         x0[:, 0] = 0.0
         return x0, x1
 

@@ -6,6 +6,11 @@ dtype and the same bits as the ``np.where`` / ``column_stack`` reference of
 the same name in ``helpers``, ties included: u == p(+1), u == 0.5 and
 x == +-0.0 (sign(0) := +1 for both zeros).
 
+A sphere sample reduced to the coordinates its directions read must give
+the full sample's outcomes, bit for bit, on every kernel that reduces it:
+the directions' components are +0.0 or -0.0 in any subset, and the times
+include multiples of pi/2.
+
 The exact cells the ``information`` histograms fold are checked against
 ``sphere.bin_index`` on the points they stand for: ``uniform_cell`` against
 the binned uniform sample, away from sector edges, with its own rule pinned
@@ -56,6 +61,17 @@ AXES = {
     for j, letter in enumerate("xyz")
     for sign in ("", "-")
 }
+
+
+# times whose Heisenberg direction (0, sin 2t, cos 2t) has a zero component (t = +-0.0), or nearly
+QUARTER_TURNS = [k * math.pi / 2 for k in (-3, -2, -1, 1, 2, 3, 4)]
+TIMES = st.sampled_from([0.0, -0.0, *QUARTER_TURNS]) | st.floats(-10.0, 10.0)
+
+
+@st.composite
+def sparse_direction(draw):
+    """A 3-vector whose components are each exactly +0.0 or -0.0, or free, in any subset."""
+    return np.array([draw(ZEROS) if draw(st.booleans()) else draw(COMPONENTS) for _ in range(3)])
 
 
 def same_bits(new: np.ndarray, ref: np.ndarray) -> bool:
@@ -160,7 +176,8 @@ class TestBranching:
     def test_joint_statistics_cells_match_floor_division(self, runs, seed):
         mw = BranchingModel()
         a, b = np.array([0.0, 0.0, 1.0]), np.array([0.6, 0.0, 0.8])
-        refs = (b, a)
+        # the last reference alone reads y, so the check must sample y for it
+        refs = (b, a, np.array([0.0, 0.6, 0.8]))
         u = Uniforms(seed, range(runs), mw.JOINT_SLOTS)
         x0, x1 = mw.sample_ontic_batch(u.columns(range(4)))
         expected = np.stack([
@@ -190,6 +207,92 @@ class TestSphere:
         points = np.array([[1.0, -0.0, 0.0], [1.0, 0.0, 0.0]])
         assert np.signbit(np.arctan2(points[0, 1], points[0, 0]))
         assert bin_index(points, 4, 8).tolist() == where_bin_index(points, 4, 8).tolist() == [16, 16]
+
+
+class FullSampleBB(BeltramettiBugajski):
+    """The collapse model computing every coordinate of its preparation, whatever its kernels read."""
+
+    def prepare_max_batch(self, u, directions=None):
+        return super().prepare_max_batch(u)
+
+
+class FullSampleMW(BranchingModel):
+    """The branching model computing every coordinate of (x0, x1), whatever its kernels read."""
+
+    def sample_ontic_batch(self, u, directions=None):
+        return super().sample_ontic_batch(u)
+
+
+def _tied_uniforms(seed: int, runs: int, slots) -> Uniforms:
+    """Counter-mode uniforms with ties planted: 0.5 (z = 0, Born or branch ties) and phi at the axes."""
+    u = Uniforms(seed, range(runs), slots)
+    for k, slot in enumerate(slots):
+        u.get(slot)[k % 3 :: 3] = np.resize([0.0, 0.25, 0.5, 0.75], len(u.get(slot)[k % 3 :: 3]))
+    return u
+
+
+class TestReadCoordinates:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        arrays(np.float64, st.tuples(SIZES, st.just(2)), elements=UNIFORMS),
+        st.lists(sparse_direction(), min_size=1, max_size=3),
+    )
+    def test_unread_coordinates_are_plus_zero_and_the_rest_full(self, u, directions):
+        reduced = sample_uniform_sphere(u, directions)
+        full = sample_uniform_sphere(u)
+        read = np.array(directions).any(axis=0)
+        read[2] = True
+        assert reduced.flags.c_contiguous
+        assert same_bits(reduced[:, read], full[:, read])
+        unread = reduced[:, ~read]
+        assert (unread == 0.0).all() and not np.signbit(unread).any()
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        arrays(np.float64, st.tuples(SIZES, st.just(2)), elements=UNIFORMS),
+        arrays(np.float64, 3, elements=COMPONENTS.filter(lambda c: c != 0.0)),
+    )
+    def test_direction_with_no_zero_component_computes_every_coordinate(self, u, d):
+        assert same_bits(sample_uniform_sphere(u, (d,)), sample_uniform_sphere(u))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data(), SIZES, sparse_direction())
+    def test_bb_measure_outcomes_match_full_sample(self, data, n, d):
+        u = data.draw(arrays(np.float64, (n, 2), elements=UNIFORMS))
+        bb = BeltramettiBugajski()
+        full = bb.prepare_max_batch(u)
+        # ties at the full sample's Born probability, where a changed bit would flip an outcome
+        u_measure = data.draw(tied(n, 0.5 * (1.0 + full @ d)))
+        reduced = bb.prepare_max_batch(u, (d,))
+        assert same_bits(bb.measure_outcomes(reduced, d, u_measure), bb.measure_outcomes(full, d, u_measure))
+
+    @settings(max_examples=100, deadline=None)
+    @given(sparse_direction(), st.integers(0, 2**32))
+    def test_bb_measured_states_outcomes_match_full_sample(self, d, seed):
+        u = _tied_uniforms(seed, 240, (0, 1, 2))
+        _, outcomes = BeltramettiBugajski().measured_states(u, d)
+        assert same_bits(outcomes, FullSampleBB().measured_states(u, d)[1])
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data(), SIZES, st.lists(sparse_direction(), min_size=3, max_size=5))
+    def test_mw_branch_outcomes_match_full_sample(self, data, n, directions):
+        a, b, *refs = directions
+        u = data.draw(arrays(np.float64, (n, 5), elements=UNIFORMS))
+        mw = BranchingModel()
+        reduced = mw.sample_ontic_batch(u[:, :4], (a, b, *refs))
+        full = mw.sample_ontic_batch(u[:, :4])
+        got = mw.branch_outcomes(a, b, refs, *reduced, u[:, 4])
+        want = mw.branch_outcomes(a, b, refs, *full, u[:, 4])
+        assert len(got) == len(refs)
+        for (alpha, beta), (ref_alpha, ref_beta) in zip(got, want):
+            assert same_bits(alpha, ref_alpha) and same_bits(beta, ref_beta)
+
+    @settings(max_examples=100, deadline=None)
+    @given(TIMES, TIMES, st.integers(0, 2**32))
+    def test_lg_products_match_full_sample(self, t1, t2, seed):
+        u = _tied_uniforms(seed, 240, tuple(range(7)))
+        for model, full in ((BeltramettiBugajski(), FullSampleBB()), (BranchingModel(), FullSampleMW())):
+            assert same_bits(model.lg_products(u, (t1, t2)), full.lg_products(u, (t1, t2)))
 
 
 class TestUniformCell:

@@ -133,6 +133,11 @@ class TestTelegraph:
         with pytest.raises(InvalidArgumentError):
             Telegraph(gamma=-0.1)
 
+    @pytest.mark.parametrize("gamma", [math.inf, math.nan])
+    def test_non_finite_rate_rejected(self, gamma):
+        with pytest.raises(InvalidArgumentError, match="finite and >= 0"):
+            Telegraph(gamma=gamma)
+
     def test_negative_interval_evolves_by_its_length(self):
         # the stationary symmetric chain is reversible, so a backward interval flips like a forward one
         tg = Telegraph(1.0)
