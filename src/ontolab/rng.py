@@ -130,11 +130,13 @@ def substream_seed(seed: int, label: int) -> int:
 
 
 def resolve_workers() -> int:
-    """Worker count: ONTOLAB_THREADS, at most the CPU count, else the CPU count.
+    """Worker count: ONTOLAB_THREADS, at most the usable CPU count, else that count.
 
-    A value that is not an integer, or is below 1, raises ValueError.
+    The usable CPUs are the process's affinity set where the OS has one, so
+    a CPU-pinned process gets no more workers than it may run on.  A value
+    that is not an integer, or is below 1, raises ValueError.
     """
-    cpus = os.cpu_count() or 1
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     env = os.environ.get("ONTOLAB_THREADS")
     if env is None:
         return cpus

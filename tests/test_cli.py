@@ -2,19 +2,22 @@
 
 import argparse
 import contextlib
+import ctypes
 import io
 import json
 import math
 import os
+import platform
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from ontolab import BranchingModel, leggett_garg, rng
+from ontolab import BranchingModel, cli, leggett_garg, rng
 from ontolab.cli import _COMMANDS, MAX_RUNS, build_parser, main, parse_bins, parse_dirs, parse_time
 from ontolab.leggett_garg import PAIR_LABELS, LGScenario
 
@@ -359,6 +362,17 @@ class TestNoFlowCommand:
         assert "quantum model" in err and "--runs" not in err
 
 
+def _run_fresh(code: str, threads: int | None = None) -> str:
+    """Stdout of `code` in a fresh interpreter that imports ontolab from src/."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    if threads is not None:
+        env["ONTOLAB_THREADS"] = str(threads)
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
 def test_verdicts_import_no_scipy():
     # scipy is a test dependency only; noflow and mwcheck compute their p-values without it
     code = (
@@ -368,11 +382,7 @@ def test_verdicts_import_no_scipy():
         "assert main(['mwcheck', '--dirs', '0,0,1;0,1,1', '--runs', '1000']) == 0\n"
         "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))\n"
     )
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[]"
+    assert _run_fresh(code).splitlines()[-1] == "[]"
 
 
 class TestMwCheckCommand:
@@ -484,14 +494,19 @@ class TestDeterminism:
         # a pool of 10**9 threads is never asked for: the value is capped
         # before map_chunks sizes its pool, here for a three-chunk call
         monkeypatch.setenv("ONTOLAB_THREADS", str(10**9))
-        assert rng.resolve_workers() == (os.cpu_count() or 1)
+        assert rng.resolve_workers() == len(os.sched_getaffinity(0))
         assert main(["mwcheck", *TWO_DIRS, "--runs", "140000"]) == 0
-        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        # the cap is the set of CPUs the process may run on, not the machine's count
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5})
         assert rng.resolve_workers() == 3
         monkeypatch.setenv("ONTOLAB_THREADS", "2")
         assert rng.resolve_workers() == 2
         monkeypatch.delenv("ONTOLAB_THREADS")
         assert rng.resolve_workers() == 3
+        # where the OS has no affinity set, the CPU count
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert rng.resolve_workers() == 64
 
     def test_stdout_when_no_out(self, capsys):
         assert main(["lg", "--times", "0,pi/8,pi/4,3pi/8"]) == 0
@@ -572,3 +587,72 @@ class TestArgvFuzz:
         results = json.loads(capsys.readouterr().out)["results"]
         assert results["variant_b_max_abs_dev"] > 0.99
         assert results["variant_b_p_value"] == 1.0 and results["variant_b_oracle_equivalent"] is True
+
+
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+# 2**19 runs are 8 chunks, so a repeat call reuses what earlier chunks freed many times over
+FAULT_COMMANDS = {
+    "mwcheck": ["mwcheck", "--dirs", "0,0,1;0,0.6,0.8", "--runs", "524288"],
+    "erasure": ["erasure", "--model", "bb", "--bins", "8x8,64x64", "--runs", "524288"],
+}
+
+
+def _no_cdll(name):
+    raise OSError("no C library here")
+
+
+def _windows_cdll(name):
+    raise TypeError("expected str, bytes or os.PathLike object, not NoneType")  # CDLL(None) on Windows
+
+
+class TestMallocPolicy:
+    """cli.main sets glibc's malloc policy once, so freed chunk arrays stay resident."""
+
+    @pytest.mark.skipif(
+        not sys.platform.startswith("linux") or platform.libc_ver()[0] != "glibc",
+        reason="the policy is glibc's mallopt",
+    )
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("name", sorted(FAULT_COMMANDS))
+    def test_repeat_call_faults_no_pages_in(self, name, threads):
+        # under glibc's default policy the second call faulted about 9,000 (erasure)
+        # and 23,000 (mwcheck) pages in again, since each chunk's end trimmed the heap
+        code = (
+            "import contextlib, io, resource\n"
+            "from ontolab.cli import main\n"
+            "def faults(argv):\n"
+            "    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert main(argv) == 0\n"
+            "    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before\n"
+            f"faults({FAULT_COMMANDS[name]!r})\n"
+            f"print(faults({FAULT_COMMANDS[name]!r}))\n"
+        )
+        assert int(_run_fresh(code, threads)) < 1000
+
+    @pytest.mark.parametrize(
+        "cdll", [lambda name: types.SimpleNamespace(), _no_cdll, _windows_cdll], ids=["no-mallopt", "oserror", "typeerror"]
+    )
+    def test_output_unchanged_without_mallopt(self, cdll, monkeypatch, capsys):
+        monkeypatch.setattr(ctypes, "CDLL", cdll)
+        cli._keep_heap_resident.cache_clear()
+        try:
+            for argv, golden in (
+                (["erasure", "--model", "bb", "--runs", "200000"], "erasure_bb_s7.json"),
+                (["mwcheck", "--dirs", "0,0,1;0,1,1", "--runs", "200000"], "mwcheck_s7.json"),
+            ):
+                assert main([*argv, "--seed", "7", "--format", "json"]) == 0
+                assert capsys.readouterr().out.encode() == (GOLDEN_DIR / golden).read_bytes()
+            assert cli._keep_heap_resident.cache_info().currsize == 1  # it ran, on the stub
+        finally:
+            cli._keep_heap_resident.cache_clear()  # the next call sets the real policy
+
+    def test_import_sets_no_policy(self):
+        # numpy imports ctypes itself, so what must hold is that the CLI neither
+        # imports it at module level nor sets the policy before main runs
+        code = (
+            "import ontolab.cli as cli\n"
+            "cli.build_parser()\n"
+            "print(cli._keep_heap_resident.cache_info().currsize, 'ctypes' in vars(cli))\n"
+        )
+        assert _run_fresh(code).split() == ["0", "False"]
