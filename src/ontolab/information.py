@@ -18,22 +18,23 @@ equal-area sphere grid:
 Every statistical verdict is ``chi_square_test`` (Pearson's X^2) rejecting at
 ``ALPHA``, the two-sided 5-sigma tail.  Entropies are differential, in nats.
 
-The histograms are folded from exact cells, never from binned points.  Every
+The histograms are built from exact cells, never from binned points.  Every
 state they count is of one of two kinds:
 
 * an atom: a post-measurement state is the atom of its outcome (the
   collapse model's +-d, the telegraph's poles +-z), and the telegraph's
-  prepared values are the same poles.  The two atoms' cells are found once
-  per call, with ``sphere.bin_index`` on ``model.embed_on_sphere(model.atoms(d))``,
-  and each chunk adds its counts of +1 and -1 to them;
+  prepared values are the same poles.  A chunk counts its +1 and -1 states,
+  two numbers that ``rng.map_chunks`` adds up; the totals are then placed in
+  the atoms' cells, ``sphere.bin_index`` of ``model.embed_on_sphere(model.atoms(d))``
+  at each grid (``_atom_histograms``);
 * the collapse model's uniform preparation, whose cell is
   ``sphere.uniform_cell`` of its two preparation uniforms, with no
-  trigonometry (the edge rule is in ``sphere``).
+  trigonometry (the edge rule is in ``sphere``).  Only these states are
+  binned per chunk, into one histogram per grid that the fold merges.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -113,39 +114,21 @@ def _require_single_world(model) -> OntologicalModel:
     return model
 
 
-def _histograms(cells, runs: int, seed: int, slots, grids) -> list[list[SphereHistogram]]:
-    """Histograms over runs [0, runs), at each grid, of each cell set `cells(u)` returns.
-
-    `cells` maps a chunk's ``Uniforms`` over `slots` to one list per
-    histogram, holding for each of `grids` the (flat cells, counts or None)
-    that ``SphereHistogram.add`` takes; result[k][g] folds the k-th
-    histogram at grids[g].
-    """
-
-    def run_chunk(lo: int, n: int):
-        u = _rng.Uniforms(seed, range(lo, lo + n), slots)
-        return [
-            [SphereHistogram(nz, nphi).add(*c) for (nz, nphi), c in zip(grids, per_grid)]
-            for per_grid in cells(u)
-        ]
-
-    chunks = _rng.map_chunks(run_chunk, runs)
-    return [
-        [functools.reduce(SphereHistogram.merge, per_chunk) for per_chunk in zip(*per_grid)]
-        for per_grid in zip(*chunks)
-    ]
-
-
-def _atom_cells(model: OntologicalModel, direction, grids) -> list[np.ndarray]:
-    """Per grid, the flat cells of the model's two atoms for `direction`, outcome +1 first."""
+def _atom_histograms(model: OntologicalModel, direction, counts, grids) -> list[SphereHistogram]:
+    """Per grid, the histogram of counts = (n+, n-) placed in the cells of the model's atoms for `direction`."""
     points = model.embed_on_sphere(model.atoms(direction))
-    return [bin_index(points, nz, nphi) for nz, nphi in grids]
+    return [SphereHistogram(nz, nphi).add(bin_index(points, nz, nphi), counts) for nz, nphi in grids]
 
 
 def _outcome_counts(values: np.ndarray) -> np.ndarray:
     """[number of +1, number of -1] among +-1 values: the counts of the two atoms."""
     minus = np.count_nonzero(values < 0)
     return np.array([len(values) - minus, minus])
+
+
+def _merge_each(total: list, part: list) -> list:
+    """Two chunk results of ``erasure_report`` folded item by item: histograms merge, atom counts add."""
+    return [t.merge(p) if isinstance(t, SphereHistogram) else t + p for t, p in zip(total, part)]
 
 
 @dataclass(frozen=True)
@@ -183,19 +166,22 @@ def erasure_report(
         raise InvalidArgumentError("runs must be >= 1")
     resolutions = tuple((int(nz), int(nphi)) for nz, nphi in resolutions)
     direction = as_direction(setting)
-    atoms = _atom_cells(model, direction, resolutions)
 
-    def before_and_after(u):
+    def run_chunk(lo: int, n: int) -> list:
+        """Atom counts of the outcomes, then of the prepared states, or the latter's histogram per grid if uniform."""
         # the model's measured_states reads its SAMPLE_SLOTS (layout in models.py)
+        u = _rng.Uniforms(seed, range(lo, lo + n), model.SAMPLE_SLOTS)
         states, outcomes = model.measured_states(u, direction)
-        if model.UNIFORM_PREPARATION:
-            prep = u.columns(range(model.PREP_SLOTS))
-            before = [(uniform_cell(prep, nz, nphi), None) for nz, nphi in resolutions]
-        else:
-            before = [(cells, _outcome_counts(states)) for cells in atoms]
-        return before, [(cells, _outcome_counts(outcomes)) for cells in atoms]
+        if not model.UNIFORM_PREPARATION:
+            return [_outcome_counts(outcomes), _outcome_counts(states)]
+        prep = u.columns(range(model.PREP_SLOTS))
+        before = [SphereHistogram(nz, nphi).add(uniform_cell(prep, nz, nphi)) for nz, nphi in resolutions]
+        return [_outcome_counts(outcomes), *before]
 
-    before, after = _histograms(before_and_after, runs, seed, model.SAMPLE_SLOTS, resolutions)
+    after, *before = _rng.map_chunks(run_chunk, runs, _merge_each)
+    if not model.UNIFORM_PREPARATION:
+        before = _atom_histograms(model, direction, *before, resolutions)
+    after = _atom_histograms(model, direction, after, resolutions)
     return ErasureReport(
         model=model.name,
         setting=tuple(direction),
@@ -239,26 +225,24 @@ def noflow_test(
 
     Each arm prepares, measures its own setting (outcome discarded), and
     histograms the outgoing states; the arms use independent substreams so
-    the identical-settings case shows honest multinomial noise.  The verdict
-    is ``_homogeneity_test``; ``tv`` is the effect size.
+    the identical-settings case shows honest multinomial noise, and each
+    chunk runs both.  The verdict is ``_homogeneity_test``; ``tv`` is the effect size.
     """
     model = _require_single_world(model)
     if runs < 1:
         raise InvalidArgumentError("runs must be >= 1")
     d1, d2 = as_direction(setting1), as_direction(setting2)
-    grid = ((int(nz), int(nphi)),)
+    arms = ((d1, _rng.substream_seed(seed, 1)), (d2, _rng.substream_seed(seed, 2)))
 
-    def post_measurement(direction, arm_seed) -> SphereHistogram:
-        [atoms] = _atom_cells(model, direction, grid)
+    def run_chunk(lo: int, n: int) -> np.ndarray:
+        """Per arm, the atom counts of its outcomes, drawn from the arm's own substream."""
+        return np.array([
+            _outcome_counts(model.measured_states(_rng.Uniforms(s, range(lo, lo + n), model.SAMPLE_SLOTS), d)[1])
+            for d, s in arms
+        ])
 
-        def cells(u):
-            return ([(atoms, _outcome_counts(model.measured_states(u, direction)[1]))],)
-
-        [[h]] = _histograms(cells, runs, arm_seed, model.SAMPLE_SLOTS, grid)
-        return h
-
-    h1 = post_measurement(d1, _rng.substream_seed(seed, 1))
-    h2 = post_measurement(d2, _rng.substream_seed(seed, 2))
+    counts = _rng.map_chunks(run_chunk, runs, np.add)
+    [h1], [h2] = (_atom_histograms(model, d, c, ((int(nz), int(nphi)),)) for (d, _), c in zip(arms, counts))
     chi2, df, p_value = _homogeneity_test(h1, h2)
     return NoFlowReport(
         model=model.name,
@@ -325,9 +309,9 @@ def branching_no_erasure_check(
         same = all(np.array_equal(x.view(np.uint64), s.view(np.uint64)) for x, s in zip((x0, x1), stored))
         return counts, same
 
-    counts, untouched = zip(*_rng.map_chunks(run_chunk, runs))
+    counts, untouched = _rng.map_chunks(run_chunk, runs, lambda t, p: (t[0] + p[0], t[1] and p[1]))
     return BranchingNoErasureReport(
-        immutable=all(untouched),
+        immutable=untouched,
         runs=runs,
-        joint=sum(counts).reshape(-1, 2, 2).astype(float) / runs,
+        joint=counts.reshape(-1, 2, 2).astype(float) / runs,
     )

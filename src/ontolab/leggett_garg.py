@@ -219,7 +219,7 @@ def empirical_correlations(
             totals[0, p] = model.lg_products(u, pair_times[p]).sum(dtype=np.int64)
         return totals
 
-    sums, counts = sum(_rng.map_chunks(run_chunk, runs))
+    sums, counts = _rng.map_chunks(run_chunk, runs, np.add)
 
     c = np.where(counts > 0, sums / np.maximum(counts, 1), np.nan)
     stderr = np.where(

@@ -117,7 +117,7 @@ class OntologicalModel(ABC):
     UNIFORM_PREPARATION: bool = False
 
     @abstractmethod
-    def prepare_max_batch(self, u: np.ndarray, directions=None):
+    def prepare_max_batch(self, u: np.ndarray, directions):
         """Sample n ontic states for the maximally mixed preparation; u is (n, PREP_SLOTS).
 
         Points on the sphere get only the coordinates that `directions`, the
@@ -183,7 +183,7 @@ class BeltramettiBugajski(OntologicalModel):
     SAMPLE_SLOTS = (0, 1, 2)
     UNIFORM_PREPARATION = True
 
-    def prepare_max_batch(self, u: np.ndarray, directions=None) -> np.ndarray:
+    def prepare_max_batch(self, u: np.ndarray, directions) -> np.ndarray:
         return sample_uniform_sphere(u[:, :2], directions)
 
     def evolve_batch(self, states: np.ndarray, dt: float, u=None) -> np.ndarray:
@@ -310,12 +310,12 @@ class BranchingModel:
 
     # sampling
 
-    def sample_ontic_batch(self, u: np.ndarray, directions=None) -> tuple[np.ndarray, np.ndarray]:
+    def sample_ontic_batch(self, u: np.ndarray, directions) -> tuple[np.ndarray, np.ndarray]:
         """Independent uniform pairs (x0, x1) from (n, 4) uniforms.
 
-        Given `directions` (a, b and the bookkeeping references), only the coordinates
-        they read are computed (``sphere.sample_uniform_sphere``): the pairs are then not
-        unit vectors, and no caller may bin them.
+        Only the coordinates that `directions` (a, b and the bookkeeping references)
+        read are computed (``sphere.sample_uniform_sphere``): the pairs are not unit
+        vectors unless the directions read x and y, and no caller may bin them.
         """
         return sample_uniform_sphere(u[:, 0:2], directions), sample_uniform_sphere(u[:, 2:4], directions)
 

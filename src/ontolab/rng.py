@@ -21,16 +21,18 @@ This stream is the only source of randomness in the package: no module
 holds a generator of its own, and every statistical verdict is a
 deterministic test of the counts drawn from it.
 
-``map_chunks`` is the one Monte Carlo engine: callers accumulate per-chunk
-partial sums over fixed ``CHUNK_RUNS``-run chunks and reduce them in chunk
-order, which keeps floating-point totals byte-identical for any worker
-count.  The ONTOLAB_THREADS environment variable is the only worker
-setting (``resolve_workers``); no function takes a worker count.
+``map_chunks`` is the one Monte Carlo engine and the one place chunk results
+are folded, in chunk order as they arrive over fixed ``CHUNK_RUNS``-run
+chunks: a total is byte-identical for any worker count, and memory does not
+grow with runs.  The ONTOLAB_THREADS environment variable is the only
+worker setting (``resolve_workers``); no function takes a worker count.
 """
 
 from __future__ import annotations
 
+import collections
 import functools
+import itertools
 import os
 from concurrent.futures import ThreadPoolExecutor
 
@@ -155,23 +157,31 @@ def _pool(workers: int) -> ThreadPoolExecutor:
     return ThreadPoolExecutor(max_workers=workers)
 
 
-def map_chunks(fn, n_runs: int) -> list:
-    """Apply fn(run_lo, n) over CHUNK_RUNS-run chunks, results in chunk order.
+def map_chunks(fn, n_runs: int, fold):
+    """fold(...fold(r_0, r_1)..., r_last) of r_k = fn(run_lo, n) over the CHUNK_RUNS-run chunks.
 
-    The chunk grid depends only on n_runs, never on the worker count, so a
-    fold over the returned list is reproducible for any parallelism.  Chunks
-    run on a thread pool shared by every call with the same worker count, so
-    fn must not call map_chunks: a nested call could wait on itself.
+    The chunk grid depends only on n_runs, never on the worker count, and
+    results fold in chunk order, so the total is reproducible for any fold,
+    floats included.  A result is dropped once folded, and at most 2 x
+    workers chunks are submitted and not yet folded: memory stays flat as
+    runs grow, and each worker has a chunk queued.  Chunks run on a thread
+    pool shared by every call with the same worker count, so fn must not
+    call map_chunks: a nested call could wait on itself.
     """
     spans = [(lo, min(CHUNK_RUNS, n_runs - lo)) for lo in range(0, n_runs, CHUNK_RUNS)]
     nw = resolve_workers()
     if nw <= 1 or len(spans) <= 1:
-        return [fn(lo, n) for lo, n in spans]
-    futures = [_pool(nw).submit(fn, lo, n) for lo, n in spans]
+        return functools.reduce(fold, (fn(lo, n) for lo, n in spans))
+    pool, todo = _pool(nw), iter(spans)
+    window = collections.deque(pool.submit(fn, lo, n) for lo, n in itertools.islice(todo, 2 * nw))
     try:
-        return [f.result() for f in futures]
+        total = window.popleft().result()
+        while window:
+            total = fold(total, window.popleft().result())
+            window.extend(pool.submit(fn, lo, n) for lo, n in itertools.islice(todo, 1))
+        return total
     except BaseException:
         # a failed call leaves none of its queued chunks to later calls
-        for f in futures:
+        for f in window:
             f.cancel()
         raise

@@ -10,16 +10,16 @@ A cell is found one of two ways.  ``bin_index`` bins arbitrary unit
 vectors through arctan2; an azimuth of -0.0 lies in sector 0, and at a pole
 the sector follows the signs of the zeros: (+0.0, +0.0, z) lies in sector 0
 and (-0.0, -0.0, z) in sector nphi/2.  ``uniform_cell`` gives the cell of
-``sample_uniform_sphere(u)`` from the uniforms alone, with no trigonometry.
+a uniform point from its uniforms alone, with no trigonometry.
 The two agree except within a few rounding errors of a sector edge, where
 the arctan2 round trip can land one sector off, and at the pole u0 == 0;
 there the uniforms' cell, by the rule ``uniform_cell`` states, is the
 defined one.
 
-A sampler that only dots its points with known directions passes them to
-``sample_uniform_sphere``, which then computes only the coordinates they
-read.  Such points are not unit vectors; nothing bins them, since every
-histogram takes its cells from ``uniform_cell`` or from the atoms.
+A sampler passes ``sample_uniform_sphere`` the directions it dots its points
+with, and only the coordinates they read are computed.  Such points are not
+unit vectors unless the directions read x and y; nothing bins them, since
+every histogram takes its cells from ``uniform_cell`` or from the atoms.
 """
 
 from __future__ import annotations
@@ -33,30 +33,28 @@ from .errors import InvalidArgumentError
 FULL_SOLID_ANGLE = 4.0 * np.pi
 
 
-def sample_uniform_sphere(u: np.ndarray, directions=None) -> np.ndarray:
+def sample_uniform_sphere(u: np.ndarray, directions) -> np.ndarray:
     """Map uniforms u of shape (n, 2) to points uniform on S^2, as a C-ordered (n, 3) array.
 
     Equal-area construction: z = 2*u0 - 1, phi = 2*pi*u1, and
     (x, y) = r (cos phi, sin phi) with r = sqrt(max(0, 1 - z^2)).  Every
     column is computed in place in the one output array.
 
-    `directions`, when given, are the 3-vectors the caller dots the points
-    with.  Then x is computed only if some direction has a nonzero x
-    component, y likewise, and r only for x or y; z always is.  A coordinate
-    not computed is +0.0, so the points are not unit vectors and must not be
-    binned.  Their dot product with each given direction has the full
-    sample's bits, except that a zero may change sign: a skipped term is a
-    zero component times a coordinate, an exact +-0 either way.
+    `directions` are the 3-vectors the caller dots the points with: x is
+    computed only if some direction has a nonzero x component, y likewise,
+    and r only for x or y; z always is.  ``np.eye(3)`` reads every
+    coordinate, giving unit vectors.  A coordinate not computed is +0.0, so
+    the points are not unit vectors and must not be binned.  Their dot
+    product with each given direction has the full sample's bits, except
+    that a zero may change sign: a skipped term is a zero component times a
+    coordinate, an exact +-0 either way.
     """
     u = np.asarray(u, dtype=float)
     out = np.empty((len(u), 3))
     z = out[:, 2]
     np.multiply(u[:, 0], 2.0, out=z)
     z -= 1.0
-    if directions is None:
-        reads = (True, True)
-    else:  # a -0.0 component reads nothing either
-        reads = np.asarray(directions, dtype=float)[:, :2].any(axis=0)
+    reads = np.asarray(directions, dtype=float)[:, :2].any(axis=0)  # a -0.0 component reads nothing either
     if any(reads):
         r = np.multiply(z, z)
         np.subtract(1.0, r, out=r)
@@ -73,7 +71,7 @@ def sample_uniform_sphere(u: np.ndarray, directions=None) -> np.ndarray:
 
 
 def uniform_cell(u: np.ndarray, nz: int, nphi: int) -> np.ndarray:
-    """Flat cell index in [0, nz*nphi) of sample_uniform_sphere(u) for uniforms u in [0, 1) of shape (n, 2).
+    """Flat cell index in [0, nz*nphi) of the uniform point of u, for uniforms u in [0, 1) of shape (n, 2).
 
     Slab floor(u0 * nz) and sector floor(u1 * nphi), each product rounded
     to a double.  For u0 on the 2**-53 grid of ``rng``, ((2*u0 - 1) + 1) *

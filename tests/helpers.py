@@ -14,8 +14,9 @@ independent routes to the same numbers:
   ``sphere.bin_index`` on (n, 3) unit vectors with one count each, which
   their exact cells must match count for count;
 * ``invariance_tv``: whether the collapse model's dynamics leaves the
-  uniform ontic distribution invariant, over the ``information`` histogram
-  fold, judged by the chi-square homogeneity test ``noflow_test`` runs;
+  uniform ontic distribution invariant, histograms folded by
+  ``rng.map_chunks`` with ``SphereHistogram.merge``, judged by the
+  chi-square homogeneity test ``noflow_test`` runs;
 * the ``where_*`` and ``stacked_*`` kernels: the ``np.where``,
   ``astype``, ``np.column_stack`` and two-temporary formulas the branch-free
   int8 and scratch-array kernels of ``models`` and ``sphere`` replaced,
@@ -30,9 +31,9 @@ import numpy as np
 
 from ontolab import BeltramettiBugajski
 from ontolab.errors import InvalidArgumentError
-from ontolab.information import _histograms, _homogeneity_test
+from ontolab.information import _homogeneity_test
 from ontolab.qubit import IDENTITY, SIGMA_X, bloch_to_density, check_density, density_to_bloch, unit_vector
-from ontolab.rng import substream_seed, uniform_block
+from ontolab.rng import Uniforms, map_chunks, substream_seed, uniform_block
 from ontolab.sphere import SphereHistogram, bin_index, tv_distance
 
 HAMILTONIAN = SIGMA_X
@@ -89,7 +90,7 @@ def bb_joint_statistics(a, b, runs: int, seed: int) -> np.ndarray:
     """
     bb = BeltramettiBugajski()
     u = uniform_block(seed, range(runs), (0, 1, 2, 3))
-    states = bb.prepare_max_batch(u[:, :2])
+    states = bb.prepare_max_batch(u[:, :2], np.eye(3))
     o1, states = bb.measure_batch(states, np.asarray(a, dtype=float), u[:, 2])
     o2, _ = bb.measure_batch(states, np.asarray(b, dtype=float), u[:, 3])
     cells = ((1 - o1) // 2) * 2 + (1 - o2) // 2
@@ -112,23 +113,21 @@ def invariance_tv(runs: int, rotations: int, seed: int, cap: bool = False, nz: i
     """
     bb = BeltramettiBugajski()
     prep_slots = tuple(range(bb.PREP_SLOTS))
-    grid = ((nz, nphi),)
     durations = np.pi * uniform_block(substream_seed(seed, 7), range(rotations), (0,))[:, 0]
 
-    def evolved(u):
-        prep = u.columns(prep_slots)
-        if cap:
-            prep[:, 0] = 0.75 + 0.25 * prep[:, 0]  # z = 2u - 1 in [0.5, 1]
-        states = bb.prepare_max_batch(prep)
-        for dt in durations:
-            states = bb.evolve_batch(states, float(dt))
-        return ([(bin_index(states, nz, nphi), None)],)
+    def histogram(arm: int, evolve: bool) -> SphereHistogram:
+        def chunk(lo, n):
+            prep = Uniforms(substream_seed(seed, arm), range(lo, lo + n), prep_slots).columns(prep_slots)
+            if evolve and cap:
+                prep[:, 0] = 0.75 + 0.25 * prep[:, 0]  # z = 2u - 1 in [0.5, 1]
+            states = bb.prepare_max_batch(prep, np.eye(3))
+            for dt in durations if evolve else ():
+                states = bb.evolve_batch(states, float(dt))
+            return from_points(states, nz, nphi)
 
-    def fresh(u):
-        return ([(bin_index(bb.prepare_max_batch(u.columns(prep_slots)), nz, nphi), None)],)
+        return map_chunks(chunk, runs, SphereHistogram.merge)
 
-    [[h_evolved]] = _histograms(evolved, runs, substream_seed(seed, 1), prep_slots, grid)
-    [[h_fresh]] = _histograms(fresh, runs, substream_seed(seed, 2), prep_slots, grid)
+    h_evolved, h_fresh = histogram(1, True), histogram(2, False)
     return tv_distance(h_evolved, h_fresh), _homogeneity_test(h_evolved, h_fresh)[2]
 
 

@@ -11,6 +11,7 @@ and noflow histograms, folded from exact cells, match the point path
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -45,7 +46,7 @@ X = np.array([1.0, 0.0, 0.0])
 
 
 def uniform_points(seed, n):
-    return sample_uniform_sphere(uniform_block(seed, range(n), (0, 1)))
+    return sample_uniform_sphere(uniform_block(seed, range(n), (0, 1)), np.eye(3))
 
 
 def entropy_of(points, nz, nphi):
@@ -201,7 +202,7 @@ class TestNoFlow:
 def _point_path(model, direction, runs: int, seed: int, grids):
     """The prepared and post-measurement histograms the point path gave: each state embedded and binned."""
     u = Uniforms(seed, range(runs), model.SAMPLE_SLOTS)
-    states = model.prepare_max_batch(u.columns(range(model.PREP_SLOTS)))
+    states = model.prepare_max_batch(u.columns(range(model.PREP_SLOTS)), np.eye(3))
     _, post = model.measure_batch(states, direction, u.get(2))
     return [[from_points(model.embed_on_sphere(x), nz, nphi) for nz, nphi in grids] for x in (states, post)]
 
@@ -214,40 +215,61 @@ class TestExactCells:
     MODELS = [BeltramettiBugajski(), Telegraph(0.7)]
 
     @pytest.fixture
-    def folded(self, monkeypatch):
-        """Every result of information._histograms during the test, in call order."""
+    def received(self, monkeypatch):
+        """The counts of every histogram that information's entropy and homogeneity test read, in call order."""
         recorded = []
-        fold = information._histograms
+        for name in ("histogram_entropy", "_homogeneity_test"):
 
-        def recording(*args):
-            recorded.append(fold(*args))
-            return recorded[-1]
+            def recording(*histograms, read=getattr(information, name)):
+                recorded.extend(h.counts.tolist() for h in histograms)
+                return read(*histograms)
 
-        monkeypatch.setattr(information, "_histograms", recording)
+            monkeypatch.setattr(information, name, recording)
         return recorded
 
-    @staticmethod
-    def _counts(histograms):
-        return [[h.counts.tolist() for h in per_grid] for per_grid in histograms]
-
     @pytest.mark.parametrize("seed", [0, 7, 20231])
     @pytest.mark.parametrize("model", MODELS, ids=["bb", "telegraph"])
-    def test_erasure(self, folded, model, seed):
+    def test_erasure(self, received, model, seed):
         d = as_direction((0.0, 0.6, 0.8))
         erasure_report(model, d, self.RUNS, self.GRIDS, seed=seed)
-        [histograms] = folded
-        assert self._counts(histograms) == self._counts(_point_path(model, d, self.RUNS, seed, self.GRIDS))
+        before, after = _point_path(model, d, self.RUNS, seed, self.GRIDS)
+        assert received == [h.counts.tolist() for h in before + after]
 
     @pytest.mark.parametrize("seed", [0, 7, 20231])
     @pytest.mark.parametrize("model", MODELS, ids=["bb", "telegraph"])
-    def test_noflow(self, folded, model, seed):
+    def test_noflow(self, received, model, seed):
         for grid in self.GRIDS:
-            folded.clear()
+            received.clear()
             noflow_test(model, Z, X, self.RUNS, *grid, seed=seed)
-            assert len(folded) == 2
-            for arm, (d, [[h]]) in enumerate(zip((Z, X), folded), start=1):
-                [_, [ref]] = _point_path(model, d, self.RUNS, substream_seed(seed, arm), (grid,))
-                assert h.counts.tolist() == ref.counts.tolist()
+            arms = [_point_path(model, d, self.RUNS, substream_seed(seed, k), (grid,)) for k, d in ((1, Z), (2, X))]
+            assert received == [post.counts.tolist() for _, [post] in arms]
+
+
+class TestMemoryIsFlatInRuns:
+    """Chunk results are folded as they arrive: the peak at 16 chunks is within one chunk's histogram of that at 4."""
+
+    GRID = (1024, 1024)
+    ONE_HISTOGRAM = GRID[0] * GRID[1] * np.dtype(np.int64).itemsize
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda runs, grid: erasure_report(BeltramettiBugajski(), Z, runs, (grid,)),
+            lambda runs, grid: noflow_test(BeltramettiBugajski(), Z, X, runs, *grid),
+        ],
+        ids=["erasure", "noflow"],
+    )
+    def test_traced_peak(self, monkeypatch, call):
+        monkeypatch.setenv("ONTOLAB_THREADS", "1")
+        peaks = []
+        for chunks in (4, 16):
+            tracemalloc.start()
+            try:
+                call(chunks * CHUNK_RUNS, self.GRID)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] <= self.ONE_HISTOGRAM
 
 
 class CollapsingModel(BranchingModel):
@@ -280,7 +302,7 @@ class SecondDeviceWritingModel(BranchingModel):
 class SignedZeroWritingModel(BranchingModel):
     """A faulty branching model that rewrites a zero component of x0 as -0.0: same value, other bits."""
 
-    def sample_ontic_batch(self, u, directions=None):
+    def sample_ontic_batch(self, u, directions):
         x0, x1 = super().sample_ontic_batch(u, directions)
         x0[:, 0] = 0.0
         return x0, x1

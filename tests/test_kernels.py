@@ -11,11 +11,11 @@ the full sample's outcomes, bit for bit, on every kernel that reduces it:
 the directions' components are +0.0 or -0.0 in any subset, and the times
 include multiples of pi/2.
 
-The exact cells the ``information`` histograms fold are checked against
+The exact cells of the ``information`` histograms are checked against
 ``sphere.bin_index`` on the points they stand for: ``uniform_cell`` against
 the binned uniform sample, away from sector edges, with its own rule pinned
-at the edges; and the atoms' cells against the binned ``measure_batch``
-post states, signed zeros included.
+at the edges; and the cells ``_atom_histograms`` places the atoms in against
+the binned ``measure_batch`` post states, signed zeros included.
 """
 
 import math
@@ -27,7 +27,7 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from ontolab import BeltramettiBugajski, BranchingModel, Telegraph, branching_no_erasure_check
-from ontolab.information import _atom_cells
+from ontolab.information import _atom_histograms
 from ontolab.models import sign_pm1
 from ontolab.qubit import as_direction
 from ontolab.rng import Uniforms, uniform_block
@@ -179,7 +179,7 @@ class TestBranching:
         # the last reference alone reads y, so the check must sample y for it
         refs = (b, a, np.array([0.0, 0.6, 0.8]))
         u = Uniforms(seed, range(runs), mw.JOINT_SLOTS)
-        x0, x1 = mw.sample_ontic_batch(u.columns(range(4)))
+        x0, x1 = mw.sample_ontic_batch(u.columns(range(4)), np.eye(3))
         expected = np.stack([
             np.bincount(where_joint_cells(o1, o2), minlength=4)
             for o1, o2 in mw.branch_outcomes(a, b, refs, x0, x1, u.get(4))
@@ -191,14 +191,14 @@ class TestSphere:
     @settings(max_examples=200, deadline=None)
     @given(arrays(np.float64, st.tuples(SIZES, st.just(2)), elements=UNIFORMS))
     def test_sample_matches_column_stack(self, u):
-        points = sample_uniform_sphere(u)
+        points = sample_uniform_sphere(u, np.eye(3))
         assert points.flags.c_contiguous
         assert same_bits(points, stacked_sample_uniform_sphere(u))
 
     @settings(max_examples=200, deadline=None)
     @given(st.data(), SIZES, st.integers(1, 64), st.integers(1, 64))
     def test_bin_index_matches_where(self, data, n, nz, nphi):
-        points = sample_uniform_sphere(data.draw(arrays(np.float64, (n, 2), elements=UNIFORMS)))
+        points = sample_uniform_sphere(data.draw(arrays(np.float64, (n, 2), elements=UNIFORMS)), np.eye(3))
         # rows with y = -0.0: arctan2 gives phi = -0.0 for x > 0 and -pi for x < 0
         points[::2, 1] = -0.0
         assert same_bits(bin_index(points, nz, nphi), where_bin_index(points, nz, nphi))
@@ -212,15 +212,15 @@ class TestSphere:
 class FullSampleBB(BeltramettiBugajski):
     """The collapse model computing every coordinate of its preparation, whatever its kernels read."""
 
-    def prepare_max_batch(self, u, directions=None):
-        return super().prepare_max_batch(u)
+    def prepare_max_batch(self, u, directions):
+        return super().prepare_max_batch(u, np.eye(3))
 
 
 class FullSampleMW(BranchingModel):
     """The branching model computing every coordinate of (x0, x1), whatever its kernels read."""
 
-    def sample_ontic_batch(self, u, directions=None):
-        return super().sample_ontic_batch(u)
+    def sample_ontic_batch(self, u, directions):
+        return super().sample_ontic_batch(u, np.eye(3))
 
 
 def _tied_uniforms(seed: int, runs: int, slots) -> Uniforms:
@@ -239,7 +239,7 @@ class TestReadCoordinates:
     )
     def test_unread_coordinates_are_plus_zero_and_the_rest_full(self, u, directions):
         reduced = sample_uniform_sphere(u, directions)
-        full = sample_uniform_sphere(u)
+        full = sample_uniform_sphere(u, np.eye(3))
         read = np.array(directions).any(axis=0)
         read[2] = True
         assert reduced.flags.c_contiguous
@@ -253,14 +253,14 @@ class TestReadCoordinates:
         arrays(np.float64, 3, elements=COMPONENTS.filter(lambda c: c != 0.0)),
     )
     def test_direction_with_no_zero_component_computes_every_coordinate(self, u, d):
-        assert same_bits(sample_uniform_sphere(u, (d,)), sample_uniform_sphere(u))
+        assert same_bits(sample_uniform_sphere(u, (d,)), sample_uniform_sphere(u, np.eye(3)))
 
     @settings(max_examples=200, deadline=None)
     @given(st.data(), SIZES, sparse_direction())
     def test_bb_measure_outcomes_match_full_sample(self, data, n, d):
         u = data.draw(arrays(np.float64, (n, 2), elements=UNIFORMS))
         bb = BeltramettiBugajski()
-        full = bb.prepare_max_batch(u)
+        full = bb.prepare_max_batch(u, np.eye(3))
         # ties at the full sample's Born probability, where a changed bit would flip an outcome
         u_measure = data.draw(tied(n, 0.5 * (1.0 + full @ d)))
         reduced = bb.prepare_max_batch(u, (d,))
@@ -280,7 +280,7 @@ class TestReadCoordinates:
         u = data.draw(arrays(np.float64, (n, 5), elements=UNIFORMS))
         mw = BranchingModel()
         reduced = mw.sample_ontic_batch(u[:, :4], (a, b, *refs))
-        full = mw.sample_ontic_batch(u[:, :4])
+        full = mw.sample_ontic_batch(u[:, :4], np.eye(3))
         got = mw.branch_outcomes(a, b, refs, *reduced, u[:, 4])
         want = mw.branch_outcomes(a, b, refs, *full, u[:, 4])
         assert len(got) == len(refs)
@@ -303,7 +303,7 @@ class TestUniformCell:
     def test_matches_bin_index_away_from_sector_edges(self, u, grid):
         nz, nphi = grid
         cells = uniform_cell(u, nz, nphi)
-        binned = bin_index(sample_uniform_sphere(u), nz, nphi)
+        binned = bin_index(sample_uniform_sphere(u, np.eye(3)), nz, nphi)
         assert cells.dtype == np.int64 and ((0 <= cells) & (cells < nz * nphi)).all()
         # the slab is exact on every row, 1 - 2**-53 at nz = 1000 included
         assert np.array_equal(cells // nphi, binned // nphi)
@@ -332,8 +332,14 @@ class TestUniformCell:
 def _measured_post(model, direction, runs=2000, seed=3):
     """measure_batch's outcomes and post states on the model's maximally mixed preparation."""
     u = uniform_block(seed, range(runs), (0, 1, 2))
-    states = model.prepare_max_batch(u[:, : model.PREP_SLOTS])
+    states = model.prepare_max_batch(u[:, : model.PREP_SLOTS], np.eye(3))
     return model.measure_batch(states, direction, u[:, 2])
+
+
+def _atom_cells(model, direction, grids) -> list[np.ndarray]:
+    """Per grid, the flat cells in which ``_atom_histograms`` places the +1 atom and the -1 atom."""
+    plus, minus = (_atom_histograms(model, direction, counts, grids) for counts in ((1, 0), (0, 1)))
+    return [np.array([np.argmax(p.counts), np.argmax(m.counts)]) for p, m in zip(plus, minus)]
 
 
 class TestAtomCells:

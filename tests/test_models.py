@@ -52,14 +52,14 @@ class TestSign:
 class TestBeltramettiBugajski:
     def test_prepare_uniform_mean_and_chisquare(self):
         bb = BeltramettiBugajski()
-        states = bb.prepare_max_batch(uniform_block(1, range(1_000_000), (0, 1)))
+        states = bb.prepare_max_batch(uniform_block(1, range(1_000_000), (0, 1)), np.eye(3))
         assert np.linalg.norm(states.mean(axis=0)) <= 0.005
         assert uniformity_pvalue(states) > 0.001
 
     def test_prepare_reproducible_under_seed(self):
         bb = BeltramettiBugajski()
-        first = bb.prepare_max_batch(uniform_block(123, range(100), (0, 1)))
-        second = bb.prepare_max_batch(uniform_block(123, range(100), (0, 1)))
+        first = bb.prepare_max_batch(uniform_block(123, range(100), (0, 1)), np.eye(3))
+        second = bb.prepare_max_batch(uniform_block(123, range(100), (0, 1)), np.eye(3))
         assert np.array_equal(first, second)
         assert np.abs(np.linalg.norm(first, axis=1) - 1.0).max() <= 1e-12
 
@@ -83,7 +83,7 @@ class TestBeltramettiBugajski:
         bb = BeltramettiBugajski()
         runs = 100_000
         u = uniform_block(3, range(runs), (0, 1, 2))
-        states = bb.prepare_max_batch(u[:, :2])
+        states = bb.prepare_max_batch(u[:, :2], np.eye(3))
         direction = random_unit(np.random.default_rng(5))[0]
         outcomes, _ = bb.measure_batch(states, direction, u[:, 2])
         assert abs(outcomes.astype(float).mean()) <= 5 / math.sqrt(runs)
@@ -102,7 +102,7 @@ class TestBeltramettiBugajski:
 
     def test_evolve_preserves_uniformity(self):
         bb = BeltramettiBugajski()
-        states = bb.prepare_max_batch(uniform_block(7, range(400_000), (0, 1)))
+        states = bb.prepare_max_batch(uniform_block(7, range(400_000), (0, 1)), np.eye(3))
         evolved = bb.evolve_batch(states, 1.2345)
         assert uniformity_pvalue(evolved) > 0.001
 
@@ -185,7 +185,7 @@ class TestBranchingModel:
     def test_sample_ontic_independent_and_uniform(self):
         mw = BranchingModel()
         u = uniform_block(20, range(1_000_000), (0, 1, 2, 3))
-        x0, x1 = mw.sample_ontic_batch(u)
+        x0, x1 = mw.sample_ontic_batch(u, np.eye(3))
         dot = (x0 * x1).sum(axis=1)
         assert abs(dot.mean()) <= 0.005
         assert uniformity_pvalue(x0) > 0.001
@@ -193,14 +193,14 @@ class TestBranchingModel:
 
     def test_sample_ontic_reproducible(self):
         mw = BranchingModel()
-        a = mw.sample_ontic_batch(uniform_block(3, range(100), (0, 1, 2, 3)))
-        b = mw.sample_ontic_batch(uniform_block(3, range(100), (0, 1, 2, 3)))
+        a = mw.sample_ontic_batch(uniform_block(3, range(100), (0, 1, 2, 3)), np.eye(3))
+        b = mw.sample_ontic_batch(uniform_block(3, range(100), (0, 1, 2, 3)), np.eye(3))
         assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
     def test_first_party_sign_cases(self):
         mw = BranchingModel()
         x0 = random_unit(np.random.default_rng(4))[0]
-        _, x1 = mw.sample_ontic_batch(uniform_block(4, range(1), (0, 1, 2, 3)))
+        _, x1 = mw.sample_ontic_batch(uniform_block(4, range(1), (0, 1, 2, 3)), np.eye(3))
         s, n = mw.alice_batch(x0, x0[None, :], x1)
         assert s[0] == 1
         # opposite-hemisphere second vector flips the device bit
@@ -210,13 +210,13 @@ class TestBranchingModel:
     def test_first_party_outcome_unbiased(self):
         mw = BranchingModel()
         u = uniform_block(21, range(100_000), (0, 1, 2, 3))
-        x0, x1 = mw.sample_ontic_batch(u)
+        x0, x1 = mw.sample_ontic_batch(u, np.eye(3))
         s, _ = mw.alice_batch(Z, x0, x1)
         assert abs(s.astype(float).mean()) <= 5 / math.sqrt(100_000)
 
     def test_second_party_sum_direction_certain(self):
         mw = BranchingModel()
-        x0, x1 = mw.sample_ontic_batch(uniform_block(5, range(1), (0, 1, 2, 3)))
+        x0, x1 = mw.sample_ontic_batch(uniform_block(5, range(1), (0, 1, 2, 3)), np.eye(3))
         x_plus = (x0 + x1)[0]
         b = x_plus / np.linalg.norm(x_plus)
         s, _ = mw.bob_batch(b, x0, x1, (b,))
@@ -262,7 +262,7 @@ class TestBranchingModel:
     def test_system_vectors_immutable(self):
         mw = BranchingModel()
         u = uniform_block(31, range(10_000), (0, 1, 2, 3, 4))
-        x0, x1 = mw.sample_ontic_batch(u[:, 0:4])
+        x0, x1 = mw.sample_ontic_batch(u[:, 0:4], np.eye(3))
         stored = x0.copy(), x1.copy()
         mw.branch_outcomes(Z, X, (X, Z), x0, x1, u[:, 4])
         assert np.array_equal(x0, stored[0])
@@ -327,11 +327,11 @@ class TestCausalityStructure:
     def test_pre_measurement_ensemble_setting_independent(self, model_name):
         model = make_model(model_name)
         u = uniform_block(50, range(50_000), (0, 1, 2))
-        states_for_z = model.prepare_max_batch(u[:, 0 : model.PREP_SLOTS])
-        states_for_x = model.prepare_max_batch(u[:, 0 : model.PREP_SLOTS])
+        states_for_z = model.prepare_max_batch(u[:, 0 : model.PREP_SLOTS], np.eye(3))
+        states_for_x = model.prepare_max_batch(u[:, 0 : model.PREP_SLOTS], np.eye(3))
         assert np.array_equal(states_for_z, states_for_x)
         # and with independent seeds the distributions agree within noise
-        other = model.prepare_max_batch(uniform_block(51, range(50_000), (0, 1, 2))[:, 0 : model.PREP_SLOTS])
+        other = model.prepare_max_batch(uniform_block(51, range(50_000), (0, 1, 2))[:, 0 : model.PREP_SLOTS], np.eye(3))
         h1 = from_points(model.embed_on_sphere(states_for_z), 8, 8)
         h2 = from_points(model.embed_on_sphere(other), 8, 8)
         from ontolab.information import ALPHA, _homogeneity_test

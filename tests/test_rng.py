@@ -1,6 +1,8 @@
 """Counter-mode stream: uniform_block against the scalar formula, the slot view,
-declared slots, and the chunk engine's shared thread pool."""
+declared slots, and the chunk engine: its shared thread pool, its fold in
+chunk order and its bound on chunks in flight."""
 
+import operator
 import threading
 import time
 
@@ -107,7 +109,7 @@ class TestUniforms:
 
 def _branching_pass(model, u):
     # the kernels of information.branching_no_erasure_check, in its order
-    x0, x1 = model.sample_ontic_batch(u[:, 0:4])
+    x0, x1 = model.sample_ontic_batch(u[:, 0:4], np.eye(3))
     return sum(model.branch_outcomes(Z, X, (X, Z), x0, x1, u[:, 4]), ())
 
 
@@ -167,21 +169,56 @@ class TestMapChunks:
         if resolve_workers() < 2:
             pytest.skip("needs 2 CPUs")
 
+    @pytest.fixture(params=[1, 2])
+    def workers(self, request, monkeypatch):
+        monkeypatch.setenv("ONTOLAB_THREADS", str(request.param))
+        if resolve_workers() < request.param:
+            pytest.skip(f"needs {request.param} CPUs")
+        return request.param
+
     def test_calls_share_one_pool(self, two_workers):
         threads = set()
 
         def chunk(lo, n):
             threads.add(threading.current_thread())
-            return lo, n
+            return [(lo, n)]
 
         runs = 3 * CHUNK_RUNS + 5
         spans = [(lo, min(CHUNK_RUNS, runs - lo)) for lo in range(0, runs, CHUNK_RUNS)]
         active = []
         for _ in range(5):
-            assert map_chunks(chunk, runs) == spans
+            assert map_chunks(chunk, runs, operator.add) == spans
             active.append(threading.active_count())
         assert len(threads) <= 2 and threading.main_thread() not in threads
         assert max(active[1:]) <= active[0]
+
+    def test_folds_in_chunk_order(self, workers):
+        # list concatenation does not commute, and a chunk that sleeps less may finish before an earlier one
+        def chunk(lo, n):
+            time.sleep(0.002 * (2 - lo // CHUNK_RUNS % 3))
+            return [lo]
+
+        runs = 9 * CHUNK_RUNS + 1
+        assert map_chunks(chunk, runs, operator.add) == list(range(0, runs, CHUNK_RUNS))
+
+    def test_started_and_unfolded_chunks_stay_within_twice_the_workers(self, workers):
+        lock = threading.Lock()
+        state = {"started": 0, "folded": 0, "most": 0}
+
+        def chunk(lo, n):
+            with lock:
+                state["started"] += 1
+                state["most"] = max(state["most"], state["started"] - state["folded"])
+            time.sleep(0.002)
+            return 1
+
+        def fold(total, part):
+            with lock:
+                state["folded"] = total + part  # the number of chunk results folded so far
+            return total + part
+
+        assert map_chunks(chunk, 40 * CHUNK_RUNS, fold) == 40
+        assert state["most"] <= 2 * workers
 
     def test_a_failed_call_cancels_its_queued_chunks(self, two_workers):
         ran = []
@@ -193,7 +230,7 @@ class TestMapChunks:
             time.sleep(0.05)
 
         with pytest.raises(ZeroDivisionError):
-            map_chunks(chunk, 50 * CHUNK_RUNS)
+            map_chunks(chunk, 50 * CHUNK_RUNS, operator.add)
         time.sleep(0.2)
         assert len(ran) < 10
-        assert map_chunks(lambda lo, n: n, 2 * CHUNK_RUNS) == [CHUNK_RUNS, CHUNK_RUNS]
+        assert map_chunks(lambda lo, n: n, 2 * CHUNK_RUNS + 1, operator.add) == 2 * CHUNK_RUNS + 1
