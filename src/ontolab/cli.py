@@ -452,6 +452,8 @@ def _resolve_config(args) -> dict:
     _require(1 <= config.get("runs", 1) <= MAX_RUNS, f"--runs must be from 1 to MAX_RUNS = {MAX_RUNS}")
     gamma = config.get("gamma", 0.0)
     _require(math.isfinite(gamma) and gamma >= 0, "--gamma must be finite and >= 0")
+    # the stream reads the seed mod 2**64, so a seed outside would repeat another's results
+    _require(0 <= config.get("seed", 0) < 2**64, "--seed must be from 0 to 2**64 - 1")
     return config
 
 

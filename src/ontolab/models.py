@@ -26,10 +26,12 @@ one chunk's runs:
   four-time inequality (``LG_SLOTS``), driven by
   ``leggett_garg.empirical_correlations``;
 * ``measured_states(u, direction)``, single-world models only: the prepared
-  states and the outcomes of measuring them (``SAMPLE_SLOTS``), which the
-  ``information`` diagnostics histogram.  A post-measurement state is one
-  of two atoms, the state ``atoms(direction)`` lists for its outcome, so
-  the outcomes are all a post-measurement histogram needs;
+  states, or None where their cells come from the uniforms
+  (``UNIFORM_PREPARATION``), and the outcomes of measuring them
+  (``SAMPLE_SLOTS``), which the ``information`` diagnostics histogram.  A
+  post-measurement state is one of two atoms, the state
+  ``atoms(direction)`` lists for its outcome, so the outcomes are all a
+  post-measurement histogram needs;
 * branching model only, the two halves of one measurement of a, then b
   (``JOINT_SLOTS``): ``sample_ontic_batch`` draws the ontic pair (x0, x1)
   and ``branch_outcomes`` returns the kept branch's outcomes, one pair per
@@ -38,11 +40,17 @@ one chunk's runs:
   pair between them, counts the outcomes and compares the pair with the
   copy afterwards.
 
-Single-world models (``OntologicalModel``) build their kernels from the
-sequential contract prepare/evolve/measure, vectorized over runs.  The
-branching model does not fit that contract (its branch pairing happens only
-when the parties meet, after both measurements) and builds them from its
-two devices and the pairing rule.
+Single-world models (``OntologicalModel``) also keep the sequential
+contract prepare/evolve/measure, vectorized over runs.  It is the reference
+their kernels reproduce bit for bit: each kernel computes only what its
+outcomes read of prepare -> evolve -> measure -> evolve -> measure (the
+four-time inequality) or prepare -> measure (the diagnostics).  The
+telegraph's product is its flip across the gap alone; the collapse model's
+outcomes are Born's rule on the z row of the measured state, with no (n, 3)
+array, and so is a measurement along an axis.  The branching model does not
+fit that contract (its branch pairing happens only when the parties meet,
+after both measurements) and builds its kernels from its two devices and the
+pairing rule.
 
 Sign convention everywhere: sign(0) := +1, and sign(-0.0) := +1 too.  Ties
 occur on measure-zero sets, so any fixed rule leaves the statistics unchanged
@@ -53,11 +61,15 @@ Kernels build their +-1 outcomes without branches or int64 temporaries: a
 comparison viewed as int8 is 0 or 1, and ``1 - 2 * m`` or ``2 * m - 1`` maps
 it onto +-1 in int8.
 
-Kernels sample sphere points only along the coordinates they read: each
-passes ``prepare_max_batch`` or ``sample_ontic_batch`` the directions it dots
-the points with, and ``sphere.sample_uniform_sphere`` leaves out a coordinate
-that all of them have a zero component for.  The paper's directions are axes
-or Heisenberg directions (0, sin 2t, cos 2t): the latter never read x, a z
+Kernels sample sphere points only along the coordinates they read.  A
+kernel that dots the points with a general direction passes
+``prepare_max_batch`` or ``sample_ontic_batch`` the directions it dots them
+with, and ``sphere.sample_uniform_sphere`` leaves out a coordinate that all
+of them have a zero component for; ``(n, 3) @ d`` stays, since BLAS kernels
+round it differently.  A kernel that reads a coordinate as it is (the
+collapse model along an axis, or along z after a rotation about x) takes it
+from ``sphere.uniform_coordinates``.  The paper's directions are axes or
+Heisenberg directions (0, sin 2t, cos 2t): the latter never read x, a z
 measurement computes z alone, and an x measurement no sine.  No outcome
 changes: the term left out of a dot product is an exact +-0, so the product
 keeps its bits or is a zero of the other sign, and Born's rule
@@ -73,10 +85,9 @@ import numpy as np
 from . import rng as _rng
 from .errors import InvalidArgumentError
 from .qubit import OUTCOMES, heisenberg_direction
-from .sphere import sample_uniform_sphere
+from .sphere import sample_uniform_sphere, uniform_coordinates
 
 
-_Z_DIRECTION = np.array([0.0, 0.0, 1.0])
 #: the outcomes +1 and -1, in the order of ``atoms``
 _OUTCOMES = np.array(OUTCOMES, dtype=np.int8)
 
@@ -105,9 +116,12 @@ class OntologicalModel(ABC):
 
     #: uniforms consumed by prepare_max_batch per run
     PREP_SLOTS: int = 2
-    #: four-time inequality: 0 pair pick (read by empirical_correlations),
-    #: 1-2 preparation, 3 evolve to the first time, 4 first measurement,
-    #: 5 evolve across the gap, 6 second measurement
+    #: four-time inequality, the slots of prepare -> evolve -> measure -> evolve
+    #: -> measure: 0 pair pick (read by empirical_correlations), 1-2
+    #: preparation, 3 evolve to the first time, 4 first measurement, 5 evolve
+    #: across the gap, 6 second measurement.  A model declares those its
+    #: outcomes read: bb 1, 2, 4, 6 (its evolution is deterministic), the
+    #: telegraph 5 alone (its product is the flip across the gap)
     LG_SLOTS: tuple[int, ...]
     #: post-measurement sampling: 0-1 preparation, 2 measurement
     SAMPLE_SLOTS: tuple[int, ...]
@@ -146,17 +160,13 @@ class OntologicalModel(ABC):
 
     # Monte Carlo kernels, each reading the slots declared above
 
+    @abstractmethod
     def lg_products(self, u: _rng.Uniforms, pair: tuple[float, float]) -> np.ndarray:
-        """o1 * o2 of z measurements at both times of a pair, earlier time first."""
-        t_first, t_second = min(pair), max(pair)
-        # evolving to t_first, then measuring z, reads the prepared state along z's Heisenberg direction
-        prep = u.columns(range(1, 1 + self.PREP_SLOTS))
-        states = self.prepare_max_batch(prep, (heisenberg_direction(t_first),))
-        states = self.evolve_batch(states, t_first, u.get(3))
-        o1, states = self.measure_batch(states, _Z_DIRECTION, u.get(4))
-        states = self.evolve_batch(states, t_second - t_first, u.get(5))
-        o2, _ = self.measure_batch(states, _Z_DIRECTION, u.get(6))
-        return o1 * o2
+        """o1 * o2 of z measurements at both times of a pair, earlier time first, as int8.
+
+        Bit for bit the product of prepare -> evolve(t_first) -> measure z ->
+        evolve(t_second - t_first) -> measure z on the same uniforms.
+        """
 
     def measured_states(self, u: _rng.Uniforms, direction: np.ndarray):
         """Prepared ontic states and the outcomes of measuring them; each run's post state is its outcome's atom.
@@ -198,10 +208,14 @@ class BeltramettiBugajski(OntologicalModel):
     def measure_outcomes(self, states: np.ndarray, direction, u: np.ndarray) -> np.ndarray:
         if direction is None:
             raise InvalidArgumentError("Beltrametti-Bugajski measurement needs a direction")
+        return self._born(states @ np.asarray(direction, dtype=float), u)
+
+    @staticmethod
+    def _born(projection: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """Born's rule: +1 where u < 0.5 * (1 + projection), the state's component along the measured direction."""
         if u is None:
             raise InvalidArgumentError("Beltrametti-Bugajski measurement is stochastic and needs uniforms")
-        p_plus = 0.5 * (1.0 + states @ np.asarray(direction, dtype=float))
-        return 2 * (np.asarray(u).reshape(-1) < p_plus).view(np.int8) - 1
+        return 2 * (np.asarray(u).reshape(-1) < 0.5 * (1.0 + projection)).view(np.int8) - 1
 
     def measure_batch(self, states: np.ndarray, direction, u: np.ndarray):
         outcomes = self.measure_outcomes(states, direction, u)
@@ -223,6 +237,46 @@ class BeltramettiBugajski(OntologicalModel):
     def embed_on_sphere(self, states: np.ndarray) -> np.ndarray:
         return states
 
+    # Monte Carlo kernels, each reading the slots declared above
+
+    def lg_products(self, u: _rng.Uniforms, pair: tuple[float, float]) -> np.ndarray:
+        """o1 * o2 of z measurements at both times of a pair, earlier time first.
+
+        Each outcome is Born's rule on the z row of the state it measures, as
+        ``evolve_batch`` computes that row: ``states @ z`` is the row itself,
+        up to the sign of a zero.  The first reads s*y + c*z of the prepared
+        point, with (c, s) = (cos, sin)(2 t_first), and y only where s != 0,
+        as ``sample_uniform_sphere`` does for the Heisenberg direction
+        (0, s, c).  The second reads the collapsed state o1 * z rotated across
+        the gap, whose z row is cos(2 (t_second - t_first)) * o1 plus an exact
+        +-0.
+        """
+        t_first, t_second = min(pair), max(pair)
+        c, s = np.cos(2.0 * t_first), np.sin(2.0 * t_first)
+        prep = u.columns(range(1, 1 + self.PREP_SLOTS))
+        coordinates = uniform_coordinates(prep, (1, 2) if s != 0.0 else (2,))
+        z = c * coordinates[-1]
+        if s != 0.0:
+            z += s * coordinates[0]
+        o1 = self._born(z, u.get(4))
+        o2 = self._born(np.cos(2.0 * (t_second - t_first)) * o1, u.get(6))
+        return o1 * o2
+
+    def measured_states(self, u: _rng.Uniforms, direction: np.ndarray):
+        """None for the prepared states, whose cells come from the uniforms, and the outcomes.
+
+        Along a direction with one nonzero component d_k the outcome reads
+        coordinate k alone (``sphere.uniform_coordinates``) times d_k, which
+        ``states @ d`` is exactly, up to the sign of a zero: no (n, 3) array
+        and no gemv.  A general direction keeps ``measure_outcomes``' gemv.
+        """
+        (axes,) = np.nonzero(direction)
+        if len(axes) != 1:
+            return None, super().measured_states(u, direction)[1]
+        (projection,) = uniform_coordinates(u.columns(range(self.PREP_SLOTS)), axes)
+        projection *= direction[axes[0]]
+        return None, self._born(projection, u.get(2))
+
 
 class Telegraph(OntologicalModel):
     """Macrorealist control: a definite +-1 macrostate with Poisson flips.
@@ -241,7 +295,7 @@ class Telegraph(OntologicalModel):
 
     name = "telegraph"
     PREP_SLOTS = 1
-    LG_SLOTS = (1, 3, 5)
+    LG_SLOTS = (5,)
     SAMPLE_SLOTS = (0,)
 
     def __init__(self, gamma: float = 1.0):
@@ -258,13 +312,18 @@ class Telegraph(OntologicalModel):
         The symmetric chain started from its stationary preparation (+-1
         with probability 1/2 each) is reversible: its law over an interval
         run backwards is its law over the forward one.  So a negative dt,
-        which ``lg_products`` passes for a schedule with a negative first
-        time, evolves by |dt|.
+        which the sequential contract's first evolution gets for a schedule
+        with a negative first time, evolves by |dt|.  ``lg_products`` reads
+        only the flip across the gap, which is never negative.
         """
+        return states * self._flips(dt, u)
+
+    def _flips(self, dt: float, u: np.ndarray) -> np.ndarray:
+        """-1 for each run whose value flips over dt, that is where u < p_flip(|dt|), else +1, as int8."""
         if u is None:
             raise InvalidArgumentError("telegraph evolution is stochastic and needs uniforms")
         p_flip = 0.5 * (1.0 - np.exp(-2.0 * self.gamma * abs(dt)))
-        return states * (1 - 2 * (np.asarray(u).reshape(-1) < p_flip).view(np.int8))
+        return 1 - 2 * (np.asarray(u).reshape(-1) < p_flip).view(np.int8)
 
     def measure_batch(self, states: np.ndarray, direction=None, u=None):
         return states.astype(np.int8), states
@@ -278,6 +337,16 @@ class Telegraph(OntologicalModel):
         out = np.zeros((len(states), 3))
         out[:, 2] = states
         return out
+
+    # Monte Carlo kernels, each reading the slots declared above
+
+    def lg_products(self, u: _rng.Uniforms, pair: tuple[float, float]) -> np.ndarray:
+        """o1 * o2 of the readouts at both times of a pair: the flip factor across the gap.
+
+        With prepared value v and flip factors f1 (to the first time) and f2
+        (across the gap), o1 = v * f1 and o2 = o1 * f2, so o1 * o2 = f2.
+        """
+        return self._flips(max(pair) - min(pair), u.get(5))
 
 
 class BranchingModel:
@@ -327,11 +396,18 @@ class BranchingModel:
         return s0, s0 * s1
 
     def bob_batch(self, b: np.ndarray, x0: np.ndarray, x1: np.ndarray, references):
-        """s_B = sign(b.(x0+x1)), and n_B = sign(r.(x0+x1)) sign(r.(x0-x1)) for each reference r."""
+        """s_B = sign(b.(x0+x1)), and n_B = sign(r.(x0+x1)) sign(r.(x0-x1)) for each reference r.
+
+        b.(x0+x1) is computed once, also for a reference equal to b (the
+        protocol's own): a zero component's sign can only change the sign of
+        a zero product, which ``sign_pm1`` maps alike.
+        """
+        b = np.asarray(b, dtype=float)
         references = [np.asarray(r) for r in references]
         x = np.add(x0, x1)  # one scratch array: x0 + x1, then x0 - x1
-        s_b = sign_pm1(x @ np.asarray(b, dtype=float))
-        plus = [x @ r for r in references]
+        xb = x @ b
+        s_b = sign_pm1(xb)
+        plus = [xb if np.array_equal(r, b) else x @ r for r in references]
         np.subtract(x0, x1, out=x)
         n_bs = [sign_pm1(p) * sign_pm1(x @ r) for p, r in zip(plus, references)]
         return s_b, n_bs

@@ -20,6 +20,9 @@ A sampler passes ``sample_uniform_sphere`` the directions it dots its points
 with, and only the coordinates they read are computed.  Such points are not
 unit vectors unless the directions read x and y; nothing bins them, since
 every histogram takes its cells from ``uniform_cell`` or from the atoms.
+A kernel that reads one or two coordinates as they are takes them from
+``uniform_coordinates``, the construction the sampler's columns come from,
+with no (n, 3) array.
 """
 
 from __future__ import annotations
@@ -33,40 +36,54 @@ from .errors import InvalidArgumentError
 FULL_SOLID_ANGLE = 4.0 * np.pi
 
 
-def sample_uniform_sphere(u: np.ndarray, directions) -> np.ndarray:
-    """Map uniforms u of shape (n, 2) to points uniform on S^2, as a C-ordered (n, 3) array.
+def uniform_coordinates(u: np.ndarray, axes, out=None) -> tuple[np.ndarray, ...]:
+    """Coordinates `axes` (0, 1, 2 for x, y, z) of the uniform points of uniforms u, shape (n, 2).
 
     Equal-area construction: z = 2*u0 - 1, phi = 2*pi*u1, and
-    (x, y) = r (cos phi, sin phi) with r = sqrt(max(0, 1 - z^2)).  Every
-    column is computed in place in the one output array.
-
-    `directions` are the 3-vectors the caller dots the points with: x is
-    computed only if some direction has a nonzero x component, y likewise,
-    and r only for x or y; z always is.  ``np.eye(3)`` reads every
-    coordinate, giving unit vectors.  A coordinate not computed is +0.0, so
-    the points are not unit vectors and must not be binned.  Their dot
-    product with each given direction has the full sample's bits, except
-    that a zero may change sign: a skipped term is a zero component times a
-    coordinate, an exact +-0 either way.
+    (x, y) = r (cos phi, sin phi) with r = sqrt(max(0, 1 - z^2)); z, r and
+    phi are computed once for all the axes asked.  Each coordinate is
+    written into its array of `out` if given (a column of a larger array
+    will do), else into a fresh one.
     """
     u = np.asarray(u, dtype=float)
-    out = np.empty((len(u), 3))
-    z = out[:, 2]
+    out = tuple(np.empty(len(u)) for _ in axes) if out is None else tuple(out)
+    columns = dict(zip(axes, out))
+    z = columns.get(2, np.empty(len(u)))
     np.multiply(u[:, 0], 2.0, out=z)
     z -= 1.0
-    reads = np.asarray(directions, dtype=float)[:, :2].any(axis=0)  # a -0.0 component reads nothing either
-    if any(reads):
+    if columns.keys() & {0, 1}:
         r = np.multiply(z, z)
         np.subtract(1.0, r, out=r)
         np.maximum(r, 0.0, out=r)
         np.sqrt(r, out=r)
         phi = np.multiply(u[:, 1], 2.0 * np.pi)
-    for column, trig, read in zip((out[:, 0], out[:, 1]), (np.cos, np.sin), reads):
-        if read:
-            trig(phi, out=column)
-            column *= r
-        else:
-            column.fill(0.0)
+        for axis, trig in ((0, np.cos), (1, np.sin)):
+            if axis in columns:
+                trig(phi, out=columns[axis])
+                columns[axis] *= r
+    return out
+
+
+def sample_uniform_sphere(u: np.ndarray, directions) -> np.ndarray:
+    """Map uniforms u of shape (n, 2) to points uniform on S^2, as a C-ordered (n, 3) array.
+
+    The columns are ``uniform_coordinates``, computed in place in the one
+    output array.  `directions` are the 3-vectors the caller dots the
+    points with: x is computed only if some direction has a nonzero x
+    component, y likewise, and r only for x or y; z always is.
+    ``np.eye(3)`` reads every coordinate, giving unit vectors.  A coordinate
+    not computed is +0.0, so the points are not unit vectors and must not be
+    binned.  Their dot product with each given direction has the full
+    sample's bits, except that a zero may change sign: a skipped term is a
+    zero component times a coordinate, an exact +-0 either way.
+    """
+    out = np.empty((len(u), 3))
+    reads = np.asarray(directions, dtype=float)[:, :2].any(axis=0)  # a -0.0 component reads nothing either
+    axes = [axis for axis in (0, 1) if reads[axis]] + [2]
+    uniform_coordinates(u, axes, [out[:, axis] for axis in axes])
+    for axis in (0, 1):
+        if not reads[axis]:
+            out[:, axis].fill(0.0)
     return out
 
 

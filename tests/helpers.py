@@ -17,6 +17,11 @@ independent routes to the same numbers:
   uniform ontic distribution invariant, histograms folded by
   ``rng.map_chunks`` with ``SphereHistogram.merge``, judged by the
   chi-square homogeneity test ``noflow_test`` runs;
+* ``composed_lg_products`` and ``composed_measured_outcomes``: the
+  single-world kernels as the sequential contract composes them, prepare ->
+  evolve -> measure -> evolve -> measure and prepare -> gemv measure, which
+  the kernels that compute only what their outcomes read must match bit for
+  bit;
 * the ``where_*`` and ``stacked_*`` kernels: the ``np.where``,
   ``astype``, ``np.column_stack`` and two-temporary formulas the branch-free
   int8 and scratch-array kernels of ``models`` and ``sphere`` replaced,
@@ -32,7 +37,15 @@ import numpy as np
 from ontolab import BeltramettiBugajski
 from ontolab.errors import InvalidArgumentError
 from ontolab.information import _homogeneity_test
-from ontolab.qubit import IDENTITY, SIGMA_X, bloch_to_density, check_density, density_to_bloch, unit_vector
+from ontolab.qubit import (
+    IDENTITY,
+    SIGMA_X,
+    bloch_to_density,
+    check_density,
+    density_to_bloch,
+    heisenberg_direction,
+    unit_vector,
+)
 from ontolab.rng import Uniforms, map_chunks, substream_seed, uniform_block
 from ontolab.sphere import SphereHistogram, bin_index, tv_distance
 
@@ -95,6 +108,29 @@ def bb_joint_statistics(a, b, runs: int, seed: int) -> np.ndarray:
     o2, _ = bb.measure_batch(states, np.asarray(b, dtype=float), u[:, 3])
     cells = ((1 - o1) // 2) * 2 + (1 - o2) // 2
     return np.bincount(cells.astype(np.int64), minlength=4).reshape(2, 2) / runs
+
+
+def composed_lg_products(model, u: Uniforms, pair) -> np.ndarray:
+    """o1 * o2 of z measurements at both times of a pair through prepare -> evolve -> measure -> evolve -> measure.
+
+    Evolving to t_first, then measuring z, reads the prepared state along
+    z's Heisenberg direction, so the sample is reduced to it as the
+    sampler allows; u holds the slots of ``OntologicalModel.LG_SLOTS``' layout.
+    """
+    t_first, t_second = min(pair), max(pair)
+    z = np.array([0.0, 0.0, 1.0])
+    states = model.prepare_max_batch(u.columns(range(1, 1 + model.PREP_SLOTS)), (heisenberg_direction(t_first),))
+    states = model.evolve_batch(states, t_first, u.get(3))
+    o1, states = model.measure_batch(states, z, u.get(4))
+    states = model.evolve_batch(states, t_second - t_first, u.get(5))
+    o2, _ = model.measure_batch(states, z, u.get(6))
+    return o1 * o2
+
+
+def composed_measured_outcomes(model, u: Uniforms, direction) -> np.ndarray:
+    """Outcomes of prepare -> measure along `direction`, through ``measure_outcomes`` (a gemv for bb)."""
+    states = model.prepare_max_batch(u.columns(range(model.PREP_SLOTS)), (direction,))
+    return model.measure_outcomes(states, direction, u.get(2))
 
 
 def from_points(points: np.ndarray, nz: int, nphi: int) -> SphereHistogram:

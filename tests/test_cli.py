@@ -173,6 +173,22 @@ class TestIgnoredFlags:
         assert main(args) == 2
         assert "--gamma must be finite and >= 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("seed", [-1, -(2**64), 2**64, 2**64 + 7])
+    def test_seed_outside_64_bits_exits_2(self, seed, tmp_path, capsys):
+        # the stream reads seeds mod 2**64: -1 and 2**64 - 1 would print the same results
+        out = tmp_path / "lg.json"
+        args = ["lg", *LG_TIMES, "--model", "bb", "--runs", "10", f"--seed={seed}", "--out", str(out)]
+        assert main(args) == 2
+        assert "--seed must be from 0 to 2**64 - 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    def test_seed_range_ends_accepted(self, seed, tmp_path):
+        out = tmp_path / "lg.json"
+        args = ["lg", *LG_TIMES, "--model", "bb", "--runs", "10", f"--seed={seed}", "--format", "json"]
+        assert main([*args, "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["config"]["seed"] == seed
+
 
 class TestLGCommand:
     def test_quantum_exact_json(self, tmp_path):

@@ -11,6 +11,12 @@ the full sample's outcomes, bit for bit, on every kernel that reduces it:
 the directions' components are +0.0 or -0.0 in any subset, and the times
 include multiples of pi/2.
 
+The single-world kernels that compute only what their outcomes read (bb's
+and the telegraph's ``lg_products``, bb's ``measured_states``) must give the
+bits of the sequential contract they short-cut, prepare -> evolve -> measure
+-> evolve -> measure and prepare -> gemv measure (``helpers.composed_*``), at
+planted ties of every Born and flip probability they compare against.
+
 The exact cells of the ``information`` histograms are checked against
 ``sphere.bin_index`` on the points they stand for: ``uniform_cell`` against
 the binned uniform sample, away from sector edges, with its own rule pinned
@@ -31,9 +37,11 @@ from ontolab.information import _atom_histograms
 from ontolab.models import sign_pm1
 from ontolab.qubit import as_direction
 from ontolab.rng import Uniforms, uniform_block
-from ontolab.sphere import bin_index, sample_uniform_sphere, uniform_cell
+from ontolab.sphere import bin_index, sample_uniform_sphere, uniform_cell, uniform_coordinates
 
 from helpers import (
+    composed_lg_products,
+    composed_measured_outcomes,
     stacked_sample_uniform_sphere,
     where_alice,
     where_bb_measure,
@@ -66,12 +74,24 @@ AXES = {
 # times whose Heisenberg direction (0, sin 2t, cos 2t) has a zero component (t = +-0.0), or nearly
 QUARTER_TURNS = [k * math.pi / 2 for k in (-3, -2, -1, 1, 2, 3, 4)]
 TIMES = st.sampled_from([0.0, -0.0, *QUARTER_TURNS]) | st.floats(-10.0, 10.0)
+# four-time pairs: ties, multiples of pi/4 (gaps with cos 2(t2 - t1) near 0 or +-1) and negative times
+LG_TIMES = TIMES | st.sampled_from([k * math.pi / 4 for k in range(-5, 6)])
+TIME_PAIRS = st.tuples(LG_TIMES, LG_TIMES) | LG_TIMES.map(lambda t: (t, t))
+GAMMAS = st.sampled_from([0.0, 0.3, 1.0, 7.0])
 
 
 @st.composite
 def sparse_direction(draw):
     """A 3-vector whose components are each exactly +0.0 or -0.0, or free, in any subset."""
     return np.array([draw(ZEROS) if draw(st.booleans()) else draw(COMPONENTS) for _ in range(3)])
+
+
+@st.composite
+def axis_direction(draw):
+    """One nonzero component, +-1 or free, on any axis; +0.0 or -0.0 in each other slot."""
+    k = draw(st.integers(0, 2))
+    component = draw(st.sampled_from([1.0, -1.0]) | COMPONENTS.filter(lambda c: c != 0.0))
+    return np.array([component if j == k else draw(ZEROS) for j in range(3)])
 
 
 def same_bits(new: np.ndarray, ref: np.ndarray) -> bool:
@@ -148,17 +168,21 @@ class TestBranching:
             assert same_bits(new, ref)
 
     @settings(max_examples=200, deadline=None)
-    @given(st.data(), SIZES, st.integers(1, 3))
-    def test_bob_matches_two_temporaries(self, data, n, n_refs):
+    @given(st.data(), SIZES, st.integers(1, 3), st.booleans())
+    def test_bob_matches_two_temporaries(self, data, n, n_refs, b_is_a_reference):
         b = data.draw(arrays(np.float64, 3, elements=COMPONENTS))
         refs = [data.draw(arrays(np.float64, 3, elements=COMPONENTS)) for _ in range(n_refs)]
+        if b_is_a_reference:
+            # b itself, and b with the sign of each zero component flipped: both reuse b's dot product
+            refs[data.draw(st.integers(0, n_refs - 1))] = b
+            refs.append(np.where(b == 0.0, -b, b))
         x0 = data.draw(arrays(np.float64, (n, 3), elements=COMPONENTS))
         x1 = data.draw(arrays(np.float64, (n, 3), elements=COMPONENTS))
         stored = x0.copy(), x1.copy()
         s_b, n_bs = BranchingModel().bob_batch(b, x0, x1, refs)
         ref_s_b, ref_n_bs = where_bob(b, x0, x1, refs)
         assert same_bits(s_b, ref_s_b)
-        assert len(n_bs) == n_refs and all(same_bits(new, ref) for new, ref in zip(n_bs, ref_n_bs))
+        assert len(n_bs) == len(refs) and all(same_bits(new, ref) for new, ref in zip(n_bs, ref_n_bs))
         # the scratch array is its own, never one of the inputs
         assert same_bits(x0, stored[0]) and same_bits(x1, stored[1])
 
@@ -192,8 +216,13 @@ class TestSphere:
     @given(arrays(np.float64, st.tuples(SIZES, st.just(2)), elements=UNIFORMS))
     def test_sample_matches_column_stack(self, u):
         points = sample_uniform_sphere(u, np.eye(3))
+        stacked = stacked_sample_uniform_sphere(u)
         assert points.flags.c_contiguous
-        assert same_bits(points, stacked_sample_uniform_sphere(u))
+        assert same_bits(points, stacked)
+        # the coordinates on their own, in fresh arrays, for every set of axes a kernel reads
+        for axes in ((0,), (1,), (2,), (1, 2), (0, 2), (0, 1, 2)):
+            for axis, column in zip(axes, uniform_coordinates(u, axes), strict=True):
+                assert same_bits(column, np.ascontiguousarray(stacked[:, axis]))
 
     @settings(max_examples=200, deadline=None)
     @given(st.data(), SIZES, st.integers(1, 64), st.integers(1, 64))
@@ -271,7 +300,7 @@ class TestReadCoordinates:
     def test_bb_measured_states_outcomes_match_full_sample(self, d, seed):
         u = _tied_uniforms(seed, 240, (0, 1, 2))
         _, outcomes = BeltramettiBugajski().measured_states(u, d)
-        assert same_bits(outcomes, FullSampleBB().measured_states(u, d)[1])
+        assert same_bits(outcomes, composed_measured_outcomes(FullSampleBB(), u, d))
 
     @settings(max_examples=200, deadline=None)
     @given(st.data(), SIZES, st.lists(sparse_direction(), min_size=3, max_size=5))
@@ -291,8 +320,59 @@ class TestReadCoordinates:
     @given(TIMES, TIMES, st.integers(0, 2**32))
     def test_lg_products_match_full_sample(self, t1, t2, seed):
         u = _tied_uniforms(seed, 240, tuple(range(7)))
-        for model, full in ((BeltramettiBugajski(), FullSampleBB()), (BranchingModel(), FullSampleMW())):
-            assert same_bits(model.lg_products(u, (t1, t2)), full.lg_products(u, (t1, t2)))
+        bb_products = BeltramettiBugajski().lg_products(u, (t1, t2))
+        assert same_bits(bb_products, composed_lg_products(FullSampleBB(), u, (t1, t2)))
+        assert same_bits(BranchingModel().lg_products(u, (t1, t2)), FullSampleMW().lg_products(u, (t1, t2)))
+
+
+class TestLeanKernels:
+    """Kernels that compute only what their outcomes read, against the sequential contract on the same uniforms."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(TIME_PAIRS, st.integers(0, 2**32))
+    @example((0.0, 0.0), 1)
+    @example((-math.pi / 4, math.pi / 4), 2)
+    @example((-0.0, 3 * math.pi / 4), 3)
+    def test_bb_lg_products_match_composition(self, pair, seed):
+        bb = BeltramettiBugajski()
+        u = _tied_uniforms(seed, 240, tuple(range(7)))
+        t_first, t_second = min(pair), max(pair)
+        # ties at both Born probabilities: the evolved z row, and cos 2(t2 - t1) for either first outcome
+        evolved = bb.evolve_batch(bb.prepare_max_batch(u.columns((1, 2)), np.eye(3)), t_first)
+        u.get(4)[::4] = 0.5 * (1.0 + evolved[::4, 2])
+        c = np.cos(2.0 * (t_second - t_first))
+        u.get(6)[1::4], u.get(6)[2::4] = 0.5 * (1.0 + c), 0.5 * (1.0 - c)
+        assert same_bits(bb.lg_products(u, pair), composed_lg_products(bb, u, pair))
+
+    @settings(max_examples=200, deadline=None)
+    @given(TIME_PAIRS, GAMMAS, st.integers(0, 2**32))
+    @example((0.0, 0.0), 0.0, 1)
+    @example((-1.5, -1.5), 7.0, 2)
+    @example((-math.pi / 4, math.pi / 8), 0.3, 3)
+    def test_telegraph_lg_products_match_composition(self, pair, gamma, seed):
+        model = Telegraph(gamma)
+        u = _tied_uniforms(seed, 240, tuple(range(7)))
+        t_first, t_second = min(pair), max(pair)
+        # ties at both flip probabilities
+        for slot, dt in ((3, t_first), (5, t_second - t_first)):
+            u.get(slot)[1::4] = 0.5 * (1.0 - np.exp(-2.0 * gamma * abs(dt)))
+        assert same_bits(model.lg_products(u, pair), composed_lg_products(model, u, pair))
+
+    @settings(max_examples=200, deadline=None)
+    @given(axis_direction() | sparse_direction(), st.integers(0, 2**32))
+    @example(np.array([-0.0, 0.0, -1.0]), 1)
+    @example(np.array([-1.0, -0.0, -0.0]), 2)
+    @example(np.array([0.0, -1.0, 0.0]), 3)
+    def test_bb_measured_states_match_composition(self, d, seed):
+        bb = BeltramettiBugajski()
+        u = _tied_uniforms(seed, 240, (0, 1, 2))
+        # ties at the Born probability of every fourth run
+        full = bb.prepare_max_batch(u.columns((0, 1)), np.eye(3))
+        u.get(2)[::4] = 0.5 * (1.0 + full[::4] @ d)
+        prepared, outcomes = bb.measured_states(u, d)
+        # the collapse model's prepared states are binned from their uniforms, so none are returned
+        assert prepared is None
+        assert same_bits(outcomes, composed_measured_outcomes(bb, u, d))
 
 
 class TestUniformCell:

@@ -26,6 +26,8 @@ from ontolab.rng import (
 
 Z = np.array([0.0, 0.0, 1.0])
 X = np.array([1.0, 0.0, 0.0])
+# no zero component: the collapse model measures along it with a gemv, along X and Z without
+GENERAL = np.array([0.48, 0.6, 0.64])
 
 
 def reference_value(seed: int, run: int, slot: int) -> float:
@@ -123,6 +125,10 @@ PATHS = [
      lambda m, u: m.lg_products(u, (0.3, 1.1))),
     ("bb-sample", BeltramettiBugajski(), "SAMPLE_SLOTS", range(3),
      lambda m, u: m.measured_states(u, X)),
+    ("bb-sample-z", BeltramettiBugajski(), "SAMPLE_SLOTS", range(3),
+     lambda m, u: m.measured_states(u, Z)),
+    ("bb-sample-general", BeltramettiBugajski(), "SAMPLE_SLOTS", range(3),
+     lambda m, u: m.measured_states(u, GENERAL)),
     ("telegraph-sample", Telegraph(), "SAMPLE_SLOTS", range(3),
      lambda m, u: m.measured_states(u, X)),
     ("mw-joint", BranchingModel(), "JOINT_SLOTS", range(5),
