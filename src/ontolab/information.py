@@ -42,7 +42,7 @@ import numpy as np
 
 from . import rng as _rng
 from .errors import ContractMismatchError, InvalidArgumentError
-from .models import BranchingModel, OntologicalModel
+from .models import BranchingModel, OntologicalModel, settle
 from .qubit import as_direction
 from .sphere import SphereHistogram, bin_index, histogram_entropy, tv_distance, uniform_cell
 
@@ -98,8 +98,15 @@ def chi_square_test(observed, expected) -> tuple[float, int, float]:
 
 
 def _homogeneity_test(h1: SphereHistogram, h2: SphereHistogram) -> tuple[float, int, float]:
-    """chi_square_test of the 2 x K table of two histograms, expected counts from its margins."""
-    table = np.stack([h1.counts.ravel(), h2.counts.ravel()]).astype(float)
+    """chi_square_test of the 2 x K table of two histograms, expected counts from its margins.
+
+    Only the columns occupied in either histogram are built: an all-zero
+    column would fall in the rare pool, add exactly 0 to it and not count
+    in df, so chi2, df and p are those of the full table.
+    """
+    first, second = h1.counts.ravel(), h2.counts.ravel()
+    (occupied,) = np.nonzero(first | second)
+    table = np.stack([first[occupied], second[occupied]]).astype(float)
     return chi_square_test(table, np.outer(table.sum(axis=1), table.sum(axis=0)) / table.sum())
 
 
@@ -285,7 +292,10 @@ def branching_no_erasure_check(
     through ``branch_outcomes`` with the second device's bookkeeping along
     each of ``references`` (default: the protocol's own, b), counts the
     outcomes, and compares the pairs with the copy bit for bit, so a model
-    that writes into the arrays it was handed fails.  The check is exact: while it holds,
+    that writes into the arrays it was handed fails.  The outcomes go
+    through ``models.settle``, and the copy and the comparison cover both
+    of its passes: the float32 pairs of every run and the float64 pairs of
+    the runs it recomputes.  The check is exact: while it holds,
     the post-run pairs *are* the sample, which depends on the seed alone and
     not on (a, b), so no distribution test of them could add anything.
     Counting is integer-exact, so the result is independent of worker count.
@@ -299,15 +309,22 @@ def branching_no_erasure_check(
     def run_chunk(lo: int, n: int) -> tuple[np.ndarray, bool]:
         # JOINT_SLOTS layout in models.py: 0-3 ontic pair, 4 branch selection
         u = _rng.uniform_block(seed, range(lo, lo + n), model.JOINT_SLOTS)
-        x0, x1 = model.sample_ontic_batch(u[:, 0:4], (a, b, *refs))
-        stored = x0.copy(), x1.copy()
+        same = []
+
+        def kernel(rows, trig_dtype):
+            x0, x1 = model.sample_ontic_batch(u[rows, 0:4], (a, b, *refs), trig_dtype)
+            stored = x0.copy(), x1.copy()
+            margin = np.full(len(x0), np.inf)
+            outcomes = np.array(model.branch_outcomes(a, b, refs, x0, x1, u[rows, 4], margin))
+            # compared as integers, so that a write that keeps the value (-0.0 for 0.0) is caught too
+            same.extend(np.array_equal(x.view(np.uint64), s.view(np.uint64)) for x, s in zip((x0, x1), stored))
+            return outcomes, margin
+
         counts = np.stack([
             np.bincount(2 * (o1 < 0).view(np.int8) + (o2 < 0).view(np.int8), minlength=4)
-            for o1, o2 in model.branch_outcomes(a, b, refs, x0, x1, u[:, 4])
+            for o1, o2 in settle(kernel, n)
         ])
-        # compared as integers, so that a write that keeps the value (-0.0 for 0.0) is caught too
-        same = all(np.array_equal(x.view(np.uint64), s.view(np.uint64)) for x, s in zip((x0, x1), stored))
-        return counts, same
+        return counts, all(same)
 
     counts, untouched = _rng.map_chunks(run_chunk, runs, lambda t, p: (t[0] + p[0], t[1] and p[1]))
     return BranchingNoErasureReport(

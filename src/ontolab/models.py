@@ -74,6 +74,16 @@ measurement computes z alone, and an x measurement no sine.  No outcome
 changes: the term left out of a dot product is an exact +-0, so the product
 keeps its bits or is a zero of the other sign, and Born's rule
 0.5 * (1 +- 0) and ``sign_pm1`` map both zeros alike.
+
+Every outcome that reads x or y is a comparison: Born's rule u < 0.5 * (1 +
+p) on a projection p, or the sign of a dot.  A kernel takes those
+coordinates' sine and cosine in float32 first (``trig_dtype=np.float32``
+in ``sphere``), which moves no p or dot by as much as
+``sphere.FLOAT32_MARGIN``.  It decides every run whose margin, |u - 0.5 *
+(1 + p)| or the least |dot| it takes a sign of, exceeds that bound, and
+recomputes the others on the exact float64 path, on those rows alone
+(``settle``).  Every outcome keeps its bits: the exact path's values do not
+depend on which rows are computed with them.
 """
 
 from __future__ import annotations
@@ -85,7 +95,7 @@ import numpy as np
 from . import rng as _rng
 from .errors import InvalidArgumentError
 from .qubit import OUTCOMES, heisenberg_direction
-from .sphere import sample_uniform_sphere, uniform_coordinates
+from .sphere import FLOAT32_MARGIN, sample_uniform_sphere, uniform_coordinates
 
 
 #: the outcomes +1 and -1, in the order of ``atoms``
@@ -95,6 +105,33 @@ _OUTCOMES = np.array(OUTCOMES, dtype=np.int8)
 def sign_pm1(x: np.ndarray) -> np.ndarray:
     """Elementwise sign with sign(0) := +1 (also for -0.0 and NaN), as int8 in {-1, +1}."""
     return 1 - 2 * (np.asarray(x) < 0).view(np.int8)
+
+
+def settle(kernel, n: int) -> np.ndarray:
+    """The outcomes of n runs, decided from float32 trigonometry where that cannot flip them.
+
+    kernel(rows, trig_dtype) returns the outcomes of `rows` (a slice or row
+    indices) along its last axis, and each row's margin: how far its
+    float64 comparisons would have to move to flip an outcome.  It runs
+    once on every row with float32 trigonometry, and again with float64 on
+    the rows whose margin is at most ``FLOAT32_MARGIN``, whose outcomes
+    replace the first pass's.  numpy computes a one-row (1, 3) @ d as a dot
+    product, which can round apart from the gemv of more rows, so a lone
+    row is recomputed twice over unless it is the only run.
+    """
+    outcomes, margin = kernel(slice(None), np.float32)
+    (rows,) = np.nonzero(margin <= FLOAT32_MARGIN)
+    if len(rows):
+        rows = rows.repeat(2) if len(rows) == 1 < n else rows
+        outcomes[..., rows] = kernel(rows, np.float64)[0]
+    return outcomes
+
+
+def _lower_margin(margin: np.ndarray, *dots: np.ndarray) -> None:
+    """Lower margin, in place, to each row's least |dot|; each dot is overwritten with its absolute value."""
+    for dot in dots:
+        np.abs(dot, out=dot)
+        np.minimum(margin, dot, out=margin)
 
 
 class OntologicalModel(ABC):
@@ -193,8 +230,9 @@ class BeltramettiBugajski(OntologicalModel):
     SAMPLE_SLOTS = (0, 1, 2)
     UNIFORM_PREPARATION = True
 
-    def prepare_max_batch(self, u: np.ndarray, directions) -> np.ndarray:
-        return sample_uniform_sphere(u[:, :2], directions)
+    def prepare_max_batch(self, u: np.ndarray, directions, trig_dtype=np.float64) -> np.ndarray:
+        """``sphere.sample_uniform_sphere`` of u, with its sine and cosine in `trig_dtype`."""
+        return sample_uniform_sphere(u[:, :2], directions, trig_dtype=trig_dtype)
 
     def evolve_batch(self, states: np.ndarray, dt: float, u=None) -> np.ndarray:
         # deterministic volume-preserving image of U(dt): rotation about x by 2*dt
@@ -216,6 +254,29 @@ class BeltramettiBugajski(OntologicalModel):
         if u is None:
             raise InvalidArgumentError("Beltrametti-Bugajski measurement is stochastic and needs uniforms")
         return 2 * (np.asarray(u).reshape(-1) < 0.5 * (1.0 + projection)).view(np.int8) - 1
+
+    @classmethod
+    def _settled_born(cls, projection, u: np.ndarray, reads_trig: bool) -> np.ndarray:
+        """``_born`` on projection(rows, trig_dtype), a fresh array of the projections of `rows`, through ``settle``.
+
+        A projection that reads no sine or cosine is exact as it is, and is
+        computed once in float64.
+        """
+        if not reads_trig:
+            return cls._born(projection(slice(None), np.float64), u)
+        if u is None:
+            raise InvalidArgumentError("Beltrametti-Bugajski measurement is stochastic and needs uniforms")
+        u = np.asarray(u).reshape(-1)
+
+        def kernel(rows, trig_dtype):
+            p = projection(rows, trig_dtype)
+            p += 1.0
+            p *= 0.5  # 0.5 * (1 + projection), as _born rounds it
+            outcomes = 2 * (u[rows] < p).view(np.int8) - 1
+            p -= u[rows]
+            return outcomes, np.abs(p, out=p)
+
+        return settle(kernel, len(u))
 
     def measure_batch(self, states: np.ndarray, direction, u: np.ndarray):
         outcomes = self.measure_outcomes(states, direction, u)
@@ -249,16 +310,21 @@ class BeltramettiBugajski(OntologicalModel):
         as ``sample_uniform_sphere`` does for the Heisenberg direction
         (0, s, c).  The second reads the collapsed state o1 * z rotated across
         the gap, whose z row is cos(2 (t_second - t_first)) * o1 plus an exact
-        +-0.
+        +-0.  The first outcome reads y, and so goes through ``settle``; the
+        second reads o1 alone.
         """
         t_first, t_second = min(pair), max(pair)
         c, s = np.cos(2.0 * t_first), np.sin(2.0 * t_first)
         prep = u.columns(range(1, 1 + self.PREP_SLOTS))
-        coordinates = uniform_coordinates(prep, (1, 2) if s != 0.0 else (2,))
-        z = c * coordinates[-1]
-        if s != 0.0:
-            z += s * coordinates[0]
-        o1 = self._born(z, u.get(4))
+
+        def first_z(rows, trig_dtype):
+            coordinates = uniform_coordinates(prep[rows], (1, 2) if s != 0.0 else (2,), trig_dtype=trig_dtype)
+            z = c * coordinates[-1]
+            if s != 0.0:
+                z += s * coordinates[0]
+            return z
+
+        o1 = self._settled_born(first_z, u.get(4), s != 0.0)
         o2 = self._born(np.cos(2.0 * (t_second - t_first)) * o1, u.get(6))
         return o1 * o2
 
@@ -268,14 +334,22 @@ class BeltramettiBugajski(OntologicalModel):
         Along a direction with one nonzero component d_k the outcome reads
         coordinate k alone (``sphere.uniform_coordinates``) times d_k, which
         ``states @ d`` is exactly, up to the sign of a zero: no (n, 3) array
-        and no gemv.  A general direction keeps ``measure_outcomes``' gemv.
+        and no gemv.  A general direction keeps ``measure_outcomes``' gemv of
+        the states ``prepare_max_batch`` samples along it.  Along x, y or a
+        general direction the outcomes go through ``settle``.
         """
         (axes,) = np.nonzero(direction)
-        if len(axes) != 1:
-            return None, super().measured_states(u, direction)[1]
-        (projection,) = uniform_coordinates(u.columns(range(self.PREP_SLOTS)), axes)
-        projection *= direction[axes[0]]
-        return None, self._born(projection, u.get(2))
+        prep = u.columns(range(self.PREP_SLOTS))
+        direction = np.asarray(direction, dtype=float)
+
+        def projection(rows, trig_dtype):
+            if len(axes) != 1:
+                return self.prepare_max_batch(prep[rows], (direction,), trig_dtype) @ direction
+            (along,) = uniform_coordinates(prep[rows], axes, trig_dtype=trig_dtype)
+            along *= direction[axes[0]]
+            return along
+
+        return None, self._settled_born(projection, u.get(2), len(axes) != 1 or axes[0] != 2)
 
 
 class Telegraph(OntologicalModel):
@@ -379,28 +453,33 @@ class BranchingModel:
 
     # sampling
 
-    def sample_ontic_batch(self, u: np.ndarray, directions) -> tuple[np.ndarray, np.ndarray]:
-        """Independent uniform pairs (x0, x1) from (n, 4) uniforms.
+    def sample_ontic_batch(self, u: np.ndarray, directions, trig_dtype=np.float64) -> tuple[np.ndarray, np.ndarray]:
+        """Independent uniform pairs (x0, x1) from (n, 4) uniforms, with their sines and cosines in `trig_dtype`.
 
         Only the coordinates that `directions` (a, b and the bookkeeping references)
         read are computed (``sphere.sample_uniform_sphere``): the pairs are not unit
         vectors unless the directions read x and y, and no caller may bin them.
         """
-        return sample_uniform_sphere(u[:, 0:2], directions), sample_uniform_sphere(u[:, 2:4], directions)
+        return tuple(sample_uniform_sphere(u[:, k : k + 2], directions, trig_dtype=trig_dtype) for k in (0, 2))
 
     # the two measurements
 
-    def alice_batch(self, a: np.ndarray, x0: np.ndarray, x1: np.ndarray):
+    def alice_batch(self, a: np.ndarray, x0: np.ndarray, x1: np.ndarray, margin: np.ndarray | None = None):
+        """s_A = sign(a.x0), n_A = sign(a.x0) sign(a.x1); `margin`, if given, is lowered to each row's least |dot|."""
         a = np.asarray(a, dtype=float)
-        s0, s1 = sign_pm1(x0 @ a), sign_pm1(x1 @ a)
+        dots = x0 @ a, x1 @ a
+        s0, s1 = map(sign_pm1, dots)
+        if margin is not None:
+            _lower_margin(margin, *dots)
         return s0, s0 * s1
 
-    def bob_batch(self, b: np.ndarray, x0: np.ndarray, x1: np.ndarray, references):
+    def bob_batch(self, b: np.ndarray, x0: np.ndarray, x1: np.ndarray, references, margin: np.ndarray | None = None):
         """s_B = sign(b.(x0+x1)), and n_B = sign(r.(x0+x1)) sign(r.(x0-x1)) for each reference r.
 
         b.(x0+x1) is computed once, also for a reference equal to b (the
         protocol's own): a zero component's sign can only change the sign of
-        a zero product, which ``sign_pm1`` maps alike.
+        a zero product, which ``sign_pm1`` maps alike.  `margin`, if given, is
+        lowered to each row's least |dot|.
         """
         b = np.asarray(b, dtype=float)
         references = [np.asarray(r) for r in references]
@@ -409,7 +488,14 @@ class BranchingModel:
         s_b = sign_pm1(xb)
         plus = [xb if np.array_equal(r, b) else x @ r for r in references]
         np.subtract(x0, x1, out=x)
-        n_bs = [sign_pm1(p) * sign_pm1(x @ r) for p, r in zip(plus, references)]
+        n_bs = []
+        for p, r in zip(plus, references):
+            minus = x @ r
+            n_bs.append(sign_pm1(p) * sign_pm1(minus))
+            if margin is not None:
+                _lower_margin(margin, minus)
+        if margin is not None:
+            _lower_margin(margin, xb, *(p for p in plus if p is not xb))
         return s_b, n_bs
 
     # branch pairing at the meeting point
@@ -422,16 +508,29 @@ class BranchingModel:
 
     # whole experiment
 
-    def branch_outcomes(self, a, b, references, x0, x1, u_select):
-        """The kept branch's (alpha, beta) for each bookkeeping reference, from one (x0, x1)."""
-        s_a, n_a = self.alice_batch(a, x0, x1)
-        s_b, n_bs = self.bob_batch(b, x0, x1, references)
+    def branch_outcomes(self, a, b, references, x0, x1, u_select, margin: np.ndarray | None = None):
+        """The kept branch's (alpha, beta) for each bookkeeping reference, from one (x0, x1).
+
+        `margin`, if given, is lowered to each row's least |dot| whose sign
+        either device takes, the margin ``settle`` reads.
+        """
+        s_a, n_a = self.alice_batch(a, x0, x1, margin)
+        s_b, n_bs = self.bob_batch(b, x0, x1, references, margin)
         return tuple(self.pair_and_select_batch(s_a, n_a, s_b, n_b, u_select) for n_b in n_bs)
 
     def run_experiment_batch(self, a: np.ndarray, b: np.ndarray, u: np.ndarray):
-        """(alpha, beta) of one batch of complete runs; u is (n, 5): four ontic slots + selection."""
-        x0, x1 = self.sample_ontic_batch(u[:, 0:4], (a, b))
-        ((alpha, beta),) = self.branch_outcomes(a, b, (b,), x0, x1, u[:, 4])
+        """(alpha, beta) of one batch of complete runs; u is (n, 5): four ontic slots + selection.
+
+        The outcomes go through ``settle``: the ontic pairs of the rows it
+        recomputes are sampled again in float64.
+        """
+
+        def kernel(rows, trig_dtype):
+            x0, x1 = self.sample_ontic_batch(u[rows, 0:4], (a, b), trig_dtype)
+            margin = np.full(len(x0), np.inf)
+            return np.array(self.branch_outcomes(a, b, (b,), x0, x1, u[rows, 4], margin)), margin
+
+        ((alpha, beta),) = settle(kernel, len(u))
         return alpha, beta
 
     # Monte Carlo kernels, each reading the slots declared above

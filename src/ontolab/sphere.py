@@ -23,6 +23,14 @@ every histogram takes its cells from ``uniform_cell`` or from the atoms.
 A kernel that reads one or two coordinates as they are takes them from
 ``uniform_coordinates``, the construction the sampler's columns come from,
 with no (n, 3) array.
+
+Both take their sine and cosine in float64 by default: that is the exact
+path, whose bits every outcome has.  With ``trig_dtype=np.float32`` they
+take them in float32 of float32(phi), some 20 times faster, and each
+coordinate then lies within ``FLOAT32_MARGIN / 8`` of the exact one.  A
+kernel decides from these every outcome whose margin exceeds
+``FLOAT32_MARGIN`` and recomputes the rest on the exact path
+(``models.settle``), so no outcome changes.
 """
 
 from __future__ import annotations
@@ -35,15 +43,29 @@ from .errors import InvalidArgumentError
 
 FULL_SOLID_ANGLE = 4.0 * np.pi
 
+#: Outcomes whose margin exceeds this are decided from float32 trigonometry.
+#: float32(phi) is within half a float32 ulp of phi < 2*pi, 2**-22, and
+#: numpy's float32 sin and cos are within about 1.5 float32 ulps, 2**-23 at
+#: most, of the sine and cosine of their argument; r <= 1 and r * s rounds
+#: to within 2**-53.  So a float32 x or y lies within about 3.6e-7 < 2**-21
+#: = FLOAT32_MARGIN / 8 of the float64 one (4.2e6 counter-mode uniforms:
+#: 2.55e-7 at most).  A dot with a unit direction then moves by at most
+#: sqrt(2) * 2**-21 per point, and by twice that for the sum or difference of
+#: two points, under FLOAT32_MARGIN / 2; Born's probability 0.5 * (1 + dot)
+#: moves by half as much.
+FLOAT32_MARGIN = 2.0**-18
 
-def uniform_coordinates(u: np.ndarray, axes, out=None) -> tuple[np.ndarray, ...]:
+
+def uniform_coordinates(u: np.ndarray, axes, out=None, trig_dtype=np.float64) -> tuple[np.ndarray, ...]:
     """Coordinates `axes` (0, 1, 2 for x, y, z) of the uniform points of uniforms u, shape (n, 2).
 
     Equal-area construction: z = 2*u0 - 1, phi = 2*pi*u1, and
     (x, y) = r (cos phi, sin phi) with r = sqrt(max(0, 1 - z^2)); z, r and
     phi are computed once for all the axes asked.  Each coordinate is
     written into its array of `out` if given (a column of a larger array
-    will do), else into a fresh one.
+    will do), else into a fresh one.  With ``trig_dtype=np.float32`` the
+    sine and cosine are taken in float32 of float32(phi), within
+    ``FLOAT32_MARGIN / 8`` of the float64 ones; z is exact either way.
     """
     u = np.asarray(u, dtype=float)
     out = tuple(np.empty(len(u)) for _ in axes) if out is None else tuple(out)
@@ -56,7 +78,7 @@ def uniform_coordinates(u: np.ndarray, axes, out=None) -> tuple[np.ndarray, ...]
         np.subtract(1.0, r, out=r)
         np.maximum(r, 0.0, out=r)
         np.sqrt(r, out=r)
-        phi = np.multiply(u[:, 1], 2.0 * np.pi)
+        phi = np.multiply(u[:, 1], 2.0 * np.pi).astype(trig_dtype, copy=False)
         for axis, trig in ((0, np.cos), (1, np.sin)):
             if axis in columns:
                 trig(phi, out=columns[axis])
@@ -64,7 +86,7 @@ def uniform_coordinates(u: np.ndarray, axes, out=None) -> tuple[np.ndarray, ...]
     return out
 
 
-def sample_uniform_sphere(u: np.ndarray, directions) -> np.ndarray:
+def sample_uniform_sphere(u: np.ndarray, directions, trig_dtype=np.float64) -> np.ndarray:
     """Map uniforms u of shape (n, 2) to points uniform on S^2, as a C-ordered (n, 3) array.
 
     The columns are ``uniform_coordinates``, computed in place in the one
@@ -76,11 +98,12 @@ def sample_uniform_sphere(u: np.ndarray, directions) -> np.ndarray:
     binned.  Their dot product with each given direction has the full
     sample's bits, except that a zero may change sign: a skipped term is a
     zero component times a coordinate, an exact +-0 either way.
+    `trig_dtype` is that of ``uniform_coordinates``.
     """
     out = np.empty((len(u), 3))
     reads = np.asarray(directions, dtype=float)[:, :2].any(axis=0)  # a -0.0 component reads nothing either
     axes = [axis for axis in (0, 1) if reads[axis]] + [2]
-    uniform_coordinates(u, axes, [out[:, axis] for axis in axes])
+    uniform_coordinates(u, axes, [out[:, axis] for axis in axes], trig_dtype)
     for axis in (0, 1):
         if not reads[axis]:
             out[:, axis].fill(0.0)

@@ -30,7 +30,7 @@ from ontolab import (
     noflow_test,
     tv_distance,
 )
-from ontolab import information
+from ontolab import information, models
 from ontolab.cli import cmd_mwcheck
 from ontolab.information import ALPHA, MIN_POOLED, _homogeneity_test, chi2_sf, chi_square_test
 from ontolab.models import sign_pm1
@@ -246,7 +246,12 @@ class TestExactCells:
 
 
 class TestMemoryIsFlatInRuns:
-    """Chunk results are folded as they arrive: the peak at 16 chunks is within one chunk's histogram of that at 4."""
+    """Chunk results are folded as they arrive: the peak at 16 chunks is within one chunk's histogram of that at 4.
+
+    The peak itself stays within five histograms of the grid: 34 MiB for
+    erasure and 32 MiB for noflow at 1024x1024, whose homogeneity test builds
+    only the occupied columns of its table (the full 2 x K table took 81 MiB).
+    """
 
     GRID = (1024, 1024)
     ONE_HISTOGRAM = GRID[0] * GRID[1] * np.dtype(np.int64).itemsize
@@ -270,13 +275,14 @@ class TestMemoryIsFlatInRuns:
             finally:
                 tracemalloc.stop()
         assert peaks[1] - peaks[0] <= self.ONE_HISTOGRAM
+        assert max(peaks) <= 5 * self.ONE_HISTOGRAM
 
 
 class CollapsingModel(BranchingModel):
     """A faulty branching model: the first device collapses x0 onto +-a in place, as a single-world measurement would."""
 
-    def alice_batch(self, a, x0, x1):
-        outcomes = super().alice_batch(a, x0, x1)
+    def alice_batch(self, a, x0, x1, margin=None):
+        outcomes = super().alice_batch(a, x0, x1, margin)
         x0[:] = sign_pm1(x0 @ a)[:, None] * np.asarray(a, dtype=float)
         return outcomes
 
@@ -284,8 +290,8 @@ class CollapsingModel(BranchingModel):
 class InPlaceCollapsingModel(BranchingModel):
     """The same fault written into the sampled x0 array after the whole measurement."""
 
-    def branch_outcomes(self, a, b, references, x0, x1, u_select):
-        outcomes = super().branch_outcomes(a, b, references, x0, x1, u_select)
+    def branch_outcomes(self, a, b, references, x0, x1, u_select, margin=None):
+        outcomes = super().branch_outcomes(a, b, references, x0, x1, u_select, margin)
         x0[:] = sign_pm1(x0 @ a)[:, None] * np.asarray(a, dtype=float)
         return outcomes
 
@@ -293,8 +299,8 @@ class InPlaceCollapsingModel(BranchingModel):
 class SecondDeviceWritingModel(BranchingModel):
     """A faulty branching model whose second device writes its record into x1."""
 
-    def bob_batch(self, b, x0, x1, references):
-        outcomes = super().bob_batch(b, x0, x1, references)
+    def bob_batch(self, b, x0, x1, references, margin=None):
+        outcomes = super().bob_batch(b, x0, x1, references, margin)
         x1 += 1e-3 * np.asarray(b, dtype=float)
         return outcomes
 
@@ -302,14 +308,29 @@ class SecondDeviceWritingModel(BranchingModel):
 class SignedZeroWritingModel(BranchingModel):
     """A faulty branching model that rewrites a zero component of x0 as -0.0: same value, other bits."""
 
-    def sample_ontic_batch(self, u, directions):
-        x0, x1 = super().sample_ontic_batch(u, directions)
+    def sample_ontic_batch(self, u, directions, trig_dtype=np.float64):
+        x0, x1 = super().sample_ontic_batch(u, directions, trig_dtype)
         x0[:, 0] = 0.0
         return x0, x1
 
-    def branch_outcomes(self, a, b, references, x0, x1, u_select):
+    def branch_outcomes(self, a, b, references, x0, x1, u_select, margin=None):
         x0[:, 0] = -0.0
-        return super().branch_outcomes(a, b, references, x0, x1, u_select)
+        return super().branch_outcomes(a, b, references, x0, x1, u_select, margin)
+
+
+class FloatPassWritingModel(BranchingModel):
+    """A faulty branching model that writes into x1 in the float64 pass of ``models.settle`` alone."""
+
+    def sample_ontic_batch(self, u, directions, trig_dtype=np.float64):
+        x0, x1 = super().sample_ontic_batch(u, directions, trig_dtype)
+        self.float64_pass = trig_dtype == np.float64
+        return x0, x1
+
+    def branch_outcomes(self, a, b, references, x0, x1, u_select, margin=None):
+        outcomes = super().branch_outcomes(a, b, references, x0, x1, u_select, margin)
+        if self.float64_pass:
+            x1[0] = -x1[0]
+        return outcomes
 
 
 class TestBranchingNoErasure:
@@ -340,6 +361,13 @@ class TestBranchingNoErasure:
         # -0.0 == 0.0, so only a bit-for-bit comparison sees this write
         rep = branching_no_erasure_check(Z, X, 1_000, seed=19, model=SignedZeroWritingModel())
         assert not rep.immutable
+
+    def test_write_in_the_float64_pass_detected(self, monkeypatch):
+        # one chunk, so one thread calls the model; every row whose least |dot| is under 0.01 is recomputed in float64
+        monkeypatch.setattr(models, "FLOAT32_MARGIN", 0.01)
+        model = FloatPassWritingModel()
+        rep = branching_no_erasure_check(Z, X, 1_000, seed=19, model=model)
+        assert model.float64_pass and not rep.immutable
 
     def test_report_compares_by_identity(self):
         # the report holds an array, so field-wise == would be ambiguous
@@ -380,6 +408,30 @@ class TestChiSquareTest:
         assert df == ref.dof == 15
         assert chi2 == pytest.approx(ref.statistic, rel=1e-12)
         assert p_value == pytest.approx(ref.pvalue, rel=1e-9)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.sampled_from([(1, 1), (1, 7), (4, 4), (16, 16), (3, 100)]),
+        st.sampled_from([1.0, 0.3, 0.05, 0.0]),
+        st.sampled_from([2, 6, 12, 1000]),
+        st.integers(0, 2**32),
+    )
+    @example((4, 4), 0.05, 2, 1)  # every column rare
+    @example((16, 16), 0.05, 6, 2)  # a rare pool joined with the smallest column
+    @example((16, 16), 1.0, 1000, 3)  # no column rare, no column empty
+    @example((1, 7), 0.0, 12, 4)  # one cell per histogram
+    def test_homogeneity_over_occupied_columns_matches_the_full_table(self, grid, density, scale, seed):
+        # _homogeneity_test builds only the occupied columns; all-zero ones must change no bit of (chi2, df, p)
+        picker = np.random.default_rng(seed)
+        h1, h2 = SphereHistogram(*grid), SphereHistogram(*grid)
+        for h in (h1, h2):
+            cells = picker.random(h.n_bins) < density
+            cells[picker.integers(h.n_bins)] = True  # neither histogram is empty
+            h.counts.ravel()[cells] = picker.integers(1, scale, cells.sum(), endpoint=True)
+        for first, second in ((h1, h2), (h2, h1)):
+            table = np.stack([first.counts.ravel(), second.counts.ravel()]).astype(float)
+            full = chi_square_test(table, np.outer(table.sum(axis=1), table.sum(axis=0)) / table.sum())
+            assert repr(_homogeneity_test(first, second)) == repr(full)
 
     def test_rare_cells_merge_into_one(self):
         # the last three cells each expect fewer than MIN_POOLED counts, so they test as one

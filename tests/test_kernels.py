@@ -17,6 +17,13 @@ bits of the sequential contract they short-cut, prepare -> evolve -> measure
 -> evolve -> measure and prepare -> gemv measure (``helpers.composed_*``), at
 planted ties of every Born and flip probability they compare against.
 
+Outcomes decided from float32 trigonometry (``models.settle``) must keep
+the float64 path's bits: the float32 coordinates stay within an eighth of
+``sphere.FLOAT32_MARGIN`` of the float64 ones, rows planted within the
+margin of a Born probability or of a sign flip are recomputed in float64
+and match the exact sample, and the float64 sine, cosine and (n, 3) @ d
+give each gathered row the bits it has in the whole chunk.
+
 The exact cells of the ``information`` histograms are checked against
 ``sphere.bin_index`` on the points they stand for: ``uniform_cell`` against
 the binned uniform sample, away from sector edges, with its own rule pinned
@@ -32,12 +39,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from ontolab import BeltramettiBugajski, BranchingModel, Telegraph, branching_no_erasure_check
+from ontolab import BeltramettiBugajski, BranchingModel, Telegraph, branching_no_erasure_check, models, rng
 from ontolab.information import _atom_histograms
 from ontolab.models import sign_pm1
-from ontolab.qubit import as_direction
+from ontolab.qubit import as_direction, heisenberg_direction
 from ontolab.rng import Uniforms, uniform_block
-from ontolab.sphere import bin_index, sample_uniform_sphere, uniform_cell, uniform_coordinates
+from ontolab.sphere import FLOAT32_MARGIN, bin_index, sample_uniform_sphere, uniform_cell, uniform_coordinates
 
 from helpers import (
     composed_lg_products,
@@ -246,9 +253,9 @@ class FullSampleBB(BeltramettiBugajski):
 
 
 class FullSampleMW(BranchingModel):
-    """The branching model computing every coordinate of (x0, x1), whatever its kernels read."""
+    """The branching model computing every coordinate of (x0, x1) in float64, whatever its kernels read."""
 
-    def sample_ontic_batch(self, u, directions):
+    def sample_ontic_batch(self, u, directions, trig_dtype=np.float64):
         return super().sample_ontic_batch(u, np.eye(3))
 
 
@@ -373,6 +380,205 @@ class TestLeanKernels:
         # the collapse model's prepared states are binned from their uniforms, so none are returned
         assert prepared is None
         assert same_bits(outcomes, composed_measured_outcomes(bb, u, d))
+
+
+@pytest.fixture
+def trig_calls(monkeypatch):
+    """(trig dtype, rows) of every sphere sample or coordinate computation the model kernels make, in call order."""
+    calls = []
+    for name in ("uniform_coordinates", "sample_uniform_sphere"):
+
+        def recording(u, *args, trig_dtype=np.float64, compute=getattr(models, name)):
+            calls.append((np.dtype(trig_dtype), len(u)))
+            return compute(u, *args, trig_dtype=trig_dtype)
+
+        monkeypatch.setattr(models, name, recording)
+    return calls
+
+
+def _float64_rows(calls, n: int) -> list[int]:
+    """The row counts of the float64 passes of ``models.settle`` among `calls` on n runs: those on fewer rows."""
+    return [rows for dtype, rows in calls if dtype == np.float64 and 0 < rows < n]
+
+
+# offsets in units of 2**-24 from a Born probability: ties, and a few float32 roundings either side
+BORN_OFFSETS = np.array([0, 1, -1, 2, -2, 3, -3]) * 2.0**-24
+PLANTED_RUNS = 4096
+
+
+def _plant_born(u: np.ndarray, probabilities: np.ndarray) -> None:
+    """Put every fourth uniform of u within a few 2**-24 of its run's Born probability."""
+    u[::4] = probabilities[::4] + np.resize(BORN_OFFSETS, len(u[::4]))
+
+
+def _plant_dot(u: np.ndarray, d: np.ndarray, targets: np.ndarray) -> None:
+    """Move the points of uniforms u, shape (n, 2), near z = 0 and turn them until d . x is targets, to about 1e-15.
+
+    With x = (r cos phi, r sin phi, z), d . x = r A cos(phi - psi) + d_z z,
+    where A and psi are the length and azimuth of d's (x, y) part; |d_z z|
+    stays below A / 10, so any target below A / 2 in size is reached.
+    """
+    amplitude, psi = np.hypot(d[0], d[1]), np.arctan2(d[1], d[0])
+    u[:, 0] = 0.5 + 0.1 * amplitude * (u[:, 0] - 0.5)
+    z = 2.0 * u[:, 0] - 1.0
+    phi = psi + np.arccos((targets - d[2] * z) / (np.sqrt(1.0 - z * z) * amplitude))
+    u[:, 1] = np.floor(np.mod(phi / (2.0 * np.pi), 1.0) * 2.0**53) * 2.0**-53
+
+
+def _planted_mw_uniforms(seed: int, a, b) -> np.ndarray:
+    """(n, 5) uniforms whose every other run puts a dot at +-1e-7.
+
+    The dots are, quarter by quarter, a . x0, a . x1, b . (x0 + x1) and b . (x0 - x1).
+    """
+    u = uniform_block(seed, range(PLANTED_RUNS), BranchingModel.JOINT_SLOTS)
+    quarter = PLANTED_RUNS // 4
+    signs = np.resize([1e-7, -1e-7], quarter // 2)
+    moderate = 0.2 * np.hypot(b[0], b[1]) * (2.0 * u[: quarter // 2, 4] - 1.0)
+    blocks = [u[k * quarter : (k + 1) * quarter : 2] for k in range(4)]
+    _plant_dot(blocks[0][:, 0:2], a, signs)
+    _plant_dot(blocks[1][:, 2:4], a, signs)
+    # x0 at a moderate b . x0, then x1 where b . (x0 + x1), or b . (x0 - x1), is +-1e-7
+    _plant_dot(blocks[2][:, 0:2], b, moderate)
+    _plant_dot(blocks[2][:, 2:4], b, signs - moderate)
+    _plant_dot(blocks[3][:, 0:2], b, moderate)
+    _plant_dot(blocks[3][:, 2:4], b, moderate - signs)
+    return u
+
+
+MW_PAIRS = [
+    (heisenberg_direction(math.pi / 8), heisenberg_direction(3 * math.pi / 8)),
+    (np.array([1.0, 2.0, 2.0]) / 3.0, np.array([-2.0, 1.0, 2.0]) / 3.0),
+]
+BB_DIRECTIONS = [AXES["x"], AXES["-y"], as_direction((0.6, 0.0, 0.8)), as_direction((0.48, -0.6, 0.64))]
+
+
+class TestFloat32Trig:
+    """Outcomes decided from float32 trigonometry, with the rows near a threshold recomputed in float64."""
+
+    def test_float32_coordinates_within_an_eighth_of_the_margin(self):
+        u = uniform_block(11, range(1 << 20), (0, 1))
+        # phi at 0, pi/2, pi, 3 pi/2 and just below 2 pi, at the equator, the poles and in between
+        u1 = np.array([0.0, 0.25, 0.5, 0.75, 1.0 - 2.0**-53])
+        u0 = np.array([0.0, 2.0**-53, 0.25, 0.5, 0.75, 1.0 - 2.0**-53])
+        u = np.vstack([u, np.column_stack([np.repeat(u0, len(u1)), np.tile(u1, len(u0))])])
+        rough = uniform_coordinates(u, (0, 1, 2), trig_dtype=np.float32)
+        exact = uniform_coordinates(u, (0, 1, 2))
+        assert same_bits(rough[2], exact[2])
+        for axis in (0, 1):
+            assert np.abs(rough[axis] - exact[axis]).max() <= FLOAT32_MARGIN / 8
+        # the sampler's columns are the same coordinates, in float32 trigonometry too
+        points = sample_uniform_sphere(u[:1000], np.eye(3), trig_dtype=np.float32)
+        assert same_bits(points, np.column_stack([c[:1000] for c in rough]))
+
+    @pytest.mark.parametrize("pair", [(math.pi / 8, 3 * math.pi / 8), (0.3, 1.1), (-1.0, 0.5), (0.7, 0.9)])
+    def test_bb_lg_products_planted_at_the_born_probability(self, trig_calls, monkeypatch, pair):
+        bb = BeltramettiBugajski()
+        u = Uniforms(5, range(PLANTED_RUNS), tuple(range(7)))
+        evolved = bb.evolve_batch(bb.prepare_max_batch(u.columns((1, 2)), np.eye(3)), min(pair))
+        _plant_born(u.get(4), 0.5 * (1.0 + evolved[:, 2]))
+        exact = composed_lg_products(bb, u, pair)
+        trig_calls.clear()
+        assert same_bits(bb.lg_products(u, pair), exact)
+        assert _float64_rows(trig_calls, PLANTED_RUNS)
+        # the planted rows are ones float32 gets wrong: with no margin, some outcome flips
+        monkeypatch.setattr(models, "FLOAT32_MARGIN", 0.0)
+        assert not same_bits(bb.lg_products(u, pair), exact)
+
+    @pytest.mark.parametrize("d", BB_DIRECTIONS, ids=["x", "-y", "xz", "xyz"])
+    def test_bb_measured_states_planted_at_the_born_probability(self, trig_calls, monkeypatch, d):
+        bb = BeltramettiBugajski()
+        u = Uniforms(6, range(PLANTED_RUNS), (0, 1, 2))
+        _plant_born(u.get(2), 0.5 * (1.0 + bb.prepare_max_batch(u.columns((0, 1)), np.eye(3)) @ d))
+        exact = composed_measured_outcomes(bb, u, d)
+        trig_calls.clear()
+        assert same_bits(bb.measured_states(u, d)[1], exact)
+        assert _float64_rows(trig_calls, PLANTED_RUNS)
+        monkeypatch.setattr(models, "FLOAT32_MARGIN", 0.0)
+        assert not same_bits(bb.measured_states(u, d)[1], exact)
+
+    @pytest.mark.parametrize("a, b", MW_PAIRS, ids=["heisenberg", "general"])
+    def test_mw_dots_planted_near_zero(self, trig_calls, monkeypatch, a, b):
+        mw, exact_mw = BranchingModel(), FullSampleMW()
+        u = _planted_mw_uniforms(7, a, b)
+        x0, x1 = exact_mw.sample_ontic_batch(u[:, :4], None)
+        # each planted dot is within the margin, nonzero, and on the side it was planted on
+        quarter = PLANTED_RUNS // 4
+        planted = np.concatenate([(x0 @ a)[:quarter:2], (x1 @ a)[quarter : 2 * quarter : 2],
+                                  ((x0 + x1) @ b)[2 * quarter : 3 * quarter : 2], ((x0 - x1) @ b)[3 * quarter :: 2]])
+        assert (np.abs(np.abs(planted) - 1e-7) < 1e-12).all()
+        exact = exact_mw.run_experiment_batch(a, b, u)
+        trig_calls.clear()
+        for got, want in zip(mw.run_experiment_batch(a, b, u), exact, strict=True):
+            assert same_bits(got, want)
+        assert _float64_rows(trig_calls, PLANTED_RUNS)
+        # the no-erasure pass, on the same uniforms, with the bookkeeping along both b and a
+        monkeypatch.setattr(rng, "uniform_block", lambda seed, runs, slots: u[runs.start : runs.stop])
+        joints = [branching_no_erasure_check(a, b, PLANTED_RUNS, references=(b, a), model=m) for m in (mw, exact_mw)]
+        assert joints[0].immutable and np.array_equal(joints[0].joint, joints[1].joint)
+        monkeypatch.setattr(models, "FLOAT32_MARGIN", 0.0)
+        assert not all(same_bits(g, w) for g, w in zip(mw.run_experiment_batch(a, b, u), exact))
+
+    def test_lone_row_keeps_the_gemv_bits(self, trig_calls):
+        bb, d = BeltramettiBugajski(), BB_DIRECTIONS[3]
+        u = Uniforms(8, range(PLANTED_RUNS), (0, 1, 2))
+        points = bb.prepare_max_batch(u.columns((0, 1)), np.eye(3))
+        whole = points @ d
+        (rounds_up,) = np.nonzero([(points[[row]] @ d)[0] > whole[row] for row in range(PLANTED_RUNS)])
+        if not len(rounds_up):
+            pytest.skip("numpy's one-row dot product rounds every row as this BLAS's gemv does")
+        # every run far from its Born probability but one, tied with it: a one-row recompute would read +1
+        p = 0.5 * (1.0 + whole)
+        u.get(2)[:] = np.where(p < 0.5, p + 0.25, p - 0.25)
+        u.get(2)[rounds_up[0]] = p[rounds_up[0]]
+        trig_calls.clear()
+        outcomes = bb.measured_states(u, d)[1]
+        assert _float64_rows(trig_calls, PLANTED_RUNS) == [2] and outcomes[rounds_up[0]] == -1
+        assert same_bits(outcomes, composed_measured_outcomes(bb, u, d))
+
+    @pytest.mark.parametrize("margin", [0.01, math.inf])
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_outcomes_do_not_depend_on_the_margin(self, monkeypatch, margin, seed):
+        # a wider margin recomputes more rows in float64; at inf it recomputes every row
+        def outcomes():
+            u = Uniforms(seed, range(3000), tuple(range(7)))
+            return [
+                BeltramettiBugajski().lg_products(u, (0.3, 1.1)),
+                BeltramettiBugajski().measured_states(u, BB_DIRECTIONS[3])[1],
+                BeltramettiBugajski().measured_states(u, AXES["x"])[1],
+                *BranchingModel().run_experiment_batch(*MW_PAIRS[1], u.columns(range(1, 6))),
+                branching_no_erasure_check(*MW_PAIRS[0], 3000, seed, references=MW_PAIRS[0][::-1]).joint,
+            ]
+
+        default = outcomes()
+        monkeypatch.setattr(models, "FLOAT32_MARGIN", margin)
+        assert all(same_bits(got, want) for got, want in zip(outcomes(), default, strict=True))
+
+
+class TestExactRowsAnywhere:
+    """The float64 path gives a row the same bits whether it is computed in the whole chunk or gathered."""
+
+    GATHERED = (2, 3, 5, 17, 100, 4099)
+
+    def test_sine_and_cosine(self):
+        phi = 2.0 * np.pi * uniform_block(12, range(rng.CHUNK_RUNS), (0,))[:, 0]
+        picker = np.random.default_rng(0)
+        for trig in (np.sin, np.cos):
+            whole = trig(phi)
+            for m in (1, *self.GATHERED):
+                rows = np.sort(picker.choice(len(phi), m, replace=False))
+                assert same_bits(trig(phi[rows]), whole[rows])
+
+    @pytest.mark.parametrize("d", [*BB_DIRECTIONS, *(d for pair in MW_PAIRS for d in pair)])
+    def test_gemv(self, d):
+        points = sample_uniform_sphere(uniform_block(13, range(rng.CHUNK_RUNS), (0, 1)), np.eye(3))
+        whole = points @ d
+        picker = np.random.default_rng(1)
+        for m in self.GATHERED:
+            rows = np.sort(picker.choice(len(points), m, replace=False))
+            assert same_bits(points[rows] @ d, whole[rows])
+        # a lone row is recomputed twice over, as a two-row gemv: numpy takes (1, 3) @ d as a dot product
+        for row in picker.choice(len(points), 50, replace=False):
+            assert same_bits((points[[row, row]] @ d)[:1], whole[[row]])
 
 
 class TestUniformCell:
