@@ -36,13 +36,14 @@ state they count is of one of two kinds:
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import rng as _rng
 from .errors import ContractMismatchError, InvalidArgumentError
-from .models import BranchingModel, OntologicalModel, settle
+from .models import BranchingModel, OntologicalModel
 from .qubit import as_direction
 from .sphere import SphereHistogram, bin_index, histogram_entropy, tv_distance, uniform_cell
 
@@ -292,10 +293,10 @@ def branching_no_erasure_check(
     through ``branch_outcomes`` with the second device's bookkeeping along
     each of ``references`` (default: the protocol's own, b), counts the
     outcomes, and compares the pairs with the copy bit for bit, so a model
-    that writes into the arrays it was handed fails.  The outcomes go
-    through ``models.settle``, and the copy and the comparison cover both
-    of its passes: the float32 pairs of every run and the float64 pairs of
-    the runs it recomputes.  The check is exact: while it holds,
+    that writes into the arrays it was handed fails.  The outcomes come
+    from ``settled_branch_outcomes``, and the copy and the comparison cover
+    both of its passes: the float32 pairs of every run and the float64
+    pairs of the runs it recomputes.  The check is exact: while it holds,
     the post-run pairs *are* the sample, which depends on the seed alone and
     not on (a, b), so no distribution test of them could add anything.
     Counting is integer-exact, so the result is independent of worker count.
@@ -311,18 +312,16 @@ def branching_no_erasure_check(
         u = _rng.uniform_block(seed, range(lo, lo + n), model.JOINT_SLOTS)
         same = []
 
-        def kernel(rows, trig_dtype):
-            x0, x1 = model.sample_ontic_batch(u[rows, 0:4], (a, b, *refs), trig_dtype)
+        @contextmanager
+        def unchanged(x0, x1):
             stored = x0.copy(), x1.copy()
-            margin = np.full(len(x0), np.inf)
-            outcomes = np.array(model.branch_outcomes(a, b, refs, x0, x1, u[rows, 4], margin))
+            yield
             # compared as integers, so that a write that keeps the value (-0.0 for 0.0) is caught too
             same.extend(np.array_equal(x.view(np.uint64), s.view(np.uint64)) for x, s in zip((x0, x1), stored))
-            return outcomes, margin
 
         counts = np.stack([
             np.bincount(2 * (o1 < 0).view(np.int8) + (o2 < 0).view(np.int8), minlength=4)
-            for o1, o2 in settle(kernel, n)
+            for o1, o2 in model.settled_branch_outcomes(a, b, refs, u, unchanged)
         ])
         return counts, all(same)
 

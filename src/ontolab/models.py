@@ -76,19 +76,21 @@ keeps its bits or is a zero of the other sign, and Born's rule
 0.5 * (1 +- 0) and ``sign_pm1`` map both zeros alike.
 
 Every outcome that reads x or y is a comparison: Born's rule u < 0.5 * (1 +
-p) on a projection p, or the sign of a dot.  A kernel takes those
-coordinates' sine and cosine in float32 first (``trig_dtype=np.float32``
-in ``sphere``), which moves no p or dot by as much as
-``sphere.FLOAT32_MARGIN``.  It decides every run whose margin, |u - 0.5 *
-(1 + p)| or the least |dot| it takes a sign of, exceeds that bound, and
-recomputes the others on the exact float64 path, on those rows alone
-(``settle``).  Every outcome keeps its bits: the exact path's values do not
-depend on which rows are computed with them.
+p), which flips where a projection p crosses 2u - 1, or the sign of a dot.
+A kernel takes those coordinates' sine and cosine in float32 first
+(``trig_dtype=np.float32`` in ``sphere``), which moves no p or dot by as
+much as ``sphere.FLOAT32_MARGIN / 2``.  A run is near a threshold where
+|p - (2u - 1)| or some |dot| it takes a sign of is at most that margin.
+The kernel decides every other run, and recomputes the runs near a
+threshold on the exact float64 path, on those rows alone (``settle``).
+Every outcome keeps its bits: the exact path's values do not depend on
+which rows are computed with them.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from contextlib import nullcontext
 
 import numpy as np
 
@@ -107,31 +109,31 @@ def sign_pm1(x: np.ndarray) -> np.ndarray:
     return 1 - 2 * (np.asarray(x) < 0).view(np.int8)
 
 
-def settle(kernel, n: int) -> np.ndarray:
-    """The outcomes of n runs, decided from float32 trigonometry where that cannot flip them.
+def settle(kernel) -> list[np.ndarray]:
+    """The outcomes of a kernel's runs, decided from float32 trigonometry where that cannot flip them.
 
-    kernel(rows, trig_dtype) returns the outcomes of `rows` (a slice or row
-    indices) along its last axis, and each row's margin: how far its
-    float64 comparisons would have to move to flip an outcome.  It runs
-    once on every row with float32 trigonometry, and again with float64 on
-    the rows whose margin is at most ``FLOAT32_MARGIN``, whose outcomes
-    replace the first pass's.  numpy computes a one-row (1, 3) @ d as a dot
-    product, which can round apart from the gemv of more rows, so a lone
-    row is recomputed twice over unless it is the only run.
+    kernel(rows, trig_dtype) returns a list of outcome arrays over `rows` (a
+    slice or row indices) and a mask of the rows near a threshold: those
+    with a comparison within ``FLOAT32_MARGIN`` of flipping an outcome.  It
+    runs once on every row with float32 trigonometry, and again with
+    float64 on the rows near a threshold, whose outcomes replace the first
+    pass's.  numpy computes a one-row (1, 3) @ d as a dot product, which can
+    round apart from the gemv of more rows, so a lone row is recomputed
+    twice over unless it is the only run.
     """
-    outcomes, margin = kernel(slice(None), np.float32)
-    (rows,) = np.nonzero(margin <= FLOAT32_MARGIN)
+    outcomes, near = kernel(slice(None), np.float32)
+    (rows,) = np.nonzero(near)
     if len(rows):
-        rows = rows.repeat(2) if len(rows) == 1 < n else rows
-        outcomes[..., rows] = kernel(rows, np.float64)[0]
+        rows = rows.repeat(2) if len(rows) == 1 < len(near) else rows
+        for kept, exact in zip(outcomes, kernel(rows, np.float64)[0], strict=True):
+            kept[rows] = exact
     return outcomes
 
 
-def _lower_margin(margin: np.ndarray, *dots: np.ndarray) -> None:
-    """Lower margin, in place, to each row's least |dot|; each dot is overwritten with its absolute value."""
+def _mark_near(near: np.ndarray, *dots: np.ndarray) -> None:
+    """Set near where some |dot| is at most ``FLOAT32_MARGIN``; each dot is overwritten with its absolute value."""
     for dot in dots:
-        np.abs(dot, out=dot)
-        np.minimum(margin, dot, out=margin)
+        near |= np.abs(dot, out=dot) <= FLOAT32_MARGIN
 
 
 class OntologicalModel(ABC):
@@ -257,26 +259,24 @@ class BeltramettiBugajski(OntologicalModel):
 
     @classmethod
     def _settled_born(cls, projection, u: np.ndarray, reads_trig: bool) -> np.ndarray:
-        """``_born`` on projection(rows, trig_dtype), a fresh array of the projections of `rows`, through ``settle``.
+        """``_born`` of projection(rows, trig_dtype), a fresh array of the projections of `rows`, through ``settle``.
 
-        A projection that reads no sine or cosine is exact as it is, and is
-        computed once in float64.
+        Born's rule flips where the projection crosses 2u - 1, so a run is
+        near a threshold where they are within ``FLOAT32_MARGIN``.  A
+        projection that reads no sine or cosine is exact as it is, and is
+        computed once in float64, as is any projection without uniforms,
+        which ``_born`` refuses.
         """
-        if not reads_trig:
+        if not reads_trig or u is None:
             return cls._born(projection(slice(None), np.float64), u)
-        if u is None:
-            raise InvalidArgumentError("Beltrametti-Bugajski measurement is stochastic and needs uniforms")
-        u = np.asarray(u).reshape(-1)
 
         def kernel(rows, trig_dtype):
             p = projection(rows, trig_dtype)
-            p += 1.0
-            p *= 0.5  # 0.5 * (1 + projection), as _born rounds it
-            outcomes = 2 * (u[rows] < p).view(np.int8) - 1
-            p -= u[rows]
-            return outcomes, np.abs(p, out=p)
+            outcomes = cls._born(p, u[rows])
+            p -= 2.0 * u[rows] - 1.0
+            return [outcomes], np.abs(p, out=p) <= FLOAT32_MARGIN
 
-        return settle(kernel, len(u))
+        return settle(kernel)[0]
 
     def measure_batch(self, states: np.ndarray, direction, u: np.ndarray):
         outcomes = self.measure_outcomes(states, direction, u)
@@ -464,22 +464,21 @@ class BranchingModel:
 
     # the two measurements
 
-    def alice_batch(self, a: np.ndarray, x0: np.ndarray, x1: np.ndarray, margin: np.ndarray | None = None):
-        """s_A = sign(a.x0), n_A = sign(a.x0) sign(a.x1); `margin`, if given, is lowered to each row's least |dot|."""
+    def alice_batch(self, a: np.ndarray, x0: np.ndarray, x1: np.ndarray, near: np.ndarray):
+        """s_A = sign(a.x0), n_A = sign(a.x0) sign(a.x1); `near` is set where either |dot| is within the margin."""
         a = np.asarray(a, dtype=float)
         dots = x0 @ a, x1 @ a
         s0, s1 = map(sign_pm1, dots)
-        if margin is not None:
-            _lower_margin(margin, *dots)
+        _mark_near(near, *dots)
         return s0, s0 * s1
 
-    def bob_batch(self, b: np.ndarray, x0: np.ndarray, x1: np.ndarray, references, margin: np.ndarray | None = None):
+    def bob_batch(self, b: np.ndarray, x0: np.ndarray, x1: np.ndarray, references, near: np.ndarray):
         """s_B = sign(b.(x0+x1)), and n_B = sign(r.(x0+x1)) sign(r.(x0-x1)) for each reference r.
 
         b.(x0+x1) is computed once, also for a reference equal to b (the
         protocol's own): a zero component's sign can only change the sign of
-        a zero product, which ``sign_pm1`` maps alike.  `margin`, if given, is
-        lowered to each row's least |dot|.
+        a zero product, which ``sign_pm1`` maps alike.  `near` is set where
+        any of these |dots| is within the margin.
         """
         b = np.asarray(b, dtype=float)
         references = [np.asarray(r) for r in references]
@@ -492,10 +491,8 @@ class BranchingModel:
         for p, r in zip(plus, references):
             minus = x @ r
             n_bs.append(sign_pm1(p) * sign_pm1(minus))
-            if margin is not None:
-                _lower_margin(margin, minus)
-        if margin is not None:
-            _lower_margin(margin, xb, *(p for p in plus if p is not xb))
+            _mark_near(near, minus)
+        _mark_near(near, xb, *(p for p in plus if p is not xb))
         return s_b, n_bs
 
     # branch pairing at the meeting point
@@ -508,29 +505,37 @@ class BranchingModel:
 
     # whole experiment
 
-    def branch_outcomes(self, a, b, references, x0, x1, u_select, margin: np.ndarray | None = None):
+    def branch_outcomes(self, a, b, references, x0, x1, u_select, near: np.ndarray):
         """The kept branch's (alpha, beta) for each bookkeeping reference, from one (x0, x1).
 
-        `margin`, if given, is lowered to each row's least |dot| whose sign
-        either device takes, the margin ``settle`` reads.
+        `near` is set where a dot whose sign either device takes is within
+        the margin, the mask ``settle`` reads.
         """
-        s_a, n_a = self.alice_batch(a, x0, x1, margin)
-        s_b, n_bs = self.bob_batch(b, x0, x1, references, margin)
+        s_a, n_a = self.alice_batch(a, x0, x1, near)
+        s_b, n_bs = self.bob_batch(b, x0, x1, references, near)
         return tuple(self.pair_and_select_batch(s_a, n_a, s_b, n_b, u_select) for n_b in n_bs)
 
-    def run_experiment_batch(self, a: np.ndarray, b: np.ndarray, u: np.ndarray):
-        """(alpha, beta) of one batch of complete runs; u is (n, 5): four ontic slots + selection.
+    def settled_branch_outcomes(self, a, b, references, u: np.ndarray, watch=None):
+        """``branch_outcomes`` of the runs of u, (n, 5): four ontic slots + selection, through ``settle``.
 
-        The outcomes go through ``settle``: the ontic pairs of the rows it
-        recomputes are sampled again in float64.
+        The ontic pairs of the rows ``settle`` recomputes are sampled again in
+        float64.  `watch`, if given, is called on each pass's (x0, x1) and
+        returns a context manager that encloses ``branch_outcomes``.
         """
 
         def kernel(rows, trig_dtype):
-            x0, x1 = self.sample_ontic_batch(u[rows, 0:4], (a, b), trig_dtype)
-            margin = np.full(len(x0), np.inf)
-            return np.array(self.branch_outcomes(a, b, (b,), x0, x1, u[rows, 4], margin)), margin
+            x0, x1 = self.sample_ontic_batch(u[rows, 0:4], (a, b, *references), trig_dtype)
+            near = np.zeros(len(x0), dtype=bool)
+            with watch(x0, x1) if watch else nullcontext():
+                pairs = self.branch_outcomes(a, b, references, x0, x1, u[rows, 4], near)
+            return [outcome for pair in pairs for outcome in pair], near
 
-        ((alpha, beta),) = settle(kernel, len(u))
+        outcomes = settle(kernel)
+        return list(zip(outcomes[0::2], outcomes[1::2]))
+
+    def run_experiment_batch(self, a: np.ndarray, b: np.ndarray, u: np.ndarray):
+        """(alpha, beta) of one batch of complete runs; u is (n, 5): four ontic slots + selection."""
+        ((alpha, beta),) = self.settled_branch_outcomes(a, b, (b,), u)
         return alpha, beta
 
     # Monte Carlo kernels, each reading the slots declared above

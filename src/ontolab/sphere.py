@@ -51,8 +51,8 @@ FULL_SOLID_ANGLE = 4.0 * np.pi
 #: = FLOAT32_MARGIN / 8 of the float64 one (4.2e6 counter-mode uniforms:
 #: 2.55e-7 at most).  A dot with a unit direction then moves by at most
 #: sqrt(2) * 2**-21 per point, and by twice that for the sum or difference of
-#: two points, under FLOAT32_MARGIN / 2; Born's probability 0.5 * (1 + dot)
-#: moves by half as much.
+#: two points, under FLOAT32_MARGIN / 2.  Born's rule u < 0.5 * (1 + dot)
+#: flips within a few float64 ulps of dot = 2u - 1.
 FLOAT32_MARGIN = 2.0**-18
 
 

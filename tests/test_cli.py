@@ -422,8 +422,8 @@ class TestMwCheckCommand:
         # that writes into x0 in the last chunk only must fail the verdict
         branch_outcomes = BranchingModel.branch_outcomes
 
-        def faulty(self, a, b, references, x0, x1, u_select, margin=None):
-            outcomes = branch_outcomes(self, a, b, references, x0, x1, u_select, margin)
+        def faulty(self, a, b, references, x0, x1, u_select, near):
+            outcomes = branch_outcomes(self, a, b, references, x0, x1, u_select, near)
             if len(x0) == 18_928:
                 x0[-1] = -x0[-1]
             return outcomes

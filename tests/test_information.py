@@ -281,8 +281,8 @@ class TestMemoryIsFlatInRuns:
 class CollapsingModel(BranchingModel):
     """A faulty branching model: the first device collapses x0 onto +-a in place, as a single-world measurement would."""
 
-    def alice_batch(self, a, x0, x1, margin=None):
-        outcomes = super().alice_batch(a, x0, x1, margin)
+    def alice_batch(self, a, x0, x1, near):
+        outcomes = super().alice_batch(a, x0, x1, near)
         x0[:] = sign_pm1(x0 @ a)[:, None] * np.asarray(a, dtype=float)
         return outcomes
 
@@ -290,8 +290,8 @@ class CollapsingModel(BranchingModel):
 class InPlaceCollapsingModel(BranchingModel):
     """The same fault written into the sampled x0 array after the whole measurement."""
 
-    def branch_outcomes(self, a, b, references, x0, x1, u_select, margin=None):
-        outcomes = super().branch_outcomes(a, b, references, x0, x1, u_select, margin)
+    def branch_outcomes(self, a, b, references, x0, x1, u_select, near):
+        outcomes = super().branch_outcomes(a, b, references, x0, x1, u_select, near)
         x0[:] = sign_pm1(x0 @ a)[:, None] * np.asarray(a, dtype=float)
         return outcomes
 
@@ -299,8 +299,8 @@ class InPlaceCollapsingModel(BranchingModel):
 class SecondDeviceWritingModel(BranchingModel):
     """A faulty branching model whose second device writes its record into x1."""
 
-    def bob_batch(self, b, x0, x1, references, margin=None):
-        outcomes = super().bob_batch(b, x0, x1, references, margin)
+    def bob_batch(self, b, x0, x1, references, near):
+        outcomes = super().bob_batch(b, x0, x1, references, near)
         x1 += 1e-3 * np.asarray(b, dtype=float)
         return outcomes
 
@@ -313,9 +313,9 @@ class SignedZeroWritingModel(BranchingModel):
         x0[:, 0] = 0.0
         return x0, x1
 
-    def branch_outcomes(self, a, b, references, x0, x1, u_select, margin=None):
+    def branch_outcomes(self, a, b, references, x0, x1, u_select, near):
         x0[:, 0] = -0.0
-        return super().branch_outcomes(a, b, references, x0, x1, u_select, margin)
+        return super().branch_outcomes(a, b, references, x0, x1, u_select, near)
 
 
 class FloatPassWritingModel(BranchingModel):
@@ -326,8 +326,8 @@ class FloatPassWritingModel(BranchingModel):
         self.float64_pass = trig_dtype == np.float64
         return x0, x1
 
-    def branch_outcomes(self, a, b, references, x0, x1, u_select, margin=None):
-        outcomes = super().branch_outcomes(a, b, references, x0, x1, u_select, margin)
+    def branch_outcomes(self, a, b, references, x0, x1, u_select, near):
+        outcomes = super().branch_outcomes(a, b, references, x0, x1, u_select, near)
         if self.float64_pass:
             x1[0] = -x1[0]
         return outcomes

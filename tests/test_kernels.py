@@ -164,6 +164,11 @@ class TestTelegraph:
         assert same_bits(Telegraph(gamma).evolve_batch(states, -dt, u), ref)
 
 
+def _near_zero(*dots: np.ndarray) -> np.ndarray:
+    """The rows where some |dot| is at most ``FLOAT32_MARGIN``."""
+    return np.any([np.abs(dot) <= FLOAT32_MARGIN for dot in dots], axis=0)
+
+
 class TestBranching:
     @settings(max_examples=200, deadline=None)
     @given(st.data(), SIZES)
@@ -171,8 +176,11 @@ class TestBranching:
         a = data.draw(arrays(np.float64, 3, elements=COMPONENTS))
         x0 = data.draw(arrays(np.float64, (n, 3), elements=COMPONENTS))
         x1 = data.draw(arrays(np.float64, (n, 3), elements=COMPONENTS))
-        for new, ref in zip(BranchingModel().alice_batch(a, x0, x1), where_alice(a, x0, x1)):
+        near = np.zeros(n, bool)
+        for new, ref in zip(BranchingModel().alice_batch(a, x0, x1, near), where_alice(a, x0, x1)):
             assert same_bits(new, ref)
+        # near a threshold: some dot whose sign is taken is within the margin of 0
+        assert np.array_equal(near, _near_zero(x0 @ a, x1 @ a))
 
     @settings(max_examples=200, deadline=None)
     @given(st.data(), SIZES, st.integers(1, 3), st.booleans())
@@ -186,12 +194,15 @@ class TestBranching:
         x0 = data.draw(arrays(np.float64, (n, 3), elements=COMPONENTS))
         x1 = data.draw(arrays(np.float64, (n, 3), elements=COMPONENTS))
         stored = x0.copy(), x1.copy()
-        s_b, n_bs = BranchingModel().bob_batch(b, x0, x1, refs)
+        near = np.zeros(n, bool)
+        s_b, n_bs = BranchingModel().bob_batch(b, x0, x1, refs, near)
         ref_s_b, ref_n_bs = where_bob(b, x0, x1, refs)
         assert same_bits(s_b, ref_s_b)
         assert len(n_bs) == len(refs) and all(same_bits(new, ref) for new, ref in zip(n_bs, ref_n_bs))
         # the scratch array is its own, never one of the inputs
         assert same_bits(x0, stored[0]) and same_bits(x1, stored[1])
+        plus, minus = x0 + x1, x0 - x1
+        assert np.array_equal(near, _near_zero(plus @ b, *(plus @ r for r in refs), *(minus @ r for r in refs)))
 
     @settings(max_examples=200, deadline=None)
     @given(st.data(), SIZES)
@@ -213,7 +224,7 @@ class TestBranching:
         x0, x1 = mw.sample_ontic_batch(u.columns(range(4)), np.eye(3))
         expected = np.stack([
             np.bincount(where_joint_cells(o1, o2), minlength=4)
-            for o1, o2 in mw.branch_outcomes(a, b, refs, x0, x1, u.get(4))
+            for o1, o2 in mw.branch_outcomes(a, b, refs, x0, x1, u.get(4), np.zeros(runs, bool))
         ]).reshape(-1, 2, 2) / runs
         assert np.array_equal(branching_no_erasure_check(a, b, runs, seed, references=refs).joint, expected)
 
@@ -317,8 +328,8 @@ class TestReadCoordinates:
         mw = BranchingModel()
         reduced = mw.sample_ontic_batch(u[:, :4], (a, b, *refs))
         full = mw.sample_ontic_batch(u[:, :4], np.eye(3))
-        got = mw.branch_outcomes(a, b, refs, *reduced, u[:, 4])
-        want = mw.branch_outcomes(a, b, refs, *full, u[:, 4])
+        got = mw.branch_outcomes(a, b, refs, *reduced, u[:, 4], np.zeros(n, bool))
+        want = mw.branch_outcomes(a, b, refs, *full, u[:, 4], np.zeros(n, bool))
         assert len(got) == len(refs)
         for (alpha, beta), (ref_alpha, ref_beta) in zip(got, want):
             assert same_bits(alpha, ref_alpha) and same_bits(beta, ref_beta)

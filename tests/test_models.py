@@ -201,17 +201,17 @@ class TestBranchingModel:
         mw = BranchingModel()
         x0 = random_unit(np.random.default_rng(4))[0]
         _, x1 = mw.sample_ontic_batch(uniform_block(4, range(1), (0, 1, 2, 3)), np.eye(3))
-        s, n = mw.alice_batch(x0, x0[None, :], x1)
+        s, n = mw.alice_batch(x0, x0[None, :], x1, np.zeros(1, bool))
         assert s[0] == 1
         # opposite-hemisphere second vector flips the device bit
-        _, n = mw.alice_batch(x0, x0[None, :], -x0[None, :])
+        _, n = mw.alice_batch(x0, x0[None, :], -x0[None, :], np.zeros(1, bool))
         assert n[0] == -1
 
     def test_first_party_outcome_unbiased(self):
         mw = BranchingModel()
         u = uniform_block(21, range(100_000), (0, 1, 2, 3))
         x0, x1 = mw.sample_ontic_batch(u, np.eye(3))
-        s, _ = mw.alice_batch(Z, x0, x1)
+        s, _ = mw.alice_batch(Z, x0, x1, np.zeros(len(x0), bool))
         assert abs(s.astype(float).mean()) <= 5 / math.sqrt(100_000)
 
     def test_second_party_sum_direction_certain(self):
@@ -219,14 +219,14 @@ class TestBranchingModel:
         x0, x1 = mw.sample_ontic_batch(uniform_block(5, range(1), (0, 1, 2, 3)), np.eye(3))
         x_plus = (x0 + x1)[0]
         b = x_plus / np.linalg.norm(x_plus)
-        s, _ = mw.bob_batch(b, x0, x1, (b,))
+        s, _ = mw.bob_batch(b, x0, x1, (b,), np.zeros(1, bool))
         assert s[0] == 1
 
     def test_second_party_tie_rule(self):
         # b orthogonal to x0 - x1: the difference factor is sign(0) = +1
         mw = BranchingModel()
         b = (Z + X) / math.sqrt(2)
-        s, (n,) = mw.bob_batch(b, Z[None, :], X[None, :], (b,))
+        s, (n,) = mw.bob_batch(b, Z[None, :], X[None, :], (b,), np.zeros(1, bool))
         assert s[0] == 1 and n[0] == 1
 
     def test_pairing_rule_cases(self):
@@ -264,7 +264,7 @@ class TestBranchingModel:
         u = uniform_block(31, range(10_000), (0, 1, 2, 3, 4))
         x0, x1 = mw.sample_ontic_batch(u[:, 0:4], np.eye(3))
         stored = x0.copy(), x1.copy()
-        mw.branch_outcomes(Z, X, (X, Z), x0, x1, u[:, 4])
+        mw.branch_outcomes(Z, X, (X, Z), x0, x1, u[:, 4], np.zeros(len(x0), bool))
         assert np.array_equal(x0, stored[0])
         assert np.array_equal(x1, stored[1])
 

@@ -110,9 +110,8 @@ class TestUniforms:
 
 
 def _branching_pass(model, u):
-    # the kernels of information.branching_no_erasure_check, in its order
-    x0, x1 = model.sample_ontic_batch(u[:, 0:4], np.eye(3))
-    return sum(model.branch_outcomes(Z, X, (X, Z), x0, x1, u[:, 4]), ())
+    # the kernel of information.branching_no_erasure_check
+    return sum(model.settled_branch_outcomes(Z, X, (X, Z), u), ())
 
 
 # (label, model, declared slots, the path's full layout, kernel)
