@@ -14,7 +14,8 @@ floats) or JSON ({config, results, provenance}).  The config records the
 command, the seed and exactly the flags that the command and its model read,
 defaults filled in; not --out or --format, so `--out FILE` gets the bytes
 stdout would.  Output bytes do not depend on the worker count.  The exit
-code is 0 on success, 2 for configuration errors, 3 for numerical failures;
+code is 0 on success, 2 for configuration errors and for output that cannot
+be written, 3 for numerical failures;
 mwcheck also exits 3, after writing its output, when variant b fails the
 oracle test or no_erasure is false.
 A model the command does not take, or a flag that the command or the chosen
@@ -110,7 +111,7 @@ def parse_dirs(text: str) -> tuple[tuple[float, float, float], ...]:
     return tuple(dirs)
 
 
-#: largest grid: 2**20 cells is 8 MiB per int64 histogram
+#: most cells of the grids of one --bins: 2**20 cells is 8 MiB per int64 histogram
 MAX_BIN_CELLS = 1 << 20
 
 #: most Monte Carlo runs: about 150,000 chunks, with run indices far below 2**64
@@ -118,8 +119,8 @@ MAX_RUNS = 10**10
 
 
 def parse_bins(text: str) -> tuple[tuple[int, int], ...]:
-    """Comma-separated grid resolutions 'NZxNPHI[,NZxNPHI...]', each of at most MAX_BIN_CELLS cells."""
-    out = []
+    """Comma-separated grid resolutions 'NZxNPHI[,NZxNPHI...]', of at most MAX_BIN_CELLS cells together."""
+    out, cells = [], 0
     for part in text.split(","):
         m = re.match(r"^(\d+)x(\d+)$", part.strip().lower())
         if not m:
@@ -127,8 +128,9 @@ def parse_bins(text: str) -> tuple[tuple[int, int], ...]:
         nz, nphi = int(m.group(1)), int(m.group(2))
         if nz < 1 or nphi < 1:
             raise argparse.ArgumentTypeError("bins must be >= 1 in both axes")
-        if nz * nphi > MAX_BIN_CELLS:
-            raise argparse.ArgumentTypeError(f"bins {part!r} exceed {MAX_BIN_CELLS} cells")
+        cells += nz * nphi
+        if cells > MAX_BIN_CELLS:
+            raise argparse.ArgumentTypeError(f"bins {text!r} exceed {MAX_BIN_CELLS} cells in total")
         out.append((nz, nphi))
     return tuple(out)
 
@@ -191,6 +193,7 @@ def write_output(config: dict, output: Output, fmt: str, out: str | None) -> Non
             fh.write(text)
     else:
         sys.stdout.write(text)
+        sys.stdout.flush()  # a failed write raises here, not in the interpreter's flush at exit
 
 
 def _require(condition: bool, message: str) -> None:
@@ -203,6 +206,17 @@ def _require_writable(path: str) -> None:
     target = path if os.path.exists(path) else (os.path.dirname(path) or ".")
     writable = not os.path.isdir(path) and os.access(target, os.W_OK)
     _require(writable, f"cannot write output file {path!r}")
+
+
+def _discard_stdout() -> None:
+    """Point stdout's descriptor at the null device, so that the exit flush of what a failed write left buffered succeeds."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, ValueError):  # io.UnsupportedOperation is a ValueError
+        return  # no descriptor, so nothing for the interpreter to flush
+    null = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(null, fd)
+    os.close(null)
 
 
 def _make_model(config: dict):
@@ -481,7 +495,12 @@ def main(argv: list[str] | None = None) -> int:
         if args.out is not None:
             _require_writable(args.out)
         output = _COMMANDS[args.command].run(config)
-        write_output(config, output, args.format, args.out)
+        try:
+            write_output(config, output, args.format, args.out)
+        except OSError as exc:
+            if not args.out:
+                _discard_stdout()
+            raise ValueError(f"cannot write output to {args.out or 'stdout'}: {exc.strerror or exc}") from None
     except NumericalFailureError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

@@ -28,8 +28,8 @@ state they count is of one of two kinds:
   the atoms' cells, ``sphere.bin_index`` of ``model.embed_on_sphere(model.atoms(d))``
   at each grid (``_atom_histograms``);
 * the collapse model's uniform preparation, whose cell is
-  ``sphere.uniform_cell`` of its two preparation uniforms, with no
-  trigonometry (the edge rule is in ``sphere``).  Only these states are
+  ``sphere.uniform_cell`` of the uniforms ``measured_states`` returns, with
+  no trigonometry (the edge rule is in ``sphere``).  Only these states are
   binned per chunk, into one histogram per grid that the fold merges.
 """
 
@@ -118,7 +118,7 @@ def _require_single_world(model) -> OntologicalModel:
             "use the dedicated no-erasure check instead"
         )
     if not isinstance(model, OntologicalModel):
-        raise ContractMismatchError(f"{model!r} does not implement the sequential model contract")
+        raise ContractMismatchError(f"{model!r} does not implement the single-world model contract")
     return model
 
 
@@ -182,8 +182,7 @@ def erasure_report(
         states, outcomes = model.measured_states(u, direction)
         if not model.UNIFORM_PREPARATION:
             return [_outcome_counts(outcomes), _outcome_counts(states)]
-        prep = u.columns(range(model.PREP_SLOTS))
-        before = [SphereHistogram(nz, nphi).add(uniform_cell(prep, nz, nphi)) for nz, nphi in resolutions]
+        before = [SphereHistogram(nz, nphi).add(uniform_cell(states, nz, nphi)) for nz, nphi in resolutions]
         return [_outcome_counts(outcomes), *before]
 
     after, *before = _rng.map_chunks(run_chunk, runs, _merge_each)

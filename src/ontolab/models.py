@@ -17,21 +17,20 @@ Three concrete models sit behind one contract:
   reproduces the quantum statistics exactly while the system state carries
   no record of which measurement happened.
 
-All three share one Monte Carlo contract.  Each model owns the kernels of the
-paths it runs, and declares next to each the counter-mode slots it reads;
-only those slots are drawn.  A kernel takes a ``rng.Uniforms`` view ``u`` of
-one chunk's runs:
+All three share one Monte Carlo contract, made of kernels.  Each model owns
+the kernels of the paths it runs, and declares next to each the counter-mode
+slots it reads; only those slots are drawn.  A kernel takes a
+``rng.Uniforms`` view ``u`` of one chunk's runs:
 
 * ``lg_products(u, pair)``: the product of the two outcomes of the
   four-time inequality (``LG_SLOTS``), driven by
   ``leggett_garg.empirical_correlations``;
 * ``measured_states(u, direction)``, single-world models only: the prepared
-  states, or None where their cells come from the uniforms
-  (``UNIFORM_PREPARATION``), and the outcomes of measuring them
-  (``SAMPLE_SLOTS``), which the ``information`` diagnostics histogram.  A
-  post-measurement state is one of two atoms, the state
-  ``atoms(direction)`` lists for its outcome, so the outcomes are all a
-  post-measurement histogram needs;
+  states, or the uniforms of a uniform preparation (``UNIFORM_PREPARATION``),
+  and the outcomes of measuring them (``SAMPLE_SLOTS``), which the
+  ``information`` diagnostics histogram.  A post-measurement state is one of
+  two atoms, the state ``atoms(direction)`` lists for its outcome, so the
+  outcomes are all a post-measurement histogram needs;
 * branching model only, the two halves of one measurement of a, then b
   (``JOINT_SLOTS``): ``sample_ontic_batch`` draws the ontic pair (x0, x1)
   and ``branch_outcomes`` returns the kept branch's outcomes, one pair per
@@ -40,16 +39,17 @@ one chunk's runs:
   pair between them, counts the outcomes and compares the pair with the
   copy afterwards.
 
-Single-world models (``OntologicalModel``) also keep the sequential
-contract prepare/evolve/measure, vectorized over runs.  It is the reference
-their kernels reproduce bit for bit: each kernel computes only what its
-outcomes read of prepare -> evolve -> measure -> evolve -> measure (the
-four-time inequality) or prepare -> measure (the diagnostics).  The
-telegraph's product is its flip across the gap alone; the collapse model's
-outcomes are Born's rule on the z row of the measured state, with no (n, 3)
-array, and so is a measurement along an axis.  The branching model does not
-fit that contract (its branch pairing happens only when the parties meet,
-after both measurements) and builds its kernels from its two devices and the
+The single-world models also keep their sequential methods,
+``prepare_max_batch``, ``evolve_batch`` and ``measure_batch``, vectorized
+over runs, as per-model references outside the contract.  Their kernels
+reproduce them bit for bit: each kernel computes only what its outcomes
+read of prepare -> evolve -> measure -> evolve -> measure (the four-time
+inequality) or prepare -> measure (the diagnostics).  The telegraph's
+product is its flip across the gap alone; the collapse model's outcomes are
+Born's rule on the z row of the measured state, with no (n, 3) array, and
+so is a measurement along an axis.  The branching model has no sequential
+reference (its branch pairing happens only when the parties meet, after
+both measurements) and builds its kernels from its two devices and the
 pairing rule.
 
 Sign convention everywhere: sign(0) := +1, and sign(-0.0) := +1 too.  Ties
@@ -137,24 +137,22 @@ def _mark_near(near: np.ndarray, *dots: np.ndarray) -> None:
 
 
 class OntologicalModel(ABC):
-    """Single-world sequential contract.
+    """Single-world model contract: the Monte Carlo kernels and the atoms.
 
     Properties honored by construction: the ontic state lives in a fixed
     finite-measure space chosen before any setting is known; preparation and
     measurement are stochastic kernels receiving the current state only, so
     nothing can depend on settings chosen later.
 
-    Vectorized methods operate on a batch of independent runs.  Each takes a
-    dedicated column of per-run uniforms (drawn by the caller from the
-    counter-mode stream); a method that ignores its column accepts None
-    there, and one that needs it rejects None, so a column a model reads
-    but does not declare fails loudly.
+    Kernels read only the slots declared below, and a uniform they need but
+    the caller did not draw is None, which they reject, so a slot a model
+    reads but does not declare fails loudly.  Each concrete model keeps its
+    sequential methods (prepare, evolve, measure) as the reference its
+    kernels reproduce; they are not part of this contract.
     """
 
     name: str = "abstract"
 
-    #: uniforms consumed by prepare_max_batch per run
-    PREP_SLOTS: int = 2
     #: four-time inequality, the slots of prepare -> evolve -> measure -> evolve
     #: -> measure: 0 pair pick (read by empirical_correlations), 1-2
     #: preparation, 3 evolve to the first time, 4 first measurement, 5 evolve
@@ -164,34 +162,14 @@ class OntologicalModel(ABC):
     LG_SLOTS: tuple[int, ...]
     #: post-measurement sampling: 0-1 preparation, 2 measurement
     SAMPLE_SLOTS: tuple[int, ...]
-    #: True when prepare_max_batch is sample_uniform_sphere of the PREP_SLOTS,
-    #: so that a prepared state's cell is sphere.uniform_cell of them; False
-    #: when prepared states are +-1 values, which index ``atoms`` like outcomes
+    #: True when ``measured_states`` returns the (n, 2) uniforms of points uniform
+    #: on the sphere, whose cells are sphere.uniform_cell of them; False when it
+    #: returns +-1 values, which index ``atoms`` like outcomes
     UNIFORM_PREPARATION: bool = False
 
     @abstractmethod
-    def prepare_max_batch(self, u: np.ndarray, directions):
-        """Sample n ontic states for the maximally mixed preparation; u is (n, PREP_SLOTS).
-
-        Points on the sphere get only the coordinates that `directions`, the
-        directions the caller reads them along, read (``sphere.sample_uniform_sphere``).
-        """
-
-    @abstractmethod
-    def evolve_batch(self, states, dt: float, u: np.ndarray | None = None):
-        """Advance all states by a time interval dt; u is one column of uniforms."""
-
-    @abstractmethod
-    def measure_batch(self, states, direction: np.ndarray | None, u: np.ndarray | None):
-        """Measure all runs; returns (outcomes in {-1,+1} int8, post states)."""
-
-    def measure_outcomes(self, states, direction: np.ndarray | None, u: np.ndarray | None) -> np.ndarray:
-        """The outcomes of measure_batch alone, for a caller that reads post states through ``atoms``."""
-        return self.measure_batch(states, direction, u)[0]
-
-    @abstractmethod
     def atoms(self, direction: np.ndarray | None):
-        """The post states of outcomes +1 and -1, in that order, built as measure_batch builds them."""
+        """The post states of outcomes +1 and -1 of a measurement along `direction`, in that order."""
 
     @abstractmethod
     def embed_on_sphere(self, states) -> np.ndarray:
@@ -207,14 +185,13 @@ class OntologicalModel(ABC):
         evolve(t_second - t_first) -> measure z on the same uniforms.
         """
 
+    @abstractmethod
     def measured_states(self, u: _rng.Uniforms, direction: np.ndarray):
-        """Prepared ontic states and the outcomes of measuring them; each run's post state is its outcome's atom.
+        """Prepared states and the outcomes of measuring them along `direction`, as int8.
 
-        The states are sampled only along the coordinates `direction` reads (see
-        ``prepare_max_batch``), so they are not unit vectors and no caller may bin them.
+        Each run's post state is its outcome's atom.  The prepared states
+        are +-1 values, or the preparation uniforms (``UNIFORM_PREPARATION``).
         """
-        states = self.prepare_max_batch(u.columns(range(self.PREP_SLOTS)), (direction,))
-        return states, self.measure_outcomes(states, direction, u.get(2))
 
 
 class BeltramettiBugajski(OntologicalModel):
@@ -245,11 +222,6 @@ class BeltramettiBugajski(OntologicalModel):
         out[:, 2] = s * states[:, 1] + c * states[:, 2]
         return out
 
-    def measure_outcomes(self, states: np.ndarray, direction, u: np.ndarray) -> np.ndarray:
-        if direction is None:
-            raise InvalidArgumentError("Beltrametti-Bugajski measurement needs a direction")
-        return self._born(states @ np.asarray(direction, dtype=float), u)
-
     @staticmethod
     def _born(projection: np.ndarray, u: np.ndarray) -> np.ndarray:
         """Born's rule: +1 where u < 0.5 * (1 + projection), the state's component along the measured direction."""
@@ -279,7 +251,10 @@ class BeltramettiBugajski(OntologicalModel):
         return settle(kernel)[0]
 
     def measure_batch(self, states: np.ndarray, direction, u: np.ndarray):
-        outcomes = self.measure_outcomes(states, direction, u)
+        """Born's rule on ``states @ direction``, a gemv, and the collapsed states; returns (outcomes, post states)."""
+        if direction is None:
+            raise InvalidArgumentError("Beltrametti-Bugajski measurement needs a direction")
+        outcomes = self._born(states @ np.asarray(direction, dtype=float), u)
         return outcomes, self._collapse(outcomes, direction)
 
     def atoms(self, direction) -> np.ndarray:
@@ -329,12 +304,12 @@ class BeltramettiBugajski(OntologicalModel):
         return o1 * o2
 
     def measured_states(self, u: _rng.Uniforms, direction: np.ndarray):
-        """None for the prepared states, whose cells come from the uniforms, and the outcomes.
+        """The preparation uniforms, which give the prepared states' cells, and the outcomes.
 
         Along a direction with one nonzero component d_k the outcome reads
         coordinate k alone (``sphere.uniform_coordinates``) times d_k, which
         ``states @ d`` is exactly, up to the sign of a zero: no (n, 3) array
-        and no gemv.  A general direction keeps ``measure_outcomes``' gemv of
+        and no gemv.  A general direction keeps ``measure_batch``'s gemv of
         the states ``prepare_max_batch`` samples along it.  Along x, y or a
         general direction the outcomes go through ``settle``.
         """
@@ -349,7 +324,7 @@ class BeltramettiBugajski(OntologicalModel):
             along *= direction[axes[0]]
             return along
 
-        return None, self._settled_born(projection, u.get(2), len(axes) != 1 or axes[0] != 2)
+        return prep, self._settled_born(projection, u.get(2), len(axes) != 1 or axes[0] != 2)
 
 
 class Telegraph(OntologicalModel):
@@ -386,7 +361,7 @@ class Telegraph(OntologicalModel):
         The symmetric chain started from its stationary preparation (+-1
         with probability 1/2 each) is reversible: its law over an interval
         run backwards is its law over the forward one.  So a negative dt,
-        which the sequential contract's first evolution gets for a schedule
+        which the sequential reference's first evolution gets for a schedule
         with a negative first time, evolves by |dt|.  ``lg_products`` reads
         only the flip across the gap, which is never negative.
         """
@@ -421,6 +396,11 @@ class Telegraph(OntologicalModel):
         (across the gap), o1 = v * f1 and o2 = o1 * f2, so o1 * o2 = f2.
         """
         return self._flips(max(pair) - min(pair), u.get(5))
+
+    def measured_states(self, u: _rng.Uniforms, direction: np.ndarray):
+        """The prepared values and the readouts of ``measure_batch`` along `direction`."""
+        states = self.prepare_max_batch(u.columns(range(self.PREP_SLOTS)))
+        return states, self.measure_batch(states, direction, u.get(2))[0]
 
 
 class BranchingModel:
@@ -560,4 +540,5 @@ def make_model(name: str, gamma: float = 1.0):
         return Telegraph(gamma=gamma)
     if name == "mw":
         return BranchingModel()
-    raise InvalidArgumentError(f"unknown model {name!r}; expected one of {MODEL_NAMES}")
+    built = ", ".join(m for m in MODEL_NAMES if m != "quantum")
+    raise InvalidArgumentError(f"unknown model {name!r}; expected one of {built} (quantum is exact and needs no model)")

@@ -18,10 +18,10 @@ independent routes to the same numbers:
   ``rng.map_chunks`` with ``SphereHistogram.merge``, judged by the
   chi-square homogeneity test ``noflow_test`` runs;
 * ``composed_lg_products`` and ``composed_measured_outcomes``: the
-  single-world kernels as the sequential contract composes them, prepare ->
-  evolve -> measure -> evolve -> measure and prepare -> gemv measure, which
-  the kernels that compute only what their outcomes read must match bit for
-  bit;
+  single-world kernels as the sequential reference methods compose them,
+  prepare -> evolve -> measure -> evolve -> measure and prepare -> gemv
+  measure, which the kernels that compute only what their outcomes read
+  must match bit for bit;
 * the ``where_*`` and ``stacked_*`` kernels: the ``np.where``,
   ``astype``, ``np.column_stack`` and two-temporary formulas the branch-free
   int8 and scratch-array kernels of ``models`` and ``sphere`` replaced,
@@ -128,9 +128,9 @@ def composed_lg_products(model, u: Uniforms, pair) -> np.ndarray:
 
 
 def composed_measured_outcomes(model, u: Uniforms, direction) -> np.ndarray:
-    """Outcomes of prepare -> measure along `direction`, through ``measure_outcomes`` (a gemv for bb)."""
+    """Outcomes of prepare -> measure along `direction`, through ``measure_batch`` (a gemv for bb)."""
     states = model.prepare_max_batch(u.columns(range(model.PREP_SLOTS)), (direction,))
-    return model.measure_outcomes(states, direction, u.get(2))
+    return model.measure_batch(states, direction, u.get(2))[0]
 
 
 def from_points(points: np.ndarray, nz: int, nphi: int) -> SphereHistogram:

@@ -3,6 +3,7 @@
 import argparse
 import contextlib
 import ctypes
+import errno
 import io
 import json
 import math
@@ -17,7 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from ontolab import BranchingModel, cli, leggett_garg, rng
+from ontolab import BeltramettiBugajski, BranchingModel, Telegraph, cli, leggett_garg, rng
 from ontolab.cli import _COMMANDS, MAX_RUNS, build_parser, main, parse_bins, parse_dirs, parse_time
 from ontolab.leggett_garg import PAIR_LABELS, LGScenario
 
@@ -73,6 +74,13 @@ class TestParsers:
         with pytest.raises(SystemExit) as exc:
             main(["erasure", "--bins", "1025x1024", "--runs", "10"])
         assert exc.value.code == 2
+
+    def test_bins_capped_in_total(self):
+        # the grids of one --bins together; parsed only, so nothing is allocated
+        assert parse_bins("512x1024,256x1024,256x1024") == ((512, 1024), (256, 1024), (256, 1024))
+        for text in ("1024x1024,1x1", "1x1,1024x1024", ",".join(["512x512"] * 5)):
+            with pytest.raises(argparse.ArgumentTypeError, match="in total"):
+                parse_bins(text)
 
     def test_dirs_normalized(self):
         (d,) = parse_dirs("0,0,2")
@@ -243,6 +251,33 @@ class TestLGCommand:
             assert main(args) == 2
         assert "cannot write output file" in capsys.readouterr().err
 
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a full device")
+    def test_failed_output_file_write_exits_2(self, capsys):
+        assert main(["scan", "--times", "0,pi/8", "--out", "/dev/full"]) == 2
+        assert capsys.readouterr().err == "configuration error: cannot write output to /dev/full: No space left on device\n"
+
+    def test_failed_stdout_write_exits_2(self, monkeypatch, capsys):
+        class FullStdout:
+            def write(self, text):
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(sys, "stdout", FullStdout())
+        assert main(["scan", "--times", "0,pi/8"]) == 2
+        assert capsys.readouterr().err == "configuration error: cannot write output to stdout: No space left on device\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a full device")
+    @pytest.mark.parametrize("buffered", [True, False])
+    def test_stdout_on_full_device_exits_2(self, buffered):
+        # buffered, the failed bytes would stay in stdout's buffer and fail again at the interpreter's exit
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        if not buffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        argv = [sys.executable, "-m", "ontolab.cli", "scan", "--times", "0,pi/8"]
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(argv, env=env, stdout=full, stderr=subprocess.PIPE, text=True, timeout=120)
+        assert (proc.returncode, proc.stderr) == (2, "configuration error: cannot write output to stdout: No space left on device\n")
+
     def test_zero_count_correlators_are_null(self, tmp_path):
         out = tmp_path / "lg.json"
         args = ["lg", "--model", "bb", "--times", "0,pi/8,pi/4,3pi/8", "--runs", "1"]
@@ -376,6 +411,33 @@ class TestNoFlowCommand:
         assert main(["noflow", "--model", "quantum", "--runs", "10", *TWO_DIRS]) == 2
         err = capsys.readouterr().err
         assert "quantum model" in err and "--runs" not in err
+
+
+class TestModelContract:
+    """The commands reach the single-world models through their kernels alone."""
+
+    @pytest.mark.parametrize("model", ["bb", "telegraph"])
+    def test_commands_run_without_the_sequential_methods(self, model, monkeypatch, capsys):
+        commands = [
+            ["lg", "--times", "0,pi/8,pi/4,3pi/8"],
+            ["erasure", "--dirs", "0,0.6,0.8"],
+            ["noflow", "--dirs", "0,0,1;0.6,0,0.8"],
+        ]
+
+        def outputs():
+            for argv in commands:
+                assert main([*argv, "--model", model, "--runs", "30000", "--seed", "4"]) == 0
+                yield capsys.readouterr().out
+
+        unpatched = list(outputs())
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a command ran a sequential reference method")
+
+        for cls, method in ((BeltramettiBugajski, "evolve_batch"), (BeltramettiBugajski, "measure_batch"),
+                            (Telegraph, "evolve_batch")):
+            monkeypatch.setattr(cls, method, unreachable)
+        assert list(outputs()) == unpatched
 
 
 def _run_fresh(code: str, threads: int | None = None) -> str:

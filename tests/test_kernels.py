@@ -13,7 +13,7 @@ include multiples of pi/2.
 
 The single-world kernels that compute only what their outcomes read (bb's
 and the telegraph's ``lg_products``, bb's ``measured_states``) must give the
-bits of the sequential contract they short-cut, prepare -> evolve -> measure
+bits of the sequential reference they short-cut, prepare -> evolve -> measure
 -> evolve -> measure and prepare -> gemv measure (``helpers.composed_*``), at
 planted ties of every Born and flip probability they compare against.
 
@@ -311,7 +311,7 @@ class TestReadCoordinates:
         # ties at the full sample's Born probability, where a changed bit would flip an outcome
         u_measure = data.draw(tied(n, 0.5 * (1.0 + full @ d)))
         reduced = bb.prepare_max_batch(u, (d,))
-        assert same_bits(bb.measure_outcomes(reduced, d, u_measure), bb.measure_outcomes(full, d, u_measure))
+        assert same_bits(bb.measure_batch(reduced, d, u_measure)[0], bb.measure_batch(full, d, u_measure)[0])
 
     @settings(max_examples=100, deadline=None)
     @given(sparse_direction(), st.integers(0, 2**32))
@@ -344,7 +344,7 @@ class TestReadCoordinates:
 
 
 class TestLeanKernels:
-    """Kernels that compute only what their outcomes read, against the sequential contract on the same uniforms."""
+    """Kernels that compute only what their outcomes read, against the sequential reference on the same uniforms."""
 
     @settings(max_examples=200, deadline=None)
     @given(TIME_PAIRS, st.integers(0, 2**32))
@@ -388,8 +388,9 @@ class TestLeanKernels:
         full = bb.prepare_max_batch(u.columns((0, 1)), np.eye(3))
         u.get(2)[::4] = 0.5 * (1.0 + full[::4] @ d)
         prepared, outcomes = bb.measured_states(u, d)
-        # the collapse model's prepared states are binned from their uniforms, so none are returned
-        assert prepared is None
+        # the collapse model's prepared states are its preparation uniforms, binned by uniform_cell
+        for nz, nphi in ((8, 8), (5, 7)):
+            assert same_bits(uniform_cell(prepared, nz, nphi), uniform_cell(u.columns((0, 1)), nz, nphi))
         assert same_bits(outcomes, composed_measured_outcomes(bb, u, d))
 
 

@@ -25,7 +25,7 @@ from ontolab import (
     make_model,
     sequential_joint,
 )
-from ontolab.models import sign_pm1
+from ontolab.models import OntologicalModel, sign_pm1
 from ontolab.rng import uniform_block
 
 from helpers import bb_joint_statistics, evolve, from_points, measure
@@ -339,6 +339,10 @@ class TestCausalityStructure:
         assert _homogeneity_test(h1, h2)[2] >= ALPHA
 
 
+def test_single_world_contract_is_its_kernels_and_atoms():
+    assert OntologicalModel.__abstractmethods__ == {"lg_products", "measured_states", "atoms", "embed_on_sphere"}
+
+
 class TestFactory:
     def test_known_names(self):
         assert isinstance(make_model("bb"), BeltramettiBugajski)
@@ -348,3 +352,7 @@ class TestFactory:
     def test_unknown_name(self):
         with pytest.raises(InvalidArgumentError):
             make_model("bohm")
+
+    def test_quantum_names_only_built_models(self):
+        with pytest.raises(InvalidArgumentError, match=r"one of bb, mw, telegraph \(quantum is exact and needs no model\)$"):
+            make_model("quantum")
