@@ -99,8 +99,9 @@ class CorrelationMatrix:
     """The four pair correlators, with standard errors and sample counts.
 
     stderr and counts are ordered like PAIRS; exact (analytic) correlators
-    carry stderr 0 and counts 0.  A Monte Carlo correlator that no run
-    sampled is undefined: NaN, with stderr NaN and count 0.
+    carry stderr 0 and counts 0.  A Monte Carlo pair is empty only when the
+    estimate has fewer than 4 runs (see ``empirical_correlations``); its
+    correlator is then undefined: NaN, with stderr NaN and count 0.
     """
 
     c13: float
@@ -180,12 +181,6 @@ def max_violation_over_34(t1: float, t2: float) -> tuple[float, float, float]:
     return value, t3, t4
 
 
-# Monte Carlo estimation through an ontological model.  Slot 0 picks the
-# pair; the model's lg_products reads the rest of its LG_SLOTS (layouts in
-# models.py, beside each declaration).
-_PICK_SLOT = 0
-
-
 def empirical_correlations(
     model,
     scenario: LGScenario,
@@ -194,13 +189,16 @@ def empirical_correlations(
 ) -> CorrelationMatrix:
     """Monte Carlo correlators through an ontological model.
 
-    Each run picks one of the four pairs uniformly, prepares the maximally
-    mixed state at the ontological level, and measures twice through the
-    model's ``lg_products`` in chronological order.  Accumulation is
-    integer-exact, so the result depends only on (scenario, runs, seed),
-    never on the worker count.  Standard errors are binomial:
-    sqrt((1 - C^2) / n).  A pair that no run picked has no estimate: its
-    correlator and stderr are NaN, and so are lg_value and lg_stderr.
+    Each ``rng.map_chunks`` chunk of n runs from run lo gives pair p of PAIRS
+    the fixed quarter lo + n*p//4 to lo + n*(p+1)//4.  Each run prepares the
+    maximally mixed state at the ontological level and measures twice
+    through the model's ``lg_products``, in chronological order, on its
+    ``LG_SLOTS``.  Accumulation is integer-exact, so the result depends only
+    on (scenario, runs, seed), never on the worker count.  Each pair's count
+    is fixed, so its estimate is binomial with standard error
+    sqrt((1 - C^2) / n).  Under 4 runs some pairs are empty: C13 at 3 runs,
+    C13 and C24 at 2, all but C14 at 1.  An empty pair's correlator and
+    stderr are NaN, and so are lg_value and lg_stderr.
     """
     if runs < 1:
         raise InvalidArgumentError("runs must be >= 1")
@@ -209,14 +207,11 @@ def empirical_correlations(
 
     def run_chunk(lo: int, n: int) -> np.ndarray:
         """Per pair, the sum of its products (row 0) and its run count (row 1)."""
-        u0 = _rng.uniform_block(seed, range(lo, lo + n), (_PICK_SLOT,))[:, 0]
-        pick = np.minimum((u0 * 4).astype(np.int64), 3)
         totals = np.zeros((2, 4), dtype=np.int64)
-        totals[1] = np.bincount(pick, minlength=4)
-        for p in np.flatnonzero(totals[1]):
-            # each pair draws its own slots for its own runs, so no row is gathered
-            u = _rng.Uniforms(seed, lo + np.flatnonzero(pick == p), slots)
-            totals[0, p] = model.lg_products(u, pair_times[p]).sum(dtype=np.int64)
+        for p, pair in enumerate(pair_times):
+            quarter = range(lo + n * p // 4, lo + n * (p + 1) // 4)
+            totals[0, p] = model.lg_products(_rng.Uniforms(seed, quarter, slots), pair).sum(dtype=np.int64)
+            totals[1, p] = len(quarter)
         return totals
 
     sums, counts = _rng.map_chunks(run_chunk, runs, np.add)

@@ -154,11 +154,11 @@ class OntologicalModel(ABC):
     name: str = "abstract"
 
     #: four-time inequality, the slots of prepare -> evolve -> measure -> evolve
-    #: -> measure: 0 pair pick (read by empirical_correlations), 1-2
-    #: preparation, 3 evolve to the first time, 4 first measurement, 5 evolve
-    #: across the gap, 6 second measurement.  A model declares those its
-    #: outcomes read: bb 1, 2, 4, 6 (its evolution is deterministic), the
-    #: telegraph 5 alone (its product is the flip across the gap)
+    #: -> measure: 0-1 preparation, 2 evolve to the first time, 3 first
+    #: measurement, 4 evolve across the gap, 5 second measurement.  A model
+    #: declares those its outcomes read: bb 0, 1, 3, 5 (its evolution is
+    #: deterministic), the telegraph 4 alone (its product is the flip across
+    #: the gap)
     LG_SLOTS: tuple[int, ...]
     #: post-measurement sampling: 0-1 preparation, 2 measurement
     SAMPLE_SLOTS: tuple[int, ...]
@@ -205,7 +205,7 @@ class BeltramettiBugajski(OntologicalModel):
 
     name = "bb"
     PREP_SLOTS = 2
-    LG_SLOTS = (1, 2, 4, 6)
+    LG_SLOTS = (0, 1, 3, 5)
     SAMPLE_SLOTS = (0, 1, 2)
     UNIFORM_PREPARATION = True
 
@@ -290,7 +290,7 @@ class BeltramettiBugajski(OntologicalModel):
         """
         t_first, t_second = min(pair), max(pair)
         c, s = np.cos(2.0 * t_first), np.sin(2.0 * t_first)
-        prep = u.columns(range(1, 1 + self.PREP_SLOTS))
+        prep = u.columns(range(self.PREP_SLOTS))
 
         def first_z(rows, trig_dtype):
             coordinates = uniform_coordinates(prep[rows], (1, 2) if s != 0.0 else (2,), trig_dtype=trig_dtype)
@@ -299,8 +299,8 @@ class BeltramettiBugajski(OntologicalModel):
                 z += s * coordinates[0]
             return z
 
-        o1 = self._settled_born(first_z, u.get(4), s != 0.0)
-        o2 = self._born(np.cos(2.0 * (t_second - t_first)) * o1, u.get(6))
+        o1 = self._settled_born(first_z, u.get(3), s != 0.0)
+        o2 = self._born(np.cos(2.0 * (t_second - t_first)) * o1, u.get(5))
         return o1 * o2
 
     def measured_states(self, u: _rng.Uniforms, direction: np.ndarray):
@@ -344,7 +344,7 @@ class Telegraph(OntologicalModel):
 
     name = "telegraph"
     PREP_SLOTS = 1
-    LG_SLOTS = (5,)
+    LG_SLOTS = (4,)
     SAMPLE_SLOTS = (0,)
 
     def __init__(self, gamma: float = 1.0):
@@ -395,7 +395,7 @@ class Telegraph(OntologicalModel):
         With prepared value v and flip factors f1 (to the first time) and f2
         (across the gap), o1 = v * f1 and o2 = o1 * f2, so o1 * o2 = f2.
         """
-        return self._flips(max(pair) - min(pair), u.get(5))
+        return self._flips(max(pair) - min(pair), u.get(4))
 
     def measured_states(self, u: _rng.Uniforms, direction: np.ndarray):
         """The prepared values and the readouts of ``measure_batch`` along `direction`."""
@@ -425,11 +425,10 @@ class BranchingModel:
     """
 
     name = "mw"
-    #: four-time inequality: 0 pair pick (read by empirical_correlations),
-    #: 1-4 ontic pair, 5 branch selection
-    LG_SLOTS = (1, 2, 3, 4, 5)
     #: two-measurement runs: 0-3 ontic pair, 4 branch selection
     JOINT_SLOTS = (0, 1, 2, 3, 4)
+    #: four-time inequality: one two-measurement run per pair, so the same layout
+    LG_SLOTS = JOINT_SLOTS
 
     # sampling
 

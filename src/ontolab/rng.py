@@ -10,12 +10,12 @@ splitmix64 finalizer applied twice with two Weyl increments:
     double in [0, 1)        = (value >> 11) * 2**-53
 
 A value depends on its own (seed, run, slot) only, so ``uniform_block``
-hashes exactly the runs and slots a caller asks for: any subset of run
-indices, in any order, and any subset of slots.  Each model declares the
-slots it reads on each path (``LG_SLOTS``, ``SAMPLE_SLOTS``, ``JOINT_SLOTS``)
-and nothing else is ever hashed, which leaves every value it does read,
-and so every result byte, unchanged.  Model kernels read the drawn block
-through ``Uniforms``, a slot-addressed view.
+hashes exactly the runs and slots a caller asks for: a range of run indices
+and any subset of slots.  Each model declares the slots it reads on each
+path (``LG_SLOTS``, ``SAMPLE_SLOTS``, ``JOINT_SLOTS``) and nothing else is
+ever hashed, which leaves every value it does read, and so every result
+byte, unchanged.  Model kernels read the drawn block through ``Uniforms``,
+a slot-addressed view.
 
 This stream is the only source of randomness in the package: no module
 holds a generator of its own, and every statistical verdict is a
@@ -65,16 +65,13 @@ def _mix64(x: np.ndarray, tmp: np.ndarray) -> None:
     np.bitwise_xor(x, tmp, out=x)
 
 
-def uniform_block(seed: int, runs, slots: tuple[int, ...]) -> np.ndarray:
+def uniform_block(seed: int, runs: range, slots: tuple[int, ...]) -> np.ndarray:
     """Uniform doubles in [0, 1): element [i, j] is value(seed, runs[i], slots[j]).
 
-    `runs` holds absolute run indices (an integer array or a range); the
-    result has shape (len(runs), len(slots)) and its columns are contiguous.
+    `runs` is a range of absolute run indices; the result has shape
+    (len(runs), len(slots)) and its columns are contiguous.
     """
-    if isinstance(runs, range):
-        x = np.arange(runs.start, runs.stop, runs.step, dtype=np.uint64)
-    else:
-        x = np.asarray(runs).astype(np.uint64)  # a fresh buffer, hashed in place below
+    x = np.arange(runs.start, runs.stop, runs.step, dtype=np.uint64)
     tmp = np.empty_like(x)
     # offsets are reduced as Python ints: NumPy scalar arithmetic warns on the wrap
     np.add(x, 1, out=x)
@@ -100,7 +97,7 @@ class Uniforms:
     a view of the one block, never a copy.
     """
 
-    def __init__(self, seed: int, runs, slots: tuple[int, ...]):
+    def __init__(self, seed: int, runs: range, slots: tuple[int, ...]):
         self.slots = tuple(slots)
         self.block = uniform_block(seed, runs, self.slots)
         self._index = {slot: j for j, slot in enumerate(self.slots)}

@@ -119,11 +119,11 @@ def composed_lg_products(model, u: Uniforms, pair) -> np.ndarray:
     """
     t_first, t_second = min(pair), max(pair)
     z = np.array([0.0, 0.0, 1.0])
-    states = model.prepare_max_batch(u.columns(range(1, 1 + model.PREP_SLOTS)), (heisenberg_direction(t_first),))
-    states = model.evolve_batch(states, t_first, u.get(3))
-    o1, states = model.measure_batch(states, z, u.get(4))
-    states = model.evolve_batch(states, t_second - t_first, u.get(5))
-    o2, _ = model.measure_batch(states, z, u.get(6))
+    states = model.prepare_max_batch(u.columns(range(model.PREP_SLOTS)), (heisenberg_direction(t_first),))
+    states = model.evolve_batch(states, t_first, u.get(2))
+    o1, states = model.measure_batch(states, z, u.get(3))
+    states = model.evolve_batch(states, t_second - t_first, u.get(4))
+    o2, _ = model.measure_batch(states, z, u.get(5))
     return o1 * o2
 
 

@@ -20,6 +20,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from ontolab import BeltramettiBugajski, BranchingModel, Telegraph, cli, leggett_garg, rng
 from ontolab.cli import _COMMANDS, MAX_RUNS, build_parser, main, parse_bins, parse_dirs, parse_time
+from ontolab.models import make_model
 from ontolab.leggett_garg import PAIR_LABELS, LGScenario
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -299,6 +300,54 @@ class TestLGCommand:
         rows = {l[0]: l[1:] for l in lines}
         assert rows["lg_value"] == ["", "", "1"]
         assert sum(r == ["", "", "0"] for r in rows.values()) == 3
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("model", ["bb", "mw", "telegraph"])
+    def test_each_pair_takes_a_fixed_quarter_of_every_chunk(self, model, threads, monkeypatch, capsys):
+        # every run is hashed once, from the command's seed, for its pair's
+        # slots alone: no run picks its pair, and no run is drawn twice
+        monkeypatch.setenv("ONTOLAB_THREADS", str(threads))
+        if rng.resolve_workers() < threads:
+            pytest.skip(f"needs {threads} CPUs")
+        hashed = []
+        uniform_block = rng.uniform_block
+
+        def recording(seed, runs, slots):
+            hashed.append((seed, runs, tuple(slots)))
+            return uniform_block(seed, runs, slots)
+
+        monkeypatch.setattr(rng, "uniform_block", recording)
+        runs = 2 * rng.CHUNK_RUNS + 7
+        assert main(["lg", "--model", model, *LG_TIMES, "--runs", str(runs), "--seed", "5", "--format", "json"]) == 0
+        assert {(seed, slots) for seed, _, slots in hashed} == {(5, make_model(model).LG_SLOTS)}
+        ranges = sorted((r for _, r, _ in hashed), key=lambda r: r.start)
+        assert all(r.step == 1 for r in ranges)
+        assert [r.start for r in ranges] == [0, *(r.stop for r in ranges[:-1])] and ranges[-1].stop == runs
+        chunks = (rng.CHUNK_RUNS, rng.CHUNK_RUNS, 7)
+        quarters = [sum(n * (p + 1) // 4 - n * p // 4 for n in chunks) for p in range(4)]
+        correlators = json.loads(capsys.readouterr().out)["results"]["correlators"]
+        assert [correlators[label]["n"] for label in PAIR_LABELS] == quarters
+        assert sum(quarters) == runs
+
+    @pytest.mark.parametrize("runs", [*range(4, 12), rng.CHUNK_RUNS + 1, rng.CHUNK_RUNS + 3, 2 * rng.CHUNK_RUNS + 2])
+    def test_four_runs_or_more_define_every_correlator(self, runs, capsys):
+        assert main(["lg", "--model", "telegraph", *LG_TIMES, "--runs", str(runs), "--format", "json"]) == 0
+        results = json.loads(capsys.readouterr().out)["results"]
+        assert all(c["n"] > 0 and c["value"] is not None for c in results["correlators"].values())
+        assert results["lg_value"] is not None and results["lg_stderr"] is not None
+
+    @pytest.mark.parametrize("model", ["bb", "mw", "telegraph"])
+    @pytest.mark.parametrize(
+        "runs, empty", [(1, {"C13", "C23", "C24"}), (2, {"C13", "C24"}), (3, {"C13"})], ids=["1", "2", "3"]
+    )
+    def test_fewer_than_four_runs_leave_the_documented_pairs_null(self, model, runs, empty, capsys):
+        assert main(["lg", "--model", model, *LG_TIMES, "--runs", str(runs), "--format", "json"]) == 0
+        results = json.loads(capsys.readouterr().out)["results"]
+        correlators = results["correlators"]
+        assert {label for label, c in correlators.items() if c["n"] == 0} == empty
+        assert all(correlators[label]["value"] is None and correlators[label]["stderr"] is None for label in empty)
+        assert sum(c["n"] for c in correlators.values()) == runs
+        assert results["lg_value"] is None and results["lg_stderr"] is None
 
     def test_bad_schedule_rejected(self):
         assert main(["lg", "--times", "0,pi/8,pi/16,3pi/8"]) == 2

@@ -337,7 +337,7 @@ class TestReadCoordinates:
     @settings(max_examples=100, deadline=None)
     @given(TIMES, TIMES, st.integers(0, 2**32))
     def test_lg_products_match_full_sample(self, t1, t2, seed):
-        u = _tied_uniforms(seed, 240, tuple(range(7)))
+        u = _tied_uniforms(seed, 240, tuple(range(6)))
         bb_products = BeltramettiBugajski().lg_products(u, (t1, t2))
         assert same_bits(bb_products, composed_lg_products(FullSampleBB(), u, (t1, t2)))
         assert same_bits(BranchingModel().lg_products(u, (t1, t2)), FullSampleMW().lg_products(u, (t1, t2)))
@@ -353,13 +353,13 @@ class TestLeanKernels:
     @example((-0.0, 3 * math.pi / 4), 3)
     def test_bb_lg_products_match_composition(self, pair, seed):
         bb = BeltramettiBugajski()
-        u = _tied_uniforms(seed, 240, tuple(range(7)))
+        u = _tied_uniforms(seed, 240, tuple(range(6)))
         t_first, t_second = min(pair), max(pair)
         # ties at both Born probabilities: the evolved z row, and cos 2(t2 - t1) for either first outcome
-        evolved = bb.evolve_batch(bb.prepare_max_batch(u.columns((1, 2)), np.eye(3)), t_first)
-        u.get(4)[::4] = 0.5 * (1.0 + evolved[::4, 2])
+        evolved = bb.evolve_batch(bb.prepare_max_batch(u.columns((0, 1)), np.eye(3)), t_first)
+        u.get(3)[::4] = 0.5 * (1.0 + evolved[::4, 2])
         c = np.cos(2.0 * (t_second - t_first))
-        u.get(6)[1::4], u.get(6)[2::4] = 0.5 * (1.0 + c), 0.5 * (1.0 - c)
+        u.get(5)[1::4], u.get(5)[2::4] = 0.5 * (1.0 + c), 0.5 * (1.0 - c)
         assert same_bits(bb.lg_products(u, pair), composed_lg_products(bb, u, pair))
 
     @settings(max_examples=200, deadline=None)
@@ -369,10 +369,10 @@ class TestLeanKernels:
     @example((-math.pi / 4, math.pi / 8), 0.3, 3)
     def test_telegraph_lg_products_match_composition(self, pair, gamma, seed):
         model = Telegraph(gamma)
-        u = _tied_uniforms(seed, 240, tuple(range(7)))
+        u = _tied_uniforms(seed, 240, tuple(range(6)))
         t_first, t_second = min(pair), max(pair)
         # ties at both flip probabilities
-        for slot, dt in ((3, t_first), (5, t_second - t_first)):
+        for slot, dt in ((2, t_first), (4, t_second - t_first)):
             u.get(slot)[1::4] = 0.5 * (1.0 - np.exp(-2.0 * gamma * abs(dt)))
         assert same_bits(model.lg_products(u, pair), composed_lg_products(model, u, pair))
 
@@ -485,9 +485,9 @@ class TestFloat32Trig:
     @pytest.mark.parametrize("pair", [(math.pi / 8, 3 * math.pi / 8), (0.3, 1.1), (-1.0, 0.5), (0.7, 0.9)])
     def test_bb_lg_products_planted_at_the_born_probability(self, trig_calls, monkeypatch, pair):
         bb = BeltramettiBugajski()
-        u = Uniforms(5, range(PLANTED_RUNS), tuple(range(7)))
-        evolved = bb.evolve_batch(bb.prepare_max_batch(u.columns((1, 2)), np.eye(3)), min(pair))
-        _plant_born(u.get(4), 0.5 * (1.0 + evolved[:, 2]))
+        u = Uniforms(5, range(PLANTED_RUNS), tuple(range(6)))
+        evolved = bb.evolve_batch(bb.prepare_max_batch(u.columns((0, 1)), np.eye(3)), min(pair))
+        _plant_born(u.get(3), 0.5 * (1.0 + evolved[:, 2]))
         exact = composed_lg_products(bb, u, pair)
         trig_calls.clear()
         assert same_bits(bb.lg_products(u, pair), exact)
@@ -552,12 +552,12 @@ class TestFloat32Trig:
     def test_outcomes_do_not_depend_on_the_margin(self, monkeypatch, margin, seed):
         # a wider margin recomputes more rows in float64; at inf it recomputes every row
         def outcomes():
-            u = Uniforms(seed, range(3000), tuple(range(7)))
+            u = Uniforms(seed, range(3000), tuple(range(6)))
             return [
                 BeltramettiBugajski().lg_products(u, (0.3, 1.1)),
                 BeltramettiBugajski().measured_states(u, BB_DIRECTIONS[3])[1],
                 BeltramettiBugajski().measured_states(u, AXES["x"])[1],
-                *BranchingModel().run_experiment_batch(*MW_PAIRS[1], u.columns(range(1, 6))),
+                *BranchingModel().run_experiment_batch(*MW_PAIRS[1], u.columns(range(5))),
                 branching_no_erasure_check(*MW_PAIRS[0], 3000, seed, references=MW_PAIRS[0][::-1]).joint,
             ]
 

@@ -11,6 +11,7 @@ import math
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy import stats
 
 from ontolab import (
     CLASSICAL_BOUND,
@@ -261,3 +262,44 @@ class TestEmpiricalCorrelations:
     def test_runs_must_be_positive(self):
         with pytest.raises(InvalidArgumentError):
             empirical_correlations(BeltramettiBugajski(), self.SCENARIO, 0, seed=1)
+
+
+class TestStderrCalibration:
+    """Across seeds, (C - exact) / stderr per pair, and lg_value's against lg_stderr, are standard normal.
+
+    Each pair's run count is fixed by the split, so its estimate is binomial
+    and the reported stderr holds without conditioning on the counts.  Over
+    N seeds, the mean of each z must lie within 5 / sqrt(N) of 0, and its
+    sample variance s^2 within the band where (N - 1) s^2, chi-square with
+    N - 1 degrees of freedom, leaves a normal 5-sigma tail on either side.
+    """
+
+    SCENARIO = LGScenario.from_times(0.0, np.pi / 8, np.pi / 4, 3 * np.pi / 8)
+    RUNS = 4_000
+
+    def _z_scores(self, model, exact: CorrelationMatrix, seeds) -> np.ndarray:
+        """One row per seed: the four pairs' z, then lg_value's."""
+        rows = []
+        for seed in seeds:
+            c = empirical_correlations(model, self.SCENARIO, self.RUNS, seed)
+            pairs = [(est - ex) / se for est, ex, se in zip(c.values(), exact.values(), c.stderr)]
+            rows.append([*pairs, (lg_value(c) - lg_value(exact)) / lg_stderr(c)])
+        return np.array(rows)
+
+    @staticmethod
+    def _assert_standard_normal(z: np.ndarray) -> None:
+        n = len(z)
+        tail = stats.norm.sf(5.0)
+        low, high = stats.chi2.ppf([tail, 1.0 - tail], n - 1) / (n - 1)
+        mean, var = z.mean(axis=0), z.var(axis=0, ddof=1)
+        assert np.all(np.abs(mean) <= 5.0 / math.sqrt(n)), mean
+        assert np.all((low <= var) & (var <= high)), (var, low, high)
+
+    def test_telegraph(self):
+        gamma = 1.0
+        exact = CorrelationMatrix(*(math.exp(-2.0 * gamma * abs(tl - tk)) for tk, tl in self.SCENARIO.pair_times()))
+        self._assert_standard_normal(self._z_scores(Telegraph(gamma), exact, range(400)))
+
+    def test_bb(self):
+        exact = quantum_correlations(self.SCENARIO)
+        self._assert_standard_normal(self._z_scores(BeltramettiBugajski(), exact, range(1000, 1150)))
