@@ -291,10 +291,11 @@ def branching_no_erasure_check(
     Each chunk samples the ontic pairs, stores a copy, measures a, then b,
     through ``branch_outcomes`` with the second device's bookkeeping along
     each of ``references`` (default: the protocol's own, b), counts the
-    outcomes, and compares the pairs with the copy bit for bit, so a model
-    that writes into the arrays it was handed fails.  The outcomes come
-    from ``settled_branch_outcomes``, and the copy and the comparison cover
-    both of its passes: the float32 pairs of every run and the float64
+    outcomes, and compares every coordinate array of the pairs with the
+    copy bit for bit, so a model that writes into the arrays it was handed,
+    or swaps one out, fails.  The outcomes come from
+    ``settled_branch_outcomes``, and the copy and the comparison cover both
+    of its passes: the float32 pairs of every run and the float64
     pairs of the runs it recomputes.  The check is exact: while it holds,
     the post-run pairs *are* the sample, which depends on the seed alone and
     not on (a, b), so no distribution test of them could add anything.
@@ -313,10 +314,13 @@ def branching_no_erasure_check(
 
         @contextmanager
         def unchanged(x0, x1):
-            stored = x0.copy(), x1.copy()
+            stored = [{axis: c.copy() for axis, c in x.items()} for x in (x0, x1)]
             yield
             # compared as integers, so that a write that keeps the value (-0.0 for 0.0) is caught too
-            same.extend(np.array_equal(x.view(np.uint64), s.view(np.uint64)) for x, s in zip((x0, x1), stored))
+            same.extend(
+                x.keys() == s.keys() and all(np.array_equal(x[k].view(np.uint64), s[k].view(np.uint64)) for k in s)
+                for x, s in zip((x0, x1), stored)
+            )
 
         counts = np.stack([
             np.bincount(2 * (o1 < 0).view(np.int8) + (o2 < 0).view(np.int8), minlength=4)

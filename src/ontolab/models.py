@@ -46,8 +46,8 @@ reproduce them bit for bit: each kernel computes only what its outcomes
 read of prepare -> evolve -> measure -> evolve -> measure (the four-time
 inequality) or prepare -> measure (the diagnostics).  The telegraph's
 product is its flip across the gap alone; the collapse model's outcomes are
-Born's rule on the z row of the measured state, with no (n, 3) array, and
-so is a measurement along an axis.  The branching model has no sequential
+Born's rule on the dot of its prepared point with the direction it reads,
+with no (n, 3) array.  The branching model has no sequential
 reference (its branch pairing happens only when the parties meet, after
 both measurements) and builds its kernels from its two devices and the
 pairing rule.
@@ -61,19 +61,15 @@ Kernels build their +-1 outcomes without branches or int64 temporaries: a
 comparison viewed as int8 is 0 or 1, and ``1 - 2 * m`` or ``2 * m - 1`` maps
 it onto +-1 in int8.
 
-Kernels sample sphere points only along the coordinates they read.  A
-kernel that dots the points with a general direction passes
-``prepare_max_batch`` or ``sample_ontic_batch`` the directions it dots them
-with, and ``sphere.sample_uniform_sphere`` leaves out a coordinate that all
-of them have a zero component for; ``(n, 3) @ d`` stays, since BLAS kernels
-round it differently.  A kernel that reads a coordinate as it is (the
-collapse model along an axis, or along z after a rotation about x) takes it
-from ``sphere.uniform_coordinates``.  The paper's directions are axes or
-Heisenberg directions (0, sin 2t, cos 2t): the latter never read x, a z
-measurement computes z alone, and an x measurement no sine.  No outcome
-changes: the term left out of a dot product is an exact +-0, so the product
-keeps its bits or is a zero of the other sign, and Born's rule
-0.5 * (1 +- 0) and ``sign_pm1`` map both zeros alike.
+One dot rule serves every kernel and reference: ``sphere.dot`` sums d_k
+times coordinate k over the nonzero components d_k of a direction, in the
+order x, y, z, with numpy's correctly rounded elementwise multiply and add.
+Its bits depend neither on the CPU nor on which rows are computed.  Kernels
+take the coordinates from ``sphere.uniform_coordinates``, for the axes
+some direction reads (``sphere.axes_read``), with no (n, 3) array.  The
+paper's directions are axes or Heisenberg directions (0, sin 2t, cos 2t):
+the latter never read x, a z measurement computes z alone, and an x
+measurement no sine.
 
 Every outcome that reads x or y is a comparison: Born's rule u < 0.5 * (1 +
 p), which flips where a projection p crosses 2u - 1, or the sign of a dot.
@@ -97,7 +93,7 @@ import numpy as np
 from . import rng as _rng
 from .errors import InvalidArgumentError
 from .qubit import OUTCOMES, heisenberg_direction
-from .sphere import FLOAT32_MARGIN, sample_uniform_sphere, uniform_coordinates
+from .sphere import FLOAT32_MARGIN, axes_read, dot, sample_uniform_sphere, uniform_coordinates
 
 
 #: the outcomes +1 and -1, in the order of ``atoms``
@@ -117,14 +113,12 @@ def settle(kernel) -> list[np.ndarray]:
     with a comparison within ``FLOAT32_MARGIN`` of flipping an outcome.  It
     runs once on every row with float32 trigonometry, and again with
     float64 on the rows near a threshold, whose outcomes replace the first
-    pass's.  numpy computes a one-row (1, 3) @ d as a dot product, which can
-    round apart from the gemv of more rows, so a lone row is recomputed
-    twice over unless it is the only run.
+    pass's.  Every float64 expression of a kernel is elementwise, so a row
+    gets the same bits however few rows are recomputed with it.
     """
     outcomes, near = kernel(slice(None), np.float32)
     (rows,) = np.nonzero(near)
     if len(rows):
-        rows = rows.repeat(2) if len(rows) == 1 < len(near) else rows
         for kept, exact in zip(outcomes, kernel(rows, np.float64)[0], strict=True):
             kept[rows] = exact
     return outcomes
@@ -209,9 +203,9 @@ class BeltramettiBugajski(OntologicalModel):
     SAMPLE_SLOTS = (0, 1, 2)
     UNIFORM_PREPARATION = True
 
-    def prepare_max_batch(self, u: np.ndarray, directions, trig_dtype=np.float64) -> np.ndarray:
-        """``sphere.sample_uniform_sphere`` of u, with its sine and cosine in `trig_dtype`."""
-        return sample_uniform_sphere(u[:, :2], directions, trig_dtype=trig_dtype)
+    def prepare_max_batch(self, u: np.ndarray) -> np.ndarray:
+        """``sphere.sample_uniform_sphere`` of u: (n, 3) unit vectors."""
+        return sample_uniform_sphere(u[:, :2])
 
     def evolve_batch(self, states: np.ndarray, dt: float, u=None) -> np.ndarray:
         # deterministic volume-preserving image of U(dt): rotation about x by 2*dt
@@ -230,16 +224,20 @@ class BeltramettiBugajski(OntologicalModel):
         return 2 * (np.asarray(u).reshape(-1) < 0.5 * (1.0 + projection)).view(np.int8) - 1
 
     @classmethod
-    def _settled_born(cls, projection, u: np.ndarray, reads_trig: bool) -> np.ndarray:
-        """``_born`` of projection(rows, trig_dtype), a fresh array of the projections of `rows`, through ``settle``.
+    def _born_along(cls, direction, prep: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """``_born`` of the dot of the uniform points of `prep` with `direction`, through ``settle``.
 
-        Born's rule flips where the projection crosses 2u - 1, so a run is
-        near a threshold where they are within ``FLOAT32_MARGIN``.  A
-        projection that reads no sine or cosine is exact as it is, and is
-        computed once in float64, as is any projection without uniforms,
-        which ``_born`` refuses.
+        Born's rule flips where the dot crosses 2u - 1, so a run is near a
+        threshold where they are within ``FLOAT32_MARGIN``.  A dot that reads
+        neither x nor y is exact as it is, and is computed once in float64,
+        as is any dot without uniforms, which ``_born`` refuses.
         """
-        if not reads_trig or u is None:
+        axes = axes_read(direction)
+
+        def projection(rows, trig_dtype):
+            return dot(uniform_coordinates(prep[rows], axes, trig_dtype=trig_dtype), direction)
+
+        if axes == (2,) or u is None:
             return cls._born(projection(slice(None), np.float64), u)
 
         def kernel(rows, trig_dtype):
@@ -251,10 +249,10 @@ class BeltramettiBugajski(OntologicalModel):
         return settle(kernel)[0]
 
     def measure_batch(self, states: np.ndarray, direction, u: np.ndarray):
-        """Born's rule on ``states @ direction``, a gemv, and the collapsed states; returns (outcomes, post states)."""
+        """Born's rule on ``sphere.dot`` of the states with `direction`, and the collapsed states; returns (outcomes, post states)."""
         if direction is None:
             raise InvalidArgumentError("Beltrametti-Bugajski measurement needs a direction")
-        outcomes = self._born(states @ np.asarray(direction, dtype=float), u)
+        outcomes = self._born(dot(states.T, direction), u)
         return outcomes, self._collapse(outcomes, direction)
 
     def atoms(self, direction) -> np.ndarray:
@@ -279,52 +277,29 @@ class BeltramettiBugajski(OntologicalModel):
         """o1 * o2 of z measurements at both times of a pair, earlier time first.
 
         Each outcome is Born's rule on the z row of the state it measures, as
-        ``evolve_batch`` computes that row: ``states @ z`` is the row itself,
-        up to the sign of a zero.  The first reads s*y + c*z of the prepared
-        point, with (c, s) = (cos, sin)(2 t_first), and y only where s != 0,
-        as ``sample_uniform_sphere`` does for the Heisenberg direction
-        (0, s, c).  The second reads the collapsed state o1 * z rotated across
-        the gap, whose z row is cos(2 (t_second - t_first)) * o1 plus an exact
-        +-0.  The first outcome reads y, and so goes through ``settle``; the
-        second reads o1 alone.
+        ``evolve_batch`` computes that row; a measurement along z reads that
+        row alone.  The first reads the prepared point's dot with the
+        Heisenberg direction (0, s, c), with (c, s) = (cos, sin)(2 t_first),
+        which is s*y + c*z.  The second reads the collapsed state o1 * z
+        rotated across the gap, whose z row is cos(2 (t_second - t_first)) *
+        o1 plus an exact +-0.  Only the first outcome can read y, and so goes
+        through ``settle``.
         """
         t_first, t_second = min(pair), max(pair)
-        c, s = np.cos(2.0 * t_first), np.sin(2.0 * t_first)
-        prep = u.columns(range(self.PREP_SLOTS))
-
-        def first_z(rows, trig_dtype):
-            coordinates = uniform_coordinates(prep[rows], (1, 2) if s != 0.0 else (2,), trig_dtype=trig_dtype)
-            z = c * coordinates[-1]
-            if s != 0.0:
-                z += s * coordinates[0]
-            return z
-
-        o1 = self._settled_born(first_z, u.get(3), s != 0.0)
+        heisenberg = (0.0, np.sin(2.0 * t_first), np.cos(2.0 * t_first))
+        o1 = self._born_along(heisenberg, u.columns(range(self.PREP_SLOTS)), u.get(3))
         o2 = self._born(np.cos(2.0 * (t_second - t_first)) * o1, u.get(5))
         return o1 * o2
 
     def measured_states(self, u: _rng.Uniforms, direction: np.ndarray):
         """The preparation uniforms, which give the prepared states' cells, and the outcomes.
 
-        Along a direction with one nonzero component d_k the outcome reads
-        coordinate k alone (``sphere.uniform_coordinates``) times d_k, which
-        ``states @ d`` is exactly, up to the sign of a zero: no (n, 3) array
-        and no gemv.  A general direction keeps ``measure_batch``'s gemv of
-        the states ``prepare_max_batch`` samples along it.  Along x, y or a
-        general direction the outcomes go through ``settle``.
+        The outcomes are Born's rule on the dot of the prepared points with
+        `direction`, as ``measure_batch`` computes it on ``prepare_max_batch``'s
+        states.  Along a direction that reads x or y they go through ``settle``.
         """
-        (axes,) = np.nonzero(direction)
         prep = u.columns(range(self.PREP_SLOTS))
-        direction = np.asarray(direction, dtype=float)
-
-        def projection(rows, trig_dtype):
-            if len(axes) != 1:
-                return self.prepare_max_batch(prep[rows], (direction,), trig_dtype) @ direction
-            (along,) = uniform_coordinates(prep[rows], axes, trig_dtype=trig_dtype)
-            along *= direction[axes[0]]
-            return along
-
-        return prep, self._settled_born(projection, u.get(2), len(axes) != 1 or axes[0] != 2)
+        return prep, self._born_along(np.asarray(direction, dtype=float), prep, u.get(2))
 
 
 class Telegraph(OntologicalModel):
@@ -352,7 +327,7 @@ class Telegraph(OntologicalModel):
             raise InvalidArgumentError(f"flip rate gamma must be finite and >= 0, got {gamma}")
         self.gamma = float(gamma)
 
-    def prepare_max_batch(self, u: np.ndarray, directions=None) -> np.ndarray:
+    def prepare_max_batch(self, u: np.ndarray) -> np.ndarray:
         return 2 * (u[:, 0] < 0.5).view(np.int8) - 1
 
     def evolve_batch(self, states: np.ndarray, dt: float, u: np.ndarray) -> np.ndarray:
@@ -432,43 +407,41 @@ class BranchingModel:
 
     # sampling
 
-    def sample_ontic_batch(self, u: np.ndarray, directions, trig_dtype=np.float64) -> tuple[np.ndarray, np.ndarray]:
+    def sample_ontic_batch(self, u: np.ndarray, axes, trig_dtype=np.float64) -> tuple[dict, dict]:
         """Independent uniform pairs (x0, x1) from (n, 4) uniforms, with their sines and cosines in `trig_dtype`.
 
-        Only the coordinates that `directions` (a, b and the bookkeeping references)
-        read are computed (``sphere.sample_uniform_sphere``): the pairs are not unit
-        vectors unless the directions read x and y, and no caller may bin them.
+        Each point is its coordinates `axes` (``sphere.uniform_coordinates``),
+        a mapping from axis to array: those that the devices' directions read
+        (``sphere.axes_read``).
         """
-        return tuple(sample_uniform_sphere(u[:, k : k + 2], directions, trig_dtype=trig_dtype) for k in (0, 2))
+        return tuple(uniform_coordinates(u[:, k : k + 2], axes, trig_dtype=trig_dtype) for k in (0, 2))
 
     # the two measurements
 
-    def alice_batch(self, a: np.ndarray, x0: np.ndarray, x1: np.ndarray, near: np.ndarray):
+    def alice_batch(self, a: np.ndarray, x0, x1, near: np.ndarray):
         """s_A = sign(a.x0), n_A = sign(a.x0) sign(a.x1); `near` is set where either |dot| is within the margin."""
-        a = np.asarray(a, dtype=float)
-        dots = x0 @ a, x1 @ a
+        dots = dot(x0, a), dot(x1, a)
         s0, s1 = map(sign_pm1, dots)
         _mark_near(near, *dots)
         return s0, s0 * s1
 
-    def bob_batch(self, b: np.ndarray, x0: np.ndarray, x1: np.ndarray, references, near: np.ndarray):
+    def bob_batch(self, b: np.ndarray, x0, x1, references, near: np.ndarray):
         """s_B = sign(b.(x0+x1)), and n_B = sign(r.(x0+x1)) sign(r.(x0-x1)) for each reference r.
 
-        b.(x0+x1) is computed once, also for a reference equal to b (the
-        protocol's own): a zero component's sign can only change the sign of
-        a zero product, which ``sign_pm1`` maps alike.  `near` is set where
-        any of these |dots| is within the margin.
+        x0 + x1 and x0 - x1 are formed per coordinate.  b.(x0+x1) is computed
+        once, also for a reference equal to b (the protocol's own): ``dot``
+        reads the same components of both.  `near` is set where any of these
+        |dots| is within the margin.
         """
-        b = np.asarray(b, dtype=float)
-        references = [np.asarray(r) for r in references]
-        x = np.add(x0, x1)  # one scratch array: x0 + x1, then x0 - x1
-        xb = x @ b
+        x = {axis: np.add(x0[axis], x1[axis]) for axis in x0}  # scratch arrays: x0 + x1, then x0 - x1
+        xb = dot(x, b)
         s_b = sign_pm1(xb)
-        plus = [xb if np.array_equal(r, b) else x @ r for r in references]
-        np.subtract(x0, x1, out=x)
+        plus = [xb if np.array_equal(r, b) else dot(x, r) for r in references]
+        for axis, scratch in x.items():
+            np.subtract(x0[axis], x1[axis], out=scratch)
         n_bs = []
         for p, r in zip(plus, references):
-            minus = x @ r
+            minus = dot(x, r)
             n_bs.append(sign_pm1(p) * sign_pm1(minus))
             _mark_near(near, minus)
         _mark_near(near, xb, *(p for p in plus if p is not xb))
@@ -501,12 +474,14 @@ class BranchingModel:
         float64.  `watch`, if given, is called on each pass's (x0, x1) and
         returns a context manager that encloses ``branch_outcomes``.
         """
+        axes = axes_read(a, b, *references)
 
         def kernel(rows, trig_dtype):
-            x0, x1 = self.sample_ontic_batch(u[rows, 0:4], (a, b, *references), trig_dtype)
-            near = np.zeros(len(x0), dtype=bool)
+            x0, x1 = self.sample_ontic_batch(u[rows, 0:4], axes, trig_dtype)
+            u_select = u[rows, 4]
+            near = np.zeros(len(u_select), dtype=bool)
             with watch(x0, x1) if watch else nullcontext():
-                pairs = self.branch_outcomes(a, b, references, x0, x1, u[rows, 4], near)
+                pairs = self.branch_outcomes(a, b, references, x0, x1, u_select, near)
             return [outcome for pair in pairs for outcome in pair], near
 
         outcomes = settle(kernel)

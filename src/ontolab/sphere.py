@@ -16,20 +16,20 @@ the arctan2 round trip can land one sector off, and at the pole u0 == 0;
 there the uniforms' cell, by the rule ``uniform_cell`` states, is the
 defined one.
 
-A sampler passes ``sample_uniform_sphere`` the directions it dots its points
-with, and only the coordinates they read are computed.  Such points are not
-unit vectors unless the directions read x and y; nothing bins them, since
-every histogram takes its cells from ``uniform_cell`` or from the atoms.
-A kernel that reads one or two coordinates as they are takes them from
-``uniform_coordinates``, the construction the sampler's columns come from,
-with no (n, 3) array.
+A kernel reads sphere points through ``uniform_coordinates``, for the
+axes some direction it dots them with reads (``axes_read``), and dots them
+with ``dot``: the sum of d_k times coordinate k over the nonzero components
+d_k, in the order x, y, z.  numpy's elementwise multiply and add are
+correctly rounded on every CPU, so a dot has the same bits on any machine
+and on any subset of rows, which a BLAS gemv does not promise.
+``sample_uniform_sphere`` stacks all three coordinates as unit vectors.
 
-Both take their sine and cosine in float64 by default: that is the exact
-path, whose bits every outcome has.  With ``trig_dtype=np.float32`` they
-take them in float32 of float32(phi), some 20 times faster, and each
-coordinate then lies within ``FLOAT32_MARGIN / 8`` of the exact one.  A
-kernel decides from these every outcome whose margin exceeds
-``FLOAT32_MARGIN`` and recomputes the rest on the exact path
+``uniform_coordinates`` takes its sine and cosine in float64 by default:
+that is the exact path, whose bits every outcome has.  With
+``trig_dtype=np.float32`` it takes them in float32 of float32(phi), some 20
+times faster, and each coordinate then lies within ``FLOAT32_MARGIN / 8``
+of the exact one.  A kernel decides from these every outcome whose margin
+exceeds ``FLOAT32_MARGIN`` and recomputes the rest on the exact path
 (``models.settle``), so no outcome changes.
 """
 
@@ -56,20 +56,18 @@ FULL_SOLID_ANGLE = 4.0 * np.pi
 FLOAT32_MARGIN = 2.0**-18
 
 
-def uniform_coordinates(u: np.ndarray, axes, out=None, trig_dtype=np.float64) -> tuple[np.ndarray, ...]:
-    """Coordinates `axes` (0, 1, 2 for x, y, z) of the uniform points of uniforms u, shape (n, 2).
+def uniform_coordinates(u: np.ndarray, axes, trig_dtype=np.float64) -> dict[int, np.ndarray]:
+    """Coordinates `axes` (0, 1, 2 for x, y, z) of the uniform points of uniforms u, shape (n, 2), as fresh arrays by axis.
 
     Equal-area construction: z = 2*u0 - 1, phi = 2*pi*u1, and
     (x, y) = r (cos phi, sin phi) with r = sqrt(max(0, 1 - z^2)); z, r and
-    phi are computed once for all the axes asked.  Each coordinate is
-    written into its array of `out` if given (a column of a larger array
-    will do), else into a fresh one.  With ``trig_dtype=np.float32`` the
-    sine and cosine are taken in float32 of float32(phi), within
-    ``FLOAT32_MARGIN / 8`` of the float64 ones; z is exact either way.
+    phi are computed once for all the axes asked.  With
+    ``trig_dtype=np.float32`` the sine and cosine are taken in float32 of
+    float32(phi), within ``FLOAT32_MARGIN / 8`` of the float64 ones; z is
+    exact either way.
     """
     u = np.asarray(u, dtype=float)
-    out = tuple(np.empty(len(u)) for _ in axes) if out is None else tuple(out)
-    columns = dict(zip(axes, out))
+    columns = {axis: np.empty(len(u)) for axis in axes}
     z = columns.get(2, np.empty(len(u)))
     np.multiply(u[:, 0], 2.0, out=z)
     z -= 1.0
@@ -83,31 +81,41 @@ def uniform_coordinates(u: np.ndarray, axes, out=None, trig_dtype=np.float64) ->
             if axis in columns:
                 trig(phi, out=columns[axis])
                 columns[axis] *= r
-    return out
+    return columns
 
 
-def sample_uniform_sphere(u: np.ndarray, directions, trig_dtype=np.float64) -> np.ndarray:
-    """Map uniforms u of shape (n, 2) to points uniform on S^2, as a C-ordered (n, 3) array.
+def axes_read(*directions) -> tuple[int, ...]:
+    """The axes whose coordinates ``dot`` reads for some of the 3-vectors `directions`, and z.
 
-    The columns are ``uniform_coordinates``, computed in place in the one
-    output array.  `directions` are the 3-vectors the caller dots the
-    points with: x is computed only if some direction has a nonzero x
-    component, y likewise, and r only for x or y; z always is.
-    ``np.eye(3)`` reads every coordinate, giving unit vectors.  A coordinate
-    not computed is +0.0, so the points are not unit vectors and must not be
-    binned.  Their dot product with each given direction has the full
-    sample's bits, except that a zero may change sign: a skipped term is a
-    zero component times a coordinate, an exact +-0 either way.
-    `trig_dtype` is that of ``uniform_coordinates``.
+    x and y are read where some direction has a nonzero component along
+    them (a -0.0 reads nothing).  z always is: ``uniform_coordinates``
+    computes it on the way to x and y, and it gives a zero direction's dot
+    its row count.
     """
-    out = np.empty((len(u), 3))
-    reads = np.asarray(directions, dtype=float)[:, :2].any(axis=0)  # a -0.0 component reads nothing either
-    axes = [axis for axis in (0, 1) if reads[axis]] + [2]
-    uniform_coordinates(u, axes, [out[:, axis] for axis in axes], trig_dtype)
-    for axis in (0, 1):
-        if not reads[axis]:
-            out[:, axis].fill(0.0)
-    return out
+    return (*(axis for axis in (0, 1) if any(d[axis] != 0.0 for d in directions)), 2)
+
+
+def dot(coordinates, direction) -> np.ndarray:
+    """The sum of d_k * coordinates[k] over the nonzero components d_k of `direction`, in the order x, y, z.
+
+    `coordinates` maps an axis to its array, as ``uniform_coordinates``
+    returns them, or is an (n, 3) array's transpose.  The result is a fresh
+    array.  A direction with no nonzero component gives +0.0 in every row.
+    """
+    total = None
+    for axis, component in enumerate(direction):
+        if component != 0.0:
+            term = np.multiply(coordinates[axis], component)
+            total = term if total is None else np.add(total, term, out=total)
+    return np.zeros(len(coordinates[2])) if total is None else total
+
+
+def sample_uniform_sphere(u: np.ndarray) -> np.ndarray:
+    """Map uniforms u of shape (n, 2) to points uniform on S^2, as a C-ordered (n, 3) array of unit vectors.
+
+    The columns are ``uniform_coordinates``.
+    """
+    return np.column_stack(list(uniform_coordinates(u, (0, 1, 2)).values()))
 
 
 def uniform_cell(u: np.ndarray, nz: int, nphi: int) -> np.ndarray:

@@ -19,13 +19,14 @@ independent routes to the same numbers:
   chi-square homogeneity test ``noflow_test`` runs;
 * ``composed_lg_products`` and ``composed_measured_outcomes``: the
   single-world kernels as the sequential reference methods compose them,
-  prepare -> evolve -> measure -> evolve -> measure and prepare -> gemv
-  measure, which the kernels that compute only what their outcomes read
-  must match bit for bit;
+  prepare -> evolve -> measure -> evolve -> measure and prepare -> measure,
+  which the kernels that compute only what their outcomes read must match
+  bit for bit;
 * the ``where_*`` and ``stacked_*`` kernels: the ``np.where``,
   ``astype``, ``np.column_stack`` and two-temporary formulas the branch-free
   int8 and scratch-array kernels of ``models`` and ``sphere`` replaced,
-  which those must match bit for bit.
+  which those must match bit for bit; they dot points with a direction by
+  ``sphere.dot``, as the kernels do.
 """
 
 from __future__ import annotations
@@ -43,11 +44,10 @@ from ontolab.qubit import (
     bloch_to_density,
     check_density,
     density_to_bloch,
-    heisenberg_direction,
     unit_vector,
 )
 from ontolab.rng import Uniforms, map_chunks, substream_seed, uniform_block
-from ontolab.sphere import SphereHistogram, bin_index, tv_distance
+from ontolab.sphere import SphereHistogram, bin_index, dot, tv_distance
 
 HAMILTONIAN = SIGMA_X
 
@@ -103,7 +103,7 @@ def bb_joint_statistics(a, b, runs: int, seed: int) -> np.ndarray:
     """
     bb = BeltramettiBugajski()
     u = uniform_block(seed, range(runs), (0, 1, 2, 3))
-    states = bb.prepare_max_batch(u[:, :2], np.eye(3))
+    states = bb.prepare_max_batch(u[:, :2])
     o1, states = bb.measure_batch(states, np.asarray(a, dtype=float), u[:, 2])
     o2, _ = bb.measure_batch(states, np.asarray(b, dtype=float), u[:, 3])
     cells = ((1 - o1) // 2) * 2 + (1 - o2) // 2
@@ -113,13 +113,11 @@ def bb_joint_statistics(a, b, runs: int, seed: int) -> np.ndarray:
 def composed_lg_products(model, u: Uniforms, pair) -> np.ndarray:
     """o1 * o2 of z measurements at both times of a pair through prepare -> evolve -> measure -> evolve -> measure.
 
-    Evolving to t_first, then measuring z, reads the prepared state along
-    z's Heisenberg direction, so the sample is reduced to it as the
-    sampler allows; u holds the slots of ``OntologicalModel.LG_SLOTS``' layout.
+    u holds the slots of ``OntologicalModel.LG_SLOTS``' layout.
     """
     t_first, t_second = min(pair), max(pair)
     z = np.array([0.0, 0.0, 1.0])
-    states = model.prepare_max_batch(u.columns(range(model.PREP_SLOTS)), (heisenberg_direction(t_first),))
+    states = model.prepare_max_batch(u.columns(range(model.PREP_SLOTS)))
     states = model.evolve_batch(states, t_first, u.get(2))
     o1, states = model.measure_batch(states, z, u.get(3))
     states = model.evolve_batch(states, t_second - t_first, u.get(4))
@@ -128,8 +126,8 @@ def composed_lg_products(model, u: Uniforms, pair) -> np.ndarray:
 
 
 def composed_measured_outcomes(model, u: Uniforms, direction) -> np.ndarray:
-    """Outcomes of prepare -> measure along `direction`, through ``measure_batch`` (a gemv for bb)."""
-    states = model.prepare_max_batch(u.columns(range(model.PREP_SLOTS)), (direction,))
+    """Outcomes of prepare -> measure along `direction`, through ``measure_batch``."""
+    states = model.prepare_max_batch(u.columns(range(model.PREP_SLOTS)))
     return model.measure_batch(states, direction, u.get(2))[0]
 
 
@@ -156,7 +154,7 @@ def invariance_tv(runs: int, rotations: int, seed: int, cap: bool = False, nz: i
             prep = Uniforms(substream_seed(seed, arm), range(lo, lo + n), prep_slots).columns(prep_slots)
             if evolve and cap:
                 prep[:, 0] = 0.75 + 0.25 * prep[:, 0]  # z = 2u - 1 in [0.5, 1]
-            states = bb.prepare_max_batch(prep, np.eye(3))
+            states = bb.prepare_max_batch(prep)
             for dt in durations if evolve else ():
                 states = bb.evolve_batch(states, float(dt))
             return from_points(states, nz, nphi)
@@ -176,7 +174,7 @@ def where_sign_pm1(x) -> np.ndarray:
 
 def where_bb_measure(states: np.ndarray, direction: np.ndarray, u: np.ndarray):
     direction = np.asarray(direction, dtype=float)
-    p_plus = 0.5 * (1.0 + states @ direction)
+    p_plus = 0.5 * (1.0 + dot(states.T, direction))
     outcomes = np.where(np.asarray(u).reshape(-1) < p_plus, 1, -1).astype(np.int8)
     return outcomes, outcomes[:, None].astype(float) * direction[None, :]
 
@@ -190,17 +188,17 @@ def where_telegraph_evolve(states: np.ndarray, gamma: float, dt: float, u: np.nd
     return np.where(np.asarray(u).reshape(-1) < p_flip, -states, states).astype(np.int8)
 
 
-def where_alice(a, x0: np.ndarray, x1: np.ndarray):
-    a = np.asarray(a, dtype=float)
-    s0, s1 = where_sign_pm1(x0 @ a), where_sign_pm1(x1 @ a)
+def where_alice(a, x0, x1):
+    s0, s1 = where_sign_pm1(dot(x0, a)), where_sign_pm1(dot(x1, a))
     return s0, (s0 * s1).astype(np.int8)
 
 
-def where_bob(b, x0: np.ndarray, x1: np.ndarray, references):
-    # x0 + x1 and x0 - x1 as two temporaries; bob_batch reuses one scratch array
-    x_plus, x_minus = x0 + x1, x0 - x1
-    s_b = where_sign_pm1(x_plus @ np.asarray(b, dtype=float))
-    return s_b, [(where_sign_pm1(x_plus @ r) * where_sign_pm1(x_minus @ r)).astype(np.int8) for r in references]
+def where_bob(b, x0, x1, references):
+    # x0 + x1 and x0 - x1 as two temporaries per coordinate; bob_batch reuses one scratch array per coordinate
+    x_plus = {axis: x0[axis] + x1[axis] for axis in x0}
+    x_minus = {axis: x0[axis] - x1[axis] for axis in x0}
+    s_b = where_sign_pm1(dot(x_plus, b))
+    return s_b, [(where_sign_pm1(dot(x_plus, r)) * where_sign_pm1(dot(x_minus, r))).astype(np.int8) for r in references]
 
 
 def where_pair_and_select(s_a, n_a, s_b, n_b, u: np.ndarray):

@@ -530,13 +530,13 @@ class TestMwCheckCommand:
 
     def test_write_in_last_chunk_detected(self, monkeypatch, capsys):
         # 150,000 runs are chunks of 65,536, 65,536 and 18,928 runs; a model
-        # that writes into x0 in the last chunk only must fail the verdict
+        # that writes into a coordinate array of x0 in the last chunk only must fail the verdict
         branch_outcomes = BranchingModel.branch_outcomes
 
         def faulty(self, a, b, references, x0, x1, u_select, near):
             outcomes = branch_outcomes(self, a, b, references, x0, x1, u_select, near)
-            if len(x0) == 18_928:
-                x0[-1] = -x0[-1]
+            if len(u_select) == 18_928:
+                x0[2][-1] = -x0[2][-1]
             return outcomes
 
         monkeypatch.setattr(BranchingModel, "branch_outcomes", faulty)

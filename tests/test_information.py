@@ -36,7 +36,7 @@ from ontolab.information import ALPHA, MIN_POOLED, _homogeneity_test, chi2_sf, c
 from ontolab.models import sign_pm1
 from ontolab.qubit import as_direction
 from ontolab.rng import CHUNK_RUNS, Uniforms, substream_seed, uniform_block
-from ontolab.sphere import histogram_entropy, sample_uniform_sphere
+from ontolab.sphere import dot, histogram_entropy, sample_uniform_sphere
 
 from helpers import from_points, invariance_tv
 
@@ -46,7 +46,7 @@ X = np.array([1.0, 0.0, 0.0])
 
 
 def uniform_points(seed, n):
-    return sample_uniform_sphere(uniform_block(seed, range(n), (0, 1)), np.eye(3))
+    return sample_uniform_sphere(uniform_block(seed, range(n), (0, 1)))
 
 
 def entropy_of(points, nz, nphi):
@@ -202,7 +202,7 @@ class TestNoFlow:
 def _point_path(model, direction, runs: int, seed: int, grids):
     """The prepared and post-measurement histograms the point path gave: each state embedded and binned."""
     u = Uniforms(seed, range(runs), model.SAMPLE_SLOTS)
-    states = model.prepare_max_batch(u.columns(range(model.PREP_SLOTS)), np.eye(3))
+    states = model.prepare_max_batch(u.columns(range(model.PREP_SLOTS)))
     _, post = model.measure_batch(states, direction, u.get(2))
     return [[from_points(model.embed_on_sphere(x), nz, nphi) for nz, nphi in grids] for x in (states, post)]
 
@@ -278,58 +278,75 @@ class TestMemoryIsFlatInRuns:
         assert max(peaks) <= 5 * self.ONE_HISTOGRAM
 
 
+def _collapse_in_place(x0: dict, a) -> None:
+    """Write +-a into x0's coordinate arrays, the sign of a.x0 run by run, as a single-world measurement would."""
+    signs = sign_pm1(dot(x0, a))
+    for axis, coordinate in x0.items():
+        np.multiply(signs, a[axis], out=coordinate)
+
+
 class CollapsingModel(BranchingModel):
-    """A faulty branching model: the first device collapses x0 onto +-a in place, as a single-world measurement would."""
+    """A faulty branching model: the first device collapses x0 onto +-a in place."""
 
     def alice_batch(self, a, x0, x1, near):
         outcomes = super().alice_batch(a, x0, x1, near)
-        x0[:] = sign_pm1(x0 @ a)[:, None] * np.asarray(a, dtype=float)
+        _collapse_in_place(x0, a)
         return outcomes
 
 
 class InPlaceCollapsingModel(BranchingModel):
-    """The same fault written into the sampled x0 array after the whole measurement."""
+    """The same fault written into the sampled x0 arrays after the whole measurement."""
 
     def branch_outcomes(self, a, b, references, x0, x1, u_select, near):
         outcomes = super().branch_outcomes(a, b, references, x0, x1, u_select, near)
-        x0[:] = sign_pm1(x0 @ a)[:, None] * np.asarray(a, dtype=float)
+        _collapse_in_place(x0, a)
+        return outcomes
+
+
+class SwappingModel(BranchingModel):
+    """A faulty branching model that replaces x0's z array with its signs, leaving the array it was handed as it was."""
+
+    def branch_outcomes(self, a, b, references, x0, x1, u_select, near):
+        outcomes = super().branch_outcomes(a, b, references, x0, x1, u_select, near)
+        x0[2] = sign_pm1(x0[2]).astype(float)
         return outcomes
 
 
 class SecondDeviceWritingModel(BranchingModel):
-    """A faulty branching model whose second device writes its record into x1."""
+    """A faulty branching model whose second device writes its record into x1's coordinate arrays."""
 
     def bob_batch(self, b, x0, x1, references, near):
         outcomes = super().bob_batch(b, x0, x1, references, near)
-        x1 += 1e-3 * np.asarray(b, dtype=float)
+        for axis, coordinate in x1.items():
+            coordinate += 1e-3 * b[axis]
         return outcomes
 
 
 class SignedZeroWritingModel(BranchingModel):
-    """A faulty branching model that rewrites a zero component of x0 as -0.0: same value, other bits."""
+    """A faulty branching model that rewrites x0's x coordinate from +0.0 to -0.0: same value, other bits."""
 
-    def sample_ontic_batch(self, u, directions, trig_dtype=np.float64):
-        x0, x1 = super().sample_ontic_batch(u, directions, trig_dtype)
-        x0[:, 0] = 0.0
+    def sample_ontic_batch(self, u, axes, trig_dtype=np.float64):
+        x0, x1 = super().sample_ontic_batch(u, axes, trig_dtype)
+        x0[0][:] = 0.0
         return x0, x1
 
     def branch_outcomes(self, a, b, references, x0, x1, u_select, near):
-        x0[:, 0] = -0.0
+        x0[0][:] = -0.0
         return super().branch_outcomes(a, b, references, x0, x1, u_select, near)
 
 
 class FloatPassWritingModel(BranchingModel):
-    """A faulty branching model that writes into x1 in the float64 pass of ``models.settle`` alone."""
+    """A faulty branching model that writes into x1's z array in the float64 pass of ``models.settle`` alone."""
 
-    def sample_ontic_batch(self, u, directions, trig_dtype=np.float64):
-        x0, x1 = super().sample_ontic_batch(u, directions, trig_dtype)
+    def sample_ontic_batch(self, u, axes, trig_dtype=np.float64):
+        x0, x1 = super().sample_ontic_batch(u, axes, trig_dtype)
         self.float64_pass = trig_dtype == np.float64
         return x0, x1
 
     def branch_outcomes(self, a, b, references, x0, x1, u_select, near):
         outcomes = super().branch_outcomes(a, b, references, x0, x1, u_select, near)
         if self.float64_pass:
-            x1[0] = -x1[0]
+            x1[2][0] = -x1[2][0]
         return outcomes
 
 
@@ -351,6 +368,11 @@ class TestBranchingNoErasure:
         # the check's reference is a copy stored before the measurement;
         # comparing the model's arrays with themselves would miss this fault
         rep = branching_no_erasure_check(Z, X, 50_000, seed=19, model=InPlaceCollapsingModel())
+        assert not rep.immutable
+
+    def test_swapped_array_detected(self):
+        # the comparison reads the mapping the devices were handed, not only the arrays it held at first
+        rep = branching_no_erasure_check(Z, X, 50_000, seed=19, model=SwappingModel())
         assert not rep.immutable
 
     def test_second_device_write_detected(self):

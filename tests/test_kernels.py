@@ -6,23 +6,26 @@ dtype and the same bits as the ``np.where`` / ``column_stack`` reference of
 the same name in ``helpers``, ties included: u == p(+1), u == 0.5 and
 x == +-0.0 (sign(0) := +1 for both zeros).
 
-A sphere sample reduced to the coordinates its directions read must give
-the full sample's outcomes, bit for bit, on every kernel that reduces it:
-the directions' components are +0.0 or -0.0 in any subset, and the times
-include multiples of pi/2.
+Kernels read only the coordinates their directions read
+(``sphere.axes_read``) and must give the full sample's outcomes, bit for
+bit: the directions' components are +0.0 or -0.0 in any subset, and the
+times include multiples of pi/2.  ``sphere.dot`` agrees with the gemv it
+replaced to within rounding.
 
 The single-world kernels that compute only what their outcomes read (bb's
 and the telegraph's ``lg_products``, bb's ``measured_states``) must give the
 bits of the sequential reference they short-cut, prepare -> evolve -> measure
--> evolve -> measure and prepare -> gemv measure (``helpers.composed_*``), at
+-> evolve -> measure and prepare -> measure (``helpers.composed_*``), at
 planted ties of every Born and flip probability they compare against.
 
 Outcomes decided from float32 trigonometry (``models.settle``) must keep
 the float64 path's bits: the float32 coordinates stay within an eighth of
 ``sphere.FLOAT32_MARGIN`` of the float64 ones, rows planted within the
 margin of a Born probability or of a sign flip are recomputed in float64
-and match the exact sample, and the float64 sine, cosine and (n, 3) @ d
-give each gathered row the bits it has in the whole chunk.
+and match the exact sample, and the float64 sine, cosine and dot give each
+gathered row the bits it has in the whole chunk.  So the float64 outcomes
+of one row, or of any subset of rows, computed alone are those rows of the
+whole batch.
 
 The exact cells of the ``information`` histograms are checked against
 ``sphere.bin_index`` on the points they stand for: ``uniform_cell`` against
@@ -31,6 +34,7 @@ at the edges; and the cells ``_atom_histograms`` places the atoms in against
 the binned ``measure_batch`` post states, signed zeros included.
 """
 
+import copy
 import math
 from fractions import Fraction
 
@@ -44,7 +48,15 @@ from ontolab.information import _atom_histograms
 from ontolab.models import sign_pm1
 from ontolab.qubit import as_direction, heisenberg_direction
 from ontolab.rng import Uniforms, uniform_block
-from ontolab.sphere import FLOAT32_MARGIN, bin_index, sample_uniform_sphere, uniform_cell, uniform_coordinates
+from ontolab.sphere import (
+    FLOAT32_MARGIN,
+    axes_read,
+    bin_index,
+    dot,
+    sample_uniform_sphere,
+    uniform_cell,
+    uniform_coordinates,
+)
 
 from helpers import (
     composed_lg_products,
@@ -105,6 +117,11 @@ def same_bits(new: np.ndarray, ref: np.ndarray) -> bool:
     return new.dtype == ref.dtype and new.shape == ref.shape and new.tobytes() == ref.tobytes()
 
 
+def coordinates(points: np.ndarray) -> dict:
+    """The columns of (n, 3) points by axis, as the branching model's devices read them."""
+    return dict(enumerate(points.T))
+
+
 @st.composite
 def pm1(draw, n):
     return draw(arrays(np.int8, n, elements=st.sampled_from([-1, 1])))
@@ -134,7 +151,7 @@ class TestBeltramettiBugajski:
     def test_measure_matches_where(self, data, n):
         states = data.draw(arrays(np.float64, (n, 3), elements=COMPONENTS))
         direction = data.draw(arrays(np.float64, 3, elements=COMPONENTS))
-        u = data.draw(tied(n, 0.5 * (1.0 + states @ direction)))
+        u = data.draw(tied(n, 0.5 * (1.0 + dot(states.T, direction))))
         outcomes, post = BeltramettiBugajski().measure_batch(states, direction, u)
         ref_outcomes, ref_post = where_bb_measure(states, direction, u)
         assert same_bits(outcomes, ref_outcomes)
@@ -176,11 +193,12 @@ class TestBranching:
         a = data.draw(arrays(np.float64, 3, elements=COMPONENTS))
         x0 = data.draw(arrays(np.float64, (n, 3), elements=COMPONENTS))
         x1 = data.draw(arrays(np.float64, (n, 3), elements=COMPONENTS))
+        x0, x1 = coordinates(x0), coordinates(x1)
         near = np.zeros(n, bool)
         for new, ref in zip(BranchingModel().alice_batch(a, x0, x1, near), where_alice(a, x0, x1)):
             assert same_bits(new, ref)
         # near a threshold: some dot whose sign is taken is within the margin of 0
-        assert np.array_equal(near, _near_zero(x0 @ a, x1 @ a))
+        assert np.array_equal(near, _near_zero(dot(x0, a), dot(x1, a)))
 
     @settings(max_examples=200, deadline=None)
     @given(st.data(), SIZES, st.integers(1, 3), st.booleans())
@@ -195,14 +213,15 @@ class TestBranching:
         x1 = data.draw(arrays(np.float64, (n, 3), elements=COMPONENTS))
         stored = x0.copy(), x1.copy()
         near = np.zeros(n, bool)
-        s_b, n_bs = BranchingModel().bob_batch(b, x0, x1, refs, near)
-        ref_s_b, ref_n_bs = where_bob(b, x0, x1, refs)
+        s_b, n_bs = BranchingModel().bob_batch(b, coordinates(x0), coordinates(x1), refs, near)
+        ref_s_b, ref_n_bs = where_bob(b, coordinates(x0), coordinates(x1), refs)
         assert same_bits(s_b, ref_s_b)
         assert len(n_bs) == len(refs) and all(same_bits(new, ref) for new, ref in zip(n_bs, ref_n_bs))
-        # the scratch array is its own, never one of the inputs
+        # the scratch arrays are its own, never the inputs
         assert same_bits(x0, stored[0]) and same_bits(x1, stored[1])
-        plus, minus = x0 + x1, x0 - x1
-        assert np.array_equal(near, _near_zero(plus @ b, *(plus @ r for r in refs), *(minus @ r for r in refs)))
+        plus, minus = coordinates(x0 + x1), coordinates(x0 - x1)
+        dots = dot(plus, b), *(dot(plus, r) for r in refs), *(dot(minus, r) for r in refs)
+        assert np.array_equal(near, _near_zero(*dots))
 
     @settings(max_examples=200, deadline=None)
     @given(st.data(), SIZES)
@@ -221,7 +240,7 @@ class TestBranching:
         # the last reference alone reads y, so the check must sample y for it
         refs = (b, a, np.array([0.0, 0.6, 0.8]))
         u = Uniforms(seed, range(runs), mw.JOINT_SLOTS)
-        x0, x1 = mw.sample_ontic_batch(u.columns(range(4)), np.eye(3))
+        x0, x1 = mw.sample_ontic_batch(u.columns(range(4)), (0, 1, 2))
         expected = np.stack([
             np.bincount(where_joint_cells(o1, o2), minlength=4)
             for o1, o2 in mw.branch_outcomes(a, b, refs, x0, x1, u.get(4), np.zeros(runs, bool))
@@ -233,19 +252,21 @@ class TestSphere:
     @settings(max_examples=200, deadline=None)
     @given(arrays(np.float64, st.tuples(SIZES, st.just(2)), elements=UNIFORMS))
     def test_sample_matches_column_stack(self, u):
-        points = sample_uniform_sphere(u, np.eye(3))
+        points = sample_uniform_sphere(u)
         stacked = stacked_sample_uniform_sphere(u)
         assert points.flags.c_contiguous
         assert same_bits(points, stacked)
         # the coordinates on their own, in fresh arrays, for every set of axes a kernel reads
         for axes in ((0,), (1,), (2,), (1, 2), (0, 2), (0, 1, 2)):
-            for axis, column in zip(axes, uniform_coordinates(u, axes), strict=True):
+            columns = uniform_coordinates(u, axes)
+            assert tuple(columns) == axes
+            for axis, column in columns.items():
                 assert same_bits(column, np.ascontiguousarray(stacked[:, axis]))
 
     @settings(max_examples=200, deadline=None)
     @given(st.data(), SIZES, st.integers(1, 64), st.integers(1, 64))
     def test_bin_index_matches_where(self, data, n, nz, nphi):
-        points = sample_uniform_sphere(data.draw(arrays(np.float64, (n, 2), elements=UNIFORMS)), np.eye(3))
+        points = sample_uniform_sphere(data.draw(arrays(np.float64, (n, 2), elements=UNIFORMS)))
         # rows with y = -0.0: arctan2 gives phi = -0.0 for x > 0 and -pi for x < 0
         points[::2, 1] = -0.0
         assert same_bits(bin_index(points, nz, nphi), where_bin_index(points, nz, nphi))
@@ -256,18 +277,11 @@ class TestSphere:
         assert bin_index(points, 4, 8).tolist() == where_bin_index(points, 4, 8).tolist() == [16, 16]
 
 
-class FullSampleBB(BeltramettiBugajski):
-    """The collapse model computing every coordinate of its preparation, whatever its kernels read."""
-
-    def prepare_max_batch(self, u, directions):
-        return super().prepare_max_batch(u, np.eye(3))
-
-
 class FullSampleMW(BranchingModel):
     """The branching model computing every coordinate of (x0, x1) in float64, whatever its kernels read."""
 
-    def sample_ontic_batch(self, u, directions, trig_dtype=np.float64):
-        return super().sample_ontic_batch(u, np.eye(3))
+    def sample_ontic_batch(self, u, axes, trig_dtype=np.float64):
+        return super().sample_ontic_batch(u, (0, 1, 2))
 
 
 def _tied_uniforms(seed: int, runs: int, slots) -> Uniforms:
@@ -284,41 +298,42 @@ class TestReadCoordinates:
         arrays(np.float64, st.tuples(SIZES, st.just(2)), elements=UNIFORMS),
         st.lists(sparse_direction(), min_size=1, max_size=3),
     )
-    def test_unread_coordinates_are_plus_zero_and_the_rest_full(self, u, directions):
-        reduced = sample_uniform_sphere(u, directions)
-        full = sample_uniform_sphere(u, np.eye(3))
+    def test_axes_read_give_the_full_dot(self, u, directions):
+        axes = axes_read(*directions)
+        # x and y where some component along them is nonzero (+0.0 and -0.0 read nothing), and z always
         read = np.array(directions).any(axis=0)
-        read[2] = True
-        assert reduced.flags.c_contiguous
-        assert same_bits(reduced[:, read], full[:, read])
-        unread = reduced[:, ~read]
-        assert (unread == 0.0).all() and not np.signbit(unread).any()
+        assert axes == (*np.flatnonzero(read[:2]).tolist(), 2)
+        reduced, full = uniform_coordinates(u, axes), uniform_coordinates(u, (0, 1, 2))
+        for d in directions:
+            assert same_bits(dot(reduced, d), dot(full, d))
+            assert same_bits(dot(full, d), dot(sample_uniform_sphere(u).T, d))
+        # a direction with no nonzero component dots to +0.0
+        zero = dot(reduced, np.array([0.0, -0.0, 0.0]))
+        assert same_bits(zero, np.zeros(len(u)))
 
     @settings(max_examples=100, deadline=None)
-    @given(
-        arrays(np.float64, st.tuples(SIZES, st.just(2)), elements=UNIFORMS),
-        arrays(np.float64, 3, elements=COMPONENTS.filter(lambda c: c != 0.0)),
-    )
-    def test_direction_with_no_zero_component_computes_every_coordinate(self, u, d):
-        assert same_bits(sample_uniform_sphere(u, (d,)), sample_uniform_sphere(u, np.eye(3)))
+    @given(arrays(np.float64, 3, elements=COMPONENTS.filter(lambda c: c != 0.0)))
+    def test_direction_with_no_zero_component_computes_every_coordinate(self, d):
+        assert axes_read(d) == (0, 1, 2)
 
     @settings(max_examples=200, deadline=None)
     @given(st.data(), SIZES, sparse_direction())
     def test_bb_measure_outcomes_match_full_sample(self, data, n, d):
         u = data.draw(arrays(np.float64, (n, 2), elements=UNIFORMS))
         bb = BeltramettiBugajski()
-        full = bb.prepare_max_batch(u, np.eye(3))
+        full = bb.prepare_max_batch(u)
         # ties at the full sample's Born probability, where a changed bit would flip an outcome
-        u_measure = data.draw(tied(n, 0.5 * (1.0 + full @ d)))
-        reduced = bb.prepare_max_batch(u, (d,))
-        assert same_bits(bb.measure_batch(reduced, d, u_measure)[0], bb.measure_batch(full, d, u_measure)[0])
+        u_measure = data.draw(tied(n, 0.5 * (1.0 + dot(full.T, d))))
+        reduced = uniform_coordinates(u, axes_read(d))
+        born = 2 * (u_measure < 0.5 * (1.0 + dot(reduced, d))).view(np.int8) - 1
+        assert same_bits(bb.measure_batch(full, d, u_measure)[0], born)
 
     @settings(max_examples=100, deadline=None)
     @given(sparse_direction(), st.integers(0, 2**32))
     def test_bb_measured_states_outcomes_match_full_sample(self, d, seed):
         u = _tied_uniforms(seed, 240, (0, 1, 2))
-        _, outcomes = BeltramettiBugajski().measured_states(u, d)
-        assert same_bits(outcomes, composed_measured_outcomes(FullSampleBB(), u, d))
+        bb = BeltramettiBugajski()
+        assert same_bits(bb.measured_states(u, d)[1], composed_measured_outcomes(bb, u, d))
 
     @settings(max_examples=200, deadline=None)
     @given(st.data(), SIZES, st.lists(sparse_direction(), min_size=3, max_size=5))
@@ -326,8 +341,8 @@ class TestReadCoordinates:
         a, b, *refs = directions
         u = data.draw(arrays(np.float64, (n, 5), elements=UNIFORMS))
         mw = BranchingModel()
-        reduced = mw.sample_ontic_batch(u[:, :4], (a, b, *refs))
-        full = mw.sample_ontic_batch(u[:, :4], np.eye(3))
+        reduced = mw.sample_ontic_batch(u[:, :4], axes_read(*directions))
+        full = mw.sample_ontic_batch(u[:, :4], (0, 1, 2))
         got = mw.branch_outcomes(a, b, refs, *reduced, u[:, 4], np.zeros(n, bool))
         want = mw.branch_outcomes(a, b, refs, *full, u[:, 4], np.zeros(n, bool))
         assert len(got) == len(refs)
@@ -338,8 +353,8 @@ class TestReadCoordinates:
     @given(TIMES, TIMES, st.integers(0, 2**32))
     def test_lg_products_match_full_sample(self, t1, t2, seed):
         u = _tied_uniforms(seed, 240, tuple(range(6)))
-        bb_products = BeltramettiBugajski().lg_products(u, (t1, t2))
-        assert same_bits(bb_products, composed_lg_products(FullSampleBB(), u, (t1, t2)))
+        bb = BeltramettiBugajski()
+        assert same_bits(bb.lg_products(u, (t1, t2)), composed_lg_products(bb, u, (t1, t2)))
         assert same_bits(BranchingModel().lg_products(u, (t1, t2)), FullSampleMW().lg_products(u, (t1, t2)))
 
 
@@ -356,7 +371,7 @@ class TestLeanKernels:
         u = _tied_uniforms(seed, 240, tuple(range(6)))
         t_first, t_second = min(pair), max(pair)
         # ties at both Born probabilities: the evolved z row, and cos 2(t2 - t1) for either first outcome
-        evolved = bb.evolve_batch(bb.prepare_max_batch(u.columns((0, 1)), np.eye(3)), t_first)
+        evolved = bb.evolve_batch(bb.prepare_max_batch(u.columns((0, 1))), t_first)
         u.get(3)[::4] = 0.5 * (1.0 + evolved[::4, 2])
         c = np.cos(2.0 * (t_second - t_first))
         u.get(5)[1::4], u.get(5)[2::4] = 0.5 * (1.0 + c), 0.5 * (1.0 - c)
@@ -385,8 +400,8 @@ class TestLeanKernels:
         bb = BeltramettiBugajski()
         u = _tied_uniforms(seed, 240, (0, 1, 2))
         # ties at the Born probability of every fourth run
-        full = bb.prepare_max_batch(u.columns((0, 1)), np.eye(3))
-        u.get(2)[::4] = 0.5 * (1.0 + full[::4] @ d)
+        full = bb.prepare_max_batch(u.columns((0, 1)))
+        u.get(2)[::4] = 0.5 * (1.0 + dot(full[::4].T, d))
         prepared, outcomes = bb.measured_states(u, d)
         # the collapse model's prepared states are its preparation uniforms, binned by uniform_cell
         for nz, nphi in ((8, 8), (5, 7)):
@@ -396,15 +411,14 @@ class TestLeanKernels:
 
 @pytest.fixture
 def trig_calls(monkeypatch):
-    """(trig dtype, rows) of every sphere sample or coordinate computation the model kernels make, in call order."""
+    """(trig dtype, rows) of every coordinate computation the model kernels make, in call order."""
     calls = []
-    for name in ("uniform_coordinates", "sample_uniform_sphere"):
 
-        def recording(u, *args, trig_dtype=np.float64, compute=getattr(models, name)):
-            calls.append((np.dtype(trig_dtype), len(u)))
-            return compute(u, *args, trig_dtype=trig_dtype)
+    def recording(u, *args, trig_dtype=np.float64, compute=models.uniform_coordinates):
+        calls.append((np.dtype(trig_dtype), len(u)))
+        return compute(u, *args, trig_dtype=trig_dtype)
 
-        monkeypatch.setattr(models, name, recording)
+    monkeypatch.setattr(models, "uniform_coordinates", recording)
     return calls
 
 
@@ -478,15 +492,12 @@ class TestFloat32Trig:
         assert same_bits(rough[2], exact[2])
         for axis in (0, 1):
             assert np.abs(rough[axis] - exact[axis]).max() <= FLOAT32_MARGIN / 8
-        # the sampler's columns are the same coordinates, in float32 trigonometry too
-        points = sample_uniform_sphere(u[:1000], np.eye(3), trig_dtype=np.float32)
-        assert same_bits(points, np.column_stack([c[:1000] for c in rough]))
 
     @pytest.mark.parametrize("pair", [(math.pi / 8, 3 * math.pi / 8), (0.3, 1.1), (-1.0, 0.5), (0.7, 0.9)])
     def test_bb_lg_products_planted_at_the_born_probability(self, trig_calls, monkeypatch, pair):
         bb = BeltramettiBugajski()
         u = Uniforms(5, range(PLANTED_RUNS), tuple(range(6)))
-        evolved = bb.evolve_batch(bb.prepare_max_batch(u.columns((0, 1)), np.eye(3)), min(pair))
+        evolved = bb.evolve_batch(bb.prepare_max_batch(u.columns((0, 1))), min(pair))
         _plant_born(u.get(3), 0.5 * (1.0 + evolved[:, 2]))
         exact = composed_lg_products(bb, u, pair)
         trig_calls.clear()
@@ -500,7 +511,7 @@ class TestFloat32Trig:
     def test_bb_measured_states_planted_at_the_born_probability(self, trig_calls, monkeypatch, d):
         bb = BeltramettiBugajski()
         u = Uniforms(6, range(PLANTED_RUNS), (0, 1, 2))
-        _plant_born(u.get(2), 0.5 * (1.0 + bb.prepare_max_batch(u.columns((0, 1)), np.eye(3)) @ d))
+        _plant_born(u.get(2), 0.5 * (1.0 + dot(bb.prepare_max_batch(u.columns((0, 1))).T, d)))
         exact = composed_measured_outcomes(bb, u, d)
         trig_calls.clear()
         assert same_bits(bb.measured_states(u, d)[1], exact)
@@ -512,11 +523,12 @@ class TestFloat32Trig:
     def test_mw_dots_planted_near_zero(self, trig_calls, monkeypatch, a, b):
         mw, exact_mw = BranchingModel(), FullSampleMW()
         u = _planted_mw_uniforms(7, a, b)
-        x0, x1 = exact_mw.sample_ontic_batch(u[:, :4], None)
+        x0, x1 = exact_mw.sample_ontic_batch(u[:, :4], (0, 1, 2))
+        plus, minus = ({k: op(x0[k], x1[k]) for k in x0} for op in (np.add, np.subtract))
         # each planted dot is within the margin, nonzero, and on the side it was planted on
         quarter = PLANTED_RUNS // 4
-        planted = np.concatenate([(x0 @ a)[:quarter:2], (x1 @ a)[quarter : 2 * quarter : 2],
-                                  ((x0 + x1) @ b)[2 * quarter : 3 * quarter : 2], ((x0 - x1) @ b)[3 * quarter :: 2]])
+        planted = np.concatenate([dot(x0, a)[:quarter:2], dot(x1, a)[quarter : 2 * quarter : 2],
+                                  dot(plus, b)[2 * quarter : 3 * quarter : 2], dot(minus, b)[3 * quarter :: 2]])
         assert (np.abs(np.abs(planted) - 1e-7) < 1e-12).all()
         exact = exact_mw.run_experiment_batch(a, b, u)
         trig_calls.clear()
@@ -529,23 +541,6 @@ class TestFloat32Trig:
         assert joints[0].immutable and np.array_equal(joints[0].joint, joints[1].joint)
         monkeypatch.setattr(models, "FLOAT32_MARGIN", 0.0)
         assert not all(same_bits(g, w) for g, w in zip(mw.run_experiment_batch(a, b, u), exact))
-
-    def test_lone_row_keeps_the_gemv_bits(self, trig_calls):
-        bb, d = BeltramettiBugajski(), BB_DIRECTIONS[3]
-        u = Uniforms(8, range(PLANTED_RUNS), (0, 1, 2))
-        points = bb.prepare_max_batch(u.columns((0, 1)), np.eye(3))
-        whole = points @ d
-        (rounds_up,) = np.nonzero([(points[[row]] @ d)[0] > whole[row] for row in range(PLANTED_RUNS)])
-        if not len(rounds_up):
-            pytest.skip("numpy's one-row dot product rounds every row as this BLAS's gemv does")
-        # every run far from its Born probability but one, tied with it: a one-row recompute would read +1
-        p = 0.5 * (1.0 + whole)
-        u.get(2)[:] = np.where(p < 0.5, p + 0.25, p - 0.25)
-        u.get(2)[rounds_up[0]] = p[rounds_up[0]]
-        trig_calls.clear()
-        outcomes = bb.measured_states(u, d)[1]
-        assert _float64_rows(trig_calls, PLANTED_RUNS) == [2] and outcomes[rounds_up[0]] == -1
-        assert same_bits(outcomes, composed_measured_outcomes(bb, u, d))
 
     @pytest.mark.parametrize("margin", [0.01, math.inf])
     @pytest.mark.parametrize("seed", [0, 3])
@@ -582,15 +577,74 @@ class TestExactRowsAnywhere:
 
     @pytest.mark.parametrize("d", [*BB_DIRECTIONS, *(d for pair in MW_PAIRS for d in pair)])
     def test_gemv(self, d):
-        points = sample_uniform_sphere(uniform_block(13, range(rng.CHUNK_RUNS), (0, 1)), np.eye(3))
-        whole = points @ d
+        # the elementwise dot that replaced the (n, 3) @ d gemv: the same dot product to within rounding,
+        # and, unlike the gemv, the same bits for every gathered row, a lone row included
+        u = uniform_block(13, range(rng.CHUNK_RUNS), (0, 1))
+        whole = dot(uniform_coordinates(u, axes_read(d)), d)
+        assert np.abs(whole - sample_uniform_sphere(u) @ d).max() <= 2.0**-51
         picker = np.random.default_rng(1)
-        for m in self.GATHERED:
-            rows = np.sort(picker.choice(len(points), m, replace=False))
-            assert same_bits(points[rows] @ d, whole[rows])
-        # a lone row is recomputed twice over, as a two-row gemv: numpy takes (1, 3) @ d as a dot product
-        for row in picker.choice(len(points), 50, replace=False):
-            assert same_bits((points[[row, row]] @ d)[:1], whole[[row]])
+        for m in (1, *self.GATHERED):
+            rows = np.sort(picker.choice(len(u), m, replace=False))
+            assert same_bits(dot(uniform_coordinates(u[rows], axes_read(d)), d), whole[rows])
+
+
+def _rows_of(u: Uniforms, rows) -> Uniforms:
+    """The uniforms of `rows` of u alone, as a kernel is handed them."""
+    subset = copy.copy(u)
+    subset.block = u.block[rows]
+    return subset
+
+
+class TestRowsAlone:
+    """Float64 outcomes computed for one row, or for a random subset of rows, are those rows of the whole batch.
+
+    ``models.settle`` recomputes the rows near a threshold on their own, so
+    a row's float64 outcome must not depend on the rows computed with it.
+    With ``FLOAT32_MARGIN`` at inf every row takes the float64 pass.  The
+    collapse model's uniforms are tied with the whole batch's Born
+    probabilities on every row, where a dot that rounded up alone would
+    flip the outcome.
+    """
+
+    @pytest.fixture(autouse=True)
+    def float64_everywhere(self, monkeypatch):
+        monkeypatch.setattr(models, "FLOAT32_MARGIN", math.inf)
+
+    @staticmethod
+    def assert_rows_alone_match(outcomes, seed: int) -> None:
+        """outcomes(rows), a list of arrays, for lone rows and random subsets against the whole batch's."""
+        whole = outcomes(slice(None))
+        picker = np.random.default_rng(seed)
+        subsets = [[row] for row in picker.choice(PLANTED_RUNS, 25, replace=False)]
+        subsets += [np.sort(picker.choice(PLANTED_RUNS, m, replace=False)) for m in (2, 17, 1000)]
+        for rows in subsets:
+            for got, want in zip(outcomes(rows), whole, strict=True):
+                assert same_bits(got, want[rows])
+
+    @pytest.mark.parametrize("d", [*BB_DIRECTIONS, np.zeros(3)], ids=["x", "-y", "xz", "xyz", "zero"])
+    def test_bb_measured_states(self, d):
+        bb = BeltramettiBugajski()
+        u = Uniforms(9, range(PLANTED_RUNS), (0, 1, 2))
+        u.get(2)[:] = 0.5 * (1.0 + dot(bb.prepare_max_batch(u.columns((0, 1))).T, d))
+        self.assert_rows_alone_match(lambda rows: [bb.measured_states(_rows_of(u, rows), d)[1]], seed=1)
+
+    @pytest.mark.parametrize("pair", [(math.pi / 8, 3 * math.pi / 8), (0.3, 1.1)])
+    def test_bb_lg_products(self, pair):
+        bb = BeltramettiBugajski()
+        u = Uniforms(10, range(PLANTED_RUNS), tuple(range(6)))
+        evolved = bb.evolve_batch(bb.prepare_max_batch(u.columns((0, 1))), min(pair))
+        u.get(3)[:] = 0.5 * (1.0 + evolved[:, 2])
+        self.assert_rows_alone_match(lambda rows: [bb.lg_products(_rows_of(u, rows), pair)], seed=2)
+
+    @pytest.mark.parametrize("a, b", MW_PAIRS, ids=["heisenberg", "general"])
+    def test_mw_branch_outcomes(self, a, b):
+        mw = BranchingModel()
+        u = _planted_mw_uniforms(11, a, b)
+
+        def outcomes(rows):
+            return [o for pair in mw.settled_branch_outcomes(a, b, (b, a), u[rows]) for o in pair]
+
+        self.assert_rows_alone_match(outcomes, seed=3)
 
 
 class TestUniformCell:
@@ -601,7 +655,7 @@ class TestUniformCell:
     def test_matches_bin_index_away_from_sector_edges(self, u, grid):
         nz, nphi = grid
         cells = uniform_cell(u, nz, nphi)
-        binned = bin_index(sample_uniform_sphere(u, np.eye(3)), nz, nphi)
+        binned = bin_index(sample_uniform_sphere(u), nz, nphi)
         assert cells.dtype == np.int64 and ((0 <= cells) & (cells < nz * nphi)).all()
         # the slab is exact on every row, 1 - 2**-53 at nz = 1000 included
         assert np.array_equal(cells // nphi, binned // nphi)
@@ -630,7 +684,7 @@ class TestUniformCell:
 def _measured_post(model, direction, runs=2000, seed=3):
     """measure_batch's outcomes and post states on the model's maximally mixed preparation."""
     u = uniform_block(seed, range(runs), (0, 1, 2))
-    states = model.prepare_max_batch(u[:, : model.PREP_SLOTS], np.eye(3))
+    states = model.prepare_max_batch(u[:, : model.PREP_SLOTS])
     return model.measure_batch(states, direction, u[:, 2])
 
 

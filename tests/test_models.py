@@ -39,6 +39,16 @@ def random_unit(rng, n=1):
     return v / np.linalg.norm(v, axis=1, keepdims=True)
 
 
+def coordinates(points) -> dict:
+    """The coordinates of (n, 3) points (or one 3-vector) by axis, as the branching model's devices read them."""
+    return dict(enumerate(np.asarray(points, dtype=float).reshape(-1, 3).T))
+
+
+def stacked(x: dict) -> np.ndarray:
+    """The (n, 3) points of coordinates by axis."""
+    return np.column_stack([x[axis] for axis in range(3)])
+
+
 def uniformity_pvalue(points, nz=8, nphi=16):
     counts = from_points(points, nz, nphi).counts.ravel()
     return chisquare(counts).pvalue
@@ -52,14 +62,14 @@ class TestSign:
 class TestBeltramettiBugajski:
     def test_prepare_uniform_mean_and_chisquare(self):
         bb = BeltramettiBugajski()
-        states = bb.prepare_max_batch(uniform_block(1, range(1_000_000), (0, 1)), np.eye(3))
+        states = bb.prepare_max_batch(uniform_block(1, range(1_000_000), (0, 1)))
         assert np.linalg.norm(states.mean(axis=0)) <= 0.005
         assert uniformity_pvalue(states) > 0.001
 
     def test_prepare_reproducible_under_seed(self):
         bb = BeltramettiBugajski()
-        first = bb.prepare_max_batch(uniform_block(123, range(100), (0, 1)), np.eye(3))
-        second = bb.prepare_max_batch(uniform_block(123, range(100), (0, 1)), np.eye(3))
+        first = bb.prepare_max_batch(uniform_block(123, range(100), (0, 1)))
+        second = bb.prepare_max_batch(uniform_block(123, range(100), (0, 1)))
         assert np.array_equal(first, second)
         assert np.abs(np.linalg.norm(first, axis=1) - 1.0).max() <= 1e-12
 
@@ -83,7 +93,7 @@ class TestBeltramettiBugajski:
         bb = BeltramettiBugajski()
         runs = 100_000
         u = uniform_block(3, range(runs), (0, 1, 2))
-        states = bb.prepare_max_batch(u[:, :2], np.eye(3))
+        states = bb.prepare_max_batch(u[:, :2])
         direction = random_unit(np.random.default_rng(5))[0]
         outcomes, _ = bb.measure_batch(states, direction, u[:, 2])
         assert abs(outcomes.astype(float).mean()) <= 5 / math.sqrt(runs)
@@ -102,7 +112,7 @@ class TestBeltramettiBugajski:
 
     def test_evolve_preserves_uniformity(self):
         bb = BeltramettiBugajski()
-        states = bb.prepare_max_batch(uniform_block(7, range(400_000), (0, 1)), np.eye(3))
+        states = bb.prepare_max_batch(uniform_block(7, range(400_000), (0, 1)))
         evolved = bb.evolve_batch(states, 1.2345)
         assert uniformity_pvalue(evolved) > 0.001
 
@@ -185,7 +195,7 @@ class TestBranchingModel:
     def test_sample_ontic_independent_and_uniform(self):
         mw = BranchingModel()
         u = uniform_block(20, range(1_000_000), (0, 1, 2, 3))
-        x0, x1 = mw.sample_ontic_batch(u, np.eye(3))
+        x0, x1 = map(stacked, mw.sample_ontic_batch(u, (0, 1, 2)))
         dot = (x0 * x1).sum(axis=1)
         assert abs(dot.mean()) <= 0.005
         assert uniformity_pvalue(x0) > 0.001
@@ -193,31 +203,30 @@ class TestBranchingModel:
 
     def test_sample_ontic_reproducible(self):
         mw = BranchingModel()
-        a = mw.sample_ontic_batch(uniform_block(3, range(100), (0, 1, 2, 3)), np.eye(3))
-        b = mw.sample_ontic_batch(uniform_block(3, range(100), (0, 1, 2, 3)), np.eye(3))
-        assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
+        a, b = (mw.sample_ontic_batch(uniform_block(3, range(100), (0, 1, 2, 3)), (0, 1, 2)) for _ in range(2))
+        assert all(np.array_equal(stacked(x), stacked(y)) for x, y in zip(a, b))
 
     def test_first_party_sign_cases(self):
         mw = BranchingModel()
         x0 = random_unit(np.random.default_rng(4))[0]
-        _, x1 = mw.sample_ontic_batch(uniform_block(4, range(1), (0, 1, 2, 3)), np.eye(3))
-        s, n = mw.alice_batch(x0, x0[None, :], x1, np.zeros(1, bool))
+        _, x1 = mw.sample_ontic_batch(uniform_block(4, range(1), (0, 1, 2, 3)), (0, 1, 2))
+        s, n = mw.alice_batch(x0, coordinates(x0), x1, np.zeros(1, bool))
         assert s[0] == 1
         # opposite-hemisphere second vector flips the device bit
-        _, n = mw.alice_batch(x0, x0[None, :], -x0[None, :], np.zeros(1, bool))
+        _, n = mw.alice_batch(x0, coordinates(x0), coordinates(-x0), np.zeros(1, bool))
         assert n[0] == -1
 
     def test_first_party_outcome_unbiased(self):
         mw = BranchingModel()
         u = uniform_block(21, range(100_000), (0, 1, 2, 3))
-        x0, x1 = mw.sample_ontic_batch(u, np.eye(3))
-        s, _ = mw.alice_batch(Z, x0, x1, np.zeros(len(x0), bool))
+        x0, x1 = mw.sample_ontic_batch(u, (0, 1, 2))
+        s, _ = mw.alice_batch(Z, x0, x1, np.zeros(len(u), bool))
         assert abs(s.astype(float).mean()) <= 5 / math.sqrt(100_000)
 
     def test_second_party_sum_direction_certain(self):
         mw = BranchingModel()
-        x0, x1 = mw.sample_ontic_batch(uniform_block(5, range(1), (0, 1, 2, 3)), np.eye(3))
-        x_plus = (x0 + x1)[0]
+        x0, x1 = mw.sample_ontic_batch(uniform_block(5, range(1), (0, 1, 2, 3)), (0, 1, 2))
+        x_plus = (stacked(x0) + stacked(x1))[0]
         b = x_plus / np.linalg.norm(x_plus)
         s, _ = mw.bob_batch(b, x0, x1, (b,), np.zeros(1, bool))
         assert s[0] == 1
@@ -226,7 +235,7 @@ class TestBranchingModel:
         # b orthogonal to x0 - x1: the difference factor is sign(0) = +1
         mw = BranchingModel()
         b = (Z + X) / math.sqrt(2)
-        s, (n,) = mw.bob_batch(b, Z[None, :], X[None, :], (b,), np.zeros(1, bool))
+        s, (n,) = mw.bob_batch(b, coordinates(Z), coordinates(X), (b,), np.zeros(1, bool))
         assert s[0] == 1 and n[0] == 1
 
     def test_pairing_rule_cases(self):
@@ -262,11 +271,11 @@ class TestBranchingModel:
     def test_system_vectors_immutable(self):
         mw = BranchingModel()
         u = uniform_block(31, range(10_000), (0, 1, 2, 3, 4))
-        x0, x1 = mw.sample_ontic_batch(u[:, 0:4], np.eye(3))
-        stored = x0.copy(), x1.copy()
-        mw.branch_outcomes(Z, X, (X, Z), x0, x1, u[:, 4], np.zeros(len(x0), bool))
-        assert np.array_equal(x0, stored[0])
-        assert np.array_equal(x1, stored[1])
+        x0, x1 = mw.sample_ontic_batch(u[:, 0:4], (0, 1, 2))
+        stored = stacked(x0), stacked(x1)
+        mw.branch_outcomes(Z, X, (X, Z), x0, x1, u[:, 4], np.zeros(len(u), bool))
+        assert np.array_equal(stacked(x0), stored[0])
+        assert np.array_equal(stacked(x1), stored[1])
 
     def test_joint_statistics_match_oracle(self):
         rng = np.random.default_rng(9)
@@ -327,11 +336,11 @@ class TestCausalityStructure:
     def test_pre_measurement_ensemble_setting_independent(self, model_name):
         model = make_model(model_name)
         u = uniform_block(50, range(50_000), (0, 1, 2))
-        states_for_z = model.prepare_max_batch(u[:, 0 : model.PREP_SLOTS], np.eye(3))
-        states_for_x = model.prepare_max_batch(u[:, 0 : model.PREP_SLOTS], np.eye(3))
+        states_for_z = model.prepare_max_batch(u[:, 0 : model.PREP_SLOTS])
+        states_for_x = model.prepare_max_batch(u[:, 0 : model.PREP_SLOTS])
         assert np.array_equal(states_for_z, states_for_x)
         # and with independent seeds the distributions agree within noise
-        other = model.prepare_max_batch(uniform_block(51, range(50_000), (0, 1, 2))[:, 0 : model.PREP_SLOTS], np.eye(3))
+        other = model.prepare_max_batch(uniform_block(51, range(50_000), (0, 1, 2))[:, 0 : model.PREP_SLOTS])
         h1 = from_points(model.embed_on_sphere(states_for_z), 8, 8)
         h2 = from_points(model.embed_on_sphere(other), 8, 8)
         from ontolab.information import ALPHA, _homogeneity_test

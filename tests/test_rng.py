@@ -26,7 +26,7 @@ from ontolab.rng import (
 
 Z = np.array([0.0, 0.0, 1.0])
 X = np.array([1.0, 0.0, 0.0])
-# no zero component: the collapse model measures along it with a gemv, along X and Z without
+# no zero component: the collapse model dots with all three coordinates, along X and Z with one
 GENERAL = np.array([0.48, 0.6, 0.64])
 
 
