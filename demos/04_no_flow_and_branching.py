@@ -54,7 +54,7 @@ def main():
     exact = sequential_joint(MAXIMALLY_MIXED, [a, b])
     # the second device's bookkeeping along b (the protocol's) and along a, from
     # one draw, each of whose runs is also checked to leave (x0, x1) untouched
-    check = branching_no_erasure_check(a, b, RUNS, seed=44, references=(b, a))
+    check = branching_no_erasure_check(a, b, RUNS, seed=44)
     for variant, probs in zip(("b", "a"), check.joint):
         dev = np.abs(probs - exact).max()
         _, _, p_value = chi_square_test(RUNS * probs.ravel(), RUNS * exact.ravel())

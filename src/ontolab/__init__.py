@@ -53,7 +53,7 @@ from .qubit import (
     sequential_joint,
     von_neumann_entropy,
 )
-from .sphere import SphereHistogram, sample_uniform_sphere, tv_distance
+from .sphere import SphereHistogram, tv_distance
 
 __all__ = [
     "BeltramettiBugajski",
@@ -87,7 +87,6 @@ __all__ = [
     "max_violation_over_34",
     "noflow_test",
     "quantum_correlations",
-    "sample_uniform_sphere",
     "sequential_joint",
     "tv_distance",
     "von_neumann_entropy",

@@ -60,7 +60,7 @@ from .leggett_garg import (
     quantum_correlations,
 )
 from .models import MODEL_NAMES, make_model
-from .qubit import as_direction, joint_expectation, MAXIMALLY_MIXED, sequential_joint
+from .qubit import joint_expectation, MAXIMALLY_MIXED, sequential_joint, unit_vector
 from .rng import resolve_workers
 
 EXIT_OK = 0
@@ -164,8 +164,7 @@ class Output(NamedTuple):
     """What a command reports: its results and their CSV table."""
 
     results: dict
-    columns: tuple[str, ...] = ("quantity", "value")
-    # None: one (quantity, value) row per scalar result
+    # the CSV rows, whose header is the first row's keys; None: one (quantity, value) row per scalar result
     rows: list[dict] | None = None
     # a numerical failure, reported (exit 3) after the output is written
     failure: str | None = None
@@ -185,8 +184,9 @@ def write_output(config: dict, output: Output, fmt: str, out: str | None) -> Non
         if rows is None:
             rows = [{"quantity": k, "value": v} for k, v in output.results.items() if not isinstance(v, list)]
         lines = [f"# {key}={value}" for key, value in config.items()]
-        lines.append(",".join(output.columns))
-        lines += [",".join(_fmt9(row.get(c, "")) for c in output.columns) for row in rows]
+        columns = list(rows[0])
+        lines.append(",".join(columns))
+        lines += [",".join(_fmt9(row.get(c, "")) for c in columns) for row in rows]
         text = "\n".join(lines) + "\n"
     if out:
         with open(out, "w", newline="\n") as fh:
@@ -233,25 +233,20 @@ def cmd_lg(config: dict) -> Output:
         corr = quantum_correlations(scenario)
     else:
         corr = empirical_correlations(_make_model(config), scenario, config["runs"], config["seed"])
-    value = lg_value(corr)
-    rows = [
-        {"quantity": label, "value": c, "stderr": se, "n": n}
-        for label, c, se, n in zip(PAIR_LABELS, corr.values(), corr.stderr, corr.counts)
-    ]
-    rows.append({"quantity": "lg_value", "value": value, "stderr": lg_stderr(corr), "n": sum(corr.counts)})
-    rows.append({"quantity": "classical_bound", "value": CLASSICAL_BOUND, "stderr": "", "n": ""})
-    rows.append({"quantity": "tsirelson_bound", "value": TSIRELSON_BOUND, "stderr": "", "n": ""})
     results = {
         "correlators": {
             label: {"value": c, "stderr": se, "n": n}
             for label, c, se, n in zip(PAIR_LABELS, corr.values(), corr.stderr, corr.counts)
         },
-        "lg_value": value,
+        "lg_value": lg_value(corr),
         "lg_stderr": lg_stderr(corr),
         "classical_bound": CLASSICAL_BOUND,
         "tsirelson_bound": TSIRELSON_BOUND,
     }
-    return Output(results, ("quantity", "value", "stderr", "n"), rows)
+    rows = [{"quantity": label, **entry} for label, entry in results["correlators"].items()]
+    rows.append({"quantity": "lg_value", "value": results["lg_value"], "stderr": results["lg_stderr"], "n": sum(corr.counts)})
+    rows += [{"quantity": q, "value": results[q]} for q in ("classical_bound", "tsirelson_bound")]
+    return Output(results, rows)
 
 
 def cmd_scan(config: dict) -> Output:
@@ -287,7 +282,7 @@ def cmd_erasure(config: dict) -> Output:
         "rows": rows,
         "units": "nats",
     }
-    return Output(results, ("nz", "nphi", "entropy_before", "entropy_after", "gap"), rows)
+    return Output(results, rows)
 
 
 def cmd_noflow(config: dict) -> Output:
@@ -319,13 +314,13 @@ def cmd_noflow(config: dict) -> Output:
 
 def cmd_mwcheck(config: dict) -> Output:
     _require(len(config["dirs"]) == 2, "mwcheck needs --dirs a;b")
-    a, b = (as_direction(d) for d in config["dirs"])
+    a, b = (unit_vector(d) for d in config["dirs"])
     exact = sequential_joint(MAXIMALLY_MIXED, [a, b])
     n = config["runs"]
     # variant b keeps the second device's bookkeeping along b, as the protocol
     # does, variant a along a; both count the same draw, whose every run the
     # no-erasure verdict checks
-    check = branching_no_erasure_check(a, b, n, seed=config["seed"], references=(b, a))
+    check = branching_no_erasure_check(a, b, n, seed=config["seed"])
     probs_b, probs_a = check.joint
     # each variant's four counts, tested for goodness of fit against the oracle's
     p_b, p_a = (chi_square_test(n * probs.ravel(), n * exact.ravel())[2] for probs in (probs_b, probs_a))

@@ -42,9 +42,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng as _rng
-from .errors import ContractMismatchError, InvalidArgumentError
+from .errors import ContractMismatchError
 from .models import BranchingModel, OntologicalModel
-from .qubit import as_direction
+from .qubit import unit_vector
 from .sphere import SphereHistogram, bin_index, histogram_entropy, tv_distance, uniform_cell
 
 #: false-positive rate of every verdict: the two-sided 5-sigma normal tail, ~5.73e-7
@@ -143,7 +143,6 @@ def _merge_each(total: list, part: list) -> list:
 class ErasureReport:
     """Ontic-distribution entropy before/after a measurement whose outcome is discarded."""
 
-    model: str
     setting: tuple[float, float, float]
     runs: int
     resolutions: tuple[tuple[int, int], ...]
@@ -170,10 +169,8 @@ def erasure_report(
     at every requested grid resolution.
     """
     model = _require_single_world(model)
-    if runs < 1:
-        raise InvalidArgumentError("runs must be >= 1")
     resolutions = tuple((int(nz), int(nphi)) for nz, nphi in resolutions)
-    direction = as_direction(setting)
+    direction = unit_vector(setting)
 
     def run_chunk(lo: int, n: int) -> list:
         """Atom counts of the outcomes, then of the prepared states, or the latter's histogram per grid if uniform."""
@@ -190,7 +187,6 @@ def erasure_report(
         before = _atom_histograms(model, direction, *before, resolutions)
     after = _atom_histograms(model, direction, after, resolutions)
     return ErasureReport(
-        model=model.name,
         setting=tuple(direction),
         runs=runs,
         resolutions=resolutions,
@@ -203,7 +199,6 @@ def erasure_report(
 class NoFlowReport:
     """Setting dependence of the post-measurement ontic distribution."""
 
-    model: str
     setting1: tuple[float, float, float]
     setting2: tuple[float, float, float]
     runs: int
@@ -236,9 +231,7 @@ def noflow_test(
     chunk runs both.  The verdict is ``_homogeneity_test``; ``tv`` is the effect size.
     """
     model = _require_single_world(model)
-    if runs < 1:
-        raise InvalidArgumentError("runs must be >= 1")
-    d1, d2 = as_direction(setting1), as_direction(setting2)
+    d1, d2 = unit_vector(setting1), unit_vector(setting2)
     arms = ((d1, _rng.substream_seed(seed, 1)), (d2, _rng.substream_seed(seed, 2)))
 
     def run_chunk(lo: int, n: int) -> np.ndarray:
@@ -252,7 +245,6 @@ def noflow_test(
     [h1], [h2] = (_atom_histograms(model, d, c, ((int(nz), int(nphi)),)) for (d, _), c in zip(arms, counts))
     chi2, df, p_value = _homogeneity_test(h1, h2)
     return NoFlowReport(
-        model=model.name,
         setting1=tuple(d1),
         setting2=tuple(d2),
         runs=runs,
@@ -268,9 +260,10 @@ def noflow_test(
 class BranchingNoErasureReport:
     """The branching pass: its joint statistics and its verdict on leaving the system untouched.
 
-    ``joint[k]`` is the (2, 2) joint distribution of measuring a, then b, with
-    the second device's bookkeeping along the k-th reference; index order
-    matches qubit.OUTCOMES: [0] = +1, [1] = -1.
+    ``joint`` holds two (2, 2) joint distributions of measuring a, then b:
+    ``joint[0]`` with the second device's bookkeeping along b, as the
+    protocol keeps it, and ``joint[1]`` along a, the bookkeeping slip.
+    Index order matches qubit.OUTCOMES: [0] = +1, [1] = -1.
     """
 
     immutable: bool
@@ -283,17 +276,16 @@ def branching_no_erasure_check(
     b,
     runs: int,
     seed: int = 0,
-    references=None,
     model: BranchingModel | None = None,
 ) -> BranchingNoErasureReport:
     """Joint statistics of the branching model, and whether it left (x0, x1) bit-identical in every run.
 
     Each chunk samples the ontic pairs, stores a copy, measures a, then b,
     through ``branch_outcomes`` with the second device's bookkeeping along
-    each of ``references`` (default: the protocol's own, b), counts the
-    outcomes, and compares every coordinate array of the pairs with the
-    copy bit for bit, so a model that writes into the arrays it was handed,
-    or swaps one out, fails.  The outcomes come from
+    b (the protocol's own) and along a (the slip), counts the outcomes of
+    both from the one sample, and compares every coordinate array of the
+    pairs with the copy bit for bit, so a model that writes into the arrays
+    it was handed, or swaps one out, fails.  The outcomes come from
     ``settled_branch_outcomes``, and the copy and the comparison cover both
     of its passes: the float32 pairs of every run and the float64
     pairs of the runs it recomputes.  The check is exact: while it holds,
@@ -301,11 +293,8 @@ def branching_no_erasure_check(
     not on (a, b), so no distribution test of them could add anything.
     Counting is integer-exact, so the result is independent of worker count.
     """
-    if runs < 1:
-        raise InvalidArgumentError("runs must be >= 1")
     model = model if model is not None else BranchingModel()
-    a, b = as_direction(a), as_direction(b)
-    refs = (b,) if references is None else tuple(as_direction(r) for r in references)
+    a, b = unit_vector(a), unit_vector(b)
 
     def run_chunk(lo: int, n: int) -> tuple[np.ndarray, bool]:
         # JOINT_SLOTS layout in models.py: 0-3 ontic pair, 4 branch selection
@@ -324,7 +313,7 @@ def branching_no_erasure_check(
 
         counts = np.stack([
             np.bincount(2 * (o1 < 0).view(np.int8) + (o2 < 0).view(np.int8), minlength=4)
-            for o1, o2 in model.settled_branch_outcomes(a, b, refs, u, unchanged)
+            for o1, o2 in model.settled_branch_outcomes(a, b, (b, a), u, unchanged)
         ])
         return counts, all(same)
 

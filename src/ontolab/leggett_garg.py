@@ -200,8 +200,6 @@ def empirical_correlations(
     C13 and C24 at 2, all but C14 at 1.  An empty pair's correlator and
     stderr are NaN, and so are lg_value and lg_stderr.
     """
-    if runs < 1:
-        raise InvalidArgumentError("runs must be >= 1")
     slots = model.LG_SLOTS
     pair_times = scenario.pair_times()
 

@@ -90,13 +90,6 @@ def heisenberg_direction(t: float) -> np.ndarray:
     return np.array([0.0, math.sin(2 * t), math.cos(2 * t)])
 
 
-def as_direction(setting) -> np.ndarray:
-    """Resolve a measurement setting: a unit Bloch direction, or a time in radians."""
-    if np.isscalar(setting) or getattr(setting, "ndim", None) == 0:
-        return heisenberg_direction(float(setting))
-    return unit_vector(setting)
-
-
 def projector(n, outcome: int) -> np.ndarray:
     """Rank-1 projector onto the +-1 eigenstate of n . sigma."""
     n = unit_vector(n)
@@ -127,8 +120,8 @@ def von_neumann_entropy(rho: np.ndarray) -> float:
 def sequential_joint(rho0: np.ndarray, settings) -> np.ndarray:
     """Exact joint distribution of two sequential projective measurements.
 
-    settings is a pair of measurement settings (directions or times; times
-    resolve through heisenberg_direction).  Returns a (2, 2) array P with
+    settings is a pair of unit Bloch directions (a time t measures along
+    heisenberg_direction(t)).  Returns a (2, 2) array P with
     P[i, j] = Prob(first = OUTCOMES[i], second = OUTCOMES[j])
             = tr(Pi_b Pi_a rho0 Pi_a).
 
@@ -139,7 +132,7 @@ def sequential_joint(rho0: np.ndarray, settings) -> np.ndarray:
     rho0 = check_density(rho0)
     if len(settings) != 2:
         raise InvalidArgumentError(f"need exactly 2 settings, got {len(settings)}")
-    na, nb = (as_direction(s) for s in settings)
+    na, nb = (unit_vector(s) for s in settings)
     probs = np.empty((2, 2))
     for i, a in enumerate(OUTCOMES):
         pa = projector(na, a)

@@ -38,6 +38,8 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
+from .errors import InvalidArgumentError
+
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 GAMMA_RUN = 0x9E3779B97F4A7C15
 GAMMA_SLOT = 0xD1B54A32D192ED03
@@ -163,8 +165,11 @@ def map_chunks(fn, n_runs: int, fold):
     workers chunks are submitted and not yet folded: memory stays flat as
     runs grow, and each worker has a chunk queued.  Chunks run on a thread
     pool shared by every call with the same worker count, so fn must not
-    call map_chunks: a nested call could wait on itself.
+    call map_chunks: a nested call could wait on itself.  n_runs below 1
+    raises InvalidArgumentError.
     """
+    if n_runs < 1:
+        raise InvalidArgumentError("runs must be >= 1")
     spans = [(lo, min(CHUNK_RUNS, n_runs - lo)) for lo in range(0, n_runs, CHUNK_RUNS)]
     nw = resolve_workers()
     if nw <= 1 or len(spans) <= 1:

@@ -89,8 +89,7 @@ def axes_read(*directions) -> tuple[int, ...]:
 
     x and y are read where some direction has a nonzero component along
     them (a -0.0 reads nothing).  z always is: ``uniform_coordinates``
-    computes it on the way to x and y, and it gives a zero direction's dot
-    its row count.
+    computes it on the way to x and y.
     """
     return (*(axis for axis in (0, 1) if any(d[axis] != 0.0 for d in directions)), 2)
 
@@ -100,14 +99,15 @@ def dot(coordinates, direction) -> np.ndarray:
 
     `coordinates` maps an axis to its array, as ``uniform_coordinates``
     returns them, or is an (n, 3) array's transpose.  The result is a fresh
-    array.  A direction with no nonzero component gives +0.0 in every row.
+    array.  `direction` has a nonzero component, as every direction that
+    passed ``qubit.unit_vector`` or ``qubit.heisenberg_direction`` has.
     """
     total = None
     for axis, component in enumerate(direction):
         if component != 0.0:
             term = np.multiply(coordinates[axis], component)
             total = term if total is None else np.add(total, term, out=total)
-    return np.zeros(len(coordinates[2])) if total is None else total
+    return total
 
 
 def sample_uniform_sphere(u: np.ndarray) -> np.ndarray:

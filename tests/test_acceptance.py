@@ -24,6 +24,7 @@ from ontolab import (
     branching_no_erasure_check,
     empirical_correlations,
     erasure_report,
+    heisenberg_direction,
     joint_expectation,
     lg_stderr,
     lg_value,
@@ -88,7 +89,7 @@ def test_c02_correlation_law():
         rng = np.random.default_rng(2026)
         for tk, tl in rng.uniform(0, 2 * np.pi, (1000, 2)):
             expected = math.cos(2 * (tk - tl))
-            e_seq = joint_expectation(sequential_joint(MAXIMALLY_MIXED, [tk, tl]))
+            e_seq = joint_expectation(sequential_joint(MAXIMALLY_MIXED, [heisenberg_direction(tk), heisenberg_direction(tl)]))
             assert abs(e_seq - expected) <= 1e-12
         scenario = LGScenario(0.31, 1.07, 0.84, 2.9)
         for (tk, tl), c in zip(scenario.pair_times(), quantum_correlations(scenario).values()):
@@ -174,7 +175,7 @@ def test_c08_branching_equivalence():
             exact = sequential_joint(MAXIMALLY_MIXED, [a, b])
             # bookkeeping along b (the protocol's) and along a, from one draw,
             # with the system pair bit-identical before and after in every run
-            check = branching_no_erasure_check(a, b, runs, seed=800 + i, references=(b, a))
+            check = branching_no_erasure_check(a, b, runs, seed=800 + i)
             assert check.immutable
             probs, probs_a = check.joint
             # goodness of fit of the four counts, as mwcheck tests them

@@ -34,7 +34,7 @@ from ontolab import information, models
 from ontolab.cli import cmd_mwcheck
 from ontolab.information import ALPHA, MIN_POOLED, _homogeneity_test, chi2_sf, chi_square_test
 from ontolab.models import sign_pm1
-from ontolab.qubit import as_direction
+from ontolab.qubit import heisenberg_direction, unit_vector
 from ontolab.rng import CHUNK_RUNS, Uniforms, substream_seed, uniform_block
 from ontolab.sphere import dot, histogram_entropy, sample_uniform_sphere
 
@@ -171,9 +171,12 @@ class TestErasureReport:
         with pytest.raises(ContractMismatchError):
             erasure_report(BranchingModel(), Z, 100, ((8, 8),), seed=0)
 
-    def test_time_settings_accepted(self):
-        rep = erasure_report(BeltramettiBugajski(), 0.0, 10_000, ((8, 8),), seed=12)
+    def test_settings_are_unit_directions(self):
+        # a time measures along its Heisenberg direction, which the caller passes
+        rep = erasure_report(BeltramettiBugajski(), heisenberg_direction(0.0), 10_000, ((8, 8),), seed=12)
         assert rep.setting == (0.0, 0.0, 1.0)
+        with pytest.raises(InvalidArgumentError, match="3 components"):
+            erasure_report(BeltramettiBugajski(), 0.0, 10_000, ((8, 8),), seed=12)
 
 
 class TestNoFlow:
@@ -230,7 +233,7 @@ class TestExactCells:
     @pytest.mark.parametrize("seed", [0, 7, 20231])
     @pytest.mark.parametrize("model", MODELS, ids=["bb", "telegraph"])
     def test_erasure(self, received, model, seed):
-        d = as_direction((0.0, 0.6, 0.8))
+        d = unit_vector((0.0, 0.6, 0.8))
         erasure_report(model, d, self.RUNS, self.GRIDS, seed=seed)
         before, after = _point_path(model, d, self.RUNS, seed, self.GRIDS)
         assert received == [h.counts.tolist() for h in before + after]

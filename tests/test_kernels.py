@@ -46,7 +46,7 @@ from hypothesis.extra.numpy import arrays
 from ontolab import BeltramettiBugajski, BranchingModel, Telegraph, branching_no_erasure_check, models, rng
 from ontolab.information import _atom_histograms
 from ontolab.models import sign_pm1
-from ontolab.qubit import as_direction, heisenberg_direction
+from ontolab.qubit import heisenberg_direction, unit_vector
 from ontolab.rng import Uniforms, uniform_block
 from ontolab.sphere import (
     FLOAT32_MARGIN,
@@ -76,6 +76,7 @@ from helpers import (
 SIZES = st.integers(0, 40)
 ZEROS = st.sampled_from([0.0, -0.0])
 COMPONENTS = st.floats(-1.0, 1.0) | ZEROS | st.sampled_from([0.5, -0.5, 1.0, -1.0])
+NONZERO = st.floats(2.0**-1074, 1.0) | st.floats(-1.0, -(2.0**-1074)) | st.sampled_from([0.5, -0.5, 1.0, -1.0])
 UNIFORMS = st.floats(0.0, 1.0, exclude_max=True) | st.sampled_from([0.0, 0.5, 0.25, 0.75])
 # counter-mode uniforms: k * 2**-53 for an integer k, as rng.uniform_block makes them
 GRID_UNIFORMS = st.integers(0, 2**53 - 1).map(lambda k: k * 2.0**-53)
@@ -84,7 +85,7 @@ CELL_GRIDS = st.sampled_from([(7, 13), (3, 1000), (1024, 1024)]) | st.integers(1
 )
 # +-x, +-y, +-z as the command line parses them: zero components are +0.0
 AXES = {
-    f"{sign}{letter}": as_direction([float(f"{sign}1") if k == j else 0.0 for k in range(3)])
+    f"{sign}{letter}": unit_vector([float(f"{sign}1") if k == j else 0.0 for k in range(3)])
     for j, letter in enumerate("xyz")
     for sign in ("", "-")
 }
@@ -101,15 +102,20 @@ GAMMAS = st.sampled_from([0.0, 0.3, 1.0, 7.0])
 
 @st.composite
 def sparse_direction(draw):
-    """A 3-vector whose components are each exactly +0.0 or -0.0, or free, in any subset."""
-    return np.array([draw(ZEROS) if draw(st.booleans()) else draw(COMPONENTS) for _ in range(3)])
+    """A 3-vector with a nonzero component on some axis, as every direction that passed qubit.unit_vector has.
+
+    Each other component is exactly +0.0 or -0.0, or free, in any subset.
+    """
+    d = np.array([draw(ZEROS) if draw(st.booleans()) else draw(COMPONENTS) for _ in range(3)])
+    d[draw(st.integers(0, 2))] = draw(NONZERO)
+    return d
 
 
 @st.composite
 def axis_direction(draw):
     """One nonzero component, +-1 or free, on any axis; +0.0 or -0.0 in each other slot."""
     k = draw(st.integers(0, 2))
-    component = draw(st.sampled_from([1.0, -1.0]) | COMPONENTS.filter(lambda c: c != 0.0))
+    component = draw(st.sampled_from([1.0, -1.0]) | NONZERO)
     return np.array([component if j == k else draw(ZEROS) for j in range(3)])
 
 
@@ -150,7 +156,7 @@ class TestBeltramettiBugajski:
     @given(st.data(), SIZES)
     def test_measure_matches_where(self, data, n):
         states = data.draw(arrays(np.float64, (n, 3), elements=COMPONENTS))
-        direction = data.draw(arrays(np.float64, 3, elements=COMPONENTS))
+        direction = data.draw(sparse_direction())
         u = data.draw(tied(n, 0.5 * (1.0 + dot(states.T, direction))))
         outcomes, post = BeltramettiBugajski().measure_batch(states, direction, u)
         ref_outcomes, ref_post = where_bb_measure(states, direction, u)
@@ -190,7 +196,7 @@ class TestBranching:
     @settings(max_examples=200, deadline=None)
     @given(st.data(), SIZES)
     def test_alice_matches_where(self, data, n):
-        a = data.draw(arrays(np.float64, 3, elements=COMPONENTS))
+        a = data.draw(sparse_direction())
         x0 = data.draw(arrays(np.float64, (n, 3), elements=COMPONENTS))
         x1 = data.draw(arrays(np.float64, (n, 3), elements=COMPONENTS))
         x0, x1 = coordinates(x0), coordinates(x1)
@@ -203,8 +209,8 @@ class TestBranching:
     @settings(max_examples=200, deadline=None)
     @given(st.data(), SIZES, st.integers(1, 3), st.booleans())
     def test_bob_matches_two_temporaries(self, data, n, n_refs, b_is_a_reference):
-        b = data.draw(arrays(np.float64, 3, elements=COMPONENTS))
-        refs = [data.draw(arrays(np.float64, 3, elements=COMPONENTS)) for _ in range(n_refs)]
+        b = data.draw(sparse_direction())
+        refs = [data.draw(sparse_direction()) for _ in range(n_refs)]
         if b_is_a_reference:
             # b itself, and b with the sign of each zero component flipped: both reuse b's dot product
             refs[data.draw(st.integers(0, n_refs - 1))] = b
@@ -236,16 +242,15 @@ class TestBranching:
     @given(st.integers(1, 300), st.integers(0, 2**32))
     def test_joint_statistics_cells_match_floor_division(self, runs, seed):
         mw = BranchingModel()
-        a, b = np.array([0.0, 0.0, 1.0]), np.array([0.6, 0.0, 0.8])
-        # the last reference alone reads y, so the check must sample y for it
-        refs = (b, a, np.array([0.0, 0.6, 0.8]))
+        a, b = np.array([0.0, 0.6, 0.8]), np.array([0.6, 0.0, 0.8])
         u = Uniforms(seed, range(runs), mw.JOINT_SLOTS)
         x0, x1 = mw.sample_ontic_batch(u.columns(range(4)), (0, 1, 2))
+        # the bookkeeping along b, then along a
         expected = np.stack([
             np.bincount(where_joint_cells(o1, o2), minlength=4)
-            for o1, o2 in mw.branch_outcomes(a, b, refs, x0, x1, u.get(4), np.zeros(runs, bool))
+            for o1, o2 in mw.branch_outcomes(a, b, (b, a), x0, x1, u.get(4), np.zeros(runs, bool))
         ]).reshape(-1, 2, 2) / runs
-        assert np.array_equal(branching_no_erasure_check(a, b, runs, seed, references=refs).joint, expected)
+        assert np.array_equal(branching_no_erasure_check(a, b, runs, seed).joint, expected)
 
 
 class TestSphere:
@@ -307,12 +312,9 @@ class TestReadCoordinates:
         for d in directions:
             assert same_bits(dot(reduced, d), dot(full, d))
             assert same_bits(dot(full, d), dot(sample_uniform_sphere(u).T, d))
-        # a direction with no nonzero component dots to +0.0
-        zero = dot(reduced, np.array([0.0, -0.0, 0.0]))
-        assert same_bits(zero, np.zeros(len(u)))
 
     @settings(max_examples=100, deadline=None)
-    @given(arrays(np.float64, 3, elements=COMPONENTS.filter(lambda c: c != 0.0)))
+    @given(arrays(np.float64, 3, elements=NONZERO))
     def test_direction_with_no_zero_component_computes_every_coordinate(self, d):
         assert axes_read(d) == (0, 1, 2)
 
@@ -353,8 +355,6 @@ class TestReadCoordinates:
     @given(TIMES, TIMES, st.integers(0, 2**32))
     def test_lg_products_match_full_sample(self, t1, t2, seed):
         u = _tied_uniforms(seed, 240, tuple(range(6)))
-        bb = BeltramettiBugajski()
-        assert same_bits(bb.lg_products(u, (t1, t2)), composed_lg_products(bb, u, (t1, t2)))
         assert same_bits(BranchingModel().lg_products(u, (t1, t2)), FullSampleMW().lg_products(u, (t1, t2)))
 
 
@@ -366,6 +366,7 @@ class TestLeanKernels:
     @example((0.0, 0.0), 1)
     @example((-math.pi / 4, math.pi / 4), 2)
     @example((-0.0, 3 * math.pi / 4), 3)
+    @example((math.pi / 2, -0.0), 4)
     def test_bb_lg_products_match_composition(self, pair, seed):
         bb = BeltramettiBugajski()
         u = _tied_uniforms(seed, 240, tuple(range(6)))
@@ -475,7 +476,7 @@ MW_PAIRS = [
     (heisenberg_direction(math.pi / 8), heisenberg_direction(3 * math.pi / 8)),
     (np.array([1.0, 2.0, 2.0]) / 3.0, np.array([-2.0, 1.0, 2.0]) / 3.0),
 ]
-BB_DIRECTIONS = [AXES["x"], AXES["-y"], as_direction((0.6, 0.0, 0.8)), as_direction((0.48, -0.6, 0.64))]
+BB_DIRECTIONS = [AXES["x"], AXES["-y"], unit_vector((0.6, 0.0, 0.8)), unit_vector((0.48, -0.6, 0.64))]
 
 
 class TestFloat32Trig:
@@ -537,7 +538,7 @@ class TestFloat32Trig:
         assert _float64_rows(trig_calls, PLANTED_RUNS)
         # the no-erasure pass, on the same uniforms, with the bookkeeping along both b and a
         monkeypatch.setattr(rng, "uniform_block", lambda seed, runs, slots: u[runs.start : runs.stop])
-        joints = [branching_no_erasure_check(a, b, PLANTED_RUNS, references=(b, a), model=m) for m in (mw, exact_mw)]
+        joints = [branching_no_erasure_check(a, b, PLANTED_RUNS, model=m) for m in (mw, exact_mw)]
         assert joints[0].immutable and np.array_equal(joints[0].joint, joints[1].joint)
         monkeypatch.setattr(models, "FLOAT32_MARGIN", 0.0)
         assert not all(same_bits(g, w) for g, w in zip(mw.run_experiment_batch(a, b, u), exact))
@@ -553,7 +554,7 @@ class TestFloat32Trig:
                 BeltramettiBugajski().measured_states(u, BB_DIRECTIONS[3])[1],
                 BeltramettiBugajski().measured_states(u, AXES["x"])[1],
                 *BranchingModel().run_experiment_batch(*MW_PAIRS[1], u.columns(range(5))),
-                branching_no_erasure_check(*MW_PAIRS[0], 3000, seed, references=MW_PAIRS[0][::-1]).joint,
+                branching_no_erasure_check(*MW_PAIRS[0], 3000, seed).joint,
             ]
 
         default = outcomes()
@@ -621,7 +622,7 @@ class TestRowsAlone:
             for got, want in zip(outcomes(rows), whole, strict=True):
                 assert same_bits(got, want[rows])
 
-    @pytest.mark.parametrize("d", [*BB_DIRECTIONS, np.zeros(3)], ids=["x", "-y", "xz", "xyz", "zero"])
+    @pytest.mark.parametrize("d", BB_DIRECTIONS, ids=["x", "-y", "xz", "xyz"])
     def test_bb_measured_states(self, d):
         bb = BeltramettiBugajski()
         u = Uniforms(9, range(PLANTED_RUNS), (0, 1, 2))

@@ -282,7 +282,7 @@ class TestBranchingModel:
         runs = 50_000
         for seed in range(10):
             a, b = random_unit(rng)[0], random_unit(rng)[0]
-            (probs,) = branching_no_erasure_check(a, b, runs, seed=seed).joint
+            probs, _ = branching_no_erasure_check(a, b, runs, seed=seed).joint
             exact = sequential_joint(MAXIMALLY_MIXED, [a, b])
             stderr = np.sqrt(exact * (1 - exact) / runs)
             assert (np.abs(probs - exact) <= 5 * stderr + 1e-12).all()
@@ -293,8 +293,8 @@ class TestBranchingModel:
         a = Z
         b = np.array([0.0, math.sin(np.pi / 4), math.cos(np.pi / 4)])
         runs = 200_000
-        # bookkeeping along the first party's direction a, then along b
-        probs, probs_b = branching_no_erasure_check(a, b, runs, seed=10, references=(a, b)).joint
+        # bookkeeping along b, then along the first party's direction a
+        probs_b, probs = branching_no_erasure_check(a, b, runs, seed=10).joint
         exact = sequential_joint(MAXIMALLY_MIXED, [a, b])
         stderr = np.sqrt(exact * (1 - exact) / runs)
         deviation = np.abs(probs - exact)
@@ -306,25 +306,21 @@ class TestBranchingModel:
     def test_references_counted_from_one_draw(self, model):
         a = Z
         b = np.array([0.0, math.sin(np.pi / 4), math.cos(np.pi / 4)])
-        both = branching_no_erasure_check(a, b, 70_000, seed=13, references=(b, a), model=model).joint
+        runs = 70_000
+        both = branching_no_erasure_check(a, b, runs, seed=13, model=model).joint
         assert both.shape == (2, 2, 2)
-        # each reference's table is the one it gets counted alone, and b's is the default
-        assert np.array_equal(both[0], branching_no_erasure_check(a, b, 70_000, seed=13, model=model).joint[0])
-        alone = branching_no_erasure_check(a, b, 70_000, seed=13, references=(a,), model=model).joint
-        assert np.array_equal(both[1], alone[0])
+        # the bookkeeping along b, then along a: each table is the one that reference gets counted alone
+        u = uniform_block(13, range(runs), model.JOINT_SLOTS)
+        for joint, reference in zip(both, (b, a)):
+            ((alpha, beta),) = model.settled_branch_outcomes(a, b, (reference,), u)
+            alone = np.bincount(2 * (alpha < 0) + (beta < 0), minlength=4).reshape(2, 2) / runs
+            assert np.array_equal(joint, alone)
         assert not np.array_equal(both[0], both[1])
-
-    def test_joint_shape_same_with_and_without_references(self):
-        a, b = Z, X
-        default = branching_no_erasure_check(a, b, 1_000, seed=14).joint
-        assert default.shape == (1, 2, 2)
-        assert np.array_equal(branching_no_erasure_check(a, b, 1_000, seed=14, references=(b,)).joint, default)
-        assert branching_no_erasure_check(a, b, 1_000, seed=14, references=(b, a, X)).joint.shape == (3, 2, 2)
 
     def test_expectation_reproduces_dot_product(self):
         rng = np.random.default_rng(11)
         a, b = random_unit(rng)[0], random_unit(rng)[0]
-        (probs,) = branching_no_erasure_check(a, b, 400_000, seed=12).joint
+        probs, _ = branching_no_erasure_check(a, b, 400_000, seed=12).joint
         assert abs(joint_expectation(probs) - float(a @ b)) <= 0.008
 
 

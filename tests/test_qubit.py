@@ -26,7 +26,7 @@ from ontolab import (
     sequential_joint,
     von_neumann_entropy,
 )
-from ontolab.qubit import ATOL, IDENTITY, SIGMA_Z, as_direction, check_density
+from ontolab.qubit import ATOL, IDENTITY, SIGMA_Z, check_density
 
 from helpers import HAMILTONIAN, UndefinedConditionalStateError, evolve, joint_marginals, measure, unitary
 
@@ -211,28 +211,28 @@ class TestDephase:
 
 class TestSequentialJoint:
     def test_pi_8_gap_correlation(self):
-        probs = sequential_joint(MAXIMALLY_MIXED, [0.3, 0.3 + np.pi / 8])
+        probs = sequential_joint(MAXIMALLY_MIXED, [heisenberg_direction(t) for t in (0.3, 0.3 + np.pi / 8)])
         assert abs(joint_expectation(probs) - np.sqrt(2) / 2) <= 1e-12
 
     def test_identical_settings_perfect_correlation(self):
-        probs = sequential_joint(MAXIMALLY_MIXED, [1.1, 1.1])
+        probs = sequential_joint(MAXIMALLY_MIXED, [heisenberg_direction(1.1)] * 2)
         assert abs(joint_expectation(probs) - 1.0) <= 1e-12
 
     def test_pi_4_gap_uncorrelated(self):
-        probs = sequential_joint(MAXIMALLY_MIXED, [0.2, 0.2 + np.pi / 4])
+        probs = sequential_joint(MAXIMALLY_MIXED, [heisenberg_direction(t) for t in (0.2, 0.2 + np.pi / 4)])
         assert abs(joint_expectation(probs)) <= 1e-12
 
     def test_normalization_and_correlation_law_random_times(self):
         rng = np.random.default_rng(10)
         for tk, tl in rng.uniform(0, 2 * np.pi, (200, 2)):
-            probs = sequential_joint(MAXIMALLY_MIXED, [tk, tl])
+            probs = sequential_joint(MAXIMALLY_MIXED, [heisenberg_direction(tk), heisenberg_direction(tl)])
             assert abs(probs.sum() - 1.0) <= 1e-12
             assert abs(joint_expectation(probs) - np.cos(2 * (tk - tl))) <= 1e-12
 
     def test_second_marginal_unbiased_regardless_of_first_setting(self):
         rng = np.random.default_rng(11)
         for tk, tl in rng.uniform(0, 2 * np.pi, (100, 2)):
-            probs = sequential_joint(MAXIMALLY_MIXED, [tk, tl])
+            probs = sequential_joint(MAXIMALLY_MIXED, [heisenberg_direction(tk), heisenberg_direction(tl)])
             _, second = joint_marginals(probs)
             assert_allclose(second, [0.5, 0.5], atol=1e-12)
 
@@ -243,8 +243,8 @@ class TestSequentialJoint:
     def test_general_state_matches_projector_algebra(self):
         # independent oracle: explicit projector products on a pure state
         rho = bloch_to_density([0.6, 0.0, 0.8])
-        na, nb = as_direction(0.5), as_direction(1.9)
-        probs = sequential_joint(rho, [0.5, 1.9])
+        na, nb = heisenberg_direction(0.5), heisenberg_direction(1.9)
+        probs = sequential_joint(rho, [na, nb])
         for i, a in enumerate((1, -1)):
             pa = (IDENTITY + a * (na[0] * np.array([[0, 1], [1, 0]]) + na[1] * np.array([[0, -1j], [1j, 0]]) + na[2] * np.diag([1, -1]))) / 2
             for j, b in enumerate((1, -1)):

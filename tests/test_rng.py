@@ -229,6 +229,11 @@ class TestMapChunks:
         assert map_chunks(chunk, 40 * CHUNK_RUNS, fold) == 40
         assert state["most"] <= 2 * workers
 
+    @pytest.mark.parametrize("runs", [0, -1])
+    def test_no_runs_is_an_invalid_argument(self, runs):
+        with pytest.raises(InvalidArgumentError, match="runs must be >= 1"):
+            map_chunks(lambda lo, n: n, runs, operator.add)
+
     def test_a_failed_call_cancels_its_queued_chunks(self, two_workers):
         ran = []
 
