@@ -55,9 +55,9 @@ def main():
     # the second device's bookkeeping along b (the protocol's) and along a, from
     # one draw, each of whose runs is also checked to leave (x0, x1) untouched
     check = branching_no_erasure_check(a, b, RUNS, seed=44)
-    for variant, probs in zip(("b", "a"), check.joint):
+    for variant, probs, counts in zip(("b", "a"), check.joint, check.counts):
         dev = np.abs(probs - exact).max()
-        _, _, p_value = chi_square_test(RUNS * probs.ravel(), RUNS * exact.ravel())
+        _, _, p_value = chi_square_test(counts.ravel(), RUNS * exact.ravel())
         print(
             f"  second-device bookkeeping '{variant}':"
             f"  E = {joint_expectation(probs):+.4f} (exact {joint_expectation(exact):+.4f}),"

@@ -53,7 +53,6 @@ from .qubit import (
     sequential_joint,
     von_neumann_entropy,
 )
-from .sphere import SphereHistogram, tv_distance
 
 __all__ = [
     "BeltramettiBugajski",
@@ -70,7 +69,6 @@ __all__ = [
     "NoFlowReport",
     "NumericalFailureError",
     "OntologicalModel",
-    "SphereHistogram",
     "TSIRELSON_BOUND",
     "Telegraph",
     "bloch_to_density",
@@ -88,6 +86,5 @@ __all__ = [
     "noflow_test",
     "quantum_correlations",
     "sequential_joint",
-    "tv_distance",
     "von_neumann_entropy",
 ]

@@ -323,7 +323,7 @@ def cmd_mwcheck(config: dict) -> Output:
     check = branching_no_erasure_check(a, b, n, seed=config["seed"])
     probs_b, probs_a = check.joint
     # each variant's four counts, tested for goodness of fit against the oracle's
-    p_b, p_a = (chi_square_test(n * probs.ravel(), n * exact.ravel())[2] for probs in (probs_b, probs_a))
+    p_b, p_a = (chi_square_test(counts.ravel(), n * exact.ravel())[2] for counts in check.counts)
     dev_b, dev_a = (float(np.abs(probs - exact).max()) for probs in (probs_b, probs_a))
 
     results = {

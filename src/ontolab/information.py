@@ -1,7 +1,7 @@
 """Information-flow diagnostics for the ontological models.
 
-Three questions, each answered with sampled ontic-state histograms on the
-equal-area sphere grid:
+Three questions, each answered with integer counts of sampled ontic states
+in the cells of the equal-area sphere grid:
 
 * does a measurement with the outcome discarded *decrease* the entropy of
   the ontic distribution (information erasure)?  For the state-collapse
@@ -10,7 +10,7 @@ equal-area sphere grid:
   grid resolution in each axis.  The telegraph control shows no drop.
 * does the post-measurement distribution *depend on which* measurement was
   executed (information flow)?  A chi-square homogeneity test of the two
-  conditioned histograms, with their total-variation distance as effect size.
+  arms' atom counts, with their total-variation distance as effect size.
 * does the branching model really leave the system untouched?  One pass
   of the branching model counts its joint statistics and compares (x0, x1)
   bit for bit with a stored copy in every run it counts.
@@ -18,19 +18,20 @@ equal-area sphere grid:
 Every statistical verdict is ``chi_square_test`` (Pearson's X^2) rejecting at
 ``ALPHA``, the two-sided 5-sigma tail.  Entropies are differential, in nats.
 
-The histograms are built from exact cells, never from binned points.  Every
-state they count is of one of two kinds:
+States are counted in exact cells, never binned as points.  Every state
+counted is of one of two kinds:
 
 * an atom: a post-measurement state is the atom of its outcome (the
   collapse model's +-d, the telegraph's poles +-z), and the telegraph's
   prepared values are the same poles.  A chunk counts its +1 and -1 states,
   two numbers that ``rng.map_chunks`` adds up; the totals are then placed in
   the atoms' cells, ``sphere.bin_index`` of ``model.embed_on_sphere(model.atoms(d))``
-  at each grid (``_atom_histograms``);
+  at each grid, as a table over those cells alone (``_atom_table``);
 * the collapse model's uniform preparation, whose cell is
   ``sphere.uniform_cell`` of the uniforms ``measured_states`` returns, with
   no trigonometry (the edge rule is in ``sphere``).  Only these states are
-  binned per chunk, into one histogram per grid that the fold merges.
+  binned per chunk, into one ``SphereHistogram`` per grid that the fold
+  merges.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from . import rng as _rng
 from .errors import ContractMismatchError
 from .models import BranchingModel, OntologicalModel
 from .qubit import unit_vector
-from .sphere import SphereHistogram, bin_index, histogram_entropy, tv_distance, uniform_cell
+from .sphere import SphereHistogram, bin_index, histogram_entropy, uniform_cell
 
 #: false-positive rate of every verdict: the two-sided 5-sigma normal tail, ~5.73e-7
 ALPHA = math.erfc(5.0 / math.sqrt(2.0))
@@ -98,16 +99,14 @@ def chi_square_test(observed, expected) -> tuple[float, int, float]:
     return chi2, df, chi2_sf(chi2, df)
 
 
-def _homogeneity_test(h1: SphereHistogram, h2: SphereHistogram) -> tuple[float, int, float]:
-    """chi_square_test of the 2 x K table of two histograms, expected counts from its margins.
+def _homogeneity_test(table) -> tuple[float, int, float]:
+    """chi_square_test of a count table, samples by row, with expected counts from its margins.
 
-    Only the columns occupied in either histogram are built: an all-zero
-    column would fall in the rare pool, add exactly 0 to it and not count
-    in df, so chi2, df and p are those of the full table.
+    Cells left out of the table change nothing: an all-zero column would
+    fall in the rare pool, add exactly 0 to it and not count in df, so a
+    table of the occupied cells gives the chi2, df and p of the full grid.
     """
-    first, second = h1.counts.ravel(), h2.counts.ravel()
-    (occupied,) = np.nonzero(first | second)
-    table = np.stack([first[occupied], second[occupied]]).astype(float)
+    table = np.asarray(table, dtype=float)
     return chi_square_test(table, np.outer(table.sum(axis=1), table.sum(axis=0)) / table.sum())
 
 
@@ -122,10 +121,19 @@ def _require_single_world(model) -> OntologicalModel:
     return model
 
 
-def _atom_histograms(model: OntologicalModel, direction, counts, grids) -> list[SphereHistogram]:
-    """Per grid, the histogram of counts = (n+, n-) placed in the cells of the model's atoms for `direction`."""
-    points = model.embed_on_sphere(model.atoms(direction))
-    return [SphereHistogram(nz, nphi).add(bin_index(points, nz, nphi), counts) for nz, nphi in grids]
+def _atom_table(model: OntologicalModel, directions, counts, nz: int, nphi: int) -> np.ndarray:
+    """Row i of counts, (n+, n-), placed in the cells of the model's atoms for directions[i], on the nz x nphi grid.
+
+    An r x C int64 table over the C <= 2r cells the atoms occupy, in
+    ascending cell order; atoms that share a cell share its column.
+    """
+    points = np.concatenate([model.embed_on_sphere(model.atoms(d)) for d in directions])
+    cells = bin_index(points, nz, nphi).tolist()
+    occupied = sorted(set(cells))
+    table = np.zeros((len(directions), len(occupied)), dtype=np.int64)
+    for atom, (cell, n) in enumerate(zip(cells, np.ravel(counts))):
+        table[atom // 2, occupied.index(cell)] += n
+    return table
 
 
 def _outcome_counts(values: np.ndarray) -> np.ndarray:
@@ -182,16 +190,22 @@ def erasure_report(
         before = [SphereHistogram(nz, nphi).add(uniform_cell(states, nz, nphi)) for nz, nphi in resolutions]
         return [_outcome_counts(outcomes), *before]
 
+    def atom_counts(counts, grid):
+        return _atom_table(model, (direction,), [counts], *grid)[0]
+
     after, *before = _rng.map_chunks(run_chunk, runs, _merge_each)
-    if not model.UNIFORM_PREPARATION:
-        before = _atom_histograms(model, direction, *before, resolutions)
-    after = _atom_histograms(model, direction, after, resolutions)
+    if model.UNIFORM_PREPARATION:
+        before = [h.counts for h in before]
+    else:
+        before = [atom_counts(*before, grid) for grid in resolutions]
+    after = [atom_counts(after, grid) for grid in resolutions]
+    cells = [nz * nphi for nz, nphi in resolutions]
     return ErasureReport(
         setting=tuple(direction),
         runs=runs,
         resolutions=resolutions,
-        entropy_before=tuple(histogram_entropy(h) for h in before),
-        entropy_after=tuple(histogram_entropy(h) for h in after),
+        entropy_before=tuple(histogram_entropy(c, k) for c, k in zip(before, cells)),
+        entropy_after=tuple(histogram_entropy(c, k) for c, k in zip(after, cells)),
     )
 
 
@@ -226,9 +240,12 @@ def noflow_test(
     """Compare post-measurement ontic distributions across two settings.
 
     Each arm prepares, measures its own setting (outcome discarded), and
-    histograms the outgoing states; the arms use independent substreams so
-    the identical-settings case shows honest multinomial noise, and each
-    chunk runs both.  The verdict is ``_homogeneity_test``; ``tv`` is the effect size.
+    counts the outgoing states in their atoms' cells; the arms use
+    independent substreams so the identical-settings case shows honest
+    multinomial noise, and each chunk runs both.  The verdict is
+    ``_homogeneity_test`` of the arms' atom table; ``tv``, the effect size,
+    is sum |n1 - n2| / (2 runs) over its columns, an integer sum with one
+    rounding.
     """
     model = _require_single_world(model)
     d1, d2 = unit_vector(setting1), unit_vector(setting2)
@@ -241,15 +258,14 @@ def noflow_test(
             for d, s in arms
         ])
 
-    counts = _rng.map_chunks(run_chunk, runs, np.add)
-    [h1], [h2] = (_atom_histograms(model, d, c, ((int(nz), int(nphi)),)) for (d, _), c in zip(arms, counts))
-    chi2, df, p_value = _homogeneity_test(h1, h2)
+    table = _atom_table(model, (d1, d2), _rng.map_chunks(run_chunk, runs, np.add), int(nz), int(nphi))
+    chi2, df, p_value = _homogeneity_test(table)
     return NoFlowReport(
         setting1=tuple(d1),
         setting2=tuple(d2),
         runs=runs,
         bins=(int(nz), int(nphi)),
-        tv=tv_distance(h1, h2),
+        tv=int(np.abs(table[0] - table[1]).sum()) / (2 * runs),
         chi2=chi2,
         df=df,
         p_value=p_value,
@@ -260,15 +276,20 @@ def noflow_test(
 class BranchingNoErasureReport:
     """The branching pass: its joint statistics and its verdict on leaving the system untouched.
 
-    ``joint`` holds two (2, 2) joint distributions of measuring a, then b:
-    ``joint[0]`` with the second device's bookkeeping along b, as the
-    protocol keeps it, and ``joint[1]`` along a, the bookkeeping slip.
-    Index order matches qubit.OUTCOMES: [0] = +1, [1] = -1.
+    ``counts`` holds two (2, 2) int64 tables of the outcomes of measuring
+    a, then b: ``counts[0]`` with the second device's bookkeeping along b,
+    as the protocol keeps it, and ``counts[1]`` along a, the bookkeeping
+    slip.  Index order matches qubit.OUTCOMES: [0] = +1, [1] = -1.
     """
 
     immutable: bool
     runs: int
-    joint: np.ndarray
+    counts: np.ndarray
+
+    @property
+    def joint(self) -> np.ndarray:
+        """The two joint distributions, counts / runs."""
+        return self.counts / self.runs
 
 
 def branching_no_erasure_check(
@@ -321,5 +342,5 @@ def branching_no_erasure_check(
     return BranchingNoErasureReport(
         immutable=untouched,
         runs=runs,
-        joint=counts.reshape(-1, 2, 2).astype(float) / runs,
+        counts=counts.reshape(-1, 2, 2),
     )

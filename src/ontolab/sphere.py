@@ -170,60 +170,30 @@ class SphereHistogram:
             raise InvalidArgumentError("nz and nphi must be >= 1")
         self.counts = np.zeros((self.nz, self.nphi), dtype=np.int64)
 
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
-
-    @property
-    def n_bins(self) -> int:
-        return self.nz * self.nphi
-
-    @property
-    def cell_area(self) -> float:
-        return FULL_SOLID_ANGLE / self.n_bins
-
-    def add(self, cells: np.ndarray, counts: np.ndarray | None = None) -> "SphereHistogram":
-        """Accumulate flat cell indices, each counted `counts` times (default once); returns self.
-
-        One bincount, so a cell listed twice gets both counts: two atoms may
-        share a cell.  Counts are summed as doubles, exact below 2**53.
-        """
-        added = np.bincount(cells, counts, self.n_bins)
-        self.counts += added.astype(np.int64, copy=False).reshape(self.nz, self.nphi)
+    def add(self, cells: np.ndarray) -> "SphereHistogram":
+        """Count each of the flat cell indices `cells` once; returns self."""
+        self.counts += np.bincount(cells, minlength=self.nz * self.nphi).reshape(self.nz, self.nphi)
         return self
 
     def merge(self, other: "SphereHistogram") -> "SphereHistogram":
         """Add another histogram's counts (same binning); order-independent."""
-        self._check_same_binning(other)
-        self.counts += other.counts
-        return self
-
-    def probabilities(self) -> np.ndarray:
-        total = self.total
-        if total == 0:
-            raise InvalidArgumentError("histogram is empty")
-        return self.counts.astype(float) / total
-
-    def _check_same_binning(self, other: "SphereHistogram") -> None:
         if (self.nz, self.nphi) != (other.nz, other.nphi):
             raise InvalidArgumentError(
                 f"binning mismatch: {(self.nz, self.nphi)} vs {(other.nz, other.nphi)}"
             )
+        self.counts += other.counts
+        return self
 
 
-def histogram_entropy(hist: SphereHistogram) -> float:
-    """Plug-in differential entropy (nats) of an accumulated histogram.
+def histogram_entropy(counts: np.ndarray, n_cells: int) -> float:
+    """Plug-in differential entropy (nats) of integer counts over some of the `n_cells` cells of a grid, the rest empty.
 
-    -sum(p ln p) over occupied cells plus ln(cell area); converges to
+    -sum(p ln p) over the nonzero counts plus ln(cell area); converges to
     -integral rho ln rho for a density rho on the sphere.  The uniform
     density scores ln(4*pi) ~ 2.5310.
     """
-    p = hist.probabilities()
-    occupied = p[p > 0]
-    return float(-(occupied * np.log(occupied)).sum() + np.log(hist.cell_area))
-
-
-def tv_distance(h1: SphereHistogram, h2: SphereHistogram) -> float:
-    """Total-variation distance (1/2) sum |p - q| between binned distributions."""
-    h1._check_same_binning(h2)
-    return float(0.5 * np.abs(h1.probabilities() - h2.probabilities()).sum())
+    total = counts.sum()
+    if total == 0:
+        raise InvalidArgumentError("histogram is empty")
+    p = counts[counts > 0] / total
+    return float(-(p * np.log(p)).sum() + np.log(FULL_SOLID_ANGLE / n_cells))

@@ -16,7 +16,8 @@ independent routes to the same numbers:
 * ``invariance_tv``: whether the collapse model's dynamics leaves the
   uniform ontic distribution invariant, histograms folded by
   ``rng.map_chunks`` with ``SphereHistogram.merge``, judged by the
-  chi-square homogeneity test ``noflow_test`` runs;
+  chi-square homogeneity test ``noflow_test`` runs and by
+  ``tv_distance``, the total-variation distance of two count arrays;
 * ``composed_lg_products`` and ``composed_measured_outcomes``: the
   single-world kernels as the sequential reference methods compose them,
   prepare -> evolve -> measure -> evolve -> measure and prepare -> measure,
@@ -47,7 +48,7 @@ from ontolab.qubit import (
     unit_vector,
 )
 from ontolab.rng import Uniforms, map_chunks, substream_seed, uniform_block
-from ontolab.sphere import SphereHistogram, bin_index, dot, tv_distance
+from ontolab.sphere import SphereHistogram, bin_index, dot
 
 HAMILTONIAN = SIGMA_X
 
@@ -136,6 +137,16 @@ def from_points(points: np.ndarray, nz: int, nphi: int) -> SphereHistogram:
     return SphereHistogram(nz, nphi).add(bin_index(points, nz, nphi))
 
 
+def tv_distance(c1, c2) -> float:
+    """Total-variation distance (1/2) sum |p - q| of two integer count arrays over the same cells, with one rounding.
+
+    sum |c1 n2 - c2 n1| / (2 n1 n2) for totals n1 and n2, in integers.
+    """
+    c1, c2 = np.asarray(c1, dtype=np.int64), np.asarray(c2, dtype=np.int64)
+    n1, n2 = int(c1.sum()), int(c2.sum())
+    return int(np.abs(c1 * n2 - c2 * n1).sum()) / (2 * n1 * n2)
+
+
 def invariance_tv(runs: int, rotations: int, seed: int, cap: bool = False, nz: int = 16, nphi: int = 16):
     """(TV distance, homogeneity p-value) of an evolved ensemble against a fresh uniform one.
 
@@ -162,7 +173,8 @@ def invariance_tv(runs: int, rotations: int, seed: int, cap: bool = False, nz: i
         return map_chunks(chunk, runs, SphereHistogram.merge)
 
     h_evolved, h_fresh = histogram(1, True), histogram(2, False)
-    return tv_distance(h_evolved, h_fresh), _homogeneity_test(h_evolved, h_fresh)[2]
+    table = np.stack([h.counts.ravel() for h in (h_evolved, h_fresh)])
+    return tv_distance(*table), _homogeneity_test(table)[2]
 
 
 # Reference kernels: each is the former formula of the branch-free kernel it is named after.

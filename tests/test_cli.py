@@ -20,8 +20,10 @@ from hypothesis import example, given, settings, strategies as st
 
 from ontolab import BeltramettiBugajski, BranchingModel, Telegraph, cli, leggett_garg, rng
 from ontolab.cli import _COMMANDS, MAX_RUNS, build_parser, main, parse_bins, parse_dirs, parse_time
+from ontolab.information import branching_no_erasure_check, chi_square_test
 from ontolab.models import make_model
 from ontolab.leggett_garg import PAIR_LABELS, LGScenario
+from ontolab.qubit import MAXIMALLY_MIXED, sequential_joint
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -547,6 +549,17 @@ class TestMwCheckCommand:
 
     def test_needs_dirs(self):
         assert main(["mwcheck", "--runs", "100"]) == 2
+
+    def test_p_values_read_the_counts(self):
+        # the integer counts themselves: runs x (counts / runs) can miss a count by an ulp
+        a, b = parse_dirs("0,0,1;0,1,1")
+        runs, seed = 200_000, 7
+        results = cli.cmd_mwcheck({"runs": runs, "seed": seed, "dirs": (a, b)}).results
+        report = branching_no_erasure_check(a, b, runs, seed=seed)
+        exact = sequential_joint(MAXIMALLY_MIXED, [a, b])
+        for variant, counts in zip("ba", report.counts):
+            assert results[f"variant_{variant}_p_value"] == chi_square_test(counts.ravel(), runs * exact.ravel())[2]
+        assert results["variant_b_p_value"] == 0.5419811778112298
 
     @pytest.mark.parametrize("dirs", ["1,2,3;1,2,3", "1,2,3;-1,-2,-3"], ids=["equal", "opposite"])
     def test_parallel_directions_oracle_equivalent(self, dirs, capsys):

@@ -5,9 +5,10 @@ distribution over k equal bins has plug-in entropy ln(k) + ln(cell area);
 a polar-cap start must stay far from uniform under the x-axis rotations.
 The chi-square p-values are checked against scipy, and every verdict's
 false-positive rate (over 2000 fixed seeds, within 4 binomial sd of the
-nominal 0.05) and power are measured on the product paths.  The erasure
-and noflow histograms, folded from exact cells, match the point path
-(``helpers.from_points``) count for count.
+nominal 0.05) and power are measured on the product paths.  The counts
+the erasure entropies and the noflow verdict read, folded from exact
+cells, match the point path's histograms (``helpers.from_points``) count
+for count; noflow's ``tv`` and mwcheck's verdict read integer counts.
 """
 
 import math
@@ -23,26 +24,26 @@ from ontolab import (
     BranchingModel,
     ContractMismatchError,
     InvalidArgumentError,
-    SphereHistogram,
     Telegraph,
     branching_no_erasure_check,
     erasure_report,
     noflow_test,
-    tv_distance,
 )
 from ontolab import information, models
-from ontolab.cli import cmd_mwcheck
+from ontolab.cli import cmd_mwcheck, parse_dirs
 from ontolab.information import ALPHA, MIN_POOLED, _homogeneity_test, chi2_sf, chi_square_test
 from ontolab.models import sign_pm1
 from ontolab.qubit import heisenberg_direction, unit_vector
 from ontolab.rng import CHUNK_RUNS, Uniforms, substream_seed, uniform_block
-from ontolab.sphere import dot, histogram_entropy, sample_uniform_sphere
+from ontolab.sphere import SphereHistogram, dot, histogram_entropy, sample_uniform_sphere
 
-from helpers import from_points, invariance_tv
+from helpers import from_points, invariance_tv, tv_distance
 
 LN_4PI = math.log(4 * math.pi)
 Z = np.array([0.0, 0.0, 1.0])
 X = np.array([1.0, 0.0, 0.0])
+# the goldens' noflow settings: z and (y + z)/sqrt(2)
+GOLDEN_DIRS = parse_dirs("0,0,1;0,1,1")
 
 
 def uniform_points(seed, n):
@@ -50,18 +51,24 @@ def uniform_points(seed, n):
 
 
 def entropy_of(points, nz, nphi):
-    return histogram_entropy(from_points(points, nz, nphi))
+    return histogram_entropy(from_points(points, nz, nphi).counts, nz * nphi)
+
+
+def _stacked(*histograms) -> np.ndarray:
+    """The r x K count table of r histograms over the same grid."""
+    return np.stack([h.counts.ravel() for h in histograms])
 
 
 class TestSphereHistogram:
     def test_counts_partition_total(self):
         h = from_points(uniform_points(1, 10_000), 4, 8)
-        assert h.total == 10_000
+        assert h.counts.sum() == 10_000
         assert h.counts.shape == (4, 8)
 
     def test_cell_area(self):
-        h = SphereHistogram(8, 16)
-        assert h.cell_area == pytest.approx(4 * math.pi / 128)
+        # one occupied cell of 128 scores ln(cell area), and the cells left out of the counts are empty
+        assert histogram_entropy(np.array([7]), 128) == math.log(4 * math.pi / 128)
+        assert histogram_entropy(np.array([0, 7, 0]), 128) == histogram_entropy(np.array([7]), 128)
 
     def test_poles_and_equator_bins_distinct(self):
         pts = np.array([Z, -Z, X, -X])
@@ -71,6 +78,10 @@ class TestSphereHistogram:
     def test_invalid_bins(self):
         with pytest.raises(InvalidArgumentError):
             SphereHistogram(0, 8)
+
+    def test_merge_binning_mismatch_rejected(self):
+        with pytest.raises(InvalidArgumentError, match="binning mismatch"):
+            SphereHistogram(8, 8).merge(SphereHistogram(8, 16))
 
     def test_comparison_is_a_bool(self):
         # field-wise == would compare the counts arrays and have no truth value
@@ -103,7 +114,7 @@ class TestEntropyEstimate:
         pts = uniform_points(25, 50_000)
         # a histogram folded from two halves scores what the whole sample scores
         h = from_points(pts[:20_000], 16, 16).merge(from_points(pts[20_000:], 16, 16))
-        assert histogram_entropy(h) == pytest.approx(entropy_of(pts, 16, 16), abs=1e-12)
+        assert histogram_entropy(h.counts, 256) == pytest.approx(entropy_of(pts, 16, 16), abs=1e-12)
 
     def test_error_shrinks_with_sample_size(self):
         # plug-in bias scales like bins/(2n); check monotone |error| at 3 seeds
@@ -116,33 +127,29 @@ class TestEntropyEstimate:
 
 
 class TestTVDistance:
+    """The reference tv of two count arrays (``helpers.tv_distance``) that the invariance tests read."""
+
     def test_self_distance_zero(self):
         h = from_points(uniform_points(6, 1000), 8, 8)
-        assert tv_distance(h, h) == 0.0
+        assert tv_distance(h.counts, h.counts) == 0.0
 
     def test_disjoint_atoms_distance_one(self):
         hz = from_points(np.vstack([np.tile(Z, (50, 1)), np.tile(-Z, (50, 1))]), 16, 16)
         hx = from_points(np.vstack([np.tile(X, (50, 1)), np.tile(-X, (50, 1))]), 16, 16)
-        assert tv_distance(hz, hx) == 1.0
+        assert tv_distance(hz.counts, hx.counts) == 1.0
 
     def test_independent_uniform_ensembles_close(self):
         h1 = from_points(uniform_points(7, 1_000_000), 16, 16)
         h2 = from_points(uniform_points(8, 1_000_000), 16, 16)
-        assert tv_distance(h1, h2) <= 0.02
-
-    def test_binning_mismatch_rejected(self):
-        h1 = SphereHistogram(8, 8)
-        h2 = SphereHistogram(8, 16)
-        with pytest.raises(InvalidArgumentError):
-            tv_distance(h1, h2)
+        assert tv_distance(h1.counts, h2.counts) <= 0.02
 
     @given(st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1))
     @settings(max_examples=25, deadline=None)
     def test_symmetry_and_bounds(self, s1, s2):
         h1 = from_points(uniform_points(s1, 200), 4, 4)
-        h2 = from_points(uniform_points(s2, 200), 4, 4)
-        d = tv_distance(h1, h2)
-        assert d == tv_distance(h2, h1)
+        h2 = from_points(uniform_points(s2, 117), 4, 4)
+        d = tv_distance(h1.counts, h2.counts)
+        assert d == tv_distance(h2.counts, h1.counts)
         assert 0.0 <= d <= 1.0
 
 
@@ -182,7 +189,7 @@ class TestErasureReport:
 class TestNoFlow:
     def test_bb_incompatible_settings_flow_detected(self):
         rep = noflow_test(BeltramettiBugajski(), Z, X, 200_000, seed=13)
-        assert rep.tv >= 0.95
+        assert rep.tv == 1.0
         # four atoms, one column each: X^2 = 2N when the atoms never share a cell
         assert (rep.chi2, rep.df, rep.p_value) == (400_000.0, 3, 0.0)
         assert rep.flow_detected
@@ -201,6 +208,19 @@ class TestNoFlow:
         with pytest.raises(ContractMismatchError):
             noflow_test(BranchingModel(), Z, X, 100, seed=0)
 
+    def test_disjoint_atom_laws_are_exactly_one_apart(self):
+        # four atoms in four cells: the two arms' laws are disjoint, whatever the rounding of 1/2 and the counts
+        rep = noflow_test(BeltramettiBugajski(), *GOLDEN_DIRS, 200_000, seed=20231)
+        assert rep.tv == 1.0
+
+    @pytest.mark.parametrize("seed", [0, 7, 20231])
+    def test_tv_is_a_count_over_twice_the_runs(self, seed):
+        # sum |n1 - n2| / (2 runs), an integer over 2 runs with one rounding
+        runs = 200_000
+        rep = noflow_test(Telegraph(), *GOLDEN_DIRS, runs, seed=seed)
+        assert 0.0 < rep.tv < 0.01
+        assert rep.tv == round(rep.tv * 2 * runs) / (2 * runs)
+
 
 def _point_path(model, direction, runs: int, seed: int, grids):
     """The prepared and post-measurement histograms the point path gave: each state embedded and binned."""
@@ -210,8 +230,18 @@ def _point_path(model, direction, runs: int, seed: int, grids):
     return [[from_points(model.embed_on_sphere(x), nz, nphi) for nz, nphi in grids] for x in (states, post)]
 
 
+def _occupied(histogram) -> list:
+    """The nonzero counts of a histogram, in ascending cell order."""
+    return histogram.counts[histogram.counts > 0].tolist()
+
+
 class TestExactCells:
-    """Every erasure and noflow histogram equals the point path's, count for count, over several chunks."""
+    """The counts every erasure entropy and noflow verdict reads are the point path's, count for count, over several chunks.
+
+    An entropy reads the nonzero counts in cell order and the grid's cell
+    count; the noflow verdict reads the 2 x C table of the atoms' cells,
+    which are the columns the point path's two histograms occupy.
+    """
 
     RUNS = 2 * CHUNK_RUNS + 1234
     GRIDS = ((1, 8), (4, 1), (8, 8), (64, 64))
@@ -219,15 +249,19 @@ class TestExactCells:
 
     @pytest.fixture
     def received(self, monkeypatch):
-        """The counts of every histogram that information's entropy and homogeneity test read, in call order."""
+        """What information's entropy and homogeneity test read, in call order: ([nonzero counts], cells) and tables."""
         recorded = []
-        for name in ("histogram_entropy", "_homogeneity_test"):
 
-            def recording(*histograms, read=getattr(information, name)):
-                recorded.extend(h.counts.tolist() for h in histograms)
-                return read(*histograms)
+        def entropy(counts, n_cells, read=information.histogram_entropy):
+            recorded.append((np.asarray(counts)[np.asarray(counts) > 0].tolist(), n_cells))
+            return read(counts, n_cells)
 
-            monkeypatch.setattr(information, name, recording)
+        def homogeneity(table, read=information._homogeneity_test):
+            recorded.append(np.asarray(table).tolist())
+            return read(table)
+
+        monkeypatch.setattr(information, "histogram_entropy", entropy)
+        monkeypatch.setattr(information, "_homogeneity_test", homogeneity)
         return recorded
 
     @pytest.mark.parametrize("seed", [0, 7, 20231])
@@ -236,7 +270,7 @@ class TestExactCells:
         d = unit_vector((0.0, 0.6, 0.8))
         erasure_report(model, d, self.RUNS, self.GRIDS, seed=seed)
         before, after = _point_path(model, d, self.RUNS, seed, self.GRIDS)
-        assert received == [h.counts.tolist() for h in before + after]
+        assert received == [(_occupied(h), h.nz * h.nphi) for h in before + after]
 
     @pytest.mark.parametrize("seed", [0, 7, 20231])
     @pytest.mark.parametrize("model", MODELS, ids=["bb", "telegraph"])
@@ -245,29 +279,31 @@ class TestExactCells:
             received.clear()
             noflow_test(model, Z, X, self.RUNS, *grid, seed=seed)
             arms = [_point_path(model, d, self.RUNS, substream_seed(seed, k), (grid,)) for k, d in ((1, Z), (2, X))]
-            assert received == [post.counts.tolist() for _, [post] in arms]
+            full = _stacked(*(post for _, [post] in arms))
+            assert received == [full[:, full.any(axis=0)].tolist()]
 
 
 class TestMemoryIsFlatInRuns:
     """Chunk results are folded as they arrive: the peak at 16 chunks is within one chunk's histogram of that at 4.
 
-    The peak itself stays within five histograms of the grid: 34 MiB for
-    erasure and 32 MiB for noflow at 1024x1024, whose homogeneity test builds
-    only the occupied columns of its table (the full 2 x K table took 81 MiB).
+    The peak itself stays within five histograms of the grid for erasure
+    (34 MiB at 1024x1024), whose collapse-model preparation fills a
+    histogram per chunk.  noflow counts only atoms, in a table of at most
+    four cells, so its peak is under one histogram (about 4 MiB).
     """
 
     GRID = (1024, 1024)
     ONE_HISTOGRAM = GRID[0] * GRID[1] * np.dtype(np.int64).itemsize
 
     @pytest.mark.parametrize(
-        "call",
+        "call,histograms",
         [
-            lambda runs, grid: erasure_report(BeltramettiBugajski(), Z, runs, (grid,)),
-            lambda runs, grid: noflow_test(BeltramettiBugajski(), Z, X, runs, *grid),
+            (lambda runs, grid: erasure_report(BeltramettiBugajski(), Z, runs, (grid,)), 5),
+            (lambda runs, grid: noflow_test(BeltramettiBugajski(), Z, X, runs, *grid), 1),
         ],
         ids=["erasure", "noflow"],
     )
-    def test_traced_peak(self, monkeypatch, call):
+    def test_traced_peak(self, monkeypatch, call, histograms):
         monkeypatch.setenv("ONTOLAB_THREADS", "1")
         peaks = []
         for chunks in (4, 16):
@@ -278,7 +314,7 @@ class TestMemoryIsFlatInRuns:
             finally:
                 tracemalloc.stop()
         assert peaks[1] - peaks[0] <= self.ONE_HISTOGRAM
-        assert max(peaks) <= 5 * self.ONE_HISTOGRAM
+        assert max(peaks) <= histograms * self.ONE_HISTOGRAM
 
 
 def _collapse_in_place(x0: dict, a) -> None:
@@ -394,6 +430,12 @@ class TestBranchingNoErasure:
         rep = branching_no_erasure_check(Z, X, 1_000, seed=19, model=model)
         assert model.float64_pass and not rep.immutable
 
+    def test_joint_is_the_counts_over_the_runs(self):
+        rep = branching_no_erasure_check(Z, X, 3_000, seed=20)
+        assert rep.counts.dtype == np.int64 and rep.counts.shape == (2, 2, 2)
+        assert (rep.counts.sum(axis=(1, 2)) == 3_000).all()
+        assert np.array_equal(rep.joint, rep.counts / 3_000)
+
     def test_report_compares_by_identity(self):
         # the report holds an array, so field-wise == would be ambiguous
         rep = branching_no_erasure_check(Z, X, 100, seed=20)
@@ -426,10 +468,9 @@ class TestChiSquareTest:
         assert p_value == pytest.approx(ref.pvalue, rel=1e-9)
 
     def test_homogeneity_matches_scipy(self):
-        h1 = from_points(uniform_points(30, 5_000), 4, 4)
-        h2 = from_points(uniform_points(31, 5_000), 4, 4)
-        chi2, df, p_value = _homogeneity_test(h1, h2)
-        ref = stats.chi2_contingency(np.stack([h1.counts.ravel(), h2.counts.ravel()]), correction=False)
+        table = _stacked(from_points(uniform_points(30, 5_000), 4, 4), from_points(uniform_points(31, 5_000), 4, 4))
+        chi2, df, p_value = _homogeneity_test(table)
+        ref = stats.chi2_contingency(table, correction=False)
         assert df == ref.dof == 15
         assert chi2 == pytest.approx(ref.statistic, rel=1e-12)
         assert p_value == pytest.approx(ref.pvalue, rel=1e-9)
@@ -446,17 +487,18 @@ class TestChiSquareTest:
     @example((16, 16), 1.0, 1000, 3)  # no column rare, no column empty
     @example((1, 7), 0.0, 12, 4)  # one cell per histogram
     def test_homogeneity_over_occupied_columns_matches_the_full_table(self, grid, density, scale, seed):
-        # _homogeneity_test builds only the occupied columns; all-zero ones must change no bit of (chi2, df, p)
+        # noflow tests only the atoms' cells; the all-zero columns left out must change no bit of (chi2, df, p)
         picker = np.random.default_rng(seed)
-        h1, h2 = SphereHistogram(*grid), SphereHistogram(*grid)
-        for h in (h1, h2):
-            cells = picker.random(h.n_bins) < density
-            cells[picker.integers(h.n_bins)] = True  # neither histogram is empty
-            h.counts.ravel()[cells] = picker.integers(1, scale, cells.sum(), endpoint=True)
-        for first, second in ((h1, h2), (h2, h1)):
-            table = np.stack([first.counts.ravel(), second.counts.ravel()]).astype(float)
-            full = chi_square_test(table, np.outer(table.sum(axis=1), table.sum(axis=0)) / table.sum())
-            assert repr(_homogeneity_test(first, second)) == repr(full)
+        table = np.zeros((2, grid[0] * grid[1]), dtype=np.int64)
+        for row in table:
+            cells = picker.random(len(row)) < density
+            cells[picker.integers(len(row))] = True  # neither row is empty
+            row[cells] = picker.integers(1, scale, cells.sum(), endpoint=True)
+        for rows in (table, table[::-1]):
+            full = rows.astype(float)
+            expected = chi_square_test(full, np.outer(full.sum(axis=1), full.sum(axis=0)) / full.sum())
+            assert repr(_homogeneity_test(rows[:, rows.any(axis=0)])) == repr(expected)
+            assert repr(_homogeneity_test(rows)) == repr(expected)
 
     def test_rare_cells_merge_into_one(self):
         # the last three cells each expect fewer than MIN_POOLED counts, so they test as one
@@ -518,8 +560,7 @@ NEAR_PARALLEL_DIRS = ((0.0, 0.0, 1.0), (0.0, math.sqrt(1.0 - 0.99**2), 0.99))
 
 
 def _uniform_pair_p_value(runs: int, seed: int) -> float:
-    h1, h2 = (from_points(uniform_points(2 * seed + k, runs), 16, 16) for k in (0, 1))
-    return _homogeneity_test(h1, h2)[2]
+    return _homogeneity_test(_stacked(*(from_points(uniform_points(2 * seed + k, runs), 16, 16) for k in (0, 1))))[2]
 
 
 CALIBRATION_CASES = {

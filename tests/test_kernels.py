@@ -30,8 +30,9 @@ whole batch.
 The exact cells of the ``information`` histograms are checked against
 ``sphere.bin_index`` on the points they stand for: ``uniform_cell`` against
 the binned uniform sample, away from sector edges, with its own rule pinned
-at the edges; and the cells ``_atom_histograms`` places the atoms in against
-the binned ``measure_batch`` post states, signed zeros included.
+at the edges; and the cells of the atoms, in which ``_atom_table`` counts
+the outcomes, against the binned ``measure_batch`` post states, signed
+zeros included.
 """
 
 import copy
@@ -44,7 +45,7 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from ontolab import BeltramettiBugajski, BranchingModel, Telegraph, branching_no_erasure_check, models, rng
-from ontolab.information import _atom_histograms
+from ontolab.information import _atom_table, _outcome_counts
 from ontolab.models import sign_pm1
 from ontolab.qubit import heisenberg_direction, unit_vector
 from ontolab.rng import Uniforms, uniform_block
@@ -329,13 +330,6 @@ class TestReadCoordinates:
         reduced = uniform_coordinates(u, axes_read(d))
         born = 2 * (u_measure < 0.5 * (1.0 + dot(reduced, d))).view(np.int8) - 1
         assert same_bits(bb.measure_batch(full, d, u_measure)[0], born)
-
-    @settings(max_examples=100, deadline=None)
-    @given(sparse_direction(), st.integers(0, 2**32))
-    def test_bb_measured_states_outcomes_match_full_sample(self, d, seed):
-        u = _tied_uniforms(seed, 240, (0, 1, 2))
-        bb = BeltramettiBugajski()
-        assert same_bits(bb.measured_states(u, d)[1], composed_measured_outcomes(bb, u, d))
 
     @settings(max_examples=200, deadline=None)
     @given(st.data(), SIZES, st.lists(sparse_direction(), min_size=3, max_size=5))
@@ -690,9 +684,9 @@ def _measured_post(model, direction, runs=2000, seed=3):
 
 
 def _atom_cells(model, direction, grids) -> list[np.ndarray]:
-    """Per grid, the flat cells in which ``_atom_histograms`` places the +1 atom and the -1 atom."""
-    plus, minus = (_atom_histograms(model, direction, counts, grids) for counts in ((1, 0), (0, 1)))
-    return [np.array([np.argmax(p.counts), np.argmax(m.counts)]) for p, m in zip(plus, minus)]
+    """Per grid, the flat cells of the +1 atom and the -1 atom, whose ascending union ``_atom_table`` counts in."""
+    points = model.embed_on_sphere(model.atoms(direction))
+    return [bin_index(points, nz, nphi) for nz, nphi in grids]
 
 
 class TestAtomCells:
@@ -709,7 +703,12 @@ class TestAtomCells:
         assert same_bits(atoms[(1 - outcomes) // 2], post)
         points = model.embed_on_sphere(post)
         for cells, (nz, nphi) in zip(_atom_cells(model, d, self.GRIDS), self.GRIDS):
-            assert np.array_equal(cells[(1 - outcomes) // 2], bin_index(points, nz, nphi))
+            binned = bin_index(points, nz, nphi)
+            assert np.array_equal(cells[(1 - outcomes) // 2], binned)
+            # the table's columns are those cells in ascending order, holding the binned post states' counts
+            occupied, counts = np.unique(binned, return_counts=True)
+            assert np.array_equal(occupied, np.unique(cells))
+            assert _atom_table(model, (d,), [_outcome_counts(outcomes)], nz, nphi).tolist() == [counts.tolist()]
 
     def test_negative_zeros_of_the_collapse_atoms(self):
         bb = BeltramettiBugajski()

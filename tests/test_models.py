@@ -341,7 +341,7 @@ class TestCausalityStructure:
         h2 = from_points(model.embed_on_sphere(other), 8, 8)
         from ontolab.information import ALPHA, _homogeneity_test
 
-        assert _homogeneity_test(h1, h2)[2] >= ALPHA
+        assert _homogeneity_test(np.stack([h1.counts.ravel(), h2.counts.ravel()]))[2] >= ALPHA
 
 
 def test_single_world_contract_is_its_kernels_and_atoms():
