@@ -18,20 +18,20 @@ in the cells of the equal-area sphere grid:
 Every statistical verdict is ``chi_square_test`` (Pearson's X^2) rejecting at
 ``ALPHA``, the two-sided 5-sigma tail.  Entropies are differential, in nats.
 
-States are counted in exact cells, never binned as points.  Every state
+States are counted in exact cells, never binned as points, in one fresh
+int64 array per chunk that ``rng.map_chunks`` adds up.  Every state
 counted is of one of two kinds:
 
 * an atom: a post-measurement state is the atom of its outcome (the
   collapse model's +-d, the telegraph's poles +-z), and the telegraph's
   prepared values are the same poles.  A chunk counts its +1 and -1 states,
-  two numbers that ``rng.map_chunks`` adds up; the totals are then placed in
-  the atoms' cells, ``sphere.bin_index`` of ``model.embed_on_sphere(model.atoms(d))``
-  at each grid, as a table over those cells alone (``_atom_table``);
+  two numbers; the totals are then placed in the atoms' cells,
+  ``sphere.bin_index`` of ``model.embed_on_sphere(model.atoms(d))`` at each
+  grid, as a table over those cells alone (``_atom_table``);
 * the collapse model's uniform preparation, whose cell is
   ``sphere.uniform_cell`` of the uniforms ``measured_states`` returns, with
   no trigonometry (the edge rule is in ``sphere``).  Only these states are
-  binned per chunk, into one ``SphereHistogram`` per grid that the fold
-  merges.
+  counted per cell, in one slice of ``erasure_report``'s chunk vector per grid.
 """
 
 from __future__ import annotations
@@ -43,10 +43,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng as _rng
-from .errors import ContractMismatchError
+from .errors import ContractMismatchError, InvalidArgumentError
 from .models import BranchingModel, OntologicalModel
 from .qubit import unit_vector
-from .sphere import SphereHistogram, bin_index, histogram_entropy, uniform_cell
+from .sphere import bin_index, histogram_entropy, uniform_cell
 
 #: false-positive rate of every verdict: the two-sided 5-sigma normal tail, ~5.73e-7
 ALPHA = math.erfc(5.0 / math.sqrt(2.0))
@@ -121,6 +121,13 @@ def _require_single_world(model) -> OntologicalModel:
     return model
 
 
+def _grid(nz, nphi) -> tuple[int, int]:
+    """(nz, nphi) as ints; InvalidArgumentError if either is below 1."""
+    if min(int(nz), int(nphi)) < 1:
+        raise InvalidArgumentError("nz and nphi must be >= 1")
+    return int(nz), int(nphi)
+
+
 def _atom_table(model: OntologicalModel, directions, counts, nz: int, nphi: int) -> np.ndarray:
     """Row i of counts, (n+, n-), placed in the cells of the model's atoms for directions[i], on the nz x nphi grid.
 
@@ -140,11 +147,6 @@ def _outcome_counts(values: np.ndarray) -> np.ndarray:
     """[number of +1, number of -1] among +-1 values: the counts of the two atoms."""
     minus = np.count_nonzero(values < 0)
     return np.array([len(values) - minus, minus])
-
-
-def _merge_each(total: list, part: list) -> list:
-    """Two chunk results of ``erasure_report`` folded item by item: histograms merge, atom counts add."""
-    return [t.merge(p) if isinstance(t, SphereHistogram) else t + p for t, p in zip(total, part)]
 
 
 @dataclass(frozen=True)
@@ -177,29 +179,29 @@ def erasure_report(
     at every requested grid resolution.
     """
     model = _require_single_world(model)
-    resolutions = tuple((int(nz), int(nphi)) for nz, nphi in resolutions)
+    resolutions = tuple(_grid(nz, nphi) for nz, nphi in resolutions)
     direction = unit_vector(setting)
+    cells = [nz * nphi for nz, nphi in resolutions]
+    starts = np.cumsum([2, *cells[:-1]]) if model.UNIFORM_PREPARATION else [2]
 
-    def run_chunk(lo: int, n: int) -> list:
-        """Atom counts of the outcomes, then of the prepared states, or the latter's histogram per grid if uniform."""
+    def run_chunk(lo: int, n: int) -> np.ndarray:
+        """Atom counts of the outcomes, then of the prepared states, or the latter's cell counts on each grid if uniform."""
         # the model's measured_states reads its SAMPLE_SLOTS (layout in models.py)
         u = _rng.Uniforms(seed, range(lo, lo + n), model.SAMPLE_SLOTS)
         states, outcomes = model.measured_states(u, direction)
         if not model.UNIFORM_PREPARATION:
-            return [_outcome_counts(outcomes), _outcome_counts(states)]
-        before = [SphereHistogram(nz, nphi).add(uniform_cell(states, nz, nphi)) for nz, nphi in resolutions]
-        return [_outcome_counts(outcomes), *before]
+            return np.concatenate([_outcome_counts(outcomes), _outcome_counts(states)])
+        counts = np.zeros(2 + sum(cells), dtype=np.int64)
+        counts[:2] = _outcome_counts(outcomes)
+        for (nz, nphi), grid in zip(resolutions, np.split(counts, starts)[1:]):
+            # in place: a bincount per grid adds a grid-sized temporary (traced peak 26, not 19 MiB, at 1024x1024)
+            np.add.at(grid, uniform_cell(states, nz, nphi), 1)
+        return counts
 
-    def atom_counts(counts, grid):
-        return _atom_table(model, (direction,), [counts], *grid)[0]
-
-    after, *before = _rng.map_chunks(run_chunk, runs, _merge_each)
-    if model.UNIFORM_PREPARATION:
-        before = [h.counts for h in before]
-    else:
-        before = [atom_counts(*before, grid) for grid in resolutions]
-    after = [atom_counts(after, grid) for grid in resolutions]
-    cells = [nz * nphi for nz, nphi in resolutions]
+    after, *before = np.split(_rng.map_chunks(run_chunk, runs), starts)
+    if not model.UNIFORM_PREPARATION:
+        before = [_atom_table(model, (direction,), before, *grid)[0] for grid in resolutions]
+    after = [_atom_table(model, (direction,), [after], *grid)[0] for grid in resolutions]
     return ErasureReport(
         setting=tuple(direction),
         runs=runs,
@@ -248,6 +250,7 @@ def noflow_test(
     rounding.
     """
     model = _require_single_world(model)
+    nz, nphi = _grid(nz, nphi)
     d1, d2 = unit_vector(setting1), unit_vector(setting2)
     arms = ((d1, _rng.substream_seed(seed, 1)), (d2, _rng.substream_seed(seed, 2)))
 
@@ -258,13 +261,13 @@ def noflow_test(
             for d, s in arms
         ])
 
-    table = _atom_table(model, (d1, d2), _rng.map_chunks(run_chunk, runs, np.add), int(nz), int(nphi))
+    table = _atom_table(model, (d1, d2), _rng.map_chunks(run_chunk, runs), nz, nphi)
     chi2, df, p_value = _homogeneity_test(table)
     return NoFlowReport(
         setting1=tuple(d1),
         setting2=tuple(d2),
         runs=runs,
-        bins=(int(nz), int(nphi)),
+        bins=(nz, nphi),
         tv=int(np.abs(table[0] - table[1]).sum()) / (2 * runs),
         chi2=chi2,
         df=df,
@@ -312,35 +315,29 @@ def branching_no_erasure_check(
     pairs of the runs it recomputes.  The check is exact: while it holds,
     the post-run pairs *are* the sample, which depends on the seed alone and
     not on (a, b), so no distribution test of them could add anything.
-    Counting is integer-exact, so the result is independent of worker count.
     """
     model = model if model is not None else BranchingModel()
     a, b = unit_vector(a), unit_vector(b)
 
-    def run_chunk(lo: int, n: int) -> tuple[np.ndarray, bool]:
+    def run_chunk(lo: int, n: int) -> np.ndarray:
+        """The 8 joint counts, then the number of stored coordinate arrays that differ, all of a mapping's if its axes did."""
         # JOINT_SLOTS layout in models.py: 0-3 ontic pair, 4 branch selection
         u = _rng.uniform_block(seed, range(lo, lo + n), model.JOINT_SLOTS)
-        same = []
+        changed = []
 
         @contextmanager
         def unchanged(x0, x1):
             stored = [{axis: c.copy() for axis, c in x.items()} for x in (x0, x1)]
             yield
             # compared as integers, so that a write that keeps the value (-0.0 for 0.0) is caught too
-            same.extend(
-                x.keys() == s.keys() and all(np.array_equal(x[k].view(np.uint64), s[k].view(np.uint64)) for k in s)
-                for x, s in zip((x0, x1), stored)
+            changed.extend(
+                x.keys() != s.keys() or not np.array_equal(x[k].view(np.uint64), s[k].view(np.uint64))
+                for x, s in zip((x0, x1), stored) for k in s
             )
 
-        counts = np.stack([
-            np.bincount(2 * (o1 < 0).view(np.int8) + (o2 < 0).view(np.int8), minlength=4)
-            for o1, o2 in model.settled_branch_outcomes(a, b, (b, a), u, unchanged)
-        ])
-        return counts, all(same)
+        pairs = model.settled_branch_outcomes(a, b, (b, a), u, unchanged)
+        counts = [np.bincount(2 * (o1 < 0).view(np.int8) + (o2 < 0).view(np.int8), minlength=4) for o1, o2 in pairs]
+        return np.concatenate([*counts, [sum(changed)]])
 
-    counts, untouched = _rng.map_chunks(run_chunk, runs, lambda t, p: (t[0] + p[0], t[1] and p[1]))
-    return BranchingNoErasureReport(
-        immutable=untouched,
-        runs=runs,
-        counts=counts.reshape(-1, 2, 2),
-    )
+    total = _rng.map_chunks(run_chunk, runs)
+    return BranchingNoErasureReport(immutable=int(total[-1]) == 0, runs=runs, counts=total[:-1].reshape(-1, 2, 2))

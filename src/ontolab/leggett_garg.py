@@ -212,7 +212,7 @@ def empirical_correlations(
             totals[1, p] = len(quarter)
         return totals
 
-    sums, counts = _rng.map_chunks(run_chunk, runs, np.add)
+    sums, counts = _rng.map_chunks(run_chunk, runs)
 
     c = np.where(counts > 0, sums / np.maximum(counts, 1), np.nan)
     stderr = np.where(

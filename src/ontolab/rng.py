@@ -21,11 +21,10 @@ This stream is the only source of randomness in the package: no module
 holds a generator of its own, and every statistical verdict is a
 deterministic test of the counts drawn from it.
 
-``map_chunks`` is the one Monte Carlo engine and the one place chunk results
-are folded, in chunk order as they arrive over fixed ``CHUNK_RUNS``-run
-chunks: a total is byte-identical for any worker count, and memory does not
-grow with runs.  The ONTOLAB_THREADS environment variable is the only
-worker setting (``resolve_workers``); no function takes a worker count.
+``map_chunks`` is the one Monte Carlo engine: it adds up the fresh int64
+count arrays of fixed ``CHUNK_RUNS``-run chunks, so a total is exact for any
+worker count and memory does not grow with runs.  ONTOLAB_THREADS is the
+only worker setting (``resolve_workers``); no function takes a worker count.
 """
 
 from __future__ import annotations
@@ -156,16 +155,16 @@ def _pool(workers: int) -> ThreadPoolExecutor:
     return ThreadPoolExecutor(max_workers=workers)
 
 
-def map_chunks(fn, n_runs: int, fold):
-    """fold(...fold(r_0, r_1)..., r_last) of r_k = fn(run_lo, n) over the CHUNK_RUNS-run chunks.
+def map_chunks(fn, n_runs: int):
+    """The sum of the fresh int64 count arrays fn(run_lo, n), one shape for all the CHUNK_RUNS-run chunks.
 
-    The chunk grid depends only on n_runs, never on the worker count, and
-    results fold in chunk order, so the total is reproducible for any fold,
-    floats included.  A result is dropped once folded, and at most 2 x
-    workers chunks are submitted and not yet folded: memory stays flat as
-    runs grow, and each worker has a chunk queued.  Chunks run on a thread
-    pool shared by every call with the same worker count, so fn must not
-    call map_chunks: a nested call could wait on itself.  n_runs below 1
+    The first chunk's array is the total; each later one is added into it in
+    place, in chunk order, and dropped.  The chunk grid depends only on n_runs
+    and integer sums are exact, so the total is the same for any worker count.
+    At most 2 x workers chunks are submitted and not yet added: memory stays
+    flat as runs grow, and each worker has a chunk queued.  Chunks run on a
+    thread pool shared by every call with the same worker count, so fn must
+    not call map_chunks: a nested call could wait on itself.  n_runs below 1
     raises InvalidArgumentError.
     """
     if n_runs < 1:
@@ -173,13 +172,16 @@ def map_chunks(fn, n_runs: int, fold):
     spans = [(lo, min(CHUNK_RUNS, n_runs - lo)) for lo in range(0, n_runs, CHUNK_RUNS)]
     nw = resolve_workers()
     if nw <= 1 or len(spans) <= 1:
-        return functools.reduce(fold, (fn(lo, n) for lo, n in spans))
+        total = fn(*spans[0])
+        for lo, n in spans[1:]:
+            total += fn(lo, n)
+        return total
     pool, todo = _pool(nw), iter(spans)
     window = collections.deque(pool.submit(fn, lo, n) for lo, n in itertools.islice(todo, 2 * nw))
     try:
         total = window.popleft().result()
         while window:
-            total = fold(total, window.popleft().result())
+            total += window.popleft().result()
             window.extend(pool.submit(fn, lo, n) for lo, n in itertools.islice(todo, 1))
         return total
     except BaseException:

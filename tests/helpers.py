@@ -14,10 +14,10 @@ independent routes to the same numbers:
   ``sphere.bin_index`` on (n, 3) unit vectors with one count each, which
   their exact cells must match count for count;
 * ``invariance_tv``: whether the collapse model's dynamics leaves the
-  uniform ontic distribution invariant, histograms folded by
-  ``rng.map_chunks`` with ``SphereHistogram.merge``, judged by the
-  chi-square homogeneity test ``noflow_test`` runs and by
-  ``tv_distance``, the total-variation distance of two count arrays;
+  uniform ontic distribution invariant, each chunk's cell counts added up
+  by ``rng.map_chunks``, judged by the chi-square homogeneity test
+  ``noflow_test`` runs and by ``tv_distance``, the total-variation
+  distance of two count arrays;
 * ``composed_lg_products`` and ``composed_measured_outcomes``: the
   single-world kernels as the sequential reference methods compose them,
   prepare -> evolve -> measure -> evolve -> measure and prepare -> measure,
@@ -160,7 +160,7 @@ def invariance_tv(runs: int, rotations: int, seed: int, cap: bool = False, nz: i
     prep_slots = tuple(range(bb.PREP_SLOTS))
     durations = np.pi * uniform_block(substream_seed(seed, 7), range(rotations), (0,))[:, 0]
 
-    def histogram(arm: int, evolve: bool) -> SphereHistogram:
+    def cell_counts(arm: int, evolve: bool) -> np.ndarray:
         def chunk(lo, n):
             prep = Uniforms(substream_seed(seed, arm), range(lo, lo + n), prep_slots).columns(prep_slots)
             if evolve and cap:
@@ -168,12 +168,11 @@ def invariance_tv(runs: int, rotations: int, seed: int, cap: bool = False, nz: i
             states = bb.prepare_max_batch(prep)
             for dt in durations if evolve else ():
                 states = bb.evolve_batch(states, float(dt))
-            return from_points(states, nz, nphi)
+            return np.bincount(bin_index(states, nz, nphi), minlength=nz * nphi)
 
-        return map_chunks(chunk, runs, SphereHistogram.merge)
+        return map_chunks(chunk, runs)
 
-    h_evolved, h_fresh = histogram(1, True), histogram(2, False)
-    table = np.stack([h.counts.ravel() for h in (h_evolved, h_fresh)])
+    table = np.stack([cell_counts(1, True), cell_counts(2, False)])
     return tv_distance(*table), _homogeneity_test(table)[2]
 
 

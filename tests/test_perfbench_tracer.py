@@ -4,8 +4,9 @@
 ``--trace 1`` run; a renamed or deleted one is an AttributeError there.  This
 imports the harness as it is, installs its tracer on a fresh ``spans.Tracer``,
 and checks that uninstalling puts every original back.  Traced erasure and
-noflow calls must reach every wrapped sphere and embedding function, bin
-only the two atoms per grid, and print the untraced bytes.
+noflow calls must reach the wrapped binning and embedding functions, bin
+only the two atoms per grid, build no ``SphereHistogram``, and print the
+untraced bytes.
 """
 
 import json
@@ -68,7 +69,7 @@ def test_install_wraps_and_uninstall_restores(harness, capsys):
 
 def test_erasure_and_noflow_bin_only_the_atoms(harness, capsys):
     run, spans = harness
-    runs = 2 * rng.CHUNK_RUNS + 1  # three chunks per histogram fold
+    runs = 2 * rng.CHUNK_RUNS + 1  # three chunks per call
     argvs = [
         ["erasure", "--model", "bb", "--bins", "8x8,1x8", "--runs", str(runs), "--format", "json"],
         ["noflow", "--model", "telegraph", "--dirs", "0,0,1;1,0,0", "--runs", str(runs), "--format", "json"],
@@ -88,13 +89,10 @@ def test_erasure_and_noflow_bin_only_the_atoms(harness, capsys):
         tracer.uninstall()
     assert traced == untraced
     names = {s.name for s in tracer.spans}
-    assert {
-        "sphere.bin_index",
-        "sphere.SphereHistogram.add",
-        "models.bb.embed_on_sphere",
-        "models.telegraph.embed_on_sphere",
-    } <= names
-    # erasure: 2 grids, noflow: 2 arms of 1 grid, each folded over 3 chunks; the
+    assert {"sphere.bin_index", "models.bb.embed_on_sphere", "models.telegraph.embed_on_sphere"} <= names
+    # each chunk counts into an int64 vector that the engine adds up
+    assert not any(name.startswith("sphere.SphereHistogram.") for name in names)
+    # erasure: 2 grids, noflow: 2 arms of 1 grid, each added up over 3 chunks; the
     # atoms are binned once per grid and arm, not once per chunk, let alone per run
     grids, chunks = 2 + 2, 3
     assert tracer.counts["sphere.bin_index.points"] == 2 * grids <= 2 * grids * chunks

@@ -1,8 +1,7 @@
 """Counter-mode stream: uniform_block against the scalar formula, the slot view,
-declared slots, and the chunk engine: its shared thread pool, its fold in
-chunk order and its bound on chunks in flight."""
+declared slots, and the chunk engine: its shared thread pool, its sum that
+adds each chunk's counts once and its bound on chunks in flight."""
 
-import operator
 import threading
 import time
 
@@ -190,49 +189,59 @@ class TestMapChunks:
 
         def chunk(lo, n):
             threads.add(threading.current_thread())
-            return [(lo, n)]
+            return np.array([n])
 
         runs = 3 * CHUNK_RUNS + 5
-        spans = [(lo, min(CHUNK_RUNS, runs - lo)) for lo in range(0, runs, CHUNK_RUNS)]
         active = []
         for _ in range(5):
-            assert map_chunks(chunk, runs, operator.add) == spans
+            assert map_chunks(chunk, runs).tolist() == [runs]
             active.append(threading.active_count())
         assert len(threads) <= 2 and threading.main_thread() not in threads
         assert max(active[1:]) <= active[0]
 
-    def test_folds_in_chunk_order(self, workers):
-        # list concatenation does not commute, and a chunk that sleeps less may finish before an earlier one
+    def test_adds_each_chunk_exactly_once(self, workers):
+        # chunk k counts one in cell k; a chunk that sleeps less may finish before an earlier one
+        runs = 9 * CHUNK_RUNS + 1
+
         def chunk(lo, n):
             time.sleep(0.002 * (2 - lo // CHUNK_RUNS % 3))
-            return [lo]
+            one_hot = np.zeros(10, dtype=np.int64)
+            one_hot[lo // CHUNK_RUNS] = 1
+            return one_hot
 
-        runs = 9 * CHUNK_RUNS + 1
-        assert map_chunks(chunk, runs, operator.add) == list(range(0, runs, CHUNK_RUNS))
+        total = map_chunks(chunk, runs)
+        assert total.dtype == np.int64 and total.tolist() == [1] * 10
 
     def test_started_and_unfolded_chunks_stay_within_twice_the_workers(self, workers):
         lock = threading.Lock()
-        state = {"started": 0, "folded": 0, "most": 0}
+        state = {"started": 0, "added": 0, "most": 0}
+
+        class Count:
+            """One chunk's result; adding another counts it."""
+
+            def __init__(self):
+                self.chunks = 1
+
+            def __iadd__(self, other):
+                with lock:
+                    self.chunks += other.chunks
+                    state["added"] = self.chunks  # the number of chunk results taken in so far
+                return self
 
         def chunk(lo, n):
             with lock:
                 state["started"] += 1
-                state["most"] = max(state["most"], state["started"] - state["folded"])
+                state["most"] = max(state["most"], state["started"] - state["added"])
             time.sleep(0.002)
-            return 1
+            return Count()
 
-        def fold(total, part):
-            with lock:
-                state["folded"] = total + part  # the number of chunk results folded so far
-            return total + part
-
-        assert map_chunks(chunk, 40 * CHUNK_RUNS, fold) == 40
+        assert map_chunks(chunk, 40 * CHUNK_RUNS).chunks == 40
         assert state["most"] <= 2 * workers
 
     @pytest.mark.parametrize("runs", [0, -1])
     def test_no_runs_is_an_invalid_argument(self, runs):
         with pytest.raises(InvalidArgumentError, match="runs must be >= 1"):
-            map_chunks(lambda lo, n: n, runs, operator.add)
+            map_chunks(lambda lo, n: np.array([n]), runs)
 
     def test_a_failed_call_cancels_its_queued_chunks(self, two_workers):
         ran = []
@@ -244,7 +253,7 @@ class TestMapChunks:
             time.sleep(0.05)
 
         with pytest.raises(ZeroDivisionError):
-            map_chunks(chunk, 50 * CHUNK_RUNS, operator.add)
+            map_chunks(chunk, 50 * CHUNK_RUNS)
         time.sleep(0.2)
         assert len(ran) < 10
-        assert map_chunks(lambda lo, n: n, 2 * CHUNK_RUNS + 1, operator.add) == 2 * CHUNK_RUNS + 1
+        assert map_chunks(lambda lo, n: np.array([n]), 2 * CHUNK_RUNS + 1).tolist() == [2 * CHUNK_RUNS + 1]
