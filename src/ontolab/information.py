@@ -186,9 +186,7 @@ def erasure_report(
 
     def run_chunk(lo: int, n: int) -> np.ndarray:
         """Atom counts of the outcomes, then of the prepared states, or the latter's cell counts on each grid if uniform."""
-        # the model's measured_states reads its SAMPLE_SLOTS (layout in models.py)
-        u = _rng.Uniforms(seed, range(lo, lo + n), model.SAMPLE_SLOTS)
-        states, outcomes = model.measured_states(u, direction)
+        states, outcomes = model.measured_states(_rng.Uniforms(seed, range(lo, lo + n)), direction)
         if not model.UNIFORM_PREPARATION:
             return np.concatenate([_outcome_counts(outcomes), _outcome_counts(states)])
         counts = np.zeros(2 + sum(cells), dtype=np.int64)
@@ -257,7 +255,7 @@ def noflow_test(
     def run_chunk(lo: int, n: int) -> np.ndarray:
         """Per arm, the atom counts of its outcomes, drawn from the arm's own substream."""
         return np.array([
-            _outcome_counts(model.measured_states(_rng.Uniforms(s, range(lo, lo + n), model.SAMPLE_SLOTS), d)[1])
+            _outcome_counts(model.measured_states(_rng.Uniforms(s, range(lo, lo + n)), d)[1])
             for d, s in arms
         ])
 
@@ -321,8 +319,6 @@ def branching_no_erasure_check(
 
     def run_chunk(lo: int, n: int) -> np.ndarray:
         """The 8 joint counts, then the number of stored coordinate arrays that differ, all of a mapping's if its axes did."""
-        # JOINT_SLOTS layout in models.py: 0-3 ontic pair, 4 branch selection
-        u = _rng.uniform_block(seed, range(lo, lo + n), model.JOINT_SLOTS)
         changed = []
 
         @contextmanager
@@ -335,7 +331,7 @@ def branching_no_erasure_check(
                 for x, s in zip((x0, x1), stored) for k in s
             )
 
-        pairs = model.settled_branch_outcomes(a, b, (b, a), u, unchanged)
+        pairs = model.settled_branch_outcomes(a, b, (b, a), _rng.Uniforms(seed, range(lo, lo + n)), unchanged)
         counts = [np.bincount(2 * (o1 < 0).view(np.int8) + (o2 < 0).view(np.int8), minlength=4) for o1, o2 in pairs]
         return np.concatenate([*counts, [sum(changed)]])
 

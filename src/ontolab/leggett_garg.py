@@ -192,15 +192,14 @@ def empirical_correlations(
     Each ``rng.map_chunks`` chunk of n runs from run lo gives pair p of PAIRS
     the fixed quarter lo + n*p//4 to lo + n*(p+1)//4.  Each run prepares the
     maximally mixed state at the ontological level and measures twice
-    through the model's ``lg_products``, in chronological order, on its
-    ``LG_SLOTS``.  Accumulation is integer-exact, so the result depends only
-    on (scenario, runs, seed), never on the worker count.  Each pair's count
-    is fixed, so its estimate is binomial with standard error
+    through the model's ``lg_products``, in chronological order, on the
+    slots that kernel draws.  Accumulation is integer-exact, so the result
+    depends only on (scenario, runs, seed), never on the worker count.  Each
+    pair's count is fixed, so its estimate is binomial with standard error
     sqrt((1 - C^2) / n).  Under 4 runs some pairs are empty: C13 at 3 runs,
     C13 and C24 at 2, all but C14 at 1.  An empty pair's correlator and
     stderr are NaN, and so are lg_value and lg_stderr.
     """
-    slots = model.LG_SLOTS
     pair_times = scenario.pair_times()
 
     def run_chunk(lo: int, n: int) -> np.ndarray:
@@ -208,7 +207,7 @@ def empirical_correlations(
         totals = np.zeros((2, 4), dtype=np.int64)
         for p, pair in enumerate(pair_times):
             quarter = range(lo + n * p // 4, lo + n * (p + 1) // 4)
-            totals[0, p] = model.lg_products(_rng.Uniforms(seed, quarter, slots), pair).sum(dtype=np.int64)
+            totals[0, p] = model.lg_products(_rng.Uniforms(seed, quarter), pair).sum(dtype=np.int64)
             totals[1, p] = len(quarter)
         return totals
 

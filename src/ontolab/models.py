@@ -18,26 +18,39 @@ Three concrete models sit behind one contract:
   no record of which measurement happened.
 
 All three share one Monte Carlo contract, made of kernels.  Each model owns
-the kernels of the paths it runs, and declares next to each the counter-mode
-slots it reads; only those slots are drawn.  A kernel takes a
-``rng.Uniforms`` view ``u`` of one chunk's runs:
+the kernels of the paths it runs.  A kernel takes ``rng.Uniforms`` ``u``,
+one chunk's runs of one seed, draws the counter-mode slots it reads from it
+in one call at its top, ``u.draw(slots)``, and indexes the drawn block by
+position; no other slot is hashed.  The slots of a run, per path:
+
+* four-time inequality, prepare -> evolve -> measure -> evolve -> measure:
+  0-1 preparation, 2 evolve to the first time, 3 first measurement, 4
+  evolve across the gap, 5 second measurement;
+* diagnostics, prepare -> measure: 0-1 preparation, 2 measurement;
+* branching model, one measurement of a, then b: 0-3 the ontic pair
+  (x0, x1), 4 the branch selection.  Its four-time inequality is one such
+  run per pair, in the same layout.
+
+The kernels, and the slots each draws:
 
 * ``lg_products(u, pair)``: the product of the two outcomes of the
-  four-time inequality (``LG_SLOTS``), driven by
-  ``leggett_garg.empirical_correlations``;
+  four-time inequality, driven by ``leggett_garg.empirical_correlations``.
+  bb draws 0, 1, 3 and 5 (its evolution is deterministic), and not 1
+  where its first measurement reads no y; the telegraph draws 4 alone (its
+  product is the flip across the gap); mw draws 0-4;
 * ``measured_states(u, direction)``, single-world models only: the prepared
   states, or the uniforms of a uniform preparation (``UNIFORM_PREPARATION``),
-  and the outcomes of measuring them (``SAMPLE_SLOTS``), which the
-  ``information`` diagnostics histogram.  A post-measurement state is one of
-  two atoms, the state ``atoms(direction)`` lists for its outcome, so the
-  outcomes are all a post-measurement histogram needs;
-* branching model only, the two halves of one measurement of a, then b
-  (``JOINT_SLOTS``): ``sample_ontic_batch`` draws the ontic pair (x0, x1)
-  and ``branch_outcomes`` returns the kept branch's outcomes, one pair per
-  bookkeeping reference (see ``BranchingModel``).  They are two kernels
-  because ``information.branching_no_erasure_check`` holds a copy of the
-  pair between them, counts the outcomes and compares the pair with the
-  copy afterwards.
+  and the outcomes of measuring them, which the ``information`` diagnostics
+  histogram.  bb draws 0-2, the telegraph 0 (its readout is deterministic).
+  A post-measurement state is one of two atoms, the state
+  ``atoms(direction)`` lists for its outcome, so the outcomes are all a
+  post-measurement histogram needs;
+* ``settled_branch_outcomes(a, b, references, u, watch)``, branching model
+  only: draws 0-4, samples the ontic pair (``sample_ontic_batch``) and
+  returns the kept branch's outcomes, one pair per bookkeeping reference
+  (``branch_outcomes``; see ``BranchingModel``).  ``watch`` lets
+  ``information.branching_no_erasure_check`` hold a copy of the pair
+  around ``branch_outcomes`` and compare the pair with it afterwards.
 
 The single-world models also keep their sequential methods,
 ``prepare_max_batch``, ``evolve_batch`` and ``measure_batch``, vectorized
@@ -138,24 +151,15 @@ class OntologicalModel(ABC):
     measurement are stochastic kernels receiving the current state only, so
     nothing can depend on settings chosen later.
 
-    Kernels read only the slots declared below, and a uniform they need but
-    the caller did not draw is None, which they reject, so a slot a model
-    reads but does not declare fails loudly.  Each concrete model keeps its
-    sequential methods (prepare, evolve, measure) as the reference its
-    kernels reproduce; they are not part of this contract.
+    Each kernel draws the slots it reads from the ``rng.Uniforms`` it is
+    handed, in one call (the layout is in the module docstring).  Each
+    concrete model keeps its sequential methods (prepare, evolve, measure)
+    as the reference its kernels reproduce; they are not part of this
+    contract.
     """
 
     name: str = "abstract"
 
-    #: four-time inequality, the slots of prepare -> evolve -> measure -> evolve
-    #: -> measure: 0-1 preparation, 2 evolve to the first time, 3 first
-    #: measurement, 4 evolve across the gap, 5 second measurement.  A model
-    #: declares those its outcomes read: bb 0, 1, 3, 5 (its evolution is
-    #: deterministic), the telegraph 4 alone (its product is the flip across
-    #: the gap)
-    LG_SLOTS: tuple[int, ...]
-    #: post-measurement sampling: 0-1 preparation, 2 measurement
-    SAMPLE_SLOTS: tuple[int, ...]
     #: True when ``measured_states`` returns the (n, 2) uniforms of points uniform
     #: on the sphere, whose cells are sphere.uniform_cell of them; False when it
     #: returns +-1 values, which index ``atoms`` like outcomes
@@ -169,7 +173,7 @@ class OntologicalModel(ABC):
     def embed_on_sphere(self, states) -> np.ndarray:
         """Represent states as (n, 3) unit vectors for the shared histogram tooling."""
 
-    # Monte Carlo kernels, each reading the slots declared above
+    # Monte Carlo kernels, each drawing the slots it reads
 
     @abstractmethod
     def lg_products(self, u: _rng.Uniforms, pair: tuple[float, float]) -> np.ndarray:
@@ -198,9 +202,6 @@ class BeltramettiBugajski(OntologicalModel):
     """
 
     name = "bb"
-    PREP_SLOTS = 2
-    LG_SLOTS = (0, 1, 3, 5)
-    SAMPLE_SLOTS = (0, 1, 2)
     UNIFORM_PREPARATION = True
 
     def prepare_max_batch(self, u: np.ndarray) -> np.ndarray:
@@ -229,15 +230,14 @@ class BeltramettiBugajski(OntologicalModel):
 
         Born's rule flips where the dot crosses 2u - 1, so a run is near a
         threshold where they are within ``FLOAT32_MARGIN``.  A dot that reads
-        neither x nor y is exact as it is, and is computed once in float64,
-        as is any dot without uniforms, which ``_born`` refuses.
+        neither x nor y is exact as it is, and is computed once in float64.
         """
         axes = axes_read(direction)
 
         def projection(rows, trig_dtype):
             return dot(uniform_coordinates(prep[rows], axes, trig_dtype=trig_dtype), direction)
 
-        if axes == (2,) or u is None:
+        if axes == (2,):
             return cls._born(projection(slice(None), np.float64), u)
 
         def kernel(rows, trig_dtype):
@@ -271,7 +271,7 @@ class BeltramettiBugajski(OntologicalModel):
     def embed_on_sphere(self, states: np.ndarray) -> np.ndarray:
         return states
 
-    # Monte Carlo kernels, each reading the slots declared above
+    # Monte Carlo kernels, each drawing the slots it reads
 
     def lg_products(self, u: _rng.Uniforms, pair: tuple[float, float]) -> np.ndarray:
         """o1 * o2 of z measurements at both times of a pair, earlier time first.
@@ -283,12 +283,14 @@ class BeltramettiBugajski(OntologicalModel):
         which is s*y + c*z.  The second reads the collapsed state o1 * z
         rotated across the gap, whose z row is cos(2 (t_second - t_first)) *
         o1 plus an exact +-0.  Only the first outcome can read y, and so goes
-        through ``settle``.
+        through ``settle``; where it reads none (s is +-0.0), the azimuth
+        slot 1 is not drawn.
         """
         t_first, t_second = min(pair), max(pair)
         heisenberg = (0.0, np.sin(2.0 * t_first), np.cos(2.0 * t_first))
-        o1 = self._born_along(heisenberg, u.columns(range(self.PREP_SLOTS)), u.get(3))
-        o2 = self._born(np.cos(2.0 * (t_second - t_first)) * o1, u.get(5))
+        block = u.draw((0, 1, 3, 5) if heisenberg[1] != 0.0 else (0, 3, 5))
+        o1 = self._born_along(heisenberg, block[:, :-2], block[:, -2])
+        o2 = self._born(np.cos(2.0 * (t_second - t_first)) * o1, block[:, -1])
         return o1 * o2
 
     def measured_states(self, u: _rng.Uniforms, direction: np.ndarray):
@@ -298,8 +300,9 @@ class BeltramettiBugajski(OntologicalModel):
         `direction`, as ``measure_batch`` computes it on ``prepare_max_batch``'s
         states.  Along a direction that reads x or y they go through ``settle``.
         """
-        prep = u.columns(range(self.PREP_SLOTS))
-        return prep, self._born_along(np.asarray(direction, dtype=float), prep, u.get(2))
+        block = u.draw((0, 1, 2))
+        prep = block[:, :2]
+        return prep, self._born_along(np.asarray(direction, dtype=float), prep, block[:, 2])
 
 
 class Telegraph(OntologicalModel):
@@ -318,9 +321,6 @@ class Telegraph(OntologicalModel):
     """
 
     name = "telegraph"
-    PREP_SLOTS = 1
-    LG_SLOTS = (4,)
-    SAMPLE_SLOTS = (0,)
 
     def __init__(self, gamma: float = 1.0):
         if not np.isfinite(gamma) or gamma < 0:
@@ -362,7 +362,7 @@ class Telegraph(OntologicalModel):
         out[:, 2] = states
         return out
 
-    # Monte Carlo kernels, each reading the slots declared above
+    # Monte Carlo kernels, each drawing the slots it reads
 
     def lg_products(self, u: _rng.Uniforms, pair: tuple[float, float]) -> np.ndarray:
         """o1 * o2 of the readouts at both times of a pair: the flip factor across the gap.
@@ -370,12 +370,12 @@ class Telegraph(OntologicalModel):
         With prepared value v and flip factors f1 (to the first time) and f2
         (across the gap), o1 = v * f1 and o2 = o1 * f2, so o1 * o2 = f2.
         """
-        return self._flips(max(pair) - min(pair), u.get(4))
+        return self._flips(max(pair) - min(pair), u.draw((4,)))
 
     def measured_states(self, u: _rng.Uniforms, direction: np.ndarray):
         """The prepared values and the readouts of ``measure_batch`` along `direction`."""
-        states = self.prepare_max_batch(u.columns(range(self.PREP_SLOTS)))
-        return states, self.measure_batch(states, direction, u.get(2))[0]
+        states = self.prepare_max_batch(u.draw((0,)))
+        return states, self.measure_batch(states, direction)[0]
 
 
 class BranchingModel:
@@ -400,10 +400,6 @@ class BranchingModel:
     """
 
     name = "mw"
-    #: two-measurement runs: 0-3 ontic pair, 4 branch selection
-    JOINT_SLOTS = (0, 1, 2, 3, 4)
-    #: four-time inequality: one two-measurement run per pair, so the same layout
-    LG_SLOTS = JOINT_SLOTS
 
     # sampling
 
@@ -467,18 +463,19 @@ class BranchingModel:
         s_b, n_bs = self.bob_batch(b, x0, x1, references, near)
         return tuple(self.pair_and_select_batch(s_a, n_a, s_b, n_b, u_select) for n_b in n_bs)
 
-    def settled_branch_outcomes(self, a, b, references, u: np.ndarray, watch=None):
-        """``branch_outcomes`` of the runs of u, (n, 5): four ontic slots + selection, through ``settle``.
+    def settled_branch_outcomes(self, a, b, references, u: _rng.Uniforms, watch=None):
+        """``branch_outcomes`` of the runs of u, through ``settle``, from slots 0-3, the ontic pair, and 4, the selection.
 
         The ontic pairs of the rows ``settle`` recomputes are sampled again in
         float64.  `watch`, if given, is called on each pass's (x0, x1) and
         returns a context manager that encloses ``branch_outcomes``.
         """
         axes = axes_read(a, b, *references)
+        block = u.draw((0, 1, 2, 3, 4))
 
         def kernel(rows, trig_dtype):
-            x0, x1 = self.sample_ontic_batch(u[rows, 0:4], axes, trig_dtype)
-            u_select = u[rows, 4]
+            x0, x1 = self.sample_ontic_batch(block[rows, 0:4], axes, trig_dtype)
+            u_select = block[rows, 4]
             near = np.zeros(len(u_select), dtype=bool)
             with watch(x0, x1) if watch else nullcontext():
                 pairs = self.branch_outcomes(a, b, references, x0, x1, u_select, near)
@@ -487,19 +484,19 @@ class BranchingModel:
         outcomes = settle(kernel)
         return list(zip(outcomes[0::2], outcomes[1::2]))
 
-    def run_experiment_batch(self, a: np.ndarray, b: np.ndarray, u: np.ndarray):
-        """(alpha, beta) of one batch of complete runs; u is (n, 5): four ontic slots + selection."""
+    def run_experiment_batch(self, a: np.ndarray, b: np.ndarray, u: _rng.Uniforms):
+        """(alpha, beta) of the complete runs of u, with the bookkeeping along b."""
         ((alpha, beta),) = self.settled_branch_outcomes(a, b, (b,), u)
         return alpha, beta
 
-    # Monte Carlo kernels, each reading the slots declared above
+    # Monte Carlo kernels, each drawing the slots it reads
 
     def lg_products(self, u: _rng.Uniforms, pair: tuple[float, float]) -> np.ndarray:
         """alpha * beta of one pair; times enter this static model as Heisenberg directions."""
         t_first, t_second = min(pair), max(pair)
         a = heisenberg_direction(t_first)
         b = heisenberg_direction(t_second)
-        alpha, beta = self.run_experiment_batch(a, b, u.columns(self.LG_SLOTS))
+        alpha, beta = self.run_experiment_batch(a, b, u)
         return alpha * beta
 
 

@@ -11,11 +11,10 @@ splitmix64 finalizer applied twice with two Weyl increments:
 
 A value depends on its own (seed, run, slot) only, so ``uniform_block``
 hashes exactly the runs and slots a caller asks for: a range of run indices
-and any subset of slots.  Each model declares the slots it reads on each
-path (``LG_SLOTS``, ``SAMPLE_SLOTS``, ``JOINT_SLOTS``) and nothing else is
-ever hashed, which leaves every value it does read, and so every result
-byte, unchanged.  Model kernels read the drawn block through ``Uniforms``,
-a slot-addressed view.
+and any subset of slots.  A caller hands a model kernel ``Uniforms``, one
+chunk's runs of one seed, and the kernel draws the slots it reads, in one
+call, at its top; nothing else is ever hashed, which leaves every value it
+does read, and so every result byte, unchanged.
 
 This stream is the only source of randomness in the package: no module
 holds a generator of its own, and every statistical verdict is a
@@ -90,29 +89,14 @@ def uniform_block(seed: int, runs: range, slots: tuple[int, ...]) -> np.ndarray:
 
 
 class Uniforms:
-    """Slot-addressed view of one ``uniform_block(seed, runs, slots)``.
+    """One chunk's runs of the stream of `seed`, from which a kernel draws the slots it reads."""
 
-    ``u.get(slot)`` is the column of a drawn slot, or None for an undrawn
-    one, which a method that needs uniforms rejects.  ``u.columns(slots)``
-    is the (n, len(slots)) view of slots drawn side by side.  Every read is
-    a view of the one block, never a copy.
-    """
+    def __init__(self, seed: int, runs: range):
+        self.seed, self.runs = seed, runs
 
-    def __init__(self, seed: int, runs: range, slots: tuple[int, ...]):
-        self.slots = tuple(slots)
-        self.block = uniform_block(seed, runs, self.slots)
-        self._index = {slot: j for j, slot in enumerate(self.slots)}
-
-    def get(self, slot: int) -> np.ndarray | None:
-        j = self._index.get(slot)
-        return None if j is None else self.block[:, j]
-
-    def columns(self, slots) -> np.ndarray:
-        slots = tuple(slots)
-        j = self._index[slots[0]]
-        if self.slots[j : j + len(slots)] != slots:
-            raise KeyError(f"slots {slots} were not drawn side by side in {self.slots}")
-        return self.block[:, j : j + len(slots)]
+    def draw(self, slots: tuple[int, ...]) -> np.ndarray:
+        """``uniform_block(seed, runs, slots)``: column j holds slot slots[j]."""
+        return uniform_block(self.seed, self.runs, slots)
 
 
 def _mix64_int(x: int) -> int:

@@ -22,7 +22,8 @@ independent routes to the same numbers:
   single-world kernels as the sequential reference methods compose them,
   prepare -> evolve -> measure -> evolve -> measure and prepare -> measure,
   which the kernels that compute only what their outcomes read must match
-  bit for bit;
+  bit for bit; ``Planted`` hands both the same uniforms, with values
+  planted in them;
 * the ``where_*`` and ``stacked_*`` kernels: the ``np.where``,
   ``astype``, ``np.column_stack`` and two-temporary formulas the branch-free
   int8 and scratch-array kernels of ``models`` and ``sphere`` replaced,
@@ -47,7 +48,7 @@ from ontolab.qubit import (
     density_to_bloch,
     unit_vector,
 )
-from ontolab.rng import Uniforms, map_chunks, substream_seed, uniform_block
+from ontolab.rng import map_chunks, substream_seed, uniform_block
 from ontolab.sphere import SphereHistogram, bin_index, dot
 
 HAMILTONIAN = SIGMA_X
@@ -111,25 +112,41 @@ def bb_joint_statistics(a, b, runs: int, seed: int) -> np.ndarray:
     return np.bincount(cells.astype(np.int64), minlength=4).reshape(2, 2) / runs
 
 
-def composed_lg_products(model, u: Uniforms, pair) -> np.ndarray:
+class Planted:
+    """Uniforms with values planted in them, handed to a kernel in place of ``rng.Uniforms``.
+
+    Column j of the (n, k) `block` holds slot j, and ``draw(slots)`` returns
+    ``block[:, slots]``, as ``rng.Uniforms.draw`` returns those slots.
+    """
+
+    def __init__(self, block: np.ndarray):
+        self.block = block
+
+    def draw(self, slots) -> np.ndarray:
+        return self.block[:, list(slots)]
+
+
+def composed_lg_products(model, u, pair) -> np.ndarray:
     """o1 * o2 of z measurements at both times of a pair through prepare -> evolve -> measure -> evolve -> measure.
 
-    u holds the slots of ``OntologicalModel.LG_SLOTS``' layout.
+    Slots 0-5 of u in the four-time layout of ``models``: 0-1 preparation,
+    2 and 4 the evolutions, 3 and 5 the measurements.
     """
     t_first, t_second = min(pair), max(pair)
     z = np.array([0.0, 0.0, 1.0])
-    states = model.prepare_max_batch(u.columns(range(model.PREP_SLOTS)))
-    states = model.evolve_batch(states, t_first, u.get(2))
-    o1, states = model.measure_batch(states, z, u.get(3))
-    states = model.evolve_batch(states, t_second - t_first, u.get(4))
-    o2, _ = model.measure_batch(states, z, u.get(5))
+    block = u.draw(range(6))
+    states = model.prepare_max_batch(block[:, :2])
+    states = model.evolve_batch(states, t_first, block[:, 2])
+    o1, states = model.measure_batch(states, z, block[:, 3])
+    states = model.evolve_batch(states, t_second - t_first, block[:, 4])
+    o2, _ = model.measure_batch(states, z, block[:, 5])
     return o1 * o2
 
 
-def composed_measured_outcomes(model, u: Uniforms, direction) -> np.ndarray:
-    """Outcomes of prepare -> measure along `direction`, through ``measure_batch``."""
-    states = model.prepare_max_batch(u.columns(range(model.PREP_SLOTS)))
-    return model.measure_batch(states, direction, u.get(2))[0]
+def composed_measured_outcomes(model, u, direction) -> np.ndarray:
+    """Outcomes of prepare -> measure along `direction`, through ``measure_batch``, from slots 0-1 and 2 of u."""
+    block = u.draw(range(3))
+    return model.measure_batch(model.prepare_max_batch(block[:, :2]), direction, block[:, 2])[0]
 
 
 def from_points(points: np.ndarray, nz: int, nphi: int) -> SphereHistogram:
@@ -157,12 +174,11 @@ def invariance_tv(runs: int, rotations: int, seed: int, cap: bool = False, nz: i
     cannot make it uniform.
     """
     bb = BeltramettiBugajski()
-    prep_slots = tuple(range(bb.PREP_SLOTS))
     durations = np.pi * uniform_block(substream_seed(seed, 7), range(rotations), (0,))[:, 0]
 
     def cell_counts(arm: int, evolve: bool) -> np.ndarray:
         def chunk(lo, n):
-            prep = Uniforms(substream_seed(seed, arm), range(lo, lo + n), prep_slots).columns(prep_slots)
+            prep = uniform_block(substream_seed(seed, arm), range(lo, lo + n), (0, 1))
             if evolve and cap:
                 prep[:, 0] = 0.75 + 0.25 * prep[:, 0]  # z = 2u - 1 in [0.5, 1]
             states = bb.prepare_max_batch(prep)

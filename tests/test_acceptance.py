@@ -36,7 +36,7 @@ from ontolab import (
 from ontolab.cli import main
 from ontolab.information import ALPHA, chi_square_test
 from ontolab.leggett_garg import PAIRS
-from ontolab.rng import uniform_block
+from ontolab.rng import Uniforms
 
 from helpers import bb_joint_statistics, invariance_tv
 
@@ -190,7 +190,7 @@ def test_c08_branching_equivalence():
         )
         # equal settings: every run perfectly correlated
         a = random_units(rng, 1)[0]
-        alpha, beta = BranchingModel().run_experiment_batch(a, a, uniform_block(88, range(runs), (0, 1, 2, 3, 4)))
+        alpha, beta = BranchingModel().run_experiment_batch(a, a, Uniforms(88, range(runs)))
         assert np.array_equal(alpha, beta)
 
 

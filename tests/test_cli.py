@@ -21,7 +21,6 @@ from hypothesis import example, given, settings, strategies as st
 from ontolab import BeltramettiBugajski, BranchingModel, Telegraph, cli, leggett_garg, rng
 from ontolab.cli import _COMMANDS, MAX_RUNS, build_parser, main, parse_bins, parse_dirs, parse_time
 from ontolab.information import branching_no_erasure_check, chi_square_test
-from ontolab.models import make_model
 from ontolab.leggett_garg import PAIR_LABELS, LGScenario
 from ontolab.qubit import MAXIMALLY_MIXED, sequential_joint
 
@@ -303,11 +302,19 @@ class TestLGCommand:
         assert rows["lg_value"] == ["", "", "1"]
         assert sum(r == ["", "", "0"] for r in rows.values()) == 3
 
+    # the slots each pair's kernel draws, C13 C23 C24 C14, on the schedule 0, pi/8, pi/4, 3pi/8: bb's first
+    # measurement reads no y at time 0 (C13 and C14), so those pairs draw no azimuth slot 1
+    LG_DRAWS = {
+        "bb": ((0, 3, 5), (0, 1, 3, 5), (0, 1, 3, 5), (0, 3, 5)),
+        "mw": ((0, 1, 2, 3, 4),) * 4,
+        "telegraph": ((4,),) * 4,
+    }
+
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("model", ["bb", "mw", "telegraph"])
     def test_each_pair_takes_a_fixed_quarter_of_every_chunk(self, model, threads, monkeypatch, capsys):
-        # every run is hashed once, from the command's seed, for its pair's
-        # slots alone: no run picks its pair, and no run is drawn twice
+        # every run is hashed once, from the command's seed, in one draw of
+        # its pair's slots: no run picks its pair, and no run is drawn twice
         monkeypatch.setenv("ONTOLAB_THREADS", str(threads))
         if rng.resolve_workers() < threads:
             pytest.skip(f"needs {threads} CPUs")
@@ -321,8 +328,10 @@ class TestLGCommand:
         monkeypatch.setattr(rng, "uniform_block", recording)
         runs = 2 * rng.CHUNK_RUNS + 7
         assert main(["lg", "--model", model, *LG_TIMES, "--runs", str(runs), "--seed", "5", "--format", "json"]) == 0
-        assert {(seed, slots) for seed, _, slots in hashed} == {(5, make_model(model).LG_SLOTS)}
-        ranges = sorted((r for _, r, _ in hashed), key=lambda r: r.start)
+        assert {seed for seed, _, _ in hashed} == {5}
+        hashed.sort(key=lambda call: call[1].start)
+        assert [slots for _, _, slots in hashed] == list(self.LG_DRAWS[model]) * 3
+        ranges = [r for _, r, _ in hashed]
         assert all(r.step == 1 for r in ranges)
         assert [r.start for r in ranges] == [0, *(r.stop for r in ranges[:-1])] and ranges[-1].stop == runs
         chunks = (rng.CHUNK_RUNS, rng.CHUNK_RUNS, 7)
@@ -489,6 +498,41 @@ class TestModelContract:
                             (Telegraph, "evolve_batch")):
             monkeypatch.setattr(cls, method, unreachable)
         assert list(outputs()) == unpatched
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("argv", [
+        ["lg", "--model", "bb", *LG_TIMES],
+        ["lg", "--model", "mw", *LG_TIMES],
+        ["lg", "--model", "telegraph", *LG_TIMES],
+        ["erasure", "--model", "bb", "--bins", "8x8,16x16"],
+        ["erasure", "--model", "telegraph"],
+        ["noflow", "--model", "bb", *TWO_DIRS],
+        ["noflow", "--model", "telegraph", *TWO_DIRS],
+        ["mwcheck", *TWO_DIRS],
+    ], ids=["lg-bb", "lg-mw", "lg-telegraph", "erasure-bb", "erasure-telegraph", "noflow-bb", "noflow-telegraph",
+            "mwcheck"])
+    def test_no_run_slot_is_hashed_twice(self, argv, threads, monkeypatch):
+        # each (seed, run, slot) is hashed at most once per command, whatever the worker count
+        monkeypatch.setenv("ONTOLAB_THREADS", str(threads))
+        if rng.resolve_workers() < threads:
+            pytest.skip(f"needs {threads} CPUs")
+        spans = {}
+        uniform_block = rng.uniform_block
+
+        def recording(seed, runs, slots):
+            for slot in slots:
+                spans.setdefault((seed, slot), []).append((runs.start, runs.stop))
+            return uniform_block(seed, runs, slots)
+
+        monkeypatch.setattr(rng, "uniform_block", recording)
+        runs = 2 * rng.CHUNK_RUNS + 7
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main([*argv, "--runs", str(runs), "--seed", "5"]) == 0
+        assert spans
+        for ranges in spans.values():
+            ranges.sort()
+            assert all(stop <= start for (_, stop), (start, _) in zip(ranges, ranges[1:]))
+            assert ranges[-1][1] <= runs
 
 
 def _run_fresh(code: str, threads: int | None = None) -> str:

@@ -1,11 +1,13 @@
 """Golden outputs: every command's JSON bytes are pinned for three seeds,
-and its CSV bytes for one.
+and its CSV bytes for one.  The benchmark's 10^6-run command lines are
+pinned too, as JSON at one seed.
 
 Each case runs with 1 worker and with 2 workers and must reproduce the
-recorded file byte for byte.  The run count spans several 2**16-run chunks,
-so chunking, chunk-order reduction and the per-run random stream are all
-covered.  A change that alters a result on purpose regenerates the files of
-the commands it changes (all of them when none is named) with
+recorded file byte for byte.  The run count spans several 2**16-run chunks
+(16 at 10^6 runs), so chunking, chunk-order reduction and the per-run
+random stream are all covered.  A change that alters a result on purpose
+regenerates the files of the commands it changes (all of them when none is
+named) with
 
     PYTHONPATH=src python tests/test_golden.py [NAME ...]
 
@@ -46,17 +48,37 @@ COMMANDS = {
     "mwcheck": ["mwcheck", "--dirs", DIRS, "--runs", RUNS],
 }
 
+# The command lines of the benchmark's lg-models and info-diagnostics
+# workloads (perfbench/workloads.py), written out, at 10^6 runs and one seed.
+BENCH_SEED = 1
+BIG_RUNS = "--runs=1000000"
+PI8_TIMES = "--times=0.0,0.39269908169872414,0.7853981633974483,1.1780972450961724"
+BENCH_COMMANDS = {
+    "lg_bb_1e6": ["lg", "--model=bb", PI8_TIMES, BIG_RUNS],
+    "lg_mw_1e6": ["lg", "--model=mw", PI8_TIMES, BIG_RUNS],
+    "lg_telegraph_1e6": ["lg", "--model=telegraph", PI8_TIMES, BIG_RUNS],
+    "mwcheck_1e6": ["mwcheck", "--dirs=0.0,0.0,1.0;0.0,0.7071067811865476,0.7071067811865476", BIG_RUNS],
+    "erasure_bb_1e6": ["erasure", "--model=bb", "--bins=8x8,16x16,32x32,64x64", BIG_RUNS],
+    "noflow_bb_1e6": ["noflow", "--model=bb", "--dirs=0.0,0.0,1.0;1.0,0.0,0.0", BIG_RUNS],
+    "noflow_telegraph_1e6": ["noflow", "--model=telegraph", "--dirs=0.0,0.0,1.0;1.0,0.0,0.0", BIG_RUNS],
+}
+
 
 def _cases(names) -> list[tuple[str, int, str]]:
     """(command, seed, format) of every golden file of the named commands."""
-    return [(n, s, "json") for n in names for s in SEEDS] + [(n, CSV_SEED, "csv") for n in names]
+    small = [n for n in names if n in COMMANDS]
+    return (
+        [(n, s, "json") for n in small for s in SEEDS]
+        + [(n, CSV_SEED, "csv") for n in small]
+        + [(n, BENCH_SEED, "json") for n in names if n in BENCH_COMMANDS]
+    )
 
 
-CASES = _cases(COMMANDS)
+CASES = _cases([*COMMANDS, *BENCH_COMMANDS])
 
 
 def _argv(name: str, seed: int, fmt: str) -> list[str]:
-    return [*COMMANDS[name], "--seed", str(seed), "--format", fmt]
+    return [*(COMMANDS | BENCH_COMMANDS)[name], "--seed", str(seed), "--format", fmt]
 
 
 def _golden_path(name: str, seed: int, fmt: str) -> Path:
@@ -127,10 +149,11 @@ def test_out_file_holds_the_stdout_bytes(name, fmt, tmp_path):
 if __name__ == "__main__":
     import os
 
-    names = sys.argv[1:] or list(COMMANDS)
-    unknown = sorted(set(names) - set(COMMANDS))
+    known = [*COMMANDS, *BENCH_COMMANDS]
+    names = sys.argv[1:] or known
+    unknown = sorted(set(names) - set(known))
     if unknown:
-        sys.exit(f"unknown commands {unknown}; expected some of {sorted(COMMANDS)}")
+        sys.exit(f"unknown commands {unknown}; expected some of {sorted(known)}")
     os.environ["ONTOLAB_THREADS"] = "1"
     GOLDEN_DIR.mkdir(exist_ok=True)
     for name, seed, fmt in _cases(names):

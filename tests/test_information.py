@@ -34,7 +34,7 @@ from ontolab.cli import cmd_mwcheck, parse_dirs
 from ontolab.information import ALPHA, MIN_POOLED, _homogeneity_test, chi2_sf, chi_square_test
 from ontolab.models import sign_pm1
 from ontolab.qubit import heisenberg_direction, unit_vector
-from ontolab.rng import CHUNK_RUNS, Uniforms, substream_seed, uniform_block
+from ontolab.rng import CHUNK_RUNS, substream_seed, uniform_block
 from ontolab.sphere import SphereHistogram, dot, histogram_entropy, sample_uniform_sphere
 
 from helpers import from_points, invariance_tv, tv_distance
@@ -236,9 +236,9 @@ class TestNoFlow:
 
 def _point_path(model, direction, runs: int, seed: int, grids):
     """The prepared and post-measurement histograms the point path gave: each state embedded and binned."""
-    u = Uniforms(seed, range(runs), model.SAMPLE_SLOTS)
-    states = model.prepare_max_batch(u.columns(range(model.PREP_SLOTS)))
-    _, post = model.measure_batch(states, direction, u.get(2))
+    u = uniform_block(seed, range(runs), (0, 1, 2))
+    states = model.prepare_max_batch(u[:, :2])
+    _, post = model.measure_batch(states, direction, u[:, 2])
     return [[from_points(model.embed_on_sphere(x), nz, nphi) for nz, nphi in grids] for x in (states, post)]
 
 
@@ -614,7 +614,12 @@ class PartialCollapse(Telegraph):
     """
 
     EPSILON = 0.1
-    SAMPLE_SLOTS = (0, 2)  # slot 2 decides whether the readout collapses
+
+    def measured_states(self, u, direction):
+        # slot 0 prepares the value, slot 2 decides whether the readout collapses
+        block = u.draw((0, 2))
+        states = self.prepare_max_batch(block)
+        return states, self.measure_batch(states, direction, block[:, 1])[0]
 
     def measure_batch(self, states, direction, u):
         collapsed = np.asarray(u) < self.EPSILON

@@ -35,7 +35,6 @@ the outcomes, against the binned ``measure_batch`` post states, signed
 zeros included.
 """
 
-import copy
 import math
 from fractions import Fraction
 
@@ -60,6 +59,7 @@ from ontolab.sphere import (
 )
 
 from helpers import (
+    Planted,
     composed_lg_products,
     composed_measured_outcomes,
     stacked_sample_uniform_sphere,
@@ -244,12 +244,12 @@ class TestBranching:
     def test_joint_statistics_cells_match_floor_division(self, runs, seed):
         mw = BranchingModel()
         a, b = np.array([0.0, 0.6, 0.8]), np.array([0.6, 0.0, 0.8])
-        u = Uniforms(seed, range(runs), mw.JOINT_SLOTS)
-        x0, x1 = mw.sample_ontic_batch(u.columns(range(4)), (0, 1, 2))
+        u = uniform_block(seed, range(runs), (0, 1, 2, 3, 4))
+        x0, x1 = mw.sample_ontic_batch(u[:, :4], (0, 1, 2))
         # the bookkeeping along b, then along a
         expected = np.stack([
             np.bincount(where_joint_cells(o1, o2), minlength=4)
-            for o1, o2 in mw.branch_outcomes(a, b, (b, a), x0, x1, u.get(4), np.zeros(runs, bool))
+            for o1, o2 in mw.branch_outcomes(a, b, (b, a), x0, x1, u[:, 4], np.zeros(runs, bool))
         ]).reshape(-1, 2, 2) / runs
         assert np.array_equal(branching_no_erasure_check(a, b, runs, seed).joint, expected)
 
@@ -290,12 +290,12 @@ class FullSampleMW(BranchingModel):
         return super().sample_ontic_batch(u, (0, 1, 2))
 
 
-def _tied_uniforms(seed: int, runs: int, slots) -> Uniforms:
-    """Counter-mode uniforms with ties planted: 0.5 (z = 0, Born or branch ties) and phi at the axes."""
-    u = Uniforms(seed, range(runs), slots)
-    for k, slot in enumerate(slots):
-        u.get(slot)[k % 3 :: 3] = np.resize([0.0, 0.25, 0.5, 0.75], len(u.get(slot)[k % 3 :: 3]))
-    return u
+def _tied_uniforms(seed: int, runs: int, slots: int) -> Planted:
+    """Counter-mode uniforms of slots 0 to slots - 1 with ties planted: 0.5 (z = 0, Born or branch ties) and phi at the axes."""
+    block = uniform_block(seed, range(runs), tuple(range(slots)))
+    for slot, column in enumerate(block.T):
+        column[slot % 3 :: 3] = np.resize([0.0, 0.25, 0.5, 0.75], len(column[slot % 3 :: 3]))
+    return Planted(block)
 
 
 class TestReadCoordinates:
@@ -348,7 +348,7 @@ class TestReadCoordinates:
     @settings(max_examples=100, deadline=None)
     @given(TIMES, TIMES, st.integers(0, 2**32))
     def test_lg_products_match_full_sample(self, t1, t2, seed):
-        u = _tied_uniforms(seed, 240, tuple(range(6)))
+        u = _tied_uniforms(seed, 240, 6)
         assert same_bits(BranchingModel().lg_products(u, (t1, t2)), FullSampleMW().lg_products(u, (t1, t2)))
 
 
@@ -363,13 +363,13 @@ class TestLeanKernels:
     @example((math.pi / 2, -0.0), 4)
     def test_bb_lg_products_match_composition(self, pair, seed):
         bb = BeltramettiBugajski()
-        u = _tied_uniforms(seed, 240, tuple(range(6)))
+        u = _tied_uniforms(seed, 240, 6)
         t_first, t_second = min(pair), max(pair)
         # ties at both Born probabilities: the evolved z row, and cos 2(t2 - t1) for either first outcome
-        evolved = bb.evolve_batch(bb.prepare_max_batch(u.columns((0, 1))), t_first)
-        u.get(3)[::4] = 0.5 * (1.0 + evolved[::4, 2])
+        evolved = bb.evolve_batch(bb.prepare_max_batch(u.block[:, :2]), t_first)
+        u.block[::4, 3] = 0.5 * (1.0 + evolved[::4, 2])
         c = np.cos(2.0 * (t_second - t_first))
-        u.get(5)[1::4], u.get(5)[2::4] = 0.5 * (1.0 + c), 0.5 * (1.0 - c)
+        u.block[1::4, 5], u.block[2::4, 5] = 0.5 * (1.0 + c), 0.5 * (1.0 - c)
         assert same_bits(bb.lg_products(u, pair), composed_lg_products(bb, u, pair))
 
     @settings(max_examples=200, deadline=None)
@@ -379,11 +379,11 @@ class TestLeanKernels:
     @example((-math.pi / 4, math.pi / 8), 0.3, 3)
     def test_telegraph_lg_products_match_composition(self, pair, gamma, seed):
         model = Telegraph(gamma)
-        u = _tied_uniforms(seed, 240, tuple(range(6)))
+        u = _tied_uniforms(seed, 240, 6)
         t_first, t_second = min(pair), max(pair)
         # ties at both flip probabilities
         for slot, dt in ((2, t_first), (4, t_second - t_first)):
-            u.get(slot)[1::4] = 0.5 * (1.0 - np.exp(-2.0 * gamma * abs(dt)))
+            u.block[1::4, slot] = 0.5 * (1.0 - np.exp(-2.0 * gamma * abs(dt)))
         assert same_bits(model.lg_products(u, pair), composed_lg_products(model, u, pair))
 
     @settings(max_examples=200, deadline=None)
@@ -393,14 +393,14 @@ class TestLeanKernels:
     @example(np.array([0.0, -1.0, 0.0]), 3)
     def test_bb_measured_states_match_composition(self, d, seed):
         bb = BeltramettiBugajski()
-        u = _tied_uniforms(seed, 240, (0, 1, 2))
+        u = _tied_uniforms(seed, 240, 3)
         # ties at the Born probability of every fourth run
-        full = bb.prepare_max_batch(u.columns((0, 1)))
-        u.get(2)[::4] = 0.5 * (1.0 + dot(full[::4].T, d))
+        full = bb.prepare_max_batch(u.block[:, :2])
+        u.block[::4, 2] = 0.5 * (1.0 + dot(full[::4].T, d))
         prepared, outcomes = bb.measured_states(u, d)
         # the collapse model's prepared states are its preparation uniforms, binned by uniform_cell
         for nz, nphi in ((8, 8), (5, 7)):
-            assert same_bits(uniform_cell(prepared, nz, nphi), uniform_cell(u.columns((0, 1)), nz, nphi))
+            assert same_bits(uniform_cell(prepared, nz, nphi), uniform_cell(u.block[:, :2], nz, nphi))
         assert same_bits(outcomes, composed_measured_outcomes(bb, u, d))
 
 
@@ -451,7 +451,7 @@ def _planted_mw_uniforms(seed: int, a, b) -> np.ndarray:
 
     The dots are, quarter by quarter, a . x0, a . x1, b . (x0 + x1) and b . (x0 - x1).
     """
-    u = uniform_block(seed, range(PLANTED_RUNS), BranchingModel.JOINT_SLOTS)
+    u = uniform_block(seed, range(PLANTED_RUNS), (0, 1, 2, 3, 4))
     quarter = PLANTED_RUNS // 4
     signs = np.resize([1e-7, -1e-7], quarter // 2)
     moderate = 0.2 * np.hypot(b[0], b[1]) * (2.0 * u[: quarter // 2, 4] - 1.0)
@@ -491,9 +491,9 @@ class TestFloat32Trig:
     @pytest.mark.parametrize("pair", [(math.pi / 8, 3 * math.pi / 8), (0.3, 1.1), (-1.0, 0.5), (0.7, 0.9)])
     def test_bb_lg_products_planted_at_the_born_probability(self, trig_calls, monkeypatch, pair):
         bb = BeltramettiBugajski()
-        u = Uniforms(5, range(PLANTED_RUNS), tuple(range(6)))
-        evolved = bb.evolve_batch(bb.prepare_max_batch(u.columns((0, 1))), min(pair))
-        _plant_born(u.get(3), 0.5 * (1.0 + evolved[:, 2]))
+        u = Planted(uniform_block(5, range(PLANTED_RUNS), tuple(range(6))))
+        evolved = bb.evolve_batch(bb.prepare_max_batch(u.block[:, :2]), min(pair))
+        _plant_born(u.block[:, 3], 0.5 * (1.0 + evolved[:, 2]))
         exact = composed_lg_products(bb, u, pair)
         trig_calls.clear()
         assert same_bits(bb.lg_products(u, pair), exact)
@@ -505,8 +505,8 @@ class TestFloat32Trig:
     @pytest.mark.parametrize("d", BB_DIRECTIONS, ids=["x", "-y", "xz", "xyz"])
     def test_bb_measured_states_planted_at_the_born_probability(self, trig_calls, monkeypatch, d):
         bb = BeltramettiBugajski()
-        u = Uniforms(6, range(PLANTED_RUNS), (0, 1, 2))
-        _plant_born(u.get(2), 0.5 * (1.0 + dot(bb.prepare_max_batch(u.columns((0, 1))).T, d)))
+        u = Planted(uniform_block(6, range(PLANTED_RUNS), (0, 1, 2)))
+        _plant_born(u.block[:, 2], 0.5 * (1.0 + dot(bb.prepare_max_batch(u.block[:, :2]).T, d)))
         exact = composed_measured_outcomes(bb, u, d)
         trig_calls.clear()
         assert same_bits(bb.measured_states(u, d)[1], exact)
@@ -525,9 +525,9 @@ class TestFloat32Trig:
         planted = np.concatenate([dot(x0, a)[:quarter:2], dot(x1, a)[quarter : 2 * quarter : 2],
                                   dot(plus, b)[2 * quarter : 3 * quarter : 2], dot(minus, b)[3 * quarter :: 2]])
         assert (np.abs(np.abs(planted) - 1e-7) < 1e-12).all()
-        exact = exact_mw.run_experiment_batch(a, b, u)
+        exact = exact_mw.run_experiment_batch(a, b, Planted(u))
         trig_calls.clear()
-        for got, want in zip(mw.run_experiment_batch(a, b, u), exact, strict=True):
+        for got, want in zip(mw.run_experiment_batch(a, b, Planted(u)), exact, strict=True):
             assert same_bits(got, want)
         assert _float64_rows(trig_calls, PLANTED_RUNS)
         # the no-erasure pass, on the same uniforms, with the bookkeeping along both b and a
@@ -535,19 +535,19 @@ class TestFloat32Trig:
         joints = [branching_no_erasure_check(a, b, PLANTED_RUNS, model=m) for m in (mw, exact_mw)]
         assert joints[0].immutable and np.array_equal(joints[0].joint, joints[1].joint)
         monkeypatch.setattr(models, "FLOAT32_MARGIN", 0.0)
-        assert not all(same_bits(g, w) for g, w in zip(mw.run_experiment_batch(a, b, u), exact))
+        assert not all(same_bits(g, w) for g, w in zip(mw.run_experiment_batch(a, b, Planted(u)), exact))
 
     @pytest.mark.parametrize("margin", [0.01, math.inf])
     @pytest.mark.parametrize("seed", [0, 3])
     def test_outcomes_do_not_depend_on_the_margin(self, monkeypatch, margin, seed):
         # a wider margin recomputes more rows in float64; at inf it recomputes every row
         def outcomes():
-            u = Uniforms(seed, range(3000), tuple(range(6)))
+            u = Uniforms(seed, range(3000))
             return [
                 BeltramettiBugajski().lg_products(u, (0.3, 1.1)),
                 BeltramettiBugajski().measured_states(u, BB_DIRECTIONS[3])[1],
                 BeltramettiBugajski().measured_states(u, AXES["x"])[1],
-                *BranchingModel().run_experiment_batch(*MW_PAIRS[1], u.columns(range(5))),
+                *BranchingModel().run_experiment_batch(*MW_PAIRS[1], u),
                 branching_no_erasure_check(*MW_PAIRS[0], 3000, seed).joint,
             ]
 
@@ -583,11 +583,9 @@ class TestExactRowsAnywhere:
             assert same_bits(dot(uniform_coordinates(u[rows], axes_read(d)), d), whole[rows])
 
 
-def _rows_of(u: Uniforms, rows) -> Uniforms:
+def _rows_of(u: Planted, rows) -> Planted:
     """The uniforms of `rows` of u alone, as a kernel is handed them."""
-    subset = copy.copy(u)
-    subset.block = u.block[rows]
-    return subset
+    return Planted(u.block[rows])
 
 
 class TestRowsAlone:
@@ -619,16 +617,16 @@ class TestRowsAlone:
     @pytest.mark.parametrize("d", BB_DIRECTIONS, ids=["x", "-y", "xz", "xyz"])
     def test_bb_measured_states(self, d):
         bb = BeltramettiBugajski()
-        u = Uniforms(9, range(PLANTED_RUNS), (0, 1, 2))
-        u.get(2)[:] = 0.5 * (1.0 + dot(bb.prepare_max_batch(u.columns((0, 1))).T, d))
+        u = Planted(uniform_block(9, range(PLANTED_RUNS), (0, 1, 2)))
+        u.block[:, 2] = 0.5 * (1.0 + dot(bb.prepare_max_batch(u.block[:, :2]).T, d))
         self.assert_rows_alone_match(lambda rows: [bb.measured_states(_rows_of(u, rows), d)[1]], seed=1)
 
     @pytest.mark.parametrize("pair", [(math.pi / 8, 3 * math.pi / 8), (0.3, 1.1)])
     def test_bb_lg_products(self, pair):
         bb = BeltramettiBugajski()
-        u = Uniforms(10, range(PLANTED_RUNS), tuple(range(6)))
-        evolved = bb.evolve_batch(bb.prepare_max_batch(u.columns((0, 1))), min(pair))
-        u.get(3)[:] = 0.5 * (1.0 + evolved[:, 2])
+        u = Planted(uniform_block(10, range(PLANTED_RUNS), tuple(range(6))))
+        evolved = bb.evolve_batch(bb.prepare_max_batch(u.block[:, :2]), min(pair))
+        u.block[:, 3] = 0.5 * (1.0 + evolved[:, 2])
         self.assert_rows_alone_match(lambda rows: [bb.lg_products(_rows_of(u, rows), pair)], seed=2)
 
     @pytest.mark.parametrize("a, b", MW_PAIRS, ids=["heisenberg", "general"])
@@ -637,7 +635,7 @@ class TestRowsAlone:
         u = _planted_mw_uniforms(11, a, b)
 
         def outcomes(rows):
-            return [o for pair in mw.settled_branch_outcomes(a, b, (b, a), u[rows]) for o in pair]
+            return [o for pair in mw.settled_branch_outcomes(a, b, (b, a), Planted(u[rows])) for o in pair]
 
         self.assert_rows_alone_match(outcomes, seed=3)
 
@@ -679,7 +677,7 @@ class TestUniformCell:
 def _measured_post(model, direction, runs=2000, seed=3):
     """measure_batch's outcomes and post states on the model's maximally mixed preparation."""
     u = uniform_block(seed, range(runs), (0, 1, 2))
-    states = model.prepare_max_batch(u[:, : model.PREP_SLOTS])
+    states = model.prepare_max_batch(u[:, :2])
     return model.measure_batch(states, direction, u[:, 2])
 
 

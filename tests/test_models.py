@@ -26,7 +26,7 @@ from ontolab import (
     sequential_joint,
 )
 from ontolab.models import OntologicalModel, sign_pm1
-from ontolab.rng import uniform_block
+from ontolab.rng import Uniforms, uniform_block
 
 from helpers import bb_joint_statistics, evolve, from_points, measure
 
@@ -257,15 +257,13 @@ class TestBranchingModel:
         rng = np.random.default_rng(7)
         for seed in range(5):
             a = random_unit(rng)[0]
-            u = uniform_block(seed, range(50_000), (0, 1, 2, 3, 4))
-            alpha, beta = mw.run_experiment_batch(a, a, u)
+            alpha, beta = mw.run_experiment_batch(a, a, Uniforms(seed, range(50_000)))
             assert np.array_equal(alpha, beta)
 
     def test_opposite_directions_perfectly_anticorrelated(self):
         mw = BranchingModel()
         a = random_unit(np.random.default_rng(8))[0]
-        u = uniform_block(30, range(50_000), (0, 1, 2, 3, 4))
-        alpha, beta = mw.run_experiment_batch(a, -a, u)
+        alpha, beta = mw.run_experiment_batch(a, -a, Uniforms(30, range(50_000)))
         assert np.array_equal(alpha, -beta)
 
     def test_system_vectors_immutable(self):
@@ -310,7 +308,7 @@ class TestBranchingModel:
         both = branching_no_erasure_check(a, b, runs, seed=13, model=model).joint
         assert both.shape == (2, 2, 2)
         # the bookkeeping along b, then along a: each table is the one that reference gets counted alone
-        u = uniform_block(13, range(runs), model.JOINT_SLOTS)
+        u = Uniforms(13, range(runs))
         for joint, reference in zip(both, (b, a)):
             ((alpha, beta),) = model.settled_branch_outcomes(a, b, (reference,), u)
             alone = np.bincount(2 * (alpha < 0) + (beta < 0), minlength=4).reshape(2, 2) / runs
@@ -332,11 +330,11 @@ class TestCausalityStructure:
     def test_pre_measurement_ensemble_setting_independent(self, model_name):
         model = make_model(model_name)
         u = uniform_block(50, range(50_000), (0, 1, 2))
-        states_for_z = model.prepare_max_batch(u[:, 0 : model.PREP_SLOTS])
-        states_for_x = model.prepare_max_batch(u[:, 0 : model.PREP_SLOTS])
+        states_for_z = model.prepare_max_batch(u[:, 0:2])
+        states_for_x = model.prepare_max_batch(u[:, 0:2])
         assert np.array_equal(states_for_z, states_for_x)
         # and with independent seeds the distributions agree within noise
-        other = model.prepare_max_batch(uniform_block(51, range(50_000), (0, 1, 2))[:, 0 : model.PREP_SLOTS])
+        other = model.prepare_max_batch(uniform_block(51, range(50_000), (0, 1, 2))[:, 0:2])
         h1 = from_points(model.embed_on_sphere(states_for_z), 8, 8)
         h2 = from_points(model.embed_on_sphere(other), 8, 8)
         from ontolab.information import ALPHA, _homogeneity_test

@@ -1,7 +1,9 @@
-"""Counter-mode stream: uniform_block against the scalar formula, the slot view,
-declared slots, and the chunk engine: its shared thread pool, its sum that
-adds each chunk's counts once and its bound on chunks in flight."""
+"""Counter-mode stream: uniform_block against the scalar formula, the draws
+of a chunk's Uniforms, the slots each kernel draws and reads, and the chunk
+engine: its shared thread pool, its sum that adds each chunk's counts once
+and its bound on chunks in flight."""
 
+import math
 import threading
 import time
 
@@ -10,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ontolab import BeltramettiBugajski, BranchingModel, Telegraph
+from ontolab import BeltramettiBugajski, BranchingModel, Telegraph, models, rng
 from ontolab.errors import InvalidArgumentError
 from ontolab.rng import (
     CHUNK_RUNS,
@@ -22,6 +24,9 @@ from ontolab.rng import (
     resolve_workers,
     uniform_block,
 )
+from ontolab.sphere import FLOAT32_MARGIN
+
+from helpers import Planted
 
 Z = np.array([0.0, 0.0, 1.0])
 X = np.array([1.0, 0.0, 0.0])
@@ -89,27 +94,11 @@ class TestUniformBlock:
 
 class TestUniforms:
     def test_slots_read_the_block(self):
-        u = Uniforms(5, range(100, 300), (2, 4, 5, 6))
-        assert np.array_equal(u.block, uniform_block(5, range(100, 300), (2, 4, 5, 6)))
-        assert np.array_equal(u.get(5), u.block[:, 2])
-        assert np.array_equal(u.get(6), u.block[:, 3])
-        assert u.get(3) is None
-
-    def test_columns_are_views_of_adjacent_slots(self):
-        u = Uniforms(5, range(1000), (1, 2, 3, 4, 5))
-        cols = u.columns(range(2, 5))
-        assert np.shares_memory(cols, u.block)
-        assert np.array_equal(cols, u.block[:, 1:4])
-        assert all(np.shares_memory(u.get(s), u.block) for s in u.slots)
-
-    def test_columns_reject_slots_not_drawn_side_by_side(self):
-        u = Uniforms(5, range(10), (1, 2, 4, 6))
-        with pytest.raises(KeyError):
-            u.columns((0, 1))
-        with pytest.raises(KeyError):
-            u.columns((2, 3))
-        with pytest.raises(KeyError):
-            u.columns((4, 5))
+        # column j of a draw is slot slots[j] of the handle's runs, in any order of slots
+        u = Uniforms(5, range(100, 300))
+        block = uniform_block(5, range(100, 300), (2, 4, 5, 6))
+        assert np.array_equal(u.draw((2, 4, 5, 6)), block)
+        assert np.array_equal(u.draw((6, 2)), block[:, [3, 0]])
 
 
 def _branching_pass(model, u):
@@ -117,26 +106,32 @@ def _branching_pass(model, u):
     return sum(model.settled_branch_outcomes(Z, X, (X, Z), u), ())
 
 
-# (label, model, declared slots, the path's full layout, kernel)
+# (label, model, the slots its kernel draws, the path's full layout, kernel)
 PATHS = [
-    ("bb-lg", BeltramettiBugajski(), "LG_SLOTS", range(6),
+    ("bb-lg", BeltramettiBugajski(), (0, 1, 3, 5), range(6),
      lambda m, u: m.lg_products(u, (0.3, 1.1))),
-    ("telegraph-lg", Telegraph(gamma=1.3), "LG_SLOTS", range(6),
+    # a first time of 0 reads no y, so the azimuth slot 1 is not drawn (C13 and C14 of the pi/8 schedule)
+    ("bb-lg-first-at-zero", BeltramettiBugajski(), (0, 3, 5), range(6),
+     lambda m, u: m.lg_products(u, (0.0, 1.1))),
+    ("telegraph-lg", Telegraph(gamma=1.3), (4,), range(6),
      lambda m, u: m.lg_products(u, (0.3, 1.1))),
-    ("mw-lg", BranchingModel(), "LG_SLOTS", range(6),
+    ("mw-lg", BranchingModel(), (0, 1, 2, 3, 4), range(6),
      lambda m, u: m.lg_products(u, (0.3, 1.1))),
-    ("bb-sample", BeltramettiBugajski(), "SAMPLE_SLOTS", range(3),
+    ("bb-sample", BeltramettiBugajski(), (0, 1, 2), range(3),
      lambda m, u: m.measured_states(u, X)),
-    ("bb-sample-z", BeltramettiBugajski(), "SAMPLE_SLOTS", range(3),
+    ("bb-sample-z", BeltramettiBugajski(), (0, 1, 2), range(3),
      lambda m, u: m.measured_states(u, Z)),
-    ("bb-sample-general", BeltramettiBugajski(), "SAMPLE_SLOTS", range(3),
+    ("bb-sample-general", BeltramettiBugajski(), (0, 1, 2), range(3),
      lambda m, u: m.measured_states(u, GENERAL)),
-    ("telegraph-sample", Telegraph(), "SAMPLE_SLOTS", range(3),
+    ("telegraph-sample", Telegraph(), (0,), range(3),
      lambda m, u: m.measured_states(u, X)),
-    ("mw-joint", BranchingModel(), "JOINT_SLOTS", range(5),
-     lambda m, u: _branching_pass(m, u.columns(m.JOINT_SLOTS))),
+    ("mw-joint", BranchingModel(), (0, 1, 2, 3, 4), range(5), _branching_pass),
 ]
 PATH_IDS = [p[0] for p in PATHS]
+RUNS = range(1000, 3000)
+# drawn but not read: mw's four-time product alpha * beta does not depend on
+# which merged branch slot 4 selects, since the selection flips both outcomes
+UNREAD = {"mw-lg": (4,)}
 
 
 def _outputs(result):
@@ -144,30 +139,55 @@ def _outputs(result):
 
 
 class TestDeclaredSlots:
-    """Each kernel reads exactly the slots its model declares for the path."""
+    """Each kernel draws the slots listed for its path in PATHS, in one call, and reads every one of them.
+
+    A kernel is handed the chunk's ``Uniforms`` and draws what it reads at
+    its top; a ``Planted`` block in its place shows which slots it reads.
+    """
+
+    @pytest.fixture
+    def draws(self, monkeypatch):
+        """(seed, runs, slots) of every uniform_block call, in call order."""
+        calls = []
+
+        def recording(seed, runs, slots, block=rng.uniform_block):
+            calls.append((seed, runs, tuple(slots)))
+            return block(seed, runs, slots)
+
+        monkeypatch.setattr(rng, "uniform_block", recording)
+        return calls
+
+    @pytest.mark.parametrize("margin", [FLOAT32_MARGIN, math.inf], ids=["float32", "float64-everywhere"])
+    @pytest.mark.parametrize("label,model,slots,layout,kernel", PATHS, ids=PATH_IDS)
+    def test_one_draw_per_kernel_call(self, label, model, slots, layout, kernel, margin, draws, monkeypatch):
+        # at an infinite margin settle recomputes every row in float64, and that pass draws nothing
+        monkeypatch.setattr(models, "FLOAT32_MARGIN", margin)
+        kernel(model, Uniforms(9, RUNS))
+        assert draws == [(9, RUNS, slots)]
 
     @pytest.mark.parametrize("fill", ["nan", "random"])
-    @pytest.mark.parametrize("label,model,attr,layout,kernel", PATHS, ids=PATH_IDS)
-    def test_undeclared_slots_do_not_change_output(self, label, model, attr, layout, kernel, fill):
-        declared = getattr(model, attr)
-        assert set(declared) <= set(layout)
-        runs = range(2_000)
-        expected = kernel(model, Uniforms(9, runs, declared))
-        full = Uniforms(9, runs, tuple(layout))
-        noise = Uniforms(10, runs, tuple(layout))
+    @pytest.mark.parametrize("label,model,slots,layout,kernel", PATHS, ids=PATH_IDS)
+    def test_undeclared_slots_do_not_change_output(self, label, model, slots, layout, kernel, fill):
+        assert set(slots) <= set(layout)
+        expected = kernel(model, Uniforms(9, RUNS))
+        full = uniform_block(9, RUNS, tuple(layout))
+        noise = uniform_block(10, RUNS, tuple(layout))
         for slot in layout:
-            if slot not in declared:
-                full.get(slot)[:] = np.nan if fill == "nan" else noise.get(slot)
-        for got, want in zip(_outputs(kernel(model, full)), _outputs(expected)):
+            if slot not in slots:
+                full[:, slot] = np.nan if fill == "nan" else noise[:, slot]
+        for got, want in zip(_outputs(kernel(model, Planted(full))), _outputs(expected), strict=True):
             assert np.array_equal(got, want)
 
-    @pytest.mark.parametrize("label,model,attr,layout,kernel", PATHS, ids=PATH_IDS)
-    def test_missing_declared_slot_fails_loudly(self, label, model, attr, layout, kernel):
-        declared = getattr(model, attr)
-        for slot in declared:
-            u = Uniforms(9, range(100), tuple(s for s in declared if s != slot))
-            with pytest.raises((KeyError, InvalidArgumentError)):
-                kernel(model, u)
+    @pytest.mark.parametrize("label,model,slots,layout,kernel", PATHS, ids=PATH_IDS)
+    def test_missing_declared_slot_fails_loudly(self, label, model, slots, layout, kernel):
+        # a NaN in any drawn slot shows in the output: the kernel reads every slot it draws but those in UNREAD
+        expected = _outputs(kernel(model, Uniforms(9, RUNS)))
+        for slot in slots:
+            full = uniform_block(9, RUNS, tuple(layout))
+            full[:, slot] = np.nan
+            got = _outputs(kernel(model, Planted(full)))
+            unchanged = all(np.array_equal(g, w) for g, w in zip(got, expected, strict=True))
+            assert unchanged == (slot in UNREAD.get(label, ())), slot
 
 
 class TestMapChunks:
