@@ -31,7 +31,9 @@ counted is of one of two kinds:
 * the collapse model's uniform preparation, whose cell is
   ``sphere.uniform_cell`` of the uniforms ``measured_states`` returns, with
   no trigonometry (the edge rule is in ``sphere``).  Only these states are
-  counted per cell, in one slice of ``erasure_report``'s chunk vector per grid.
+  counted per cell, once per family of grids (``_finest_grids``): a chunk
+  counts the finest grid of each family, and the coarser ones are summed
+  out of its total after ``map_chunks``, exactly.
 """
 
 from __future__ import annotations
@@ -128,6 +130,33 @@ def _grid(nz, nphi) -> tuple[int, int]:
     return int(nz), int(nphi)
 
 
+def _finest_grids(grids) -> dict[tuple[int, int], tuple[int, int]]:
+    """Each of `grids` mapped to the finest grid of its family, the one grid of the family whose cells a chunk counts.
+
+    Largest first, a grid joins the first family whose finest grid it
+    divides by a power of two in both axes, or starts its own; no grid is
+    made up, so 8x16 and 16x8 count two grids, not 16x16.  Summing out is
+    exact: the uniforms lie on the 2**-53 grid and scaling by 2**k is
+    exact, so floor(u * n * 2**k) >> k == floor(u * n), slab and sector
+    alike, where u * 3n and u * n, say, would round apart.
+    """
+    finest = {}
+    for grid in sorted(set(grids), key=lambda g: (-g[0] * g[1], g)):
+        finest[grid] = next(
+            (f for f in finest.values() if all(a % b == 0 and (a // b) & (a // b - 1) == 0 for a, b in zip(f, grid))),
+            grid,
+        )
+    return finest
+
+
+def _summed_out(counts: np.ndarray, finest: tuple[int, int], grid: tuple[int, int]) -> np.ndarray:
+    """Cell counts on `grid` of the flat `counts` on the `finest` grid of its family; the counts themselves if the same grid."""
+    (fz, fphi), (nz, nphi) = finest, grid
+    if finest == grid:
+        return counts
+    return counts.reshape(nz, fz // nz, nphi, fphi // nphi).sum(axis=(1, 3)).ravel()
+
+
 def _atom_table(model: OntologicalModel, directions, counts, nz: int, nphi: int) -> np.ndarray:
     """Row i of counts, (n+, n-), placed in the cells of the model's atoms for directions[i], on the nz x nphi grid.
 
@@ -182,22 +211,29 @@ def erasure_report(
     resolutions = tuple(_grid(nz, nphi) for nz, nphi in resolutions)
     direction = unit_vector(setting)
     cells = [nz * nphi for nz, nphi in resolutions]
-    starts = np.cumsum([2, *cells[:-1]]) if model.UNIFORM_PREPARATION else [2]
+    finest = _finest_grids(resolutions)
+    counted = list(dict.fromkeys(finest.values())) if model.UNIFORM_PREPARATION else []
+    sizes = [nz * nphi for nz, nphi in counted]
+    starts = np.cumsum([2, *sizes[:-1]])
 
     def run_chunk(lo: int, n: int) -> np.ndarray:
-        """Atom counts of the outcomes, then of the prepared states, or the latter's cell counts on each grid if uniform."""
+        """Atom counts of the outcomes, then of the prepared states, or the latter's cell counts on each counted grid if uniform."""
         states, outcomes = model.measured_states(_rng.Uniforms(seed, range(lo, lo + n)), direction)
         if not model.UNIFORM_PREPARATION:
             return np.concatenate([_outcome_counts(outcomes), _outcome_counts(states)])
-        counts = np.zeros(2 + sum(cells), dtype=np.int64)
+        flat = [uniform_cell(states, *grid) for grid in counted]
+        for family, start in zip(flat, starts):
+            family += start
+        # the bincount is the chunk's vector, each family's cells offset into its slice: no grid-sized temporary
+        counts = np.bincount(np.concatenate(flat) if len(flat) > 1 else flat[0] if flat else [], minlength=2 + sum(sizes))
         counts[:2] = _outcome_counts(outcomes)
-        for (nz, nphi), grid in zip(resolutions, np.split(counts, starts)[1:]):
-            # in place: a bincount per grid adds a grid-sized temporary (traced peak 26, not 19 MiB, at 1024x1024)
-            np.add.at(grid, uniform_cell(states, nz, nphi), 1)
         return counts
 
     after, *before = np.split(_rng.map_chunks(run_chunk, runs), starts)
-    if not model.UNIFORM_PREPARATION:
+    if model.UNIFORM_PREPARATION:
+        totals = dict(zip(counted, before))
+        before = [_summed_out(totals[finest[grid]], finest[grid], grid) for grid in resolutions]
+    else:
         before = [_atom_table(model, (direction,), before, *grid)[0] for grid in resolutions]
     after = [_atom_table(model, (direction,), [after], *grid)[0] for grid in resolutions]
     return ErasureReport(

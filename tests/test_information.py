@@ -11,6 +11,8 @@ cells, match the point path's histograms (``helpers.from_points``) count
 for count; noflow's ``tv`` and mwcheck's verdict read integer counts.
 """
 
+import contextlib
+import io
 import math
 import tracemalloc
 
@@ -30,7 +32,7 @@ from ontolab import (
     noflow_test,
 )
 from ontolab import information, models
-from ontolab.cli import cmd_mwcheck, parse_dirs
+from ontolab.cli import cmd_mwcheck, main, parse_dirs
 from ontolab.information import ALPHA, MIN_POOLED, _homogeneity_test, chi2_sf, chi_square_test
 from ontolab.models import sign_pm1
 from ontolab.qubit import heisenberg_direction, unit_vector
@@ -192,6 +194,76 @@ class TestErasureReport:
             erasure_report(BeltramettiBugajski(), 0.0, 10_000, ((8, 8),), seed=12)
 
 
+class TestGridFamilies:
+    """erasure counts the finest grid of each power-of-two family and sums the others out of it, as if each were counted alone.
+
+    The grids asked map to the grids whose cells a chunk counts
+    (``information._finest_grids``); no grid is made up, and a duplicate
+    or a reordering changes no row.
+    """
+
+    RUNS = 2 * CHUNK_RUNS + 1234
+    CHUNKS = 3
+    CASES = {
+        "8x8,12x12": (((8, 8), (12, 12)), {(8, 8), (12, 12)}),
+        "8x16,32x16": (((8, 16), (32, 16)), {(32, 16)}),
+        "8x16,16x8": (((8, 16), (16, 8)), {(8, 16), (16, 8)}),
+        "8x8,8x8": (((8, 8), (8, 8)), {(8, 8)}),
+        "64x64,8x8": (((64, 64), (8, 8)), {(64, 64)}),
+        "8x8,64x64": (((8, 8), (64, 64)), {(64, 64)}),
+    }
+
+    @pytest.fixture
+    def received(self, monkeypatch):
+        """What information reads, in call order: the grids of uniform_cell, and histogram_entropy's (counts, cells)."""
+        recorded = {"counted": [], "entropy": []}
+
+        def cell(u, nz, nphi, count=information.uniform_cell):
+            recorded["counted"].append((nz, nphi))
+            return count(u, nz, nphi)
+
+        def entropy(counts, n_cells, read=information.histogram_entropy):
+            recorded["entropy"].append((np.asarray(counts).tolist(), n_cells))
+            return read(counts, n_cells)
+
+        monkeypatch.setattr(information, "uniform_cell", cell)
+        monkeypatch.setattr(information, "histogram_entropy", entropy)
+        return recorded
+
+    def _report(self, received, grids):
+        for calls in received.values():
+            calls.clear()
+        rep = erasure_report(BeltramettiBugajski(), unit_vector((0.0, 0.6, 0.8)), self.RUNS, grids, seed=5)
+        return rep, {key: list(calls) for key, calls in received.items()}
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize("case", CASES)
+    def test_each_row_is_its_grid_alone(self, monkeypatch, received, case, workers):
+        monkeypatch.setenv("ONTOLAB_THREADS", workers)
+        grids, finest = self.CASES[case]
+        together, read = self._report(received, grids)
+        assert sorted(read["counted"]) == sorted(list(finest) * self.CHUNKS)
+        alone = [self._report(received, (grid,)) for grid in grids]
+        assert read["entropy"] == [r["entropy"][0] for _, r in alone] + [r["entropy"][1] for _, r in alone]
+        for k, (rep, _) in enumerate(alone):
+            assert together.entropy_before[k].hex() == rep.entropy_before[0].hex()
+            assert together.entropy_after[k].hex() == rep.entropy_after[0].hex()
+
+    def test_families_are_powers_of_two_of_a_grid_asked(self):
+        # a ratio of 3 is its own family, also where no uniform rounds apart (8 and 24)
+        for grids in ([(6, 6), (18, 18)], [(8, 8), (24, 24)], [(8, 16), (16, 8)]):
+            assert information._finest_grids(grids) == {grid: grid for grid in grids}
+        grids = [(4, 1), (64, 64), (2, 16), (8, 8), (64, 64)]
+        assert information._finest_grids(grids) == {grid: (64, 64) for grid in grids}
+        assert information._finest_grids([(6, 6), (18, 18), (24, 24)]) == {(6, 6): (24, 24), (18, 18): (18, 18), (24, 24): (24, 24)}
+
+    @pytest.mark.parametrize("bins,calls", [("8x8,16x16,32x32,64x64", 1), ("8x8,12x12", 2)])
+    def test_cli_counts_each_family_once_per_chunk(self, received, bins, calls):
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["erasure", "--model", "bb", "--bins", bins, "--runs", str(self.RUNS)]) == 0
+        assert len(received["counted"]) == calls * self.CHUNKS
+
+
 class TestNoFlow:
     def test_bb_incompatible_settings_flow_detected(self):
         rep = noflow_test(BeltramettiBugajski(), Z, X, 200_000, seed=13)
@@ -312,9 +384,10 @@ class TestMemoryIsFlatInRuns:
         "call,histograms",
         [
             (lambda runs, grid: erasure_report(BeltramettiBugajski(), Z, runs, (grid,)), 3),
+            (lambda runs, grid: erasure_report(BeltramettiBugajski(), Z, runs, ((grid[0] // 2, grid[1] // 2), grid)), 3),
             (lambda runs, grid: noflow_test(BeltramettiBugajski(), Z, X, runs, *grid), 1),
         ],
-        ids=["erasure", "noflow"],
+        ids=["erasure", "erasure-family", "noflow"],
     )
     def test_traced_peak(self, monkeypatch, call, histograms):
         monkeypatch.setenv("ONTOLAB_THREADS", "1")

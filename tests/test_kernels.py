@@ -32,7 +32,8 @@ The exact cells of the ``information`` histograms are checked against
 the binned uniform sample, away from sector edges, with its own rule pinned
 at the edges; and the cells of the atoms, in which ``_atom_table`` counts
 the outcomes, against the binned ``measure_batch`` post states, signed
-zeros included.
+zeros included.  A grid's cells, shifted right, are those of a grid finer
+by a power of two in each axis, at every edge and at u = 1 - 2**-53.
 """
 
 import math
@@ -672,6 +673,57 @@ class TestUniformCell:
         rounded_up = (product == np.floor(product)) & (exact < product)
         assert np.array_equal(sectors, np.where(rounded_up, exact + 1, exact))
         assert ((0 <= sectors) & (sectors < nphi)).all()
+
+
+def _grid_point_near(k: int, n: int, j: int) -> float:
+    """The uniform j steps of 2**-53 above the last one below k/n, kept in [0, 1): u * n just below, at or above k."""
+    return min(max(-(-(k << 53) // n) - 1 + j, 0), 2**53 - 1) * 2.0**-53
+
+
+class TestNestedGrids:
+    """Why ``erasure`` counts one grid per power-of-two family (``information._finest_grids``).
+
+    On the 2**-53 grid of ``rng``, the cell of a grid finer by 2**a slabs
+    and 2**b sectors, shifted right by (a, b), is the coarser grid's cell:
+    u * n * 2**k is exact whenever u * n is, and rounds where u * n rounds
+    times 2**k, so floor(fl(u * n * 2**k)) >> k == floor(fl(u * n)).  A
+    ratio that is not a power of two has no such proof, and 6 beside 18
+    rounds apart.  8 beside 24 has no witness (u * 8 is exact, and u * 24
+    lies at least 3 * 2**-50 below a multiple 3k <= 24 of 3, more than half
+    the spacing of the doubles there), but they stay two families: the rule
+    is kept for its proof, not for a witness.
+    """
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 100), st.integers(1, 100), st.integers(0, 10), st.integers(0, 10), st.data())
+    def test_finer_cells_shift_down_to_the_coarser(self, nz, nphi, a, b, data):
+        def near_edges(n):
+            return st.builds(_grid_point_near, st.integers(1, n), st.just(n), st.integers(-2, 1))
+
+        size = data.draw(st.integers(1, 40))
+        u = np.column_stack([
+            data.draw(st.lists(GRID_UNIFORMS | near_edges(n) | near_edges(n << k), min_size=size, max_size=size))
+            for n, k in ((nz, a), (nphi, b))
+        ])
+        fine_phi = nphi << b
+        fine = uniform_cell(u, nz << a, fine_phi)
+        assert np.array_equal(((fine // fine_phi) >> a) * nphi + ((fine % fine_phi) >> b), uniform_cell(u, nz, nphi))
+
+    @pytest.mark.parametrize("shift", [1, 3, 10])
+    @pytest.mark.parametrize("n", [1, 3, 6, 7, 8, 100, 1000])
+    def test_every_edge_shifts_down(self, n, shift):
+        # the grid points around every edge k/n, u = 1 - 2**-53 (k = n, j = 0) among them
+        u = np.array([_grid_point_near(k, n, j) for k in range(1, n + 1) for j in range(-3, 3)])
+        assert u.max() == 1.0 - 2.0**-53
+        u = np.column_stack([u, u[::-1]])
+        fine = uniform_cell(u, n << shift, n << shift)
+        assert np.array_equal((fine // (n << shift) >> shift) * n + (fine % (n << shift) >> shift), uniform_cell(u, n, n))
+
+    def test_a_ratio_of_three_rounds_apart(self):
+        # 6 beside 18: u * 6 rounds up onto 5 while u * 18 stays below 15
+        u = np.full((1, 2), 7505999378950826 * 2.0**-53)
+        fine, coarse = uniform_cell(u, 18, 18), uniform_cell(u, 6, 6)
+        assert (fine // 18 // 3, fine % 18 // 3) != (coarse // 6, coarse % 6)
 
 
 def _measured_post(model, direction, runs=2000, seed=3):
