@@ -19,7 +19,6 @@ protocol) demonstrably breaks the agreement.
 import numpy as np
 
 from ontolab import (
-    MAXIMALLY_MIXED,
     BeltramettiBugajski,
     Telegraph,
     branching_no_erasure_check,
@@ -51,7 +50,7 @@ def main():
     print("\npart 2: the branching model against the exact oracle")
     a = np.array([0.0, 0.0, 1.0])
     b = np.array([0.0, np.sin(np.pi / 4), np.cos(np.pi / 4)])
-    exact = sequential_joint(MAXIMALLY_MIXED, [a, b])
+    exact = sequential_joint(a, b)
     # the second device's bookkeeping along b (the protocol's) and along a, from
     # one draw, each of whose runs is also checked to leave (x0, x1) untouched
     check = branching_no_erasure_check(a, b, RUNS, seed=44)

@@ -1,7 +1,8 @@
 """ontolab: sequential qubit measurements, temporal inequalities, and the
 hidden-variable models that try to keep up with them.
 
-The exact quantum oracle lives in :mod:`ontolab.qubit`; the four-time
+The exact quantum oracle, the joint of two sequential measurements on the
+maximally mixed state, lives in :mod:`ontolab.qubit`; the four-time
 inequality machinery in :mod:`ontolab.leggett_garg`; the ontological models
 and their kernels in :mod:`ontolab.models`; histogram/entropy tooling in
 :mod:`ontolab.sphere`; and the erasure and no-flow diagnostics and the
@@ -14,7 +15,6 @@ __version__ = "0.1.0"
 from .errors import (
     ContractMismatchError,
     InvalidArgumentError,
-    InvalidStateError,
     NumericalFailureError,
 )
 from .information import (
@@ -45,13 +45,9 @@ from .models import (
 )
 from .qubit import (
     MAXIMALLY_MIXED,
-    bloch_to_density,
-    density_to_bloch,
-    dephase,
     heisenberg_direction,
     joint_expectation,
     sequential_joint,
-    von_neumann_entropy,
 )
 
 __all__ = [
@@ -63,7 +59,6 @@ __all__ = [
     "CorrelationMatrix",
     "ErasureReport",
     "InvalidArgumentError",
-    "InvalidStateError",
     "LGScenario",
     "MAXIMALLY_MIXED",
     "NoFlowReport",
@@ -71,10 +66,7 @@ __all__ = [
     "OntologicalModel",
     "TSIRELSON_BOUND",
     "Telegraph",
-    "bloch_to_density",
     "branching_no_erasure_check",
-    "density_to_bloch",
-    "dephase",
     "empirical_correlations",
     "erasure_report",
     "heisenberg_direction",
@@ -86,5 +78,4 @@ __all__ = [
     "noflow_test",
     "quantum_correlations",
     "sequential_joint",
-    "von_neumann_entropy",
 ]

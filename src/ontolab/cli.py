@@ -46,7 +46,7 @@ import numpy as np
 
 from . import __version__
 from .errors import NumericalFailureError
-from .information import ALPHA, branching_no_erasure_check, chi_square_test, erasure_report, noflow_test
+from .information import ALPHA, _finest_grids, branching_no_erasure_check, chi_square_test, erasure_report, noflow_test
 from .leggett_garg import (
     CLASSICAL_BOUND,
     TSIRELSON_BOUND,
@@ -60,7 +60,7 @@ from .leggett_garg import (
     quantum_correlations,
 )
 from .models import MODEL_NAMES, make_model
-from .qubit import joint_expectation, MAXIMALLY_MIXED, sequential_joint, unit_vector
+from .qubit import joint_expectation, sequential_joint, unit_vector
 from .rng import resolve_workers
 
 EXIT_OK = 0
@@ -111,7 +111,8 @@ def parse_dirs(text: str) -> tuple[tuple[float, float, float], ...]:
     return tuple(dirs)
 
 
-#: most cells of the grids of one --bins: 2**20 cells is 8 MiB per int64 histogram
+#: most cells erasure counts for one --bins, the finest grid of each family
+#: (information._finest_grids) together: 2**20 cells is 8 MiB per int64 vector
 MAX_BIN_CELLS = 1 << 20
 
 #: most Monte Carlo runs: about 150,000 chunks, with run indices far below 2**64
@@ -119,8 +120,12 @@ MAX_RUNS = 10**10
 
 
 def parse_bins(text: str) -> tuple[tuple[int, int], ...]:
-    """Comma-separated grid resolutions 'NZxNPHI[,NZxNPHI...]', of at most MAX_BIN_CELLS cells together."""
-    out, cells = [], 0
+    """Comma-separated grid resolutions 'NZxNPHI[,NZxNPHI...]'; the grids erasure counts hold at most MAX_BIN_CELLS cells together.
+
+    A family's distinct grids hold under 4 times the cells of its finest, so
+    the grids asked stop the parse at 4 * MAX_BIN_CELLS, before they are grouped.
+    """
+    out, distinct, asked = [], set(), 0
     for part in text.split(","):
         m = re.match(r"^(\d+)x(\d+)$", part.strip().lower())
         if not m:
@@ -128,10 +133,14 @@ def parse_bins(text: str) -> tuple[tuple[int, int], ...]:
         nz, nphi = int(m.group(1)), int(m.group(2))
         if nz < 1 or nphi < 1:
             raise argparse.ArgumentTypeError("bins must be >= 1 in both axes")
-        cells += nz * nphi
-        if cells > MAX_BIN_CELLS:
-            raise argparse.ArgumentTypeError(f"bins {text!r} exceed {MAX_BIN_CELLS} cells in total")
         out.append((nz, nphi))
+        if (nz, nphi) not in distinct:
+            distinct.add((nz, nphi))
+            asked += nz * nphi
+            if asked >= 4 * MAX_BIN_CELLS:
+                break
+    if asked >= 4 * MAX_BIN_CELLS or sum(nz * nphi for nz, nphi in set(_finest_grids(distinct).values())) > MAX_BIN_CELLS:
+        raise argparse.ArgumentTypeError(f"bins {text!r} count over {MAX_BIN_CELLS} cells in total")
     return tuple(out)
 
 
@@ -315,7 +324,7 @@ def cmd_noflow(config: dict) -> Output:
 def cmd_mwcheck(config: dict) -> Output:
     _require(len(config["dirs"]) == 2, "mwcheck needs --dirs a;b")
     a, b = (unit_vector(d) for d in config["dirs"])
-    exact = sequential_joint(MAXIMALLY_MIXED, [a, b])
+    exact = sequential_joint(a, b)
     n = config["runs"]
     # variant b keeps the second device's bookkeeping along b, as the protocol
     # does, variant a along a; both count the same draw, whose every run the

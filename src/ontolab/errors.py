@@ -1,10 +1,6 @@
 """Exception types shared across the package."""
 
 
-class InvalidStateError(ValueError):
-    """A quantum or ontic state violates its invariants (norm, trace, positivity)."""
-
-
 class InvalidArgumentError(ValueError):
     """An argument is outside its documented domain."""
 

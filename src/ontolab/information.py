@@ -225,14 +225,16 @@ def erasure_report(
         for family, start in zip(flat, starts):
             family += start
         # the bincount is the chunk's vector, each family's cells offset into its slice: no grid-sized temporary
-        counts = np.bincount(np.concatenate(flat) if len(flat) > 1 else flat[0] if flat else [], minlength=2 + sum(sizes))
+        counts = np.bincount(np.concatenate(flat) if len(flat) > 1 else flat[0], minlength=2 + sum(sizes))
         counts[:2] = _outcome_counts(outcomes)
         return counts
 
     after, *before = np.split(_rng.map_chunks(run_chunk, runs), starts)
     if model.UNIFORM_PREPARATION:
         totals = dict(zip(counted, before))
-        before = [_summed_out(totals[finest[grid]], finest[grid], grid) for grid in resolutions]
+        # once per distinct grid, so a grid repeated in `resolutions` is summed out once
+        summed = {grid: _summed_out(totals[f], f, grid) for grid, f in finest.items()}
+        before = [summed[grid] for grid in resolutions]
     else:
         before = [_atom_table(model, (direction,), before, *grid)[0] for grid in resolutions]
     after = [_atom_table(model, (direction,), [after], *grid)[0] for grid in resolutions]

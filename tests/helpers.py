@@ -3,10 +3,11 @@
 The library answers its questions without these; the tests use them as
 independent routes to the same numbers:
 
-* the Schroedinger-picture qubit operations (``unitary``, ``evolve``,
-  ``measure``, ``joint_marginals``), checked against ``scipy.linalg.expm``
-  and projector algebra, which the collapse model's kernels are checked
-  against in turn;
+* the density-matrix conversions (``bloch_to_density``,
+  ``density_to_bloch``, ``check_density``) and the Schroedinger-picture
+  qubit operations built on them (``unitary``, ``evolve``, ``measure``,
+  ``joint_marginals``), checked against ``scipy.linalg.expm`` and projector
+  algebra, which the collapse model's kernels are checked against in turn;
 * ``bb_joint_statistics``: two back-to-back measurements through the
   collapse model's own prepare and measure kernels, the Born-rule check
   against ``qubit.sequential_joint``;
@@ -40,22 +41,51 @@ import numpy as np
 from ontolab import BeltramettiBugajski
 from ontolab.errors import InvalidArgumentError
 from ontolab.information import _homogeneity_test
-from ontolab.qubit import (
-    IDENTITY,
-    SIGMA_X,
-    bloch_to_density,
-    check_density,
-    density_to_bloch,
-    unit_vector,
-)
+from ontolab.qubit import ATOL, IDENTITY, SIGMA_X, SIGMA_Y, SIGMA_Z, unit_vector
 from ontolab.rng import map_chunks, substream_seed, uniform_block
 from ontolab.sphere import SphereHistogram, bin_index, dot
 
 HAMILTONIAN = SIGMA_X
+PAULIS = (SIGMA_X, SIGMA_Y, SIGMA_Z)
+
+
+class InvalidDensityError(ValueError):
+    """A density matrix or Bloch vector violates its invariants (shape, norm, trace, positivity)."""
 
 
 class UndefinedConditionalStateError(ValueError):
     """A post-measurement state was requested for a zero-probability outcome."""
+
+
+def check_density(rho: np.ndarray) -> np.ndarray:
+    """Validate a 2x2 density matrix (Hermitian, unit trace, PSD) and return it."""
+    rho = np.asarray(rho, dtype=complex)
+    if rho.shape != (2, 2):
+        raise InvalidDensityError(f"density matrix must be 2x2, got shape {rho.shape}")
+    if np.abs(rho - rho.conj().T).max() > ATOL:
+        raise InvalidDensityError("density matrix is not Hermitian")
+    if abs(np.trace(rho).real - 1.0) > ATOL or abs(np.trace(rho).imag) > ATOL:
+        raise InvalidDensityError("density matrix trace != 1")
+    if np.linalg.eigvalsh(rho).min() < -ATOL:
+        raise InvalidDensityError("density matrix has a negative eigenvalue")
+    return rho
+
+
+def bloch_to_density(v) -> np.ndarray:
+    """Density matrix (I + v . sigma) / 2 for a Bloch vector with |v| <= 1."""
+    v = np.asarray(v, dtype=float)
+    if v.shape != (3,):
+        raise InvalidDensityError(f"Bloch vector must have 3 components, got shape {v.shape}")
+    norm = np.linalg.norm(v)
+    if not np.isfinite(norm) or norm > 1 + ATOL:
+        raise InvalidDensityError(f"Bloch vector norm {norm} exceeds 1")
+    return (IDENTITY + v[0] * SIGMA_X + v[1] * SIGMA_Y + v[2] * SIGMA_Z) / 2
+
+
+def density_to_bloch(rho: np.ndarray) -> np.ndarray:
+    """Bloch vector v_i = tr(rho sigma_i); exact inverse of bloch_to_density."""
+    rho = check_density(rho)
+    return np.array([np.trace(rho @ s).real for s in PAULIS])
 
 
 def unitary(dt: float) -> np.ndarray:

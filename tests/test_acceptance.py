@@ -14,7 +14,6 @@ import pytest
 
 from ontolab import (
     CLASSICAL_BOUND,
-    MAXIMALLY_MIXED,
     TSIRELSON_BOUND,
     BeltramettiBugajski,
     BranchingModel,
@@ -89,7 +88,7 @@ def test_c02_correlation_law():
         rng = np.random.default_rng(2026)
         for tk, tl in rng.uniform(0, 2 * np.pi, (1000, 2)):
             expected = math.cos(2 * (tk - tl))
-            e_seq = joint_expectation(sequential_joint(MAXIMALLY_MIXED, [heisenberg_direction(tk), heisenberg_direction(tl)]))
+            e_seq = joint_expectation(sequential_joint(heisenberg_direction(tk), heisenberg_direction(tl)))
             assert abs(e_seq - expected) <= 1e-12
         scenario = LGScenario(0.31, 1.07, 0.84, 2.9)
         for (tk, tl), c in zip(scenario.pair_times(), quantum_correlations(scenario).values()):
@@ -134,7 +133,7 @@ def test_c05_bb_born_equivalence():
         for i in range(50):
             a, b = random_units(rng, 2)
             probs = bb_joint_statistics(a, b, runs, seed=500 + i)
-            exact = sequential_joint(MAXIMALLY_MIXED, [a, b])
+            exact = sequential_joint(a, b)
             tol = 5 * np.sqrt(exact * (1 - exact) / runs) + 1e-12
             assert (np.abs(probs - exact) <= tol).all()
 
@@ -172,7 +171,7 @@ def test_c08_branching_equivalence():
         a_variant_worst = 0.0
         for i in range(50):
             a, b = random_units(rng, 2)
-            exact = sequential_joint(MAXIMALLY_MIXED, [a, b])
+            exact = sequential_joint(a, b)
             # bookkeeping along b (the protocol's) and along a, from one draw,
             # with the system pair bit-identical before and after in every run
             check = branching_no_erasure_check(a, b, runs, seed=800 + i)

@@ -22,7 +22,7 @@ from ontolab import BeltramettiBugajski, BranchingModel, Telegraph, cli, leggett
 from ontolab.cli import _COMMANDS, MAX_RUNS, build_parser, main, parse_bins, parse_dirs, parse_time
 from ontolab.information import branching_no_erasure_check, chi_square_test
 from ontolab.leggett_garg import PAIR_LABELS, LGScenario
-from ontolab.qubit import MAXIMALLY_MIXED, sequential_joint
+from ontolab.qubit import sequential_joint
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -78,11 +78,27 @@ class TestParsers:
         assert exc.value.code == 2
 
     def test_bins_capped_in_total(self):
-        # the grids of one --bins together; parsed only, so nothing is allocated
+        # the grids erasure counts, the finest of each family, together; parsed only, so nothing is allocated
         assert parse_bins("512x1024,256x1024,256x1024") == ((512, 1024), (256, 1024), (256, 1024))
-        for text in ("1024x1024,1x1", "1x1,1024x1024", ",".join(["512x512"] * 5)):
+        for text in ("512x512,1024x1024", "1024x1024,1x1", "1x1,1024x1024", ",".join(["512x512"] * 5), "512x1024,1024x512"):
+            assert parse_bins(text) == tuple(tuple(map(int, g.split("x"))) for g in text.split(","))
+        for text in ("1024x1024,3x3", "3x3,1024x1024", "1024x1024,1024x1023", "512x1024,1024x512,3x1"):
             with pytest.raises(argparse.ArgumentTypeError, match="in total"):
                 parse_bins(text)
+
+    def test_bins_capped_before_grouping_when_the_grids_asked_reach_four_times_the_cap(self, monkeypatch):
+        # a family's distinct grids hold under 4 times its finest grid's cells, so no such --bins is valid
+        monkeypatch.setattr(cli, "_finest_grids", lambda grids: pytest.fail("grouped a --bins past the bound"))
+        with pytest.raises(argparse.ArgumentTypeError, match="in total"):
+            parse_bins(",".join(f"1x{2 * k + 1}" for k in range(3000)))
+
+    def test_bins_of_one_family_run_and_another_family_exits_2(self, capsys):
+        assert main(["erasure", "--bins", "512x512,1024x1024", "--runs", "1000", "--format", "json"]) == 0
+        rows = json.loads(capsys.readouterr().out)["results"]["rows"]
+        assert [(row["nz"], row["nphi"]) for row in rows] == [(512, 512), (1024, 1024)]
+        with pytest.raises(SystemExit) as exc:
+            main(["erasure", "--bins", "1024x1024,3x3", "--runs", "1000"])
+        assert exc.value.code == 2
 
     def test_dirs_normalized(self):
         (d,) = parse_dirs("0,0,2")
@@ -600,7 +616,7 @@ class TestMwCheckCommand:
         runs, seed = 200_000, 7
         results = cli.cmd_mwcheck({"runs": runs, "seed": seed, "dirs": (a, b)}).results
         report = branching_no_erasure_check(a, b, runs, seed=seed)
-        exact = sequential_joint(MAXIMALLY_MIXED, [a, b])
+        exact = sequential_joint(a, b)
         for variant, counts in zip("ba", report.counts):
             assert results[f"variant_{variant}_p_value"] == chi_square_test(counts.ravel(), runs * exact.ravel())[2]
         assert results["variant_b_p_value"] == 0.5419811778112298

@@ -13,14 +13,11 @@ from numpy.testing import assert_allclose
 from scipy.stats import chisquare
 
 from ontolab import (
-    MAXIMALLY_MIXED,
     BeltramettiBugajski,
     BranchingModel,
     InvalidArgumentError,
     Telegraph,
-    bloch_to_density,
     branching_no_erasure_check,
-    density_to_bloch,
     joint_expectation,
     make_model,
     sequential_joint,
@@ -28,7 +25,7 @@ from ontolab import (
 from ontolab.models import OntologicalModel, sign_pm1
 from ontolab.rng import Uniforms, uniform_block
 
-from helpers import bb_joint_statistics, evolve, from_points, measure
+from helpers import bb_joint_statistics, bloch_to_density, density_to_bloch, evolve, from_points, measure
 
 Z = np.array([0.0, 0.0, 1.0])
 X = np.array([1.0, 0.0, 0.0])
@@ -122,7 +119,7 @@ class TestBeltramettiBugajski:
         for seed in range(10):
             a, b = random_unit(rng), random_unit(rng)
             probs = bb_joint_statistics(a[0], b[0], runs, seed=seed)
-            exact = sequential_joint(MAXIMALLY_MIXED, [a[0], b[0]])
+            exact = sequential_joint(a[0], b[0])
             stderr = np.sqrt(exact * (1 - exact) / runs)
             assert (np.abs(probs - exact) <= 5 * stderr + 1e-12).all()
 
@@ -281,7 +278,7 @@ class TestBranchingModel:
         for seed in range(10):
             a, b = random_unit(rng)[0], random_unit(rng)[0]
             probs, _ = branching_no_erasure_check(a, b, runs, seed=seed).joint
-            exact = sequential_joint(MAXIMALLY_MIXED, [a, b])
+            exact = sequential_joint(a, b)
             stderr = np.sqrt(exact * (1 - exact) / runs)
             assert (np.abs(probs - exact) <= 5 * stderr + 1e-12).all()
             marg = probs.sum(axis=0)
@@ -293,7 +290,7 @@ class TestBranchingModel:
         runs = 200_000
         # bookkeeping along b, then along the first party's direction a
         probs_b, probs = branching_no_erasure_check(a, b, runs, seed=10).joint
-        exact = sequential_joint(MAXIMALLY_MIXED, [a, b])
+        exact = sequential_joint(a, b)
         stderr = np.sqrt(exact * (1 - exact) / runs)
         deviation = np.abs(probs - exact)
         assert (deviation > 5 * stderr).any()

@@ -1,9 +1,9 @@
 """Quantum-oracle unit tests.
 
 Closed-form operations are cross-checked against independent routes:
-scipy.linalg.expm for the unitary, explicit projector algebra for
-measurement statistics, and eigenvalue entropy for the dephasing bound.
-The Schroedinger-picture operations (unitary, evolve, measure) are the test
+scipy.linalg.expm for the unitary and explicit projector algebra for
+measurement statistics.  The density-matrix conversions and the
+Schroedinger-picture operations (unitary, evolve, measure) are the test
 helpers' reference implementations, checked here before other tests lean on
 them.
 """
@@ -14,21 +14,22 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 from scipy.linalg import expm
 
-from ontolab import (
-    MAXIMALLY_MIXED,
-    InvalidArgumentError,
-    InvalidStateError,
-    bloch_to_density,
-    density_to_bloch,
-    dephase,
-    heisenberg_direction,
-    joint_expectation,
-    sequential_joint,
-    von_neumann_entropy,
-)
-from ontolab.qubit import ATOL, IDENTITY, SIGMA_Z, check_density
+from ontolab import MAXIMALLY_MIXED, InvalidArgumentError, heisenberg_direction, joint_expectation, sequential_joint
+from ontolab.qubit import ATOL, IDENTITY, SIGMA_Z
 
-from helpers import HAMILTONIAN, UndefinedConditionalStateError, evolve, joint_marginals, measure, unitary
+from helpers import (
+    HAMILTONIAN,
+    PAULIS,
+    InvalidDensityError,
+    UndefinedConditionalStateError,
+    bloch_to_density,
+    check_density,
+    density_to_bloch,
+    evolve,
+    joint_marginals,
+    measure,
+    unitary,
+)
 
 Z = np.array([0.0, 0.0, 1.0])
 X = np.array([1.0, 0.0, 0.0])
@@ -51,7 +52,7 @@ class TestBlochConversion:
         assert_allclose(bloch_to_density(X), np.full((2, 2), 0.5), atol=ATOL)
 
     def test_overlong_vector_rejected(self):
-        with pytest.raises(InvalidStateError):
+        with pytest.raises(InvalidDensityError):
             bloch_to_density([0, 0, 1.001])
 
     def test_density_to_bloch_trivia(self):
@@ -148,8 +149,6 @@ class TestHeisenbergDirection:
 
     def test_matches_heisenberg_conjugation(self):
         # direction components read off U(t)^dag sigma_z U(t) expanded in Paulis
-        from ontolab.qubit import PAULIS
-
         rng = np.random.default_rng(7)
         for t in rng.uniform(0, 2 * np.pi, 20):
             u = expm(-1j * HAMILTONIAN * t)
@@ -188,63 +187,42 @@ class TestMeasure:
             measure(MAXIMALLY_MIXED, [0, 0, 0.5], 1)
 
 
-class TestDephase:
-    def test_maximally_mixed_fixed_point(self):
-        assert_allclose(dephase(MAXIMALLY_MIXED, X), MAXIMALLY_MIXED, atol=ATOL)
-
-    def test_incompatible_direction_fully_mixes(self):
-        assert_allclose(dephase(bloch_to_density(Z), X), MAXIMALLY_MIXED, atol=ATOL)
-
-    def test_compatible_direction_no_op(self):
-        rho = bloch_to_density(Z)
-        assert_allclose(dephase(rho, Z), rho, atol=ATOL)
-
-    def test_entropy_never_decreases_1000_cases(self):
-        rng = np.random.default_rng(9)
-        dirs = random_unit_vectors(rng, 1000)
-        radii = rng.uniform(0, 1, 1000)
-        states = random_unit_vectors(rng, 1000) * radii[:, None]
-        for v, n in zip(states, dirs):
-            rho = bloch_to_density(v)
-            assert von_neumann_entropy(dephase(rho, n)) >= von_neumann_entropy(rho) - 1e-12
-
-
 class TestSequentialJoint:
     def test_pi_8_gap_correlation(self):
-        probs = sequential_joint(MAXIMALLY_MIXED, [heisenberg_direction(t) for t in (0.3, 0.3 + np.pi / 8)])
+        probs = sequential_joint(*(heisenberg_direction(t) for t in (0.3, 0.3 + np.pi / 8)))
         assert abs(joint_expectation(probs) - np.sqrt(2) / 2) <= 1e-12
 
     def test_identical_settings_perfect_correlation(self):
-        probs = sequential_joint(MAXIMALLY_MIXED, [heisenberg_direction(1.1)] * 2)
+        probs = sequential_joint(heisenberg_direction(1.1), heisenberg_direction(1.1))
         assert abs(joint_expectation(probs) - 1.0) <= 1e-12
 
     def test_pi_4_gap_uncorrelated(self):
-        probs = sequential_joint(MAXIMALLY_MIXED, [heisenberg_direction(t) for t in (0.2, 0.2 + np.pi / 4)])
+        probs = sequential_joint(*(heisenberg_direction(t) for t in (0.2, 0.2 + np.pi / 4)))
         assert abs(joint_expectation(probs)) <= 1e-12
 
     def test_normalization_and_correlation_law_random_times(self):
         rng = np.random.default_rng(10)
         for tk, tl in rng.uniform(0, 2 * np.pi, (200, 2)):
-            probs = sequential_joint(MAXIMALLY_MIXED, [heisenberg_direction(tk), heisenberg_direction(tl)])
+            probs = sequential_joint(heisenberg_direction(tk), heisenberg_direction(tl))
             assert abs(probs.sum() - 1.0) <= 1e-12
             assert abs(joint_expectation(probs) - np.cos(2 * (tk - tl))) <= 1e-12
 
     def test_second_marginal_unbiased_regardless_of_first_setting(self):
         rng = np.random.default_rng(11)
         for tk, tl in rng.uniform(0, 2 * np.pi, (100, 2)):
-            probs = sequential_joint(MAXIMALLY_MIXED, [heisenberg_direction(tk), heisenberg_direction(tl)])
+            probs = sequential_joint(heisenberg_direction(tk), heisenberg_direction(tl))
             _, second = joint_marginals(probs)
             assert_allclose(second, [0.5, 0.5], atol=1e-12)
 
     def test_accepts_direction_settings(self):
-        probs = sequential_joint(MAXIMALLY_MIXED, [Z, X])
+        probs = sequential_joint(Z, X)
         assert abs(joint_expectation(probs)) <= 1e-12
 
     def test_general_state_matches_projector_algebra(self):
-        # independent oracle: explicit projector products on a pure state
-        rho = bloch_to_density([0.6, 0.0, 0.8])
+        # independent oracle: explicit projector products on the maximally mixed state, at general settings
+        rho = IDENTITY / 2
         na, nb = heisenberg_direction(0.5), heisenberg_direction(1.9)
-        probs = sequential_joint(rho, [na, nb])
+        probs = sequential_joint(na, nb)
         for i, a in enumerate((1, -1)):
             pa = (IDENTITY + a * (na[0] * np.array([[0, 1], [1, 0]]) + na[1] * np.array([[0, -1j], [1j, 0]]) + na[2] * np.diag([1, -1]))) / 2
             for j, b in enumerate((1, -1)):
@@ -255,17 +233,17 @@ class TestSequentialJoint:
 
 class TestValidation:
     def test_check_density_rejects_non_hermitian(self):
-        with pytest.raises(InvalidStateError):
+        with pytest.raises(InvalidDensityError):
             check_density(np.array([[0.5, 0.1], [0.3, 0.5]], dtype=complex))
 
     def test_check_density_rejects_bad_trace(self):
-        with pytest.raises(InvalidStateError):
+        with pytest.raises(InvalidDensityError):
             check_density(np.diag([0.7, 0.7]).astype(complex))
 
     def test_check_density_rejects_negative_eigenvalue(self):
-        with pytest.raises(InvalidStateError):
+        with pytest.raises(InvalidDensityError):
             check_density(np.diag([1.5, -0.5]).astype(complex))
 
-    def test_entropy_of_pure_and_mixed(self):
-        assert von_neumann_entropy(bloch_to_density(Z)) <= 1e-12
-        assert abs(von_neumann_entropy(MAXIMALLY_MIXED) - np.log(2)) <= 1e-12
+    def test_sequential_joint_rejects_non_unit_setting(self):
+        with pytest.raises(InvalidArgumentError):
+            sequential_joint(Z, [0, 0.5, 0])
