@@ -139,13 +139,17 @@ def _finest_grids(grids) -> dict[tuple[int, int], tuple[int, int]]:
     exact: the uniforms lie on the 2**-53 grid and scaling by 2**k is
     exact, so floor(u * n * 2**k) >> k == floor(u * n), slab and sector
     alike, where u * 3n and u * n, say, would round apart.
+
+    Such a finest grid has the grid's odd parts in both axes, and is at
+    least as fine in each, so a grid looks only among the families of its
+    odd parts, in the order they started.
     """
-    finest = {}
+    finest, families = {}, {}
     for grid in sorted(set(grids), key=lambda g: (-g[0] * g[1], g)):
-        finest[grid] = next(
-            (f for f in finest.values() if all(a % b == 0 and (a // b) & (a // b - 1) == 0 for a, b in zip(f, grid))),
-            grid,
-        )
+        started = families.setdefault(tuple(n // (n & -n) for n in grid), [])
+        finest[grid] = next((f for f in started if f[0] >= grid[0] and f[1] >= grid[1]), grid)
+        if finest[grid] == grid:
+            started.append(grid)
     return finest
 
 
@@ -176,6 +180,16 @@ def _outcome_counts(values: np.ndarray) -> np.ndarray:
     """[number of +1, number of -1] among +-1 values: the counts of the two atoms."""
     minus = np.count_nonzero(values < 0)
     return np.array([len(values) - minus, minus])
+
+
+def _joint_counts(o1: np.ndarray, o2: np.ndarray) -> list[int]:
+    """The (2, 2) counts of the +-1 outcome pairs (o1, o2), flat, [0] = +1 as in qubit.OUTCOMES.
+
+    Three counts of negatives give all four: +-1 values AND to -1 only
+    where both are -1.
+    """
+    minus1, minus2, both = (np.count_nonzero(o < 0) for o in (o1, o2, o1 & o2))
+    return [len(o1) - minus1 - minus2 + both, minus2 - both, minus1 - both, both]
 
 
 @dataclass(frozen=True)
@@ -363,15 +377,15 @@ def branching_no_erasure_check(
         def unchanged(x0, x1):
             stored = [{axis: c.copy() for axis, c in x.items()} for x in (x0, x1)]
             yield
-            # compared as integers, so that a write that keeps the value (-0.0 for 0.0) is caught too
+            # compared as unsigned integers of their width, so that a write that keeps the value (-0.0 for 0.0)
+            # is caught too; not as uint64, which an odd-length float32 array cannot be viewed as
             changed.extend(
-                x.keys() != s.keys() or not np.array_equal(x[k].view(np.uint64), s[k].view(np.uint64))
+                x.keys() != s.keys() or not np.array_equal(*(c.view(f"u{c.itemsize}") for c in (x[k], s[k])))
                 for x, s in zip((x0, x1), stored) for k in s
             )
 
         pairs = model.settled_branch_outcomes(a, b, (b, a), _rng.Uniforms(seed, range(lo, lo + n)), unchanged)
-        counts = [np.bincount(2 * (o1 < 0).view(np.int8) + (o2 < 0).view(np.int8), minlength=4) for o1, o2 in pairs]
-        return np.concatenate([*counts, [sum(changed)]])
+        return np.array([*(count for o1, o2 in pairs for count in _joint_counts(o1, o2)), sum(changed)], dtype=np.int64)
 
     total = _rng.map_chunks(run_chunk, runs)
     return BranchingNoErasureReport(immutable=int(total[-1]) == 0, runs=runs, counts=total[:-1].reshape(-1, 2, 2))

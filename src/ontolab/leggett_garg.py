@@ -207,7 +207,9 @@ def empirical_correlations(
         totals = np.zeros((2, 4), dtype=np.int64)
         for p, pair in enumerate(pair_times):
             quarter = range(lo + n * p // 4, lo + n * (p + 1) // 4)
-            totals[0, p] = model.lg_products(_rng.Uniforms(seed, quarter), pair).sum(dtype=np.int64)
+            products = model.lg_products(_rng.Uniforms(seed, quarter), pair)
+            # a sum of +-1 values: the runs less twice the -1s
+            totals[0, p] = len(quarter) - 2 * np.count_nonzero(products < 0)
             totals[1, p] = len(quarter)
         return totals
 

@@ -86,14 +86,15 @@ measurement no sine.
 
 Every outcome that reads x or y is a comparison: Born's rule u < 0.5 * (1 +
 p), which flips where a projection p crosses 2u - 1, or the sign of a dot.
-A kernel takes those coordinates' sine and cosine in float32 first
-(``trig_dtype=np.float32`` in ``sphere``), which moves no p or dot by as
-much as ``sphere.FLOAT32_MARGIN / 2``.  A run is near a threshold where
-|p - (2u - 1)| or some |dot| it takes a sign of is at most that margin.
-The kernel decides every other run, and recomputes the runs near a
-threshold on the exact float64 path, on those rows alone (``settle``).
-Every outcome keeps its bits: the exact path's values do not depend on
-which rows are computed with them.
+A kernel first runs in float32 (``trig_dtype=np.float32`` in ``sphere``):
+the coordinates, mw's x0 +- x1, the dots and their near marks are
+float32, and bb widens its projection to float64 once, before Born's
+rule.  That moves no p or dot by as much as ``sphere.FLOAT32_MARGIN / 2``.
+A run is near a threshold where |p - (2u - 1)| or some |dot| it takes a
+sign of is at most that margin.  The kernel decides every other run, and
+recomputes the runs near a threshold on the exact float64 path, on those
+rows alone (``settle``).  Every outcome keeps its bits: the exact path's
+values do not depend on which rows are computed with them.
 """
 
 from __future__ import annotations
@@ -119,15 +120,15 @@ def sign_pm1(x: np.ndarray) -> np.ndarray:
 
 
 def settle(kernel) -> list[np.ndarray]:
-    """The outcomes of a kernel's runs, decided from float32 trigonometry where that cannot flip them.
+    """The outcomes of a kernel's runs, decided in float32 where that cannot flip them.
 
     kernel(rows, trig_dtype) returns a list of outcome arrays over `rows` (a
     slice or row indices) and a mask of the rows near a threshold: those
     with a comparison within ``FLOAT32_MARGIN`` of flipping an outcome.  It
-    runs once on every row with float32 trigonometry, and again with
-    float64 on the rows near a threshold, whose outcomes replace the first
-    pass's.  Every float64 expression of a kernel is elementwise, so a row
-    gets the same bits however few rows are recomputed with it.
+    runs once on every row in float32, and again in float64 on the rows
+    near a threshold, whose outcomes replace the first pass's.  Every
+    float64 expression of a kernel is elementwise, so a row gets the same
+    bits however few rows are recomputed with it.
     """
     outcomes, near = kernel(slice(None), np.float32)
     (rows,) = np.nonzero(near)
@@ -241,7 +242,8 @@ class BeltramettiBugajski(OntologicalModel):
             return cls._born(projection(slice(None), np.float64), u)
 
         def kernel(rows, trig_dtype):
-            p = projection(rows, trig_dtype)
+            # a float32 projection is widened once, so Born's rule and the near test compare in float64
+            p = projection(rows, trig_dtype).astype(np.float64, copy=False)
             outcomes = cls._born(p, u[rows])
             p -= 2.0 * u[rows] - 1.0
             return [outcomes], np.abs(p, out=p) <= FLOAT32_MARGIN
@@ -404,7 +406,7 @@ class BranchingModel:
     # sampling
 
     def sample_ontic_batch(self, u: np.ndarray, axes, trig_dtype=np.float64) -> tuple[dict, dict]:
-        """Independent uniform pairs (x0, x1) from (n, 4) uniforms, with their sines and cosines in `trig_dtype`.
+        """Independent uniform pairs (x0, x1) from (n, 4) uniforms, as `trig_dtype` coordinates.
 
         Each point is its coordinates `axes` (``sphere.uniform_coordinates``),
         a mapping from axis to array: those that the devices' directions read

@@ -24,12 +24,14 @@ correctly rounded on every CPU, so a dot has the same bits on any machine
 and on any subset of rows, which a BLAS gemv does not promise.
 ``sample_uniform_sphere`` stacks all three coordinates as unit vectors.
 
-``uniform_coordinates`` takes its sine and cosine in float64 by default:
-that is the exact path, whose bits every outcome has.  With
-``trig_dtype=np.float32`` it takes them in float32 of float32(phi), some 20
-times faster, and each coordinate then lies within ``FLOAT32_MARGIN / 8``
-of the exact one.  A kernel decides from these every outcome whose margin
-exceeds ``FLOAT32_MARGIN`` and recomputes the rest on the exact path
+``uniform_coordinates`` works in float64 by default: that is the exact
+path, whose bits every outcome has.  With ``trig_dtype=np.float32`` it
+returns float32 coordinates, their sine and cosine taken in float32 of
+float32(phi), some 20 times faster, and each coordinate then lies within
+``FLOAT32_MARGIN / 8`` of the exact one.  ``dot`` keeps the coordinates'
+dtype, so every later step of a kernel's float32 pass moves half the
+bytes.  A kernel decides from these every outcome whose margin exceeds
+``FLOAT32_MARGIN`` and recomputes the rest on the exact path
 (``models.settle``), so no outcome changes.
 """
 
@@ -43,45 +45,54 @@ from .errors import InvalidArgumentError
 
 FULL_SOLID_ANGLE = 4.0 * np.pi
 
-#: Outcomes whose margin exceeds this are decided from float32 trigonometry.
-#: float32(phi) is within half a float32 ulp of phi < 2*pi, 2**-22, and
-#: numpy's float32 sin and cos are within about 1.5 float32 ulps, 2**-23 at
-#: most, of the sine and cosine of their argument; r <= 1 and r * s rounds
-#: to within 2**-53.  So a float32 x or y lies within about 3.6e-7 < 2**-21
-#: = FLOAT32_MARGIN / 8 of the float64 one (4.2e6 counter-mode uniforms:
-#: 2.55e-7 at most).  A dot with a unit direction then moves by at most
-#: sqrt(2) * 2**-21 per point, and by twice that for the sum or difference of
-#: two points, under FLOAT32_MARGIN / 2.  Born's rule u < 0.5 * (1 + dot)
-#: flips within a few float64 ulps of dot = 2u - 1.
+#: Outcomes whose margin exceeds this are decided in float32.  In units of
+#: e = 2**-24, float32's relative rounding: float32(phi) is within 4e of
+#: phi < 2*pi, which moves (x, y) by at most 4e; numpy's float32 sin and cos
+#: are within about 1.5 float32 ulps, 1.5e, of the sine and cosine of their
+#: argument; float32(r), the product r * s and float32(z) each round by e/2
+#: at most.  So a float32 x or y lies within 6.5e ~ 3.9e-7 < 2**-21 =
+#: FLOAT32_MARGIN / 8 of the float64 one, and z within e/2 (4.2e6
+#: counter-mode uniforms: 4.6e at most).  Against a unit direction d, the
+#: coordinate errors move a dot by at most 4e plus the length of the rest,
+#: sqrt(2 * 2.5**2 + 0.5**2) e < 3.6e; casting d to float32, the three
+#: products and the two sums add at most 4e * sum |d_k x_k| <= 4e: 11.6e ~
+#: 6.9e-7 in all.  For x0 +- x1, formed in float32: twice 7.6e, e * |x0 +- x1|
+#: <= 2e for the sums, and 4e * 2 for the dot: 25.2e ~ 1.5e-6.  Both are
+#: under FLOAT32_MARGIN / 2 = 32e.  bb widens its dot to float64 before
+#: Born's rule u < 0.5 * (1 + dot), which flips within a few float64 ulps of
+#: dot = 2u - 1.
 FLOAT32_MARGIN = 2.0**-18
 
 
 def uniform_coordinates(u: np.ndarray, axes, trig_dtype=np.float64) -> dict[int, np.ndarray]:
-    """Coordinates `axes` (0, 1, 2 for x, y, z) of the uniform points of uniforms u, shape (n, 2), as fresh arrays by axis.
+    """Coordinates `axes` (0, 1, 2 for x, y, z) of the uniform points of uniforms u, shape (n, 2), as fresh `trig_dtype` arrays by axis.
 
     Equal-area construction: z = 2*u0 - 1, phi = 2*pi*u1, and
     (x, y) = r (cos phi, sin phi) with r = sqrt(max(0, 1 - z^2)); z, r and
-    phi are computed once for all the axes asked.  With
-    ``trig_dtype=np.float32`` the sine and cosine are taken in float32 of
-    float32(phi), within ``FLOAT32_MARGIN / 8`` of the float64 ones; z is
-    exact either way.
+    phi are computed once, in float64, for all the axes asked.  With
+    ``trig_dtype=np.float32`` z and r are cast to float32 once, the sine
+    and cosine are taken in float32 of float32(phi), and their products
+    with r rounded to float32: z lies within 2**-25, and x and y within
+    ``FLOAT32_MARGIN / 8``, of the float64 ones.
     """
     u = np.asarray(u, dtype=float)
-    columns = {axis: np.empty(len(u)) for axis in axes}
-    z = columns.get(2, np.empty(len(u)))
-    np.multiply(u[:, 0], 2.0, out=z)
+    z = np.multiply(u[:, 0], 2.0)
     z -= 1.0
-    if columns.keys() & {0, 1}:
+    columns = {}
+    if {0, 1} & set(axes):
+        # r from the float64 z: 1 - z^2 of a float32 z would lose r near the poles
         r = np.multiply(z, z)
         np.subtract(1.0, r, out=r)
         np.maximum(r, 0.0, out=r)
         np.sqrt(r, out=r)
+        r = r.astype(trig_dtype, copy=False)
         phi = np.multiply(u[:, 1], 2.0 * np.pi).astype(trig_dtype, copy=False)
         for axis, trig in ((0, np.cos), (1, np.sin)):
-            if axis in columns:
-                trig(phi, out=columns[axis])
+            if axis in axes:
+                columns[axis] = trig(phi)
                 columns[axis] *= r
-    return columns
+    columns[2] = z.astype(trig_dtype, copy=False)
+    return {axis: columns[axis] for axis in axes}
 
 
 def axes_read(*directions) -> tuple[int, ...]:
@@ -99,13 +110,16 @@ def dot(coordinates, direction) -> np.ndarray:
 
     `coordinates` maps an axis to its array, as ``uniform_coordinates``
     returns them, or is an (n, 3) array's transpose.  The result is a fresh
-    array.  `direction` has a nonzero component, as every direction that
-    passed ``qubit.unit_vector`` or ``qubit.heisenberg_direction`` has.
+    array of the coordinates' dtype: each component is cast to it first, so
+    float32 coordinates give a float32 dot.  `direction` has a nonzero
+    component, as every direction that passed ``qubit.unit_vector`` or
+    ``qubit.heisenberg_direction`` has.
     """
     total = None
     for axis, component in enumerate(direction):
         if component != 0.0:
-            term = np.multiply(coordinates[axis], component)
+            coordinate = coordinates[axis]
+            term = np.multiply(coordinate, coordinate.dtype.type(component))
             total = term if total is None else np.add(total, term, out=total)
     return total
 

@@ -29,7 +29,10 @@ independent routes to the same numbers:
   ``astype``, ``np.column_stack`` and two-temporary formulas the branch-free
   int8 and scratch-array kernels of ``models`` and ``sphere`` replaced,
   which those must match bit for bit; they dot points with a direction by
-  ``sphere.dot``, as the kernels do.
+  ``sphere.dot``, as the kernels do;
+* ``scanned_finest_grids``: the grouping of ``erasure``'s grids into
+  power-of-two families as a scan over every family started so far, which
+  the grouping by odd parts must match grid for grid.
 """
 
 from __future__ import annotations
@@ -286,3 +289,14 @@ def where_bin_index(points: np.ndarray, nz: int, nphi: int) -> np.ndarray:
     phi = np.where(phi < 0, phi + 2.0 * np.pi, phi)
     iphi = np.minimum((phi / (2.0 * np.pi) * nphi).astype(np.int64), nphi - 1)
     return iz * nphi + iphi
+
+
+def scanned_finest_grids(grids) -> dict[tuple[int, int], tuple[int, int]]:
+    """Each grid mapped to the first family, largest first, whose finest grid it divides by a power of two in both axes."""
+    finest = {}
+    for grid in sorted(set(grids), key=lambda g: (-g[0] * g[1], g)):
+        finest[grid] = next(
+            (f for f in finest.values() if all(a % b == 0 and (a // b) & (a // b - 1) == 0 for a, b in zip(f, grid))),
+            grid,
+        )
+    return finest

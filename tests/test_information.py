@@ -39,7 +39,7 @@ from ontolab.qubit import heisenberg_direction, unit_vector
 from ontolab.rng import CHUNK_RUNS, substream_seed, uniform_block
 from ontolab.sphere import SphereHistogram, dot, histogram_entropy, sample_uniform_sphere
 
-from helpers import from_points, invariance_tv, tv_distance
+from helpers import from_points, invariance_tv, scanned_finest_grids, tv_distance
 
 LN_4PI = math.log(4 * math.pi)
 Z = np.array([0.0, 0.0, 1.0])
@@ -194,6 +194,10 @@ class TestErasureReport:
             erasure_report(BeltramettiBugajski(), 0.0, 10_000, ((8, 8),), seed=12)
 
 
+# grid sides of few odd parts times a power of two, so that drawn grids often share their odd parts
+FAMILY_SIDES = st.builds(lambda odd, k: odd << k, st.sampled_from([1, 3, 5, 9, 15]), st.integers(0, 7)) | st.integers(1, 40)
+
+
 class TestGridFamilies:
     """erasure counts the finest grid of each power-of-two family and sums the others out of it, as if each were counted alone.
 
@@ -256,6 +260,11 @@ class TestGridFamilies:
         grids = [(4, 1), (64, 64), (2, 16), (8, 8), (64, 64)]
         assert information._finest_grids(grids) == {grid: (64, 64) for grid in grids}
         assert information._finest_grids([(6, 6), (18, 18), (24, 24)]) == {(6, 6): (24, 24), (18, 18): (18, 18), (24, 24): (24, 24)}
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(FAMILY_SIDES, FAMILY_SIDES), max_size=40))
+    def test_families_by_odd_parts_are_the_scanned_families(self, grids):
+        assert information._finest_grids(grids) == scanned_finest_grids(grids)
 
     @pytest.mark.parametrize("bins,calls", [("8x8,16x16,32x32,64x64", 1), ("8x8,12x12", 2)])
     def test_cli_counts_each_family_once_per_chunk(self, received, bins, calls):

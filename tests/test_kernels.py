@@ -18,9 +18,11 @@ bits of the sequential reference they short-cut, prepare -> evolve -> measure
 -> evolve -> measure and prepare -> measure (``helpers.composed_*``), at
 planted ties of every Born and flip probability they compare against.
 
-Outcomes decided from float32 trigonometry (``models.settle``) must keep
-the float64 path's bits: the float32 coordinates stay within an eighth of
-``sphere.FLOAT32_MARGIN`` of the float64 ones, rows planted within the
+Outcomes decided in float32 (``models.settle``) must keep the float64
+path's bits: the float32 x and y stay within an eighth of
+``sphere.FLOAT32_MARGIN`` of the float64 ones and z within 2**-25, the
+float32 dots of one point and of x0 +- x1 within the bounds derived at
+``FLOAT32_MARGIN``, under half the margin, rows planted within the
 margin of a Born probability or of a sign flip are recomputed in float64
 and match the exact sample, and the float64 sine, cosine and dot give each
 gathered row the bits it has in the whole chunk.  So the float64 outcomes
@@ -474,20 +476,57 @@ MW_PAIRS = [
 BB_DIRECTIONS = [AXES["x"], AXES["-y"], unit_vector((0.6, 0.0, 0.8)), unit_vector((0.48, -0.6, 0.64))]
 
 
+def _edge_uniforms() -> np.ndarray:
+    """(30, 2) uniforms: phi at 0, pi/2, pi, 3 pi/2 and just below 2 pi, at the equator, the poles and in between."""
+    u1 = np.array([0.0, 0.25, 0.5, 0.75, 1.0 - 2.0**-53])
+    u0 = np.array([0.0, 2.0**-53, 0.25, 0.5, 0.75, 1.0 - 2.0**-53])
+    return np.column_stack([np.repeat(u0, len(u1)), np.tile(u1, len(u0))])
+
+
+# the float32 pass's dot error bounds derived at sphere.FLOAT32_MARGIN, in float32 units 2**-24: one point, and x0 +- x1
+POINT_DOT_BOUND = 12 * 2.0**-24
+PAIR_DOT_BOUND = 26 * 2.0**-24
+BUDGET_DIRECTIONS = [
+    *BB_DIRECTIONS,
+    *(d for pair in MW_PAIRS for d in pair),
+    heisenberg_direction(0.3),
+    AXES["z"],
+]
+
+
 class TestFloat32Trig:
-    """Outcomes decided from float32 trigonometry, with the rows near a threshold recomputed in float64."""
+    """Outcomes decided in float32, with the rows near a threshold recomputed in float64."""
 
     def test_float32_coordinates_within_an_eighth_of_the_margin(self):
-        u = uniform_block(11, range(1 << 20), (0, 1))
-        # phi at 0, pi/2, pi, 3 pi/2 and just below 2 pi, at the equator, the poles and in between
-        u1 = np.array([0.0, 0.25, 0.5, 0.75, 1.0 - 2.0**-53])
-        u0 = np.array([0.0, 2.0**-53, 0.25, 0.5, 0.75, 1.0 - 2.0**-53])
-        u = np.vstack([u, np.column_stack([np.repeat(u0, len(u1)), np.tile(u1, len(u0))])])
+        u = np.vstack([uniform_block(11, range(1 << 20), (0, 1)), _edge_uniforms()])
         rough = uniform_coordinates(u, (0, 1, 2), trig_dtype=np.float32)
         exact = uniform_coordinates(u, (0, 1, 2))
-        assert same_bits(rough[2], exact[2])
+        assert all(rough[axis].dtype == np.float32 for axis in (0, 1, 2))
+        assert np.abs(rough[2] - exact[2]).max() <= 2.0**-25
         for axis in (0, 1):
             assert np.abs(rough[axis] - exact[axis]).max() <= FLOAT32_MARGIN / 8
+
+    def test_float32_dots_within_the_derived_bounds(self):
+        # x0 from slots 0-1 and x1 from slots 2-3, with every pair of edge points appended
+        u = uniform_block(14, range(1 << 20), (0, 1, 2, 3))
+        edges = _edge_uniforms()
+        u = np.vstack([u, np.column_stack([np.repeat(edges, len(edges), axis=0), np.tile(edges, (len(edges), 1))])])
+        points = {
+            dtype: [uniform_coordinates(u[:, k : k + 2], (0, 1, 2), trig_dtype=dtype) for k in (0, 2)]
+            for dtype in (np.float32, np.float64)
+        }
+        sums = {
+            dtype: [{axis: op(x0[axis], x1[axis]) for axis in x0} for op in (np.add, np.subtract)]
+            for dtype, (x0, x1) in points.items()
+        }
+        assert POINT_DOT_BOUND < PAIR_DOT_BOUND < FLOAT32_MARGIN / 2
+        for d in BUDGET_DIRECTIONS:
+            for bound, rough, exact in [
+                *((POINT_DOT_BOUND, r, e) for r, e in zip(points[np.float32], points[np.float64])),
+                *((PAIR_DOT_BOUND, r, e) for r, e in zip(sums[np.float32], sums[np.float64])),
+            ]:
+                assert dot(rough, d).dtype == np.float32
+                assert np.abs(dot(rough, d) - dot(exact, d)).max() <= bound
 
     @pytest.mark.parametrize("pair", [(math.pi / 8, 3 * math.pi / 8), (0.3, 1.1), (-1.0, 0.5), (0.7, 0.9)])
     def test_bb_lg_products_planted_at_the_born_probability(self, trig_calls, monkeypatch, pair):
