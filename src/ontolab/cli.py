@@ -25,10 +25,8 @@ its 1e-12 check) and an lg time or paired gap beyond leggett_garg.MAX_TIME.
 ONTOLAB_THREADS sets the worker count, at most the number of CPUs the
 process may run on (default: that number); a value that is not an integer,
 or is below 1, is a configuration error.
-On its first call, main sets glibc's malloc policy for the process: one
-arena, heap trimming only above 1 GiB and mmap only for blocks of 32 MiB
-or more, so each chunk reuses the pages the previous chunk freed instead of
-faulting fresh ones in.  Where there is no mallopt, nothing is set.
+The first Monte Carlo call sets glibc's malloc policy for the process
+(``rng.map_chunks``); importing the CLI and building its parser set none.
 """
 
 from __future__ import annotations
@@ -475,23 +473,7 @@ def _resolve_config(args) -> dict:
     return config
 
 
-@functools.cache
-def _keep_heap_resident() -> None:
-    import ctypes  # imported here, so that importing the CLI costs nothing more
-
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-        mallopt(-8, 1)  # M_ARENA_MAX: pool threads share one heap, so peak RSS stays put
-        mallopt(-1, 1 << 30)  # M_TRIM_THRESHOLD: freed chunk arrays stay mapped
-        # M_MMAP_THRESHOLD: a fixed threshold, since setting the trim one turns off glibc's
-        # dynamic threshold and every 512 KiB array would be mmapped and faulted in again
-        mallopt(-3, 32 << 20)
-    except (OSError, AttributeError, TypeError):
-        pass  # not glibc (no mallopt, or no CDLL(None) on Windows): the default policy
-
-
 def main(argv: list[str] | None = None) -> int:
-    _keep_heap_resident()
     args = build_parser().parse_args(argv)
     try:
         resolve_workers()  # a bad ONTOLAB_THREADS exits 2 before any work

@@ -189,12 +189,14 @@ def empirical_correlations(
 ) -> CorrelationMatrix:
     """Monte Carlo correlators through an ontological model.
 
-    Each ``rng.map_chunks`` chunk of n runs from run lo gives pair p of PAIRS
-    the fixed quarter lo + n*p//4 to lo + n*(p+1)//4.  Each run prepares the
-    maximally mixed state at the ontological level and measures twice
-    through the model's ``lg_products``, in chronological order, on the
-    slots that kernel draws.  Accumulation is integer-exact, so the result
-    depends only on (scenario, runs, seed), never on the worker count.  Each
+    Pair p of PAIRS takes the contiguous quarter runs*p//4 to runs*(p+1)//4
+    of the runs.  Each ``rng.map_chunks`` chunk calls ``lg_products`` once
+    per pair whose quarter it overlaps, on that overlap, so a kernel call
+    spans up to a whole chunk.  Each run prepares the maximally mixed state
+    at the ontological level and measures twice through the model's
+    ``lg_products``, in chronological order, on the slots that kernel draws.
+    Accumulation is integer-exact, so the result depends only on (scenario,
+    runs, seed), never on the worker count or on ``rng.CHUNK_RUNS``.  Each
     pair's count is fixed, so its estimate is binomial with standard error
     sqrt((1 - C^2) / n).  Under 4 runs some pairs are empty: C13 at 3 runs,
     C13 and C24 at 2, all but C14 at 1.  An empty pair's correlator and
@@ -206,7 +208,9 @@ def empirical_correlations(
         """Per pair, the sum of its products (row 0) and its run count (row 1)."""
         totals = np.zeros((2, 4), dtype=np.int64)
         for p, pair in enumerate(pair_times):
-            quarter = range(lo + n * p // 4, lo + n * (p + 1) // 4)
+            quarter = range(max(lo, runs * p // 4), min(lo + n, runs * (p + 1) // 4))
+            if not quarter:
+                continue
             products = model.lg_products(_rng.Uniforms(seed, quarter), pair)
             # a sum of +-1 values: the runs less twice the -1s
             totals[0, p] = len(quarter) - 2 * np.count_nonzero(products < 0)

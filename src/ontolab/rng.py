@@ -24,6 +24,11 @@ deterministic test of the counts drawn from it.
 count arrays of fixed ``CHUNK_RUNS``-run chunks, so a total is exact for any
 worker count and memory does not grow with runs.  ONTOLAB_THREADS is the
 only worker setting (``resolve_workers``); no function takes a worker count.
+The first ``map_chunks`` call sets glibc's malloc policy for the whole
+process: one arena, heap trimming only above 1 GiB and mmap only for blocks
+of 32 MiB or more, so each chunk reuses the pages the previous chunk freed
+instead of faulting fresh ones in.  Where there is no mallopt, nothing is
+set, and no result depends on it.
 """
 
 from __future__ import annotations
@@ -134,6 +139,22 @@ def resolve_workers() -> int:
 
 
 @functools.cache
+def _keep_heap_resident() -> None:
+    import ctypes  # imported here, so that importing the package costs nothing more
+
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+        mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+        mallopt(-8, 1)  # M_ARENA_MAX: pool threads share one heap, so peak RSS stays put
+        mallopt(-1, 1 << 30)  # M_TRIM_THRESHOLD: freed chunk arrays stay mapped
+        # M_MMAP_THRESHOLD: a fixed threshold, since setting the trim one turns off glibc's
+        # dynamic threshold and every 512 KiB array would be mmapped and faulted in again
+        mallopt(-3, 32 << 20)
+    except (OSError, AttributeError, TypeError):
+        pass  # not glibc (no mallopt, or no CDLL(None) on Windows): the default policy
+
+
+@functools.cache
 def _pool(workers: int) -> ThreadPoolExecutor:
     # one pool per worker count, kept for the life of the process
     return ThreadPoolExecutor(max_workers=workers)
@@ -153,6 +174,7 @@ def map_chunks(fn, n_runs: int):
     """
     if n_runs < 1:
         raise InvalidArgumentError("runs must be >= 1")
+    _keep_heap_resident()
     spans = [(lo, min(CHUNK_RUNS, n_runs - lo)) for lo in range(0, n_runs, CHUNK_RUNS)]
     nw = resolve_workers()
     if nw <= 1 or len(spans) <= 1:

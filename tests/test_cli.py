@@ -326,9 +326,10 @@ class TestLGCommand:
         "telegraph": ((4,),) * 4,
     }
 
+    @pytest.mark.parametrize("runs", [7, rng.CHUNK_RUNS - 3, 2 * rng.CHUNK_RUNS + 7])
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("model", ["bb", "mw", "telegraph"])
-    def test_each_pair_takes_a_fixed_quarter_of_every_chunk(self, model, threads, monkeypatch, capsys):
+    def test_each_pair_takes_a_fixed_quarter_of_the_runs(self, model, threads, runs, monkeypatch, capsys):
         # every run is hashed once, from the command's seed, in one draw of
         # its pair's slots: no run picks its pair, and no run is drawn twice
         monkeypatch.setenv("ONTOLAB_THREADS", str(threads))
@@ -342,19 +343,31 @@ class TestLGCommand:
             return uniform_block(seed, runs, slots)
 
         monkeypatch.setattr(rng, "uniform_block", recording)
-        runs = 2 * rng.CHUNK_RUNS + 7
         assert main(["lg", "--model", model, *LG_TIMES, "--runs", str(runs), "--seed", "5", "--format", "json"]) == 0
         assert {seed for seed, _, _ in hashed} == {5}
         hashed.sort(key=lambda call: call[1].start)
-        assert [slots for _, _, slots in hashed] == list(self.LG_DRAWS[model]) * 3
         ranges = [r for _, r, _ in hashed]
         assert all(r.step == 1 for r in ranges)
         assert [r.start for r in ranges] == [0, *(r.stop for r in ranges[:-1])] and ranges[-1].stop == runs
-        chunks = (rng.CHUNK_RUNS, rng.CHUNK_RUNS, 7)
-        quarters = [sum(n * (p + 1) // 4 - n * p // 4 for n in chunks) for p in range(4)]
+        bounds = [runs * p // 4 for p in range(5)]
+        for _, r, slots in hashed:
+            p = next(p for p in range(4) if bounds[p] <= r.start < bounds[p + 1])
+            assert r.stop <= bounds[p + 1] and slots == self.LG_DRAWS[model][p]
+        # a whole chunk per call, cut only where a pair's quarter ends inside it: within one
+        # chunk, the draws are the four quarters themselves
+        assert len(hashed) <= -(-runs // rng.CHUNK_RUNS) + 3
         correlators = json.loads(capsys.readouterr().out)["results"]["correlators"]
-        assert [correlators[label]["n"] for label in PAIR_LABELS] == quarters
-        assert sum(quarters) == runs
+        assert [correlators[label]["n"] for label in PAIR_LABELS] == [bounds[p + 1] - bounds[p] for p in range(4)]
+
+    @pytest.mark.parametrize("model", ["bb", "mw", "telegraph"])
+    def test_output_does_not_depend_on_the_chunk_size(self, model, monkeypatch, capsys):
+        argv = ["lg", "--model", model, *LG_TIMES, "--runs", "300001", "--seed", "3", "--format", "json"]
+        outputs = set()
+        for chunk_runs in (1 << 12, 1 << 16, 1 << 17):
+            monkeypatch.setattr(rng, "CHUNK_RUNS", chunk_runs)
+            assert main(argv) == 0
+            outputs.add(capsys.readouterr().out)
+        assert len(outputs) == 1
 
     @pytest.mark.parametrize("runs", [*range(4, 12), rng.CHUNK_RUNS + 1, rng.CHUNK_RUNS + 3, 2 * rng.CHUNK_RUNS + 2])
     def test_four_runs_or_more_define_every_correlator(self, runs, capsys):
@@ -806,12 +819,14 @@ def _windows_cdll(name):
 
 
 class TestMallocPolicy:
-    """cli.main sets glibc's malloc policy once, so freed chunk arrays stay resident."""
+    """The first rng.map_chunks call sets glibc's malloc policy once, so freed chunk arrays stay resident."""
 
-    @pytest.mark.skipif(
+    _GLIBC = pytest.mark.skipif(
         not sys.platform.startswith("linux") or platform.libc_ver()[0] != "glibc",
         reason="the policy is glibc's mallopt",
     )
+
+    @_GLIBC
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("name", sorted(FAULT_COMMANDS))
     def test_repeat_call_faults_no_pages_in(self, name, threads):
@@ -830,12 +845,27 @@ class TestMallocPolicy:
         )
         assert int(_run_fresh(code, threads)) < 1000
 
+    @_GLIBC
+    def test_repeat_api_call_faults_no_pages_in(self):
+        # the Python API sets the policy too, with no cli.main call in the process
+        code = (
+            "import resource\n"
+            "from ontolab import BeltramettiBugajski, erasure_report\n"
+            "def faults():\n"
+            "    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "    erasure_report(BeltramettiBugajski(), (0.0, 0.0, 1.0), 524288, ((8, 8), (64, 64)))\n"
+            "    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before\n"
+            "faults()\n"
+            "print(faults())\n"
+        )
+        assert int(_run_fresh(code, 1)) < 1000
+
     @pytest.mark.parametrize(
         "cdll", [lambda name: types.SimpleNamespace(), _no_cdll, _windows_cdll], ids=["no-mallopt", "oserror", "typeerror"]
     )
     def test_output_unchanged_without_mallopt(self, cdll, monkeypatch, capsys):
         monkeypatch.setattr(ctypes, "CDLL", cdll)
-        cli._keep_heap_resident.cache_clear()
+        rng._keep_heap_resident.cache_clear()
         try:
             for argv, golden in (
                 (["erasure", "--model", "bb", "--runs", "200000"], "erasure_bb_s7.json"),
@@ -843,16 +873,17 @@ class TestMallocPolicy:
             ):
                 assert main([*argv, "--seed", "7", "--format", "json"]) == 0
                 assert capsys.readouterr().out.encode() == (GOLDEN_DIR / golden).read_bytes()
-            assert cli._keep_heap_resident.cache_info().currsize == 1  # it ran, on the stub
+            assert rng._keep_heap_resident.cache_info().currsize == 1  # it ran, on the stub
         finally:
-            cli._keep_heap_resident.cache_clear()  # the next call sets the real policy
+            rng._keep_heap_resident.cache_clear()  # the next call sets the real policy
 
     def test_import_sets_no_policy(self):
-        # numpy imports ctypes itself, so what must hold is that the CLI neither
-        # imports it at module level nor sets the policy before main runs
+        # numpy imports ctypes itself, so what must hold is that neither the CLI nor
+        # rng imports it at module level, and that no policy is set before a Monte Carlo call
         code = (
             "import ontolab.cli as cli\n"
+            "from ontolab import rng\n"
             "cli.build_parser()\n"
-            "print(cli._keep_heap_resident.cache_info().currsize, 'ctypes' in vars(cli))\n"
+            "print(rng._keep_heap_resident.cache_info().currsize, 'ctypes' in vars(cli), 'ctypes' in vars(rng))\n"
         )
-        assert _run_fresh(code).split() == ["0", "False"]
+        assert _run_fresh(code).split() == ["0", "False", "False"]
