@@ -113,7 +113,7 @@ def parse_dirs(text: str) -> tuple[tuple[float, float, float], ...]:
 #: (information._finest_grids) together: 2**20 cells is 8 MiB per int64 vector
 MAX_BIN_CELLS = 1 << 20
 
-#: most Monte Carlo runs: about 150,000 chunks, with run indices far below 2**64
+#: most Monte Carlo runs: about 150,000 chunks, with run indices far below the stream's 2**61
 MAX_RUNS = 10**10
 
 

@@ -2,12 +2,17 @@
 
 Every simulated run draws its randomness from a stateless 64-bit hash of
 (master seed, run index, slot index), so the value a run sees never depends
-on how runs are batched or distributed across workers.  The hash is the
-splitmix64 finalizer applied twice with two Weyl increments:
+on how runs are batched or distributed across workers.  The hash is
+SplitMix64 itself: value(seed, run, slot) is output number 8 * run + slot + 1
+of the SplitMix64 generator seeded with `seed`, one finalizer per value,
 
-    stream(seed, run)       = mix64(seed + (run + 1) * GAMMA_RUN)
-    value(seed, run, slot)  = mix64(stream + (slot + 1) * GAMMA_SLOT)
+    value(seed, run, slot)  = mix64(seed + (8 * run + slot + 1) * GAMMA_RUN) mod 2**64
     double in [0, 1)        = (value >> 11) * 2**-53
+
+where GAMMA_RUN is SplitMix64's Weyl increment (Steele, Lea and Flood,
+OOPSLA 2014).  Slots lie in [0, SLOTS) = [0, 8); the kernels use 0-5.
+GAMMA_RUN is odd and mix64 is a bijection, so every (run, slot) with a run
+below 2**61 gets its own 64-bit value.
 
 A value depends on its own (seed, run, slot) only, so ``uniform_block``
 hashes exactly the runs and slots a caller asks for: a range of run indices
@@ -54,6 +59,7 @@ _S27 = np.uint64(27)
 _S31 = np.uint64(31)
 _S11 = np.uint64(11)
 _TO_DOUBLE = 2.0 ** -53
+SLOTS = 8
 
 CHUNK_RUNS = 1 << 16
 
@@ -74,22 +80,23 @@ def uniform_block(seed: int, runs: range, slots: tuple[int, ...]) -> np.ndarray:
     """Uniform doubles in [0, 1): element [i, j] is value(seed, runs[i], slots[j]).
 
     `runs` is a range of absolute run indices; the result has shape
-    (len(runs), len(slots)) and its columns are contiguous.
+    (len(runs), len(slots)) and its columns are contiguous.  A slot outside
+    [0, SLOTS) raises InvalidArgumentError.
     """
-    x = np.arange(runs.start, runs.stop, runs.step, dtype=np.uint64)
-    tmp = np.empty_like(x)
+    if not all(0 <= slot < SLOTS for slot in slots):
+        raise InvalidArgumentError(f"slots must lie in [0, {SLOTS}), got {tuple(slots)}")
     # offsets are reduced as Python ints: NumPy scalar arithmetic warns on the wrap
-    np.add(x, 1, out=x)
-    np.multiply(x, np.uint64(GAMMA_RUN), out=x)
-    np.add(x, np.uint64(int(seed) & _MASK64), out=x)
-    _mix64(x, tmp)
+    x = np.arange(runs.start, runs.stop, runs.step, dtype=np.uint64)
+    np.multiply(x, np.uint64((SLOTS * GAMMA_RUN) & _MASK64), out=x)
+    np.add(x, np.uint64((int(seed) + GAMMA_RUN) & _MASK64), out=x)
     out = np.empty((len(slots), len(x)))
-    bits = np.empty_like(x)
+    bits, tmp = np.empty_like(x), np.empty_like(x)
     for row, slot in zip(out, slots):
-        np.add(x, np.uint64(((int(slot) + 1) * GAMMA_SLOT) & _MASK64), out=bits)
+        np.add(x, np.uint64(int(slot) * GAMMA_RUN & _MASK64), out=bits)
         _mix64(bits, tmp)
         np.right_shift(bits, _S11, out=bits)
-        np.multiply(bits, _TO_DOUBLE, out=row)
+        # below 2**53 after the shift, so the signed view converts to the same doubles, faster
+        np.multiply(bits.view(np.int64), _TO_DOUBLE, out=row)
     return out.T
 
 

@@ -52,7 +52,7 @@ FULL_SOLID_ANGLE = 4.0 * np.pi
 #: argument; float32(r), the product r * s and float32(z) each round by e/2
 #: at most.  So a float32 x or y lies within 6.5e ~ 3.9e-7 < 2**-21 =
 #: FLOAT32_MARGIN / 8 of the float64 one, and z within e/2 (4.2e6
-#: counter-mode uniforms: 4.6e at most).  Against a unit direction d, the
+#: counter-mode uniforms: 4.7e at most).  Against a unit direction d, the
 #: coordinate errors move a dot by at most 4e plus the length of the rest,
 #: sqrt(2 * 2.5**2 + 0.5**2) e < 3.6e; casting d to float32, the three
 #: products and the two sums add at most 4e * sum |d_k x_k| <= 4e: 11.6e ~

@@ -1,5 +1,6 @@
-"""Counter-mode stream: uniform_block against the scalar formula, the draws
-of a chunk's Uniforms, the slots each kernel draws and reads, and the chunk
+"""Counter-mode stream: uniform_block against the scalar formula and against
+SplitMix64's own outputs, statistical checks of the stream, the draws of a
+chunk's Uniforms, the slots each kernel draws and reads, and the chunk
 engine: its shared thread pool, its sum that adds each chunk's counts once
 and its bound on chunks in flight."""
 
@@ -11,13 +12,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from ontolab import BeltramettiBugajski, BranchingModel, Telegraph, models, rng
 from ontolab.errors import InvalidArgumentError
 from ontolab.rng import (
     CHUNK_RUNS,
     GAMMA_RUN,
-    GAMMA_SLOT,
+    SLOTS,
     Uniforms,
     _mix64_int,
     map_chunks,
@@ -36,19 +38,18 @@ GENERAL = np.array([0.48, 0.6, 0.64])
 
 def reference_value(seed: int, run: int, slot: int) -> float:
     """value(seed, run, slot) on plain Python ints, straight from the module formula."""
-    stream = _mix64_int(seed + (run + 1) * GAMMA_RUN)
-    return (_mix64_int(stream + (slot + 1) * GAMMA_SLOT) >> 11) * 2.0**-53
+    return (_mix64_int(seed + (8 * run + slot + 1) * GAMMA_RUN) >> 11) * 2.0**-53
 
 
 seeds = st.integers(min_value=-(2**70), max_value=2**70)
-# ranges of run indices anywhere below 2**64, strided or not
+# ranges of run indices anywhere below 2**61, strided or not
 run_ranges = st.builds(
     lambda lo, n, step: range(lo, lo + n * step, step),
-    st.integers(min_value=0, max_value=2**64 - 2**10),
+    st.integers(min_value=0, max_value=2**61 - 2**10),
     st.integers(min_value=0, max_value=30),
     st.integers(min_value=1, max_value=7),
 )
-slot_sets = st.lists(st.integers(min_value=0, max_value=63), unique=True, max_size=8).map(tuple)
+slot_sets = st.lists(st.integers(min_value=0, max_value=SLOTS - 1), unique=True, max_size=SLOTS).map(tuple)
 
 
 class TestUniformBlock:
@@ -90,6 +91,54 @@ class TestUniformBlock:
     def test_values_in_unit_interval(self):
         u = uniform_block(-1, range(100_000), (0, 5))
         assert u.min() >= 0.0 and u.max() < 1.0
+
+    @pytest.mark.parametrize("slot", [SLOTS, -1])
+    def test_slot_outside_the_range_is_an_invalid_argument(self, slot):
+        with pytest.raises(InvalidArgumentError, match="slots must lie in"):
+            uniform_block(1, range(3), (0, slot))
+
+    def test_splitmix64_known_answers(self):
+        # SplitMix64's published test vector: its first five outputs when seeded with 1234567
+        words = (6457827717110365317, 3203168211198807973, 9817491932198370423,
+                 4593380528125082431, 16408922859458223821)
+        expected = [(w >> 11) * 2.0**-53 for w in words]
+        assert uniform_block(1234567, range(1), (0, 1, 2, 3, 4))[0].tolist() == expected
+        # outputs 9 and 10 of the same generator are run 1's slots 0 and 1
+        state = [1234567 + k * GAMMA_RUN for k in (9, 10)]
+        assert uniform_block(1234567, range(1, 2), (0, 1))[0].tolist() == [(_mix64_int(x) >> 11) * 2.0**-53 for x in state]
+
+
+STAT_RUNS = 1 << 20
+
+
+class TestStreamStatistics:
+    """The stream looks uniform and independent across slots, adjacent runs and adjacent seeds.
+
+    2**20 values per slot: a chi-square over 1,024 equal bins must not reject
+    at p = 1e-6, and each Pearson correlation r must lie within 5 standard
+    errors, 1/sqrt(n) each for independent uniforms, of 0.
+    """
+
+    @pytest.fixture(scope="class", params=[0, 1, 2**63 + 5], ids=["seed0", "seed1", "seed2^63+5"])
+    def block(self, request):
+        seed = request.param
+        return seed, uniform_block(seed, range(STAT_RUNS), tuple(range(SLOTS)))
+
+    def test_each_slot_fills_the_bins_evenly(self, block):
+        _, u = block
+        expected = STAT_RUNS / 1024
+        for slot in range(SLOTS):
+            counts = np.bincount((u[:, slot] * 1024).astype(np.int64), minlength=1024)
+            assert stats.chi2.sf(((counts - expected) ** 2 / expected).sum(), 1023) > 1e-6, slot
+
+    def test_slots_runs_and_seeds_are_uncorrelated(self, block):
+        seed, u = block
+        neighbour = uniform_block(seed + 1, range(STAT_RUNS), tuple(range(SLOTS)))
+        pairs = [(u[:, a], u[:, b]) for a in range(SLOTS) for b in range(a + 1, SLOTS)]
+        pairs += [(u[:-1, s], u[1:, s]) for s in range(SLOTS)]
+        pairs += [(u[:, s], neighbour[:, s]) for s in range(SLOTS)]
+        for x, y in pairs:
+            assert abs(np.corrcoef(x, y)[0, 1]) * math.sqrt(len(x)) < 5
 
 
 class TestUniforms:
