@@ -1,13 +1,13 @@
 """ontolab: sequential qubit measurements, temporal inequalities, and the
 hidden-variable models that try to keep up with them.
 
-The exact quantum oracle, the joint of two sequential measurements on the
-maximally mixed state, lives in :mod:`ontolab.qubit`; the four-time
-inequality machinery in :mod:`ontolab.leggett_garg`; the ontological models
-and their kernels in :mod:`ontolab.models`; histogram/entropy tooling in
-:mod:`ontolab.sphere`; and the erasure and no-flow diagnostics and the
-branching pass (joint statistics and no-erasure verdict) in
-:mod:`ontolab.information`.
+The exact quantum oracle, the closed-form joint (1 + ij a.b)/4 of two
+sequential measurements on the maximally mixed state, lives in
+:mod:`ontolab.qubit`; the four-time inequality machinery in
+:mod:`ontolab.leggett_garg`; the ontological models and their kernels in
+:mod:`ontolab.models`; histogram/entropy tooling in :mod:`ontolab.sphere`;
+and the erasure and no-flow diagnostics and the branching pass (joint
+statistics and no-erasure verdict) in :mod:`ontolab.information`.
 """
 
 __version__ = "0.1.0"
@@ -44,7 +44,6 @@ from .models import (
     make_model,
 )
 from .qubit import (
-    MAXIMALLY_MIXED,
     heisenberg_direction,
     joint_expectation,
     sequential_joint,
@@ -60,7 +59,6 @@ __all__ = [
     "ErasureReport",
     "InvalidArgumentError",
     "LGScenario",
-    "MAXIMALLY_MIXED",
     "NoFlowReport",
     "NumericalFailureError",
     "OntologicalModel",

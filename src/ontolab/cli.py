@@ -105,7 +105,8 @@ def parse_dirs(text: str) -> tuple[tuple[float, float, float], ...]:
         # scale by a power of two so the squares neither overflow nor underflow;
         # exact, so a direction whose norm was representable keeps its bits
         v = np.ldexp(v, -np.frexp(np.abs(v).max())[1])
-        dirs.append(tuple(float(x) for x in v / np.linalg.norm(v)))
+        # the norm by elementwise multiply and add: BLAS's norm rounds differently per CPU kernel
+        dirs.append(tuple(float(x) for x in v / np.sqrt(v[0] * v[0] + v[1] * v[1] + v[2] * v[2])))
     return tuple(dirs)
 
 

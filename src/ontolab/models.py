@@ -280,8 +280,8 @@ class BeltramettiBugajski(OntologicalModel):
 
         Each outcome is Born's rule on the z row of the state it measures, as
         ``evolve_batch`` computes that row; a measurement along z reads that
-        row alone.  The first reads the prepared point's dot with the
-        Heisenberg direction (0, s, c), with (c, s) = (cos, sin)(2 t_first),
+        row alone.  The first reads the prepared point's dot with
+        ``heisenberg_direction(t_first)`` = (0, s, c), (c, s) = (cos, sin)(2 t_first),
         which is s*y + c*z.  The second reads the collapsed state o1 * z
         rotated across the gap, whose z row is cos(2 (t_second - t_first)) *
         o1 plus an exact +-0.  Only the first outcome can read y, and so goes
@@ -289,7 +289,7 @@ class BeltramettiBugajski(OntologicalModel):
         slot 1 is not drawn.
         """
         t_first, t_second = min(pair), max(pair)
-        heisenberg = (0.0, np.sin(2.0 * t_first), np.cos(2.0 * t_first))
+        heisenberg = heisenberg_direction(t_first)
         block = u.draw((0, 1, 3, 5) if heisenberg[1] != 0.0 else (0, 3, 5))
         o1 = self._born_along(heisenberg, block[:, :-2], block[:, -2])
         o2 = self._born(np.cos(2.0 * (t_second - t_first)) * o1, block[:, -1])

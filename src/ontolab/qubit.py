@@ -15,7 +15,15 @@ Conventions, fixed once:
 * sequential sigma_z measurements on the maximally mixed state at times
   t_k, t_l are correlated as <a_k a_l> = cos 2(t_k - t_l).
 
-All tolerances are 1e-12: plain double-precision algebra on 2x2 matrices.
+The joint is a closed form, not matrix algebra.  Outcome i = +-1 along a
+unit direction a projects with Pi_a = (I + i a.sigma)/2; on rho = I/2 the
+first measurement leaves Pi_a rho Pi_a = Pi_a / 2, and the Pauli traces give
+tr(Pi_b Pi_a) = (1 + ij a.b)/2, so Prob(i, j) = (1 + ij a.b)/4 exactly.
+The only roundings are those of a.b, summed x, then y, then z by elementwise
+multiply and add as ``sphere.dot`` sums, and of the one add; the division by
+4 is exact.  No step goes through BLAS, whose rounding differs between CPU
+kernels, so the bits of a joint are fixed by the bits of its directions.
+All tolerances are 1e-12.
 """
 
 from __future__ import annotations
@@ -28,15 +36,8 @@ from .errors import InvalidArgumentError
 
 ATOL = 1e-12
 
-IDENTITY = np.eye(2, dtype=complex)
-SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
-SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-
 #: Outcome labels in index order: P[0] is outcome +1, P[1] is outcome -1.
 OUTCOMES = (1, -1)
-
-MAXIMALLY_MIXED = IDENTITY / 2
 
 
 def unit_vector(v) -> np.ndarray:
@@ -61,33 +62,21 @@ def heisenberg_direction(t: float) -> np.ndarray:
     return np.array([0.0, math.sin(2 * t), math.cos(2 * t)])
 
 
-def projector(n, outcome: int) -> np.ndarray:
-    """Rank-1 projector onto the +-1 eigenstate of n . sigma."""
-    n = unit_vector(n)
-    if outcome not in (1, -1):
-        raise InvalidArgumentError(f"outcome must be +1 or -1, got {outcome}")
-    return (IDENTITY + outcome * (n[0] * SIGMA_X + n[1] * SIGMA_Y + n[2] * SIGMA_Z)) / 2
-
-
 def sequential_joint(a, b) -> np.ndarray:
     """Exact joint distribution of measuring a, then b, on the maximally mixed state.
 
     a and b are unit Bloch directions (a time t measures along
     heisenberg_direction(t)).  Returns a (2, 2) array P with
     P[i, j] = Prob(first = OUTCOMES[i], second = OUTCOMES[j])
-            = tr(Pi_b Pi_a rho Pi_a), rho = MAXIMALLY_MIXED.
+            = (1 + OUTCOMES[i] * OUTCOMES[j] * a.b) / 4.
 
-    Rounding can leave a cell that is exactly 0 or 1 a few ulps outside
-    [0, 1], which would make its binomial variance negative; cells are
-    clipped into [0, 1].
+    Rounding can leave a.b a few ulps outside [-1, 1], and so a cell that is
+    exactly 0 a few ulps below it, which would make its binomial variance
+    negative; cells are clipped into [0, 1].
     """
     na, nb = unit_vector(a), unit_vector(b)
-    probs = np.empty((2, 2))
-    for i, first in enumerate(OUTCOMES):
-        pa = projector(na, first)
-        collapsed = pa @ MAXIMALLY_MIXED @ pa
-        for j, second in enumerate(OUTCOMES):
-            probs[i, j] = np.trace(projector(nb, second) @ collapsed).real
+    ab = na[0] * nb[0] + na[1] * nb[1] + na[2] * nb[2]
+    probs = (1.0 + np.multiply.outer(OUTCOMES, OUTCOMES) * ab) / 4
     return np.clip(probs, 0.0, 1.0, out=probs)
 
 

@@ -3,6 +3,15 @@
 The library answers its questions without these; the tests use them as
 independent routes to the same numbers:
 
+* the Pauli matrices, the maximally mixed state and ``projector``, and
+  ``projector_joint``: the joint of two sequential measurements on the
+  maximally mixed state as 2x2 complex projector products,
+  tr(Pi_b Pi_a rho Pi_a), which ``qubit.sequential_joint``'s closed form
+  (1 + ij a.b)/4 must match;
+* ``blas_sensitive_results``: the bits of directions parsed by
+  ``cli.parse_dirs`` and of joints from ``qubit.sequential_joint``, the two
+  results that a BLAS norm or matrix product, whose rounding differs per
+  OpenBLAS kernel, would make depend on the kernel;
 * the density-matrix conversions (``bloch_to_density``,
   ``density_to_bloch``, ``check_density``) and the Schroedinger-picture
   qubit operations built on them (``unitary``, ``evolve``, ``measure``,
@@ -42,14 +51,39 @@ import math
 import numpy as np
 
 from ontolab import BeltramettiBugajski
+from ontolab.cli import parse_dirs
 from ontolab.errors import InvalidArgumentError
 from ontolab.information import _homogeneity_test
-from ontolab.qubit import ATOL, IDENTITY, SIGMA_X, SIGMA_Y, SIGMA_Z, unit_vector
+from ontolab.qubit import ATOL, OUTCOMES, sequential_joint, unit_vector
 from ontolab.rng import map_chunks, substream_seed, uniform_block
 from ontolab.sphere import SphereHistogram, bin_index, dot
 
+IDENTITY = np.eye(2, dtype=complex)
+SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
+SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
+SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 HAMILTONIAN = SIGMA_X
 PAULIS = (SIGMA_X, SIGMA_Y, SIGMA_Z)
+MAXIMALLY_MIXED = IDENTITY / 2
+
+
+def projector(n, outcome: int) -> np.ndarray:
+    """Rank-1 projector onto the +-1 eigenstate of n . sigma."""
+    n = unit_vector(n)
+    if outcome not in (1, -1):
+        raise InvalidArgumentError(f"outcome must be +1 or -1, got {outcome}")
+    return (IDENTITY + outcome * (n[0] * SIGMA_X + n[1] * SIGMA_Y + n[2] * SIGMA_Z)) / 2
+
+
+def projector_joint(a, b) -> np.ndarray:
+    """(2, 2) joint of measuring a, then b, on the maximally mixed state: tr(Pi_b Pi_a rho Pi_a), in OUTCOMES index order."""
+    probs = np.empty((2, 2))
+    for i, first in enumerate(OUTCOMES):
+        pa = projector(a, first)
+        collapsed = pa @ MAXIMALLY_MIXED @ pa
+        for j, second in enumerate(OUTCOMES):
+            probs[i, j] = np.trace(projector(b, second) @ collapsed).real
+    return probs
 
 
 class InvalidDensityError(ValueError):
@@ -58,6 +92,20 @@ class InvalidDensityError(ValueError):
 
 class UndefinedConditionalStateError(ValueError):
     """A post-measurement state was requested for a zero-probability outcome."""
+
+
+def blas_sensitive_results(count: int, seed: int) -> tuple[list[bytes], list[bytes]]:
+    """The bits of `count` seeded random directions through ``parse_dirs`` and of the joints of `count` seeded random pairs.
+
+    The pairs are normalized by elementwise multiply and add, so their bits
+    do not depend on BLAS either.
+    """
+    gen = np.random.default_rng(seed)
+    text = ";".join(",".join(map(repr, v)) for v in gen.normal(size=(count, 3)).tolist())
+    dirs = [np.array(d).tobytes() for d in parse_dirs(text)]
+    v = gen.normal(size=(count, 2, 3))
+    v /= np.sqrt(v[..., 0] * v[..., 0] + v[..., 1] * v[..., 1] + v[..., 2] * v[..., 2])[..., None]
+    return dirs, [sequential_joint(a, b).tobytes() for a, b in v]
 
 
 def check_density(rho: np.ndarray) -> np.ndarray:

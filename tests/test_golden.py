@@ -34,6 +34,10 @@ CSV_SEED = 7
 RUNS = "200000"
 LG_TIMES = "0,pi/8,pi/4,3pi/8"
 DIRS = "0,0,1;0,1,1"
+# General directions, whose parsed bits and oracle joint a BLAS call would make depend on the OpenBLAS kernel. The
+# noflow arms share their atoms' cells, so their tv and p-value read bb's draws and its x/y settle path
+GENERAL_DIRS = "--dirs=0.3,-0.4,0.2;0.1,0.9,-0.2"
+SAME_GENERAL_DIRS = "--dirs=0.3,-0.4,0.2;0.3,-0.4,0.2"
 
 COMMANDS = {
     "lg_quantum": ["lg", "--model", "quantum", "--times", LG_TIMES],
@@ -46,6 +50,8 @@ COMMANDS = {
     "noflow_bb": ["noflow", "--model", "bb", "--dirs", DIRS, "--runs", RUNS],
     "noflow_telegraph": ["noflow", "--model", "telegraph", "--dirs", DIRS, "--runs", RUNS],
     "mwcheck": ["mwcheck", "--dirs", DIRS, "--runs", RUNS],
+    "mwcheck_general": ["mwcheck", GENERAL_DIRS, "--runs", RUNS],
+    "noflow_bb_general": ["noflow", "--model", "bb", SAME_GENERAL_DIRS, "--runs", RUNS],
 }
 
 # The command lines of the benchmark's lg-models and info-diagnostics
@@ -114,6 +120,8 @@ CONFIG_KEYS = {
     "noflow_bb": ["command", "model", "runs", "seed", "bins", "dirs"],
     "noflow_telegraph": ["command", "model", "runs", "seed", "gamma", "bins", "dirs"],
     "mwcheck": ["command", "runs", "seed", "dirs"],
+    "mwcheck_general": ["command", "runs", "seed", "dirs"],
+    "noflow_bb_general": ["command", "model", "runs", "seed", "bins", "dirs"],
 }
 
 

@@ -1,12 +1,20 @@
 """Quantum-oracle unit tests.
 
 Closed-form operations are cross-checked against independent routes:
-scipy.linalg.expm for the unitary and explicit projector algebra for
-measurement statistics.  The density-matrix conversions and the
-Schroedinger-picture operations (unitary, evolve, measure) are the test
-helpers' reference implementations, checked here before other tests lean on
-them.
+scipy.linalg.expm for the unitary and the test helpers' projector algebra
+for measurement statistics, which ``sequential_joint``'s closed form
+(1 + ij a.b)/4 matches to 1e-12 everywhere and bit for bit on the
+directions the goldens, demo 04 and the benchmark measure.  No result may
+depend on the BLAS kernel numpy runs.  The density-matrix conversions and
+the Schroedinger-picture operations (unitary, evolve, measure) are the test
+helpers' reference implementations, checked here before other tests lean
+on them.
 """
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,20 +22,26 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 from scipy.linalg import expm
 
-from ontolab import MAXIMALLY_MIXED, InvalidArgumentError, heisenberg_direction, joint_expectation, sequential_joint
-from ontolab.qubit import ATOL, IDENTITY, SIGMA_Z
+from ontolab import InvalidArgumentError, heisenberg_direction, joint_expectation, sequential_joint
+from ontolab.cli import parse_dirs
+from ontolab.qubit import ATOL
 
 from helpers import (
     HAMILTONIAN,
+    IDENTITY,
+    MAXIMALLY_MIXED,
     PAULIS,
+    SIGMA_Z,
     InvalidDensityError,
     UndefinedConditionalStateError,
+    blas_sensitive_results,
     bloch_to_density,
     check_density,
     density_to_bloch,
     evolve,
     joint_marginals,
     measure,
+    projector_joint,
     unitary,
 )
 
@@ -220,15 +234,41 @@ class TestSequentialJoint:
 
     def test_general_state_matches_projector_algebra(self):
         # independent oracle: explicit projector products on the maximally mixed state, at general settings
-        rho = IDENTITY / 2
         na, nb = heisenberg_direction(0.5), heisenberg_direction(1.9)
-        probs = sequential_joint(na, nb)
-        for i, a in enumerate((1, -1)):
-            pa = (IDENTITY + a * (na[0] * np.array([[0, 1], [1, 0]]) + na[1] * np.array([[0, -1j], [1j, 0]]) + na[2] * np.diag([1, -1]))) / 2
-            for j, b in enumerate((1, -1)):
-                pb = (IDENTITY + b * (nb[0] * np.array([[0, 1], [1, 0]]) + nb[1] * np.array([[0, -1j], [1j, 0]]) + nb[2] * np.diag([1, -1]))) / 2
-                expected = np.trace(pb @ pa @ rho @ pa).real
-                assert abs(probs[i, j] - expected) <= 1e-12
+        assert_allclose(sequential_joint(na, nb), projector_joint(na, nb), rtol=0, atol=1e-12)
+
+    def test_closed_form_matches_projector_algebra_on_random_pairs(self):
+        rng = np.random.default_rng(12)
+        for a, b in random_unit_vectors(rng, 1000).reshape(500, 2, 3):
+            assert_allclose(sequential_joint(a, b), projector_joint(a, b), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "a,b",
+        [
+            parse_dirs("0,0,1;0,1,1"),  # the goldens' --dirs
+            parse_dirs("0.0,0.0,1.0;0.0,0.7071067811865476,0.7071067811865476"),  # the benchmark's mwcheck
+            ([0.0, 0.0, 1.0], [0.0, np.sin(np.pi / 4), np.cos(np.pi / 4)]),  # demo 04
+        ],
+        ids=["golden", "benchmark", "demo-04"],
+    )
+    def test_closed_form_keeps_the_projector_algebra_bits(self, a, b):
+        # the directions whose joints the goldens and demo stdouts pin give the same bits either way
+        assert sequential_joint(a, b).tobytes() == np.clip(projector_joint(a, b), 0.0, 1.0).tobytes()
+
+
+def test_no_result_depends_on_the_blas_kernel():
+    # a non-FMA OpenBLAS kernel rounds norms and matrix products otherwise; parsing and the oracle never call it.
+    # Where OpenBLAS ignores the variable, this passes trivially
+    tests = Path(__file__).parent
+    env = dict(os.environ, OPENBLAS_CORETYPE="Prescott")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(tests.parent / "src"), str(tests), env.get("PYTHONPATH")]))
+    code = "from helpers import blas_sensitive_results\nfor part in blas_sensitive_results(2000, 0):\n    print(*(b.hex() for b in part))\n"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    parts = zip(("parse_dirs", "sequential_joint"), blas_sensitive_results(2000, 0), proc.stdout.splitlines(), strict=True)
+    # results of 2000 that differ under the other kernel
+    mismatches = {name: sum(a.hex() != b for a, b in zip(here, there.split(), strict=True)) for name, here, there in parts}
+    assert mismatches == {"parse_dirs": 0, "sequential_joint": 0}
 
 
 class TestValidation:
